@@ -129,8 +129,8 @@ func (s *suite) heteroBench() error {
 	}
 
 	faulty, err := compareScenario(n, steps, &hetero.ChaosSchedule{Events: []hetero.ChaosEvent{
-		{Kind: hetero.DeviceDeath, Device: 2, Phase: 6},
-		{Kind: hetero.LatencyFlap, Device: 1, Phase: 2, Factor: 8, Period: 4},
+		{Kind: hetero.DeviceDeath, Device: 2, Phase: 3},
+		{Kind: hetero.LatencyFlap, Device: 1, Phase: 1, Factor: 8, Period: 2},
 	}}, ref, fleet...)
 	if err != nil {
 		return err

@@ -55,7 +55,7 @@ func main() {
 		async   = flag.Bool("async", false, "overlap halo exchange (with -ranks)")
 		network = flag.String("network", "ib", "virtual network: ideal|gige|ib (with -ranks)")
 		devices = flag.String("devices", "", "heterogeneous devices, comma list of cpu<N>|gpu|staged (e.g. cpu8,gpu)")
-		dynamic = flag.Bool("dynamic", false, "dynamic strip scheduling (with -devices)")
+		dynamic = flag.Bool("dynamic", false, "dynamic tile scheduling (with -devices)")
 		steps   = flag.Int("steps", 0, "fixed step count for -ranks/-devices performance runs")
 	)
 	flag.Parse()

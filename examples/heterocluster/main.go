@@ -2,7 +2,7 @@
 // one workload (the 2-D blast wave):
 //
 //  1. heterogeneous execution — CPU-only vs GPU-only vs CPU+GPU with
-//     static and dynamic strip scheduling, in modelled (virtual) time; and
+//     static and dynamic tile scheduling, in modelled (virtual) time; and
 //  2. distributed execution — strong scaling over ranks with synchronous
 //     vs overlapped (async) halo exchange on an InfiniBand-class virtual
 //     network.

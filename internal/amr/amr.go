@@ -31,8 +31,9 @@ import (
 
 // Config selects the AMR layout and policy.
 type Config struct {
-	// Core is the per-leaf numerical method (Pool may be set; SweepExec
-	// and HaloExchange must be nil — the tree owns ghost filling).
+	// Core is the per-leaf numerical method (Pool may be set; TileExec
+	// and HaloExchange must be nil — per-leaf executors go through Attach
+	// and the tree owns ghost filling).
 	Core core.Config
 	// BlockN is the number of cells per block side. Must be at least
 	// twice the reconstruction ghost width.
@@ -47,8 +48,8 @@ type Config struct {
 	RegridEvery int
 	// Attach, when non-nil, is called once for every leaf solver the tree
 	// creates — at construction and again for each block born in a
-	// regrid. A heterogeneous executor uses it to install its SweepExec
-	// on every leaf (hetero.Executor.Attach), so strip routing survives
+	// regrid. A heterogeneous executor uses it to install its TileExec
+	// on every leaf (hetero.Executor.Attach), so tile routing survives
 	// refinement: new leaves come up already routed.
 	Attach func(*core.Solver)
 }
@@ -129,11 +130,8 @@ func NewTree(p *testprob.Problem, nbx int, cfg Config) (*Tree, error) {
 	if cfg.RegridEvery <= 0 {
 		cfg.RegridEvery = 4
 	}
-	if cfg.Core.SweepExec != nil || cfg.Core.HaloExchange != nil {
-		return nil, errors.New("amr: core SweepExec/HaloExchange must be nil")
-	}
-	if cfg.Core.TileExec != nil {
-		return nil, errors.New("amr: core TileExec must be nil (leaves schedule their own tiles)")
+	if cfg.Core.TileExec != nil || cfg.Core.HaloExchange != nil {
+		return nil, errors.New("amr: core TileExec/HaloExchange must be nil (leaves schedule their own tiles; use Attach)")
 	}
 	if cfg.Core.MaskExchange != nil {
 		return nil, errors.New("amr: core MaskExchange must be nil (the tree fills mask ghosts)")

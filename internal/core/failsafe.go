@@ -246,27 +246,31 @@ func (s *Solver) FSRepair(stage int, dt, a, b float64) error {
 	defer s.putScratch(scO)
 	defer s.putScratch(scL)
 
+	// Every interior row of every active direction, x rows first: the same
+	// overwrite-then-accumulate order per cell as the sweep.
 	for di, d := range g.ActiveDims() {
 		overwrite := di == 0
-		n := s.NumStrips(d)
-		for r := 0; r < n; r++ {
-			switch d {
-			case state.X:
-				ny := g.JEnd() - g.JBeg()
-				j := g.JBeg() + r%ny
-				k := g.KBeg() + r/ny
-				s.fsRepairRow(d, g.Idx(0, j, k), 1, g.TotalX, g.IBeg(), g.IEnd(), g.Dx,
-					overwrite, dt, b, scO, scL)
-			case state.Y:
-				i := g.IBeg() + r%g.Nx
-				k := g.KBeg() + r/g.Nx
-				s.fsRepairRow(d, g.Idx(i, 0, k), g.TotalX, g.TotalY, g.JBeg(), g.JEnd(), g.Dy,
-					overwrite, dt, b, scO, scL)
-			default:
-				i := g.IBeg() + r%g.Nx
-				j := g.JBeg() + r/g.Nx
-				s.fsRepairRow(d, g.Idx(i, j, 0), g.TotalX*g.TotalY, g.TotalZ, g.KBeg(), g.KEnd(), g.Dz,
-					overwrite, dt, b, scO, scL)
+		switch d {
+		case state.X:
+			for k := g.KBeg(); k < g.KEnd(); k++ {
+				for j := g.JBeg(); j < g.JEnd(); j++ {
+					s.fsRepairRow(d, g.Idx(0, j, k), 1, g.TotalX, g.IBeg(), g.IEnd(), g.Dx,
+						overwrite, dt, b, scO, scL)
+				}
+			}
+		case state.Y:
+			for k := g.KBeg(); k < g.KEnd(); k++ {
+				for i := g.IBeg(); i < g.IEnd(); i++ {
+					s.fsRepairRow(d, g.Idx(i, 0, k), g.TotalX, g.TotalY, g.JBeg(), g.JEnd(), g.Dy,
+						overwrite, dt, b, scO, scL)
+				}
+			}
+		default:
+			for j := g.JBeg(); j < g.JEnd(); j++ {
+				for i := g.IBeg(); i < g.IEnd(); i++ {
+					s.fsRepairRow(d, g.Idx(i, j, 0), g.TotalX*g.TotalY, g.TotalZ, g.KBeg(), g.KEnd(), g.Dz,
+						overwrite, dt, b, scO, scL)
+				}
 			}
 		}
 	}
@@ -360,8 +364,8 @@ func (s *Solver) fsRepairRow(d state.Direction, base, stride, n, cBeg, cEnd int,
 
 	// Original high-order fluxes, recomputed from the pre-stage snapshot
 	// through the same fillFlux dispatch the sweep and tile kernels use
-	// (identical inputs, identical code path — bitwise the same values,
-	// whether the stage ran tiled segments or full strips).
+	// (identical inputs, identical code path — bitwise the same values as
+	// the tile segments the stage ran).
 	uO := gatherRow(s.fsW, base, stride, n, scO)
 	s.fillFlux(d, uO, n, cBeg, cEnd, scO)
 

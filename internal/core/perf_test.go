@@ -58,9 +58,6 @@ func TestStepZeroAllocs(t *testing.T) {
 		// The fail-safe detector rides every stage of a clean run; the
 		// zero-troubled steady state must stay allocation-free (mask and
 		// snapshot buffers are allocated once, detector chunks pre-bound).
-		// The legacy per-direction strip traversal (NoTiling) shares the
-		// scratch free list and pre-bound chunks; it must stay at zero too.
-		{"generic-2d-notiling", testprob.Blast2D, 48, func(c *Config) { c.NoTiling = true }},
 		{"failsafe-2d", testprob.Blast2D, 48, func(c *Config) { c.FailSafe = true }},
 		{"failsafe-fused-2d", testprob.Blast2D, 48, func(c *Config) {
 			c.Fused = true

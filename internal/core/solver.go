@@ -12,12 +12,14 @@
 //  5. advance in time with a strong-stability-preserving Runge–Kutta
 //     integrator under a CFL-limited step.
 //
-// The RHS is decomposed into independent one-dimensional strips (grid rows
-// in the sweep direction). Strips are the scheduling unit: the shared-memory
-// path dispatches them onto the par.Pool, the heterogeneous path (package
-// hetero) dispatches contiguous strip ranges onto devices, and the
-// distributed path (package cluster) runs the same solver per rank on its
-// subdomain. SweepStrips and NumStrips expose exactly this decomposition.
+// The RHS is decomposed into pencil tiles: blocks of the (j, k) plane
+// spanning the full x extent, each accumulating its x, y and z flux
+// divergences in one cache-resident pass (tiles.go). Tiles are the only
+// scheduling unit: the shared-memory path dispatches tile ranges onto the
+// par.Pool, the heterogeneous path (package hetero) dispatches them onto
+// devices through Config.TileExec, and the distributed path (package
+// cluster) runs the same solver per rank on its subdomain. NumTiles and
+// TileZones expose exactly this decomposition.
 package core
 
 import (
@@ -72,7 +74,7 @@ type Config struct {
 	// CFL is the Courant factor; stability requires CFL ≤ 1 in 1-D and
 	// CFL ≤ 1/dim for the unsplit multidimensional update.
 	CFL float64
-	// Pool runs strips concurrently; nil runs serially.
+	// Pool runs tiles concurrently; nil runs serially.
 	Pool *par.Pool
 	// Fused enables the specialised (devirtualised, inlined) sweep kernel
 	// when the configuration matches PLM-MC + HLLC + ideal gas; results
@@ -86,14 +88,6 @@ type Config struct {
 	// right-hand side of the cell at physical position (x,y,z) with
 	// primitive state w.
 	Source func(x, y, z float64, w state.Prim) state.Cons
-	// SweepExec, when non-nil, replaces the default pool execution of the
-	// strip sweeps: it must invoke sweep over disjoint subranges covering
-	// [0, nStrips) and return only when all strips are done. Package
-	// hetero uses this hook to dispatch strips onto modelled devices.
-	// Installing a SweepExec selects the per-direction strip traversal:
-	// the cache-blocked tile engine is bypassed (results are bitwise
-	// identical either way; see docs/PERFORMANCE.md).
-	SweepExec func(d state.Direction, nStrips int, sweep func(lo, hi int))
 	// TileJ and TileK set the pencil-tile extents (in cells along y and z)
 	// of the cache-blocked fused-direction traversal; zero selects the
 	// default. Tile sizes need not divide the grid — edge tiles shrink.
@@ -101,14 +95,9 @@ type Config struct {
 	TileJ, TileK int
 	// TileExec, when non-nil, replaces the default pool execution of the
 	// tile sweeps: it must invoke run over disjoint subranges covering
-	// [0, nTiles) and return only when all tiles are done. Ignored when a
-	// SweepExec is installed (strips take precedence as the work unit).
+	// [0, nTiles) and return only when all tiles are done. Package hetero
+	// uses this hook to dispatch tiles onto modelled devices.
 	TileExec func(nTiles int, run func(lo, hi int))
-	// NoTiling disables the cache-blocked tile engine and restores the
-	// pre-tile per-direction strip traversal. Results are bitwise
-	// identical either way; the switch exists for A/B benchmarking and
-	// the equivalence tests.
-	NoTiling bool
 	// HaloExchange, when non-nil, is called after every primitive
 	// recovery (once per RK stage) with the freshly recovered primitive
 	// field, so a distributed driver can fill ghost faces marked
@@ -202,15 +191,11 @@ type Solver struct {
 	// Pre-bound chunk bodies for parallelFor. A closure literal passed to
 	// the pool escapes and would be heap-allocated at every call site;
 	// binding them once here keeps the steady-state step allocation-free.
-	// The cur* fields are the per-call parameters the sweep body reads;
-	// they are written before the parallel region starts and are read-only
-	// inside it.
-	sweepChunk   func(lo, hi int)
+	// curRHS is the per-call parameter the tile body reads; it is written
+	// before the parallel region starts and is read-only inside it.
 	recoverChunk func(lo, hi int)
 	cflChunk     func(lo, hi int)
-	curDir       state.Direction
 	curRHS       *state.Fields
-	curOverwrite bool
 	recAccum     bool
 	recResets    atomic.Int64
 	recFlagging  bool // recovery flags failures instead of resetting (fail-safe)
@@ -302,7 +287,7 @@ func New(g *grid.Grid, cfg Config) (*Solver, error) {
 	// Row scratch free list. Unlike sync.Pool the channel is immune to GC
 	// eviction, so once the list is warm the steady-state step allocates
 	// nothing. The capacity covers the maximum number of concurrently
-	// running strip chunks (pool slots plus the caller, plus headroom for
+	// running tile chunks (pool slots plus the caller, plus headroom for
 	// hetero device executors); a get on an empty list allocates and a put
 	// on a full list drops, so capacity is a performance bound, never a
 	// correctness one.
@@ -326,9 +311,6 @@ func New(g *grid.Grid, cfg Config) (*Solver, error) {
 		return rs
 	}
 	s.cflRows = make([]float64, (g.JEnd()-g.JBeg())*(g.KEnd()-g.KBeg()))
-	s.sweepChunk = func(lo, hi int) {
-		s.sweepStrips(s.curDir, lo, hi, s.curRHS, s.curOverwrite)
-	}
 	s.recoverChunk = func(lo, hi int) {
 		gr := s.G
 		ny := gr.JEnd() - gr.JBeg()
@@ -442,7 +424,7 @@ func (s *Solver) InitFromPrim(fn func(x, y, z float64) state.Prim) error {
 	return nil
 }
 
-// parallelFor runs fn over [0,n) strips, using the pool when configured.
+// parallelFor runs fn over [0,n) work items, using the pool when configured.
 func (s *Solver) parallelFor(n int, fn func(lo, hi int)) {
 	if s.Cfg.Pool == nil {
 		fn(0, n)
@@ -597,93 +579,6 @@ func fusedMaxSpeed(vd, v2, cs2, sqrtCs2 float64) float64 {
 	return math.Max(math.Abs(lm), math.Abs(lp))
 }
 
-// NumStrips returns the number of independent one-dimensional strips of
-// the sweep along direction d: one strip per interior row.
-func (s *Solver) NumStrips(d state.Direction) int {
-	g := s.G
-	switch d {
-	case state.X:
-		return (g.JEnd() - g.JBeg()) * (g.KEnd() - g.KBeg())
-	case state.Y:
-		return g.Nx * (g.KEnd() - g.KBeg())
-	default:
-		return g.Nx * (g.JEnd() - g.JBeg())
-	}
-}
-
-// StripZones returns the number of interior zones a single strip of
-// direction d updates (the work unit for device cost models).
-func (s *Solver) StripZones(d state.Direction) int {
-	switch d {
-	case state.X:
-		return s.G.Nx
-	case state.Y:
-		return s.G.Ny
-	default:
-		return s.G.Nz
-	}
-}
-
-// SweepStrips runs the flux sweep along direction d for strips [lo, hi),
-// accumulating −∂F/∂x_d into rhs. Strips of one direction touch disjoint
-// cells, so disjoint ranges may run concurrently. The primitive field
-// (including ghosts) must be current.
-func (s *Solver) SweepStrips(d state.Direction, lo, hi int, rhs *state.Fields) {
-	s.sweepStrips(d, lo, hi, rhs, false)
-}
-
-// sweepStrips is SweepStrips with an overwrite mode: ComputeRHS runs the
-// first active direction in overwrite mode (out = 0 − ΔF/dx, exactly the
-// arithmetic a zeroed rhs accumulation performs) so the full-field
-// rhs.Zero() traversal disappears from the hot loop.
-func (s *Solver) sweepStrips(d state.Direction, lo, hi int, rhs *state.Fields, overwrite bool) {
-	sc := s.getScratch()
-	defer s.putScratch(sc)
-	g := s.G
-	switch d {
-	case state.X:
-		ny := g.JEnd() - g.JBeg()
-		for r := lo; r < hi; r++ {
-			j := g.JBeg() + r%ny
-			k := g.KBeg() + r/ny
-			s.sweepRow(d, g.Idx(0, j, k), 1, g.TotalX, g.IBeg(), g.IEnd(), g.Dx, sc, rhs, overwrite)
-		}
-	case state.Y:
-		// Strips of one k are consecutive in i (strip r ↦ i fastest), so
-		// runs of up to panelW strips share a panel transpose; the chunk
-		// boundary and the end of an i-row cap each run. Grouping never
-		// changes a row's gathered values, so any chunking is bitwise
-		// identical to per-strip gathers.
-		for r := lo; r < hi; {
-			i := g.IBeg() + r%g.Nx
-			k := g.KBeg() + r/g.Nx
-			p := hi - r
-			if rem := g.Nx - r%g.Nx; rem < p {
-				p = rem
-			}
-			if p > panelW {
-				p = panelW
-			}
-			s.sweepPanel(d, g.Idx(i, 0, k), g.TotalX, g.TotalY, g.JBeg(), g.JEnd(), g.Dy, p, sc, rhs, overwrite)
-			r += p
-		}
-	default:
-		for r := lo; r < hi; {
-			i := g.IBeg() + r%g.Nx
-			j := g.JBeg() + r/g.Nx
-			p := hi - r
-			if rem := g.Nx - r%g.Nx; rem < p {
-				p = rem
-			}
-			if p > panelW {
-				p = panelW
-			}
-			s.sweepPanel(d, g.Idx(i, j, 0), g.TotalX*g.TotalY, g.TotalZ, g.KBeg(), g.KEnd(), g.Dz, p, sc, rhs, overwrite)
-			r += p
-		}
-	}
-}
-
 // gatherRow views one strip of the primitive field as per-component
 // contiguous rows: x strips alias W directly (stride 1, read-only), y/z
 // strips gather into the scratch buffers via the shared panel-copy
@@ -777,9 +672,9 @@ func (s *Solver) fillFluxGeneric(d state.Direction, u [state.NComp][]float64, n,
 
 // fillFlux dispatches the configured flux kernel for a gathered row (or
 // tile segment) u of n cells, writing face fluxes [cBeg, cEnd] into
-// sc.fx. It is the single flux entry point shared by the strip sweeps,
-// the tile engine, and the fail-safe repair, so fluxes recomputed
-// anywhere are bitwise identical to the sweep's.
+// sc.fx. It is the single flux entry point shared by the tile engine and
+// the fail-safe repair, so fluxes recomputed anywhere are bitwise
+// identical to the sweep's.
 func (s *Solver) fillFlux(d state.Direction, u [state.NComp][]float64, n, cBeg, cEnd int,
 	sc *rowScratch) {
 
@@ -817,9 +712,7 @@ func (s *Solver) sweepRow(d state.Direction, base, stride, n, cBeg, cEnd int, dx
 // gathers all rows in contiguous runs (state.PanelGather), then each row
 // goes through the same flux and accumulate kernels as sweepRow. Results
 // are bitwise identical to nrows independent sweepRow calls — the panel
-// only changes how the strided loads are scheduled. Used by both the
-// legacy strip path (grouping adjacent y/z strips) and the tile engine
-// (tile-interior segments).
+// only changes how the strided loads are scheduled.
 func (s *Solver) sweepPanel(d state.Direction, base, stride, n, cBeg, cEnd int, dx float64,
 	nrows int, sc *rowScratch, rhs *state.Fields, overwrite bool) {
 
@@ -844,12 +737,11 @@ func (s *Solver) sweepPanel(d state.Direction, base, stride, n, cBeg, cEnd int, 
 // ComputeRHS evaluates the full right-hand side into rhs. Primitives and
 // their ghosts must be current (call RecoverPrimitives first).
 //
-// The default traversal is the cache-blocked tile engine (tiles.go): one
-// fused pass over pencil tiles of the (j, k) plane, each tile
-// accumulating its x, y and z flux divergences while its working set is
-// cache resident. Installing a SweepExec (the hetero device hook) or
-// setting Config.NoTiling selects the pre-tile per-direction strip
-// traversal instead; both orders produce bitwise-identical results.
+// The traversal is the cache-blocked tile engine (tiles.go): one fused
+// pass over pencil tiles of the (j, k) plane, each tile accumulating its
+// x, y and z flux divergences while its working set is cache resident.
+// Tile ranges run on the pool, or on whatever Config.TileExec dispatches
+// them to (the hetero device hook).
 //
 // The sweeps write every interior cell (the first direction overwrites,
 // the rest accumulate) and never touch ghost cells, so rhs ghost entries
@@ -859,24 +751,11 @@ func (s *Solver) ComputeRHS(rhs *state.Fields) {
 	if s.trc != nil {
 		zeroScalar(s.trc.rhs)
 	}
-	if s.tilingOn() {
-		s.curRHS = rhs
-		nt := len(s.tiles)
-		if s.Cfg.TileExec != nil {
-			s.Cfg.TileExec(nt, s.tileChunk)
-		} else {
-			s.parallelFor(nt, s.tileChunk)
-		}
+	s.curRHS = rhs
+	if s.Cfg.TileExec != nil {
+		s.Cfg.TileExec(len(s.tiles), s.tileChunk)
 	} else {
-		for di, d := range s.G.ActiveDims() {
-			n := s.NumStrips(d)
-			s.curDir, s.curRHS, s.curOverwrite = d, rhs, di == 0
-			if s.Cfg.SweepExec != nil {
-				s.Cfg.SweepExec(d, n, s.sweepChunk)
-			} else {
-				s.parallelFor(n, s.sweepChunk)
-			}
-		}
+		s.parallelFor(len(s.tiles), s.tileChunk)
 	}
 	if src := s.Cfg.Source; src != nil {
 		g := s.G

@@ -1,11 +1,10 @@
 package core
 
-// Cache-blocked tile engine. The RHS traversal is reorganised from three
-// grid-wide directional passes into one pass over pencil tiles: the
-// (j, k) plane is partitioned into tileJ×tileK blocks, and each tile
-// evaluates its x rows, its y-face sweeps, and its z-face sweeps while
-// the tile's primitives and rhs rows are still cache resident — W is
-// streamed once per RK stage instead of three times.
+// Cache-blocked tile engine. The RHS traversal is one pass over pencil
+// tiles: the (j, k) plane is partitioned into tileJ×tileK blocks, and
+// each tile evaluates its x rows, its y-face sweeps, and its z-face
+// sweeps while the tile's primitives and rhs rows are still cache
+// resident — W is streamed once per RK stage, not once per direction.
 //
 // Within a tile the y/z strips are gathered through panel transposes
 // (state.PanelGather): short segments of panelW adjacent x columns are
@@ -20,12 +19,12 @@ package core
 // are disjoint in rhs and safe to run concurrently.
 //
 // Bitwise reproducibility: every interior cell receives its directional
-// contributions in the fixed order X (overwrite), then Y, then Z —
-// exactly the per-direction order of the strip traversal — and each
-// contribution is the same flux difference, so the tiled rhs is bitwise
-// identical to the pre-tile sweep order for any tile size, any worker
-// count, and any TileExec chunking (see TestTiledBitwiseInvariance and
-// docs/PERFORMANCE.md).
+// contributions in the fixed order X (overwrite), then Y, then Z, and
+// each contribution is the same flux difference, so the rhs is bitwise
+// identical for any tile size, any worker count, and any TileExec
+// chunking — and to the three grid-wide directional passes this engine
+// replaced, whose results testdata/strip_golden.json freezes (see
+// TestTiledBitwiseInvariance and docs/PERFORMANCE.md).
 
 import "rhsc/internal/state"
 
@@ -78,17 +77,19 @@ func (s *Solver) initTiles() {
 	s.tileChunk = func(lo, hi int) { s.sweepTiles(lo, hi, s.curRHS) }
 }
 
-// tilingOn reports whether ComputeRHS uses the tile engine: a SweepExec
-// (device dispatch works in strips) or Config.NoTiling selects the
-// legacy per-direction traversal.
-func (s *Solver) tilingOn() bool {
-	return s.Cfg.SweepExec == nil && !s.Cfg.NoTiling
-}
-
 // NumTiles returns the number of pencil tiles of the cache-blocked
-// traversal — the parallel work unit count when the tile engine is
-// active.
+// traversal — the parallel work unit count.
 func (s *Solver) NumTiles() int { return len(s.tiles) }
+
+// TileZones returns the number of interior zones tiles [lo, hi) own (the
+// work unit for device cost models; edge tiles are smaller).
+func (s *Solver) TileZones(lo, hi int) int {
+	pencils := 0
+	for _, tl := range s.tiles[lo:hi] {
+		pencils += (tl.j1 - tl.j0) * (tl.k1 - tl.k0)
+	}
+	return pencils * s.G.Nx
+}
 
 // TileSizes returns the resolved (j, k) tile extents in cells.
 func (s *Solver) TileSizes() (tileJ, tileK int) { return s.tileJ, s.tileK }
@@ -104,9 +105,8 @@ func (s *Solver) sweepTiles(lo, hi int, rhs *state.Fields) {
 }
 
 // sweepTile accumulates the full flux divergence of one pencil tile. The
-// direction order — first active dimension overwrites, the rest
-// accumulate — matches ComputeRHS's legacy strip traversal per cell, so
-// the result is bitwise identical to it.
+// direction order is fixed — first active dimension overwrites, the rest
+// accumulate — so every cell sees the same sum whichever tile owns it.
 func (s *Solver) sweepTile(tl tileSpan, sc *rowScratch, rhs *state.Fields) {
 	g := s.G
 	ng := g.Ng

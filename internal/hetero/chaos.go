@@ -1,7 +1,8 @@
 package hetero
 
 // Chaos harness: a deterministic, phase-keyed fault schedule for the
-// executor. Every event is a pure function of the sweep-phase counter —
+// executor. Every event is a pure function of the phase counter (one
+// phase per RHS evaluation of an attached solver) —
 // no wall clocks, no randomness — so a chaos run is exactly reproducible
 // and, because kernels always execute for correctness on the host, its
 // solution is bitwise identical to a fault-free run. Chaos perturbs only
@@ -12,8 +13,9 @@ package hetero
 //   - DeviceDeath: fail-stop loss. The device's next launch at or after
 //     Phase errors; the executor charges the wasted launch plus a
 //     bounded exponential-backoff retry series, reroutes the in-flight
-//     strips to the earliest-finishing live device, and the router marks
-//     the device Dead (permanently out of rotation).
+//     tiles to the earliest-finishing live device, and the router marks
+//     the device Dead (permanently out of rotation). It is the only
+//     fail-stop injection.
 //
 //   - LatencySpike: the device's observed per-zone latency is multiplied
 //     by Factor for Duration phases (0 = until the end of the run). The
@@ -61,7 +63,7 @@ func (k ChaosKind) String() string {
 type ChaosEvent struct {
 	Kind   ChaosKind
 	Device int   // index into Executor.Devices
-	Phase  int64 // sweep phase at which the event begins
+	Phase  int64 // phase at which the event begins
 
 	// Duration bounds a LatencySpike in phases; 0 means it lasts until
 	// the end of the run. Ignored for DeviceDeath and LatencyFlap.
@@ -122,7 +124,7 @@ func (c *ChaosSchedule) retryParams() (backoff float64, retries int) {
 // death fires now (first phase at or past the event's Phase on a device
 // not yet dead). The dying devices still appear in this phase's plan:
 // the executor discovers the death through the failed launch and
-// reroutes (rerouteDead), exactly like the legacy DeviceFault path.
+// reroutes (rerouteDead).
 func (ex *Executor) applyChaosPhase(phase int64) []int {
 	c := ex.Chaos
 	if c == nil {

@@ -45,7 +45,7 @@ func wantBitwise(t *testing.T, name string, plain, chaotic []float64) {
 }
 
 // The headline guarantee: a run with a device dying mid-flight completes
-// bitwise identical to a fault-free run, with the in-flight strips
+// bitwise identical to a fault-free run, with the in-flight tiles
 // rerouted onto the survivors.
 func TestChaosDeathBitwiseIdentical(t *testing.T) {
 	plain := runBlast(t, 48, 4, nil)
@@ -65,7 +65,7 @@ func TestChaosDeathBitwiseIdentical(t *testing.T) {
 		t.Errorf("deaths = %d, want 1", c.Deaths.Load())
 	}
 	if c.Reroutes.Load() == 0 {
-		t.Error("no strips rerouted off the dying device")
+		t.Error("no tiles rerouted off the dying device")
 	}
 	if ex.Stats.Retries.Load() == 0 || ex.BackoffVirtual() <= 0 {
 		t.Error("death charged no retry backoff")
@@ -230,7 +230,7 @@ func TestChaosRerouteDuringAMRRegrid(t *testing.T) {
 	}
 	plain := run(nil)
 	ex := MustExecutor(Routed, MustDevice(SpecHostCPU(2)), MustDevice(SpecK20GPU()))
-	// Many leaf sweeps per tree step: kill the GPU deep inside the run,
+	// Many leaf phases per tree step: kill the GPU deep inside the run,
 	// well after the first regrids have spawned fresh leaves.
 	ex.Chaos = &ChaosSchedule{Events: []ChaosEvent{
 		{Kind: DeviceDeath, Device: 1, Phase: 40},
@@ -256,7 +256,7 @@ func TestChaosRerouteDuringAMRRegrid(t *testing.T) {
 }
 
 // Satellite: TraceEvents/Stats/Report read paths must be safe while a
-// chaos run is rerouting strips. Run with -race.
+// chaos run is rerouting tiles. Run with -race.
 func TestConcurrentReadsDuringChaosRun(t *testing.T) {
 	ex := MustExecutor(Routed,
 		MustDevice(SpecHostCPU(2)), MustDevice(SpecK20GPU()), MustDevice(SpecXeonPhi()))
@@ -312,6 +312,128 @@ func TestChaosOnLegacyPolicies(t *testing.T) {
 		wantBitwise(t, pol.String(), plain, chaotic)
 		if !ex.Degraded() {
 			t.Errorf("%v: not degraded after death", pol)
+		}
+	}
+}
+
+// faultRun advances the 48² blast three steps (six phases) on a CPU+GPU
+// pair with tracing on; deathPhase ≥ 0 fail-stops the GPU (device 1) at
+// that phase with two flaky retries. It returns the executor and the
+// final density field.
+func faultRun(t *testing.T, pol Policy, deathPhase int64) (*Executor, []float64) {
+	t.Helper()
+	ex := MustExecutor(pol, MustDevice(SpecHostCPU(4)), MustDevice(SpecK20GPU()))
+	ex.Trace = true
+	if deathPhase >= 0 {
+		ex.Chaos = &ChaosSchedule{FlakyRetries: 2, Events: []ChaosEvent{
+			{Kind: DeviceDeath, Device: 1, Phase: deathPhase},
+		}}
+	}
+	u := runBlast(t, 48, 3, func(s *core.Solver) { ex.Attach(s) })
+	return ex, u
+}
+
+// TestFaultDeviceReexecution: a device death must re-execute the lost
+// kernels on the healthy device after the flaky retries and their
+// exponential backoff, flag degraded mode, and leave the solution bitwise
+// identical to the fault-free run — only the virtual clocks and the
+// device assignment may change.
+func TestFaultDeviceReexecution(t *testing.T) {
+	clean, cleanU := faultRun(t, Dynamic, -1)
+	faulty, faultyU := faultRun(t, Dynamic, 2)
+	wantBitwise(t, "device death", cleanU, faultyU)
+
+	snap := faulty.Stats.Snapshot()
+	if snap.Injected != 1 {
+		t.Fatalf("Injected = %d, want 1", snap.Injected)
+	}
+	if snap.Retries != 3 { // 2 flaky attempts + the one that lands
+		t.Fatalf("Retries = %d, want 3", snap.Retries)
+	}
+	if !snap.Degraded || !faulty.Degraded() {
+		t.Fatal("degraded mode not flagged")
+	}
+	// Backoff doubles from the 100 µs default over the three attempts.
+	if got, want := faulty.BackoffVirtual(), 1e-4+2e-4+4e-4; math.Abs(got-want) > 1e-12 {
+		t.Fatalf("backoff = %v, want %v", got, want)
+	}
+
+	rep := faulty.Report()
+	if !rep[1].Faulted || rep[0].Faulted {
+		t.Fatalf("fault flags wrong: %+v", rep)
+	}
+	// The GPU stops at the kernels it completed plus the one failed
+	// launch; the CPU absorbs everything else.
+	completed := int64(0)
+	for _, e := range faulty.TraceEvents() {
+		if e.Device == rep[1].Name {
+			completed++
+		}
+	}
+	if completed == 0 || rep[1].Kernels != completed+1 {
+		t.Fatalf("dead device charged %d kernels, completed %d", rep[1].Kernels, completed)
+	}
+	if rep[0].Zones <= clean.Report()[0].Zones {
+		t.Fatal("healthy device did not absorb the dead device's work")
+	}
+	if faulty.VirtualTime() <= clean.VirtualTime() {
+		t.Fatalf("fault run not slower: %v vs %v", faulty.VirtualTime(), clean.VirtualTime())
+	}
+}
+
+// TestFaultPlansExcludeDeadDevice: the kernels of the phase the death
+// fires in migrate, and no later plan of any policy schedules the dead
+// device.
+func TestFaultPlansExcludeDeadDevice(t *testing.T) {
+	for _, pol := range []Policy{Static, Dynamic, Routed} {
+		ex, _ := faultRun(t, pol, 1)
+		dead := ex.Devices[1].Spec.Name
+		before := 0
+		for _, e := range ex.TraceEvents() {
+			if e.Device != dead {
+				continue
+			}
+			if e.Phase >= 1 {
+				t.Fatalf("%v plan scheduled the dead device: %+v", pol, e)
+			}
+			before++
+		}
+		if before == 0 {
+			t.Errorf("%v: device never ran before its death", pol)
+		}
+	}
+}
+
+// TestFaultLastDeviceKeepsRunning: with no healthy device left the
+// executor must keep planning (degraded but correct) rather than stall.
+func TestFaultLastDeviceKeepsRunning(t *testing.T) {
+	plain := runBlast(t, 32, 2, nil)
+	ex := MustExecutor(Static, MustDevice(SpecHostCPU(2)))
+	ex.Chaos = &ChaosSchedule{Events: []ChaosEvent{{Kind: DeviceDeath, Device: 0, Phase: 1}}}
+	faulty := runBlast(t, 32, 2, func(s *core.Solver) { ex.Attach(s) })
+	if !ex.Degraded() {
+		t.Fatal("death never fired")
+	}
+	wantBitwise(t, "single-device death", plain, faulty)
+}
+
+// TestFaultResetClocks: ResetClocks must clear fault state so the
+// executor can be reused for a fresh measurement.
+func TestFaultResetClocks(t *testing.T) {
+	ex, _ := faultRun(t, Dynamic, 1)
+	if !ex.Degraded() {
+		t.Fatal("death never fired")
+	}
+	ex.ResetClocks()
+	if ex.Degraded() || ex.BackoffVirtual() != 0 {
+		t.Fatal("ResetClocks kept fault state")
+	}
+	if snap := ex.Stats.Snapshot(); snap.Injected != 0 || snap.Retries != 0 {
+		t.Fatalf("counters survived reset: %+v", snap)
+	}
+	for _, r := range ex.Report() {
+		if r.Faulted {
+			t.Fatal("device still marked faulted after reset")
 		}
 	}
 }
@@ -388,11 +510,10 @@ func TestParseFleet(t *testing.T) {
 	if devs[3].Staged() {
 		t.Error("k20 resident parsed as staged")
 	}
-	if _, err := ParseFleet("cpu4, warp9"); err == nil {
-		t.Error("unknown device accepted")
-	}
-	if _, err := ParseFleet(""); err == nil {
-		t.Error("empty fleet accepted")
+	for _, bad := range []string{"cpu4, warp9", "", "cpu4x", "cpu8 cores", "cpu+3", "cpu-3", "cpu0", "cpu"} {
+		if _, err := ParseFleet(bad); err == nil {
+			t.Errorf("fleet %q accepted", bad)
+		}
 	}
 }
 

@@ -12,16 +12,15 @@ import (
 	"rhsc/internal/core"
 	"rhsc/internal/metrics"
 	"rhsc/internal/par"
-	"rhsc/internal/state"
 )
 
-// Policy selects how strips are scheduled across devices.
+// Policy selects how tiles are scheduled across devices.
 type Policy int
 
 // Scheduling policies.
 const (
-	// Static partitions each sweep proportionally to raw ZoneRate, one
-	// kernel per device per sweep. Minimal launch overhead, but blind to
+	// Static partitions each phase proportionally to raw ZoneRate, one
+	// kernel per device per phase. Minimal launch overhead, but blind to
 	// transfer costs, so mismatched devices imbalance.
 	Static Policy = iota
 	// Dynamic feeds fixed-size chunks to whichever device would finish
@@ -54,33 +53,43 @@ func (p Policy) String() string {
 // top-ups.
 const routedKernelsPerDevice = 4
 
-// assignment is a strip range given to one device.
+// assignment is a tile range given to one device: one kernel.
 type assignment struct {
 	dev    int
 	lo, hi int
 }
 
-// Executor dispatches the solver's strip sweeps onto a device set and
+// tileCost is the cost-model view of the solver a phase runs on. A kernel
+// over tiles [lo, hi) computes every active direction of the zones it
+// owns — zones × ndim zone-sweeps, the unit of Spec.ZoneRate — and a
+// staged device ships those zones' working set once for all directions.
+type tileCost struct {
+	zones func(lo, hi int) int // core.Solver.TileZones
+	ndim  int
+}
+
+// marginal is Device.MarginalCost of the kernel over tiles [lo, hi).
+func (c tileCost) marginal(d *Device, lo, hi int) float64 {
+	return d.MarginalCost(c.zones(lo, hi), c.ndim)
+}
+
+// Executor dispatches the solver's pencil tiles onto a device set and
 // accounts virtual time. Attach it to one solver (or to every leaf
 // solver of an AMR tree via amr.Config.Attach); afterwards the solver's
-// normal Step/Advance run heterogeneously.
+// normal Step/Advance run heterogeneously. One RHS evaluation of one
+// attached solver is one phase: it is planned once, every device gets its
+// kernels, and the slowest device sets the phase's makespan.
 type Executor struct {
 	Devices []*Device
 	Policy  Policy
-	// ChunkStrips is the dynamic-policy chunk size (strips per kernel);
-	// <= 0 selects max(1, nStrips/(8·ndev)).
-	ChunkStrips int
 
 	// Trace, when true, records one event per kernel for timeline
 	// (Gantt) export via TraceEvents / WriteTraceCSV.
 	Trace bool
 
-	// Fault, when non-nil, deterministically fails one device mid-run;
-	// its kernels re-execute on the healthy set (see DeviceFault).
-	Fault *DeviceFault
 	// Chaos, when non-nil, is the deterministic chaos schedule: device
-	// deaths, latency spikes, and flapping health keyed to sweep phases
-	// (see chaos.go).
+	// deaths, latency spikes, and flapping health keyed to phases (see
+	// chaos.go).
 	Chaos *ChaosSchedule
 	// Stats counts injected device faults, kernel re-executions, and the
 	// degraded-mode flag; NewExecutor points it at private storage, but
@@ -92,46 +101,23 @@ type Executor struct {
 	own    metrics.FaultCounters
 
 	// mu guards every field below — the virtual makespan, phase counter,
-	// trace, fault bookkeeping, and affinity memory — so TraceEvents,
-	// Report, and the other read paths are safe while sweeps run.
+	// trace, backoff bookkeeping, and affinity memory — so TraceEvents,
+	// Report, and the other read paths are safe while phases run.
 	mu        sync.Mutex
 	virtual   float64 // accumulated virtual makespan
 	phase     int64
 	events    []TraceEvent
-	faulted   []bool  // device permanently excluded after an injected fault
-	planned   []int64 // planned kernels per device (fault-trigger accounting)
 	backoff   float64 // accumulated virtual retry-backoff seconds
 	pending   float64 // backoff charged to the current phase's makespan
-	lastOwner map[state.Direction][]int // previous phase's strip owners (affinity)
-}
-
-// DeviceFault injects a fail-stop device error: the device completes
-// AfterKernels kernels, then its next launch comes back with an error.
-// The executor marks the device degraded, charges it the wasted launch,
-// re-executes the failed kernel — after FlakyRetries further failed
-// attempts, each preceded by an exponentially growing virtual backoff —
-// on the earliest-finishing healthy device, and excludes the faulty
-// device from every later sweep plan.
-//
-// The fault is evaluated when a sweep is *planned*, not while kernels
-// execute: pool execution order is nondeterministic, plan order is not,
-// so a faulted run is exactly reproducible and its solution bitwise
-// matches the fault-free one (kernels always compute correctly on the
-// host; only the virtual clocks and device assignment change). The
-// ChaosSchedule generalises this to multi-event schedules.
-type DeviceFault struct {
-	Device       int     // index into Executor.Devices
-	AfterKernels int64   // kernels the device completes before failing
-	FlakyRetries int     // extra failed re-execution attempts before success
-	RetryBackoff float64 // base virtual backoff per retry (default 100 µs)
+	lastOwner []int   // previous phase's tile owners (affinity)
 }
 
 // TraceEvent is one kernel on a device's virtual timeline.
 type TraceEvent struct {
-	Phase  int64   // sweep-phase counter
+	Phase  int64   // phase counter (RHS evaluations since the last reset)
 	Device string  // device name
-	Strips int     // strips in the kernel
-	Zones  int     // zones processed
+	Tiles  int     // tiles in the kernel
+	Zones  int     // zone-sweeps charged (tile zones × active directions)
 	Start  float64 // device-local virtual start time (seconds)
 	End    float64
 }
@@ -149,13 +135,10 @@ func NewExecutor(policy Policy, devices ...*Device) (*Executor, error) {
 		workers += d.Spec.Workers
 	}
 	ex := &Executor{
-		Devices:   devices,
-		Policy:    policy,
-		pool:      par.NewPool(workers),
-		router:    NewRouter(HealthConfig{}, devices...),
-		faulted:   make([]bool, len(devices)),
-		planned:   make([]int64, len(devices)),
-		lastOwner: make(map[state.Direction][]int),
+		Devices: devices,
+		Policy:  policy,
+		pool:    par.NewPool(workers),
+		router:  NewRouter(HealthConfig{}, devices...),
 	}
 	ex.Stats = &ex.own
 	return ex, nil
@@ -184,14 +167,15 @@ func (ex *Executor) SetHealthConfig(cfg HealthConfig) {
 	ex.router.C = c
 }
 
-// Attach hooks the executor into the solver's sweep execution. It must
+// Attach hooks the executor into the solver's tile execution. It must
 // be called before stepping; it also routes the solver's generic pool
 // work through the executor's pool. One executor may be attached to many
 // solvers (the AMR tree attaches it to every leaf), which share its
 // devices, clocks, and router.
 func (ex *Executor) Attach(s *core.Solver) {
-	s.Cfg.SweepExec = func(d state.Direction, nStrips int, sweep func(lo, hi int)) {
-		ex.exec(s, d, nStrips, sweep)
+	tc := tileCost{zones: s.TileZones, ndim: len(s.G.ActiveDims())}
+	s.Cfg.TileExec = func(nTiles int, run func(lo, hi int)) {
+		ex.exec(tc, nTiles, run)
 	}
 	if s.Cfg.Pool == nil {
 		s.Cfg.Pool = ex.pool
@@ -212,13 +196,9 @@ func (ex *Executor) ResetClocks() {
 	ex.virtual = 0
 	ex.phase = 0
 	ex.events = nil
-	for i := range ex.faulted {
-		ex.faulted[i] = false
-		ex.planned[i] = 0
-	}
 	ex.backoff = 0
 	ex.pending = 0
-	ex.lastOwner = make(map[state.Direction][]int)
+	ex.lastOwner = nil
 	ex.mu.Unlock()
 	for _, d := range ex.Devices {
 		d.Reset()
@@ -228,20 +208,20 @@ func (ex *Executor) ResetClocks() {
 }
 
 // BackoffVirtual returns the virtual seconds spent in retry backoff
-// after injected device faults.
+// after device deaths.
 func (ex *Executor) BackoffVirtual() float64 {
 	ex.mu.Lock()
 	defer ex.mu.Unlock()
 	return ex.backoff
 }
 
-// Degraded reports whether a device has been lost to an injected fault
-// and the executor is running on the reduced set.
+// Degraded reports whether a device has been lost and the executor is
+// running on the reduced set.
 func (ex *Executor) Degraded() bool { return ex.Stats.Degraded.Load() }
 
 // TraceEvents returns a copy of the recorded kernel timeline (Trace must
 // have been enabled), sorted by phase then device-local start time. Safe
-// to call while sweeps are executing.
+// to call while phases are executing.
 func (ex *Executor) TraceEvents() []TraceEvent {
 	ex.mu.Lock()
 	out := append([]TraceEvent(nil), ex.events...)
@@ -261,24 +241,24 @@ func (ex *Executor) TraceEvents() []TraceEvent {
 // WriteTraceCSV dumps the kernel timeline for external Gantt plotting.
 func (ex *Executor) WriteTraceCSV(w io.Writer) error {
 	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintln(bw, "phase,device,strips,zones,start,end"); err != nil {
+	if _, err := fmt.Fprintln(bw, "phase,device,tiles,zones,start,end"); err != nil {
 		return err
 	}
 	for _, e := range ex.TraceEvents() {
 		if _, err := fmt.Fprintf(bw, "%d,%s,%d,%d,%.9g,%.9g\n",
-			e.Phase, e.Device, e.Strips, e.Zones, e.Start, e.End); err != nil {
+			e.Phase, e.Device, e.Tiles, e.Zones, e.Start, e.End); err != nil {
 			return err
 		}
 	}
 	return bw.Flush()
 }
 
-// exec implements core.Config.SweepExec for one attached solver.
-func (ex *Executor) exec(s *core.Solver, d state.Direction, nStrips int, sweep func(lo, hi int)) {
-	if nStrips <= 0 {
+// exec implements core.Config.TileExec for one attached solver: it plans,
+// runs and charges one phase.
+func (ex *Executor) exec(tc tileCost, nTiles int, run func(lo, hi int)) {
+	if nTiles <= 0 {
 		return
 	}
-	zonesPerStrip := s.StripZones(d)
 
 	ex.mu.Lock()
 	phase := ex.phase
@@ -288,22 +268,21 @@ func (ex *Executor) exec(s *core.Solver, d state.Direction, nStrips int, sweep f
 	// Chaos first: latency multipliers for this phase, and the devices
 	// whose fail-stop death fires now (they still appear in the plan —
 	// the planner learns from the failed launch, below).
-	newlyDead := ex.applyChaosPhase(phase)
+	dying := ex.applyChaosPhase(phase)
 
 	var plan []assignment
 	switch ex.Policy {
 	case Static:
-		plan = ex.staticPlan(nStrips)
+		plan = ex.staticPlan(nTiles)
 	case Dynamic:
-		plan = ex.dynamicPlan(nStrips, zonesPerStrip)
+		plan = ex.dynamicPlan(nil, 0, nTiles, tc)
 	case Routed:
-		plan = ex.routedPlan(d, nStrips, zonesPerStrip)
+		plan = ex.routedPlan(nTiles, tc)
 	}
-	plan = ex.applyFault(plan, zonesPerStrip)
-	if len(newlyDead) > 0 {
-		plan = ex.rerouteDead(plan, zonesPerStrip, newlyDead)
+	if len(dying) > 0 {
+		plan = ex.rerouteDead(plan, dying, tc)
 	}
-	ex.rememberOwners(d, nStrips, plan)
+	ex.rememberOwners(nTiles, plan)
 
 	// Execute: kernels run for real on the pool; each is charged to its
 	// device's virtual clock.
@@ -321,15 +300,15 @@ func (ex *Executor) exec(s *core.Solver, d state.Direction, nStrips int, sweep f
 		wg.Add(1)
 		ex.pool.Go(func() {
 			defer wg.Done()
-			sweep(a.lo, a.hi)
-			zones := (a.hi - a.lo) * zonesPerStrip
+			run(a.lo, a.hi)
+			zones := tc.zones(a.lo, a.hi) * tc.ndim
 			dev := ex.Devices[a.dev]
 			_, start, end := dev.chargeInterval(zones)
 			if ex.Trace {
 				ex.mu.Lock()
 				ex.events = append(ex.events, TraceEvent{
 					Phase: phase, Device: dev.Spec.Name,
-					Strips: a.hi - a.lo, Zones: zones,
+					Tiles: a.hi - a.lo, Zones: zones,
 					Start: start, End: end,
 				})
 				ex.mu.Unlock()
@@ -338,11 +317,12 @@ func (ex *Executor) exec(s *core.Solver, d state.Direction, nStrips int, sweep f
 	}
 	wg.Wait()
 
-	// Staged devices pay one streamed transfer of the phase working set.
+	// Staged devices pay one streamed transfer of the phase working set:
+	// the zones they own cross the link once for all directions.
 	phaseBytes := make([]int64, len(ex.Devices))
 	for i, dev := range ex.Devices {
 		if z := dev.Zones() - phaseZones[i]; z > 0 && dev.Staged() {
-			phaseBytes[i] = int64(stripBytes(int(z)))
+			phaseBytes[i] = int64(tileBytes(int(z) / tc.ndim))
 			dev.ChargeTransfer(int(phaseBytes[i]))
 		}
 	}
@@ -364,7 +344,7 @@ func (ex *Executor) exec(s *core.Solver, d state.Direction, nStrips int, sweep f
 	ex.router.ObservePhase(obs)
 
 	// Makespan of this phase: the slowest device's accumulated charge,
-	// plus any retry backoff an injected device fault cost this phase.
+	// plus any retry backoff a device death cost this phase.
 	ex.mu.Lock()
 	span := ex.pending
 	ex.backoff += ex.pending
@@ -380,89 +360,19 @@ func (ex *Executor) exec(s *core.Solver, d state.Direction, nStrips int, sweep f
 	ex.mu.Unlock()
 }
 
-// applyFault rewrites a sweep plan when the configured device fault
-// fires: the triggering kernel and every later kernel of the faulty
-// device migrate to the earliest-finishing healthy device (list
-// scheduling over within-phase ETAs, as dynamicPlan does). Runs in the
-// (serial) sweep-planning path; see DeviceFault for the determinism
-// argument.
-func (ex *Executor) applyFault(plan []assignment, zonesPerStrip int) []assignment {
-	f := ex.Fault
-	if f == nil || f.Device < 0 || f.Device >= len(ex.Devices) || ex.isFaulted(f.Device) {
-		return plan
-	}
-	eta := make([]float64, len(ex.Devices))
-	out := make([]assignment, 0, len(plan))
-	place := func(a assignment) {
-		out = append(out, a)
-		eta[a.dev] += ex.Devices[a.dev].MarginalCost((a.hi - a.lo) * zonesPerStrip)
-	}
-	for _, a := range plan {
-		if a.dev != f.Device {
-			place(a)
+// rerouteDead handles fail-stop deaths that fired this phase: each dying
+// device is charged its wasted launch and the bounded exponential-backoff
+// retry series, then every kernel still planned on it is list-scheduled
+// onto the survivors, on top of what they already hold. Deterministic: it
+// runs in the serial planning path, so a run with deaths is exactly
+// reproducible (pool execution order is not, plan order is).
+func (ex *Executor) rerouteDead(plan []assignment, dying []int, tc tileCost) []assignment {
+	dead := make([]bool, len(ex.Devices))
+	for _, i := range dying {
+		if ex.router.Dead(i) {
 			continue
 		}
-		if !ex.isFaulted(f.Device) {
-			ex.mu.Lock()
-			if ex.planned[f.Device] < f.AfterKernels {
-				ex.planned[f.Device]++
-				ex.mu.Unlock()
-				place(a)
-				continue
-			}
-			// This launch errors: degrade the device, charge it the
-			// wasted launch, and pay exponentially growing backoff for
-			// the failed re-execution attempts plus the one that lands.
-			ex.faulted[f.Device] = true
-			back := f.RetryBackoff
-			if back <= 0 {
-				back = 1e-4
-			}
-			for k := 0; k <= f.FlakyRetries; k++ {
-				ex.Stats.Retries.Add(1)
-				ex.pending += back
-				back *= 2
-			}
-			ex.mu.Unlock()
-			ex.Stats.Injected.Add(1)
-			ex.Stats.Degraded.Store(true)
-			ex.Devices[f.Device].Charge(0)
-			ex.router.MarkDead(f.Device)
-		}
-		best, bestT := -1, math.Inf(1)
-		for i, d := range ex.Devices {
-			if ex.isFaulted(i) {
-				continue
-			}
-			if t := eta[i] + d.MarginalCost((a.hi-a.lo)*zonesPerStrip); t < bestT {
-				best, bestT = i, t
-			}
-		}
-		if best < 0 {
-			// No healthy device remains: keep the assignment so the sweep
-			// still completes (correctness path runs on the host anyway).
-			out = append(out, a)
-			continue
-		}
-		ex.router.C.Reroutes.Add(1)
-		place(assignment{dev: best, lo: a.lo, hi: a.hi})
-	}
-	return out
-}
-
-// rerouteDead handles chaos fail-stop deaths that fired this phase: each
-// dying device is charged its wasted launch and the bounded
-// exponential-backoff retry series, then every in-flight kernel still
-// planned on it migrates to the earliest-finishing live device
-// (earliest-finish list scheduling). Deterministic: runs in the serial
-// planning path, exactly like applyFault.
-func (ex *Executor) rerouteDead(plan []assignment, zonesPerStrip int, dead []int) []assignment {
-	isDead := make([]bool, len(ex.Devices))
-	for _, i := range dead {
-		if i < 0 || i >= len(ex.Devices) || ex.router.Dead(i) {
-			continue
-		}
-		isDead[i] = true
+		dead[i] = true
 		ex.router.MarkDead(i)
 		ex.Stats.Injected.Add(1)
 		ex.Stats.Degraded.Store(true)
@@ -477,48 +387,28 @@ func (ex *Executor) rerouteDead(plan []assignment, zonesPerStrip int, dead []int
 		ex.mu.Unlock()
 	}
 
+	live := ex.healthy()
 	eta := make([]float64, len(ex.Devices))
 	out := make([]assignment, 0, len(plan))
 	for _, a := range plan {
-		if !isDead[a.dev] {
+		if !dead[a.dev] {
 			out = append(out, a)
-			eta[a.dev] += ex.Devices[a.dev].MarginalCost((a.hi - a.lo) * zonesPerStrip)
-			continue
-		}
-		best, bestT := -1, math.Inf(1)
-		for i, d := range ex.Devices {
-			if isDead[i] || ex.isFaulted(i) || ex.router.Dead(i) {
-				continue
-			}
-			if t := eta[i] + d.MarginalCost((a.hi-a.lo)*zonesPerStrip); t < bestT {
-				best, bestT = i, t
-			}
-		}
-		if best < 0 {
-			out = append(out, a) // everything is dead: degraded host execution
+			eta[a.dev] += tc.marginal(ex.Devices[a.dev], a.lo, a.hi)
 			continue
 		}
 		ex.router.C.Reroutes.Add(1)
-		out = append(out, assignment{dev: best, lo: a.lo, hi: a.hi})
-		eta[best] += ex.Devices[best].MarginalCost((a.hi - a.lo) * zonesPerStrip)
+		out = ex.listSchedule(out, eta, live, a.lo, a.hi, a.hi-a.lo, tc)
 	}
 	return out
 }
 
-// isFaulted reads the legacy fault flag under the executor lock.
-func (ex *Executor) isFaulted(i int) bool {
-	ex.mu.Lock()
-	defer ex.mu.Unlock()
-	return ex.faulted[i]
-}
-
 // healthy returns the schedulable device indices: every device not
-// excluded by an injected fault or a chaos death, or all of them if none
-// survives (the correctness path must still run the sweep somewhere).
+// fail-stopped, or all of them if none survives (the correctness path
+// must still run the tiles somewhere — degraded host execution).
 func (ex *Executor) healthy() []int {
 	out := make([]int, 0, len(ex.Devices))
 	for i := range ex.Devices {
-		if !ex.isFaulted(i) && !ex.router.Dead(i) {
+		if !ex.router.Dead(i) {
 			out = append(out, i)
 		}
 	}
@@ -530,9 +420,9 @@ func (ex *Executor) healthy() []int {
 	return out
 }
 
-// staticPlan splits [0, nStrips) proportionally to raw ZoneRate: one
+// staticPlan splits [0, nTiles) proportionally to raw ZoneRate: one
 // kernel per healthy device.
-func (ex *Executor) staticPlan(nStrips int) []assignment {
+func (ex *Executor) staticPlan(nTiles int) []assignment {
 	devs := ex.healthy()
 	total := 0.0
 	for _, i := range devs {
@@ -543,9 +433,9 @@ func (ex *Executor) staticPlan(nStrips int) []assignment {
 	acc := 0.0
 	for n, i := range devs {
 		acc += ex.Devices[i].Spec.ZoneRate
-		hi := int(math.Round(float64(nStrips) * acc / total))
+		hi := int(math.Round(float64(nTiles) * acc / total))
 		if n == len(devs)-1 {
-			hi = nStrips
+			hi = nTiles
 		}
 		if hi > lo {
 			plan = append(plan, assignment{dev: i, lo: lo, hi: hi})
@@ -555,37 +445,35 @@ func (ex *Executor) staticPlan(nStrips int) []assignment {
 	return plan
 }
 
-// dynamicPlan models a work queue with deterministic list scheduling:
-// chunks are assigned, in order, to the device that would finish them
-// earliest given everything already assigned in this sweep.
-func (ex *Executor) dynamicPlan(nStrips, zonesPerStrip int) []assignment {
-	devs := ex.healthy()
-	chunk := ex.ChunkStrips
-	if chunk <= 0 {
-		chunk = nStrips / (8 * len(devs))
-		if chunk < 1 {
-			chunk = 1
-		}
-	}
-	eta := make([]float64, len(ex.Devices))
-	var plan []assignment
-	for lo := 0; lo < nStrips; lo += chunk {
-		hi := lo + chunk
-		if hi > nStrips {
-			hi = nStrips
-		}
-		zones := (hi - lo) * zonesPerStrip
+// listSchedule is the one earliest-finish list scheduler: it appends
+// tiles [lo, hi) to plan in chunks, each placed on the device of devs
+// that would finish it earliest given eta — the virtual seconds every
+// device already holds this phase, which it advances.
+func (ex *Executor) listSchedule(plan []assignment, eta []float64, devs []int,
+	lo, hi, chunk int, tc tileCost) []assignment {
+
+	for ; lo < hi; lo += chunk {
+		end := min(lo+chunk, hi)
 		best, bestT := devs[0], math.Inf(1)
 		for _, i := range devs {
-			t := eta[i] + ex.Devices[i].MarginalCost(zones)
-			if t < bestT {
+			if t := eta[i] + tc.marginal(ex.Devices[i], lo, end); t < bestT {
 				best, bestT = i, t
 			}
 		}
 		eta[best] = bestT
-		plan = append(plan, assignment{dev: best, lo: lo, hi: hi})
+		plan = append(plan, assignment{dev: best, lo: lo, hi: end})
 	}
 	return plan
+}
+
+// dynamicPlan models a work queue: tiles [lo, nTiles) are list-scheduled
+// over the healthy devices in chunks of max(1, nTiles/(8·ndev)) and
+// appended to plan. It is the whole plan of the Dynamic policy and the
+// routed planner's fallback when nothing is in rotation.
+func (ex *Executor) dynamicPlan(plan []assignment, lo, nTiles int, tc tileCost) []assignment {
+	devs := ex.healthy()
+	chunk := max(1, nTiles/(8*len(devs)))
+	return ex.listSchedule(plan, make([]float64, len(ex.Devices)), devs, lo, nTiles, chunk, tc)
 }
 
 // routedPlan is the health-scored placement: probing devices get one
@@ -594,7 +482,7 @@ func (ex *Executor) dynamicPlan(nStrips, zonesPerStrip int) []assignment {
 //
 //   - cost uses the router's *observed* per-zone latency, so placements
 //     track effective, not nominal, speed;
-//   - affinity discounts a staged device re-owning strips it held last
+//   - affinity discounts a staged device re-owning tiles it held last
 //     phase (working set already resident) and half-discounts a handoff
 //     inside the same interconnect domain;
 //   - fragmentation adds one launch latency per kernel a device already
@@ -602,22 +490,19 @@ func (ex *Executor) dynamicPlan(nStrips, zonesPerStrip int) []assignment {
 //   - weights embody equivalent-capacity substitution: a drained fast
 //     device's share redistributes over the remaining fleet.
 //
-// When nothing is in rotation the executor demotes to the degraded
-// serial path over whatever healthy() returns — the run always finishes.
-func (ex *Executor) routedPlan(d state.Direction, nStrips, zonesPerStrip int) []assignment {
+// When nothing is in rotation the executor demotes to the work queue over
+// whatever healthy() returns — the run always finishes.
+func (ex *Executor) routedPlan(nTiles int, tc tileCost) []assignment {
 	weights, probes := ex.router.planWeights()
 
 	var plan []assignment
 	lo := 0
-	probeStrips := ex.router.Config().ProbeStrips
+	probeTiles := ex.router.Config().ProbeStrips
 	for _, pi := range probes {
-		if lo >= nStrips {
+		if lo >= nTiles {
 			break
 		}
-		hi := lo + probeStrips
-		if hi > nStrips {
-			hi = nStrips
-		}
+		hi := min(lo+probeTiles, nTiles)
 		plan = append(plan, assignment{dev: pi, lo: lo, hi: hi})
 		lo = hi
 	}
@@ -625,45 +510,39 @@ func (ex *Executor) routedPlan(d state.Direction, nStrips, zonesPerStrip int) []
 	var elig []int
 	totalW := 0.0
 	for i, w := range weights {
-		if w > 0 && !ex.isFaulted(i) {
+		if w > 0 {
 			elig = append(elig, i)
 			totalW += w
 		}
 	}
-	if lo >= nStrips {
+	if lo >= nTiles {
 		return plan
 	}
 	if len(elig) == 0 {
 		// Last-healthy-device demotion: no routed capacity remains, so
 		// the remainder runs degraded on the fallback set.
 		ex.Stats.Degraded.Store(true)
-		return append(plan, ex.degradedPlan(lo, nStrips, zonesPerStrip)...)
+		return ex.dynamicPlan(plan, lo, nTiles, tc)
 	}
 
-	prev := ex.prevOwners(d, nStrips)
+	prev := ex.prevOwners(nTiles)
 	eta := make([]float64, len(ex.Devices))
 	kerns := make([]int, len(ex.Devices))
 	perZone := make([]float64, len(ex.Devices))
 	for _, i := range elig {
 		perZone[i] = ex.router.EffPerZone(i)
 	}
-	for lo < nStrips {
+	for lo < nTiles {
 		best, bestHi := -1, 0
 		bestScore, bestCost := math.Inf(1), 0.0
 		for _, i := range elig {
 			dev := ex.Devices[i]
-			chunk := int(float64(nStrips)*weights[i]/totalW/routedKernelsPerDevice + 0.5)
-			if chunk < 1 {
-				chunk = 1
-			}
-			hi := lo + chunk
-			if hi > nStrips {
-				hi = nStrips
-			}
-			zones := (hi - lo) * zonesPerStrip
-			cost := dev.Spec.LaunchLatency + float64(zones)*perZone[i]
+			chunk := max(1, int(float64(nTiles)*weights[i]/totalW/routedKernelsPerDevice+0.5))
+			hi := min(lo+chunk, nTiles)
+			zones := tc.zones(lo, hi)
+			cost := dev.Spec.LaunchLatency + float64(zones*tc.ndim)*perZone[i]
 			if dev.Staged() {
-				xfer := float64(stripBytes(zones)) / dev.Spec.TransferBW
+				xfer := float64(tileBytes(zones)) / dev.Spec.TransferBW
 				switch {
 				case prev != nil && prev[lo] == i:
 					// Working set still resident from the last phase.
@@ -689,62 +568,32 @@ func (ex *Executor) routedPlan(d state.Direction, nStrips, zonesPerStrip int) []
 	return plan
 }
 
-// degradedPlan covers [lo, nStrips) on the fallback device set with
-// earliest-finish list scheduling on nominal rates — the serial-safe
-// demotion used when the router has drained everything.
-func (ex *Executor) degradedPlan(lo, nStrips, zonesPerStrip int) []assignment {
-	devs := ex.healthy()
-	chunk := nStrips / (4 * len(devs))
-	if chunk < 1 {
-		chunk = 1
-	}
-	eta := make([]float64, len(ex.Devices))
-	var plan []assignment
-	for ; lo < nStrips; lo += chunk {
-		hi := lo + chunk
-		if hi > nStrips {
-			hi = nStrips
-		}
-		zones := (hi - lo) * zonesPerStrip
-		best, bestT := devs[0], math.Inf(1)
-		for _, i := range devs {
-			if t := eta[i] + ex.Devices[i].MarginalCost(zones); t < bestT {
-				best, bestT = i, t
-			}
-		}
-		eta[best] = bestT
-		plan = append(plan, assignment{dev: best, lo: lo, hi: hi})
-	}
-	return plan
-}
-
-// prevOwners returns the previous phase's per-strip owner array for the
-// direction, or nil when unknown or the strip count changed (AMR regrid,
-// first phase).
-func (ex *Executor) prevOwners(d state.Direction, nStrips int) []int {
+// prevOwners returns the previous phase's per-tile owner array, or nil
+// when unknown or the tile count changed (first phase, a differently
+// shaped AMR leaf).
+func (ex *Executor) prevOwners(nTiles int) []int {
 	ex.mu.Lock()
 	defer ex.mu.Unlock()
-	own := ex.lastOwner[d]
-	if len(own) != nStrips {
+	if len(ex.lastOwner) != nTiles {
 		return nil
 	}
-	return own
+	return ex.lastOwner
 }
 
-// rememberOwners records the plan's strip ownership for the next phase's
+// rememberOwners records the plan's tile ownership for the next phase's
 // affinity scoring.
-func (ex *Executor) rememberOwners(d state.Direction, nStrips int, plan []assignment) {
-	own := make([]int, nStrips)
+func (ex *Executor) rememberOwners(nTiles int, plan []assignment) {
+	own := make([]int, nTiles)
 	for i := range own {
 		own[i] = -1
 	}
 	for _, a := range plan {
-		for s := a.lo; s < a.hi && s < nStrips; s++ {
-			own[s] = a.dev
+		for t := a.lo; t < a.hi; t++ {
+			own[t] = a.dev
 		}
 	}
 	ex.mu.Lock()
-	ex.lastOwner[d] = own
+	ex.lastOwner = own
 	ex.mu.Unlock()
 }
 
@@ -756,13 +605,13 @@ type LoadReport struct {
 	Kernels int64
 	Busy    float64 // virtual seconds
 	Share   float64 // fraction of total zones
-	Faulted bool    // excluded mid-run by an injected fault or chaos death
+	Faulted bool    // fail-stopped mid-run (router state "dead")
 	State   string  // router drain state
 	Score   float64 // rolling health score
 }
 
 // Report returns the per-device load breakdown, ordered as the devices
-// were given. Safe to call while sweeps are executing.
+// were given. Safe to call while phases are executing.
 func (ex *Executor) Report() []LoadReport {
 	var total int64
 	for _, d := range ex.Devices {
@@ -779,7 +628,7 @@ func (ex *Executor) Report() []LoadReport {
 			Name: d.Spec.Name, Kind: d.Spec.Kind,
 			Zones: d.Zones(), Kernels: d.Kernels(),
 			Busy: d.Busy(), Share: share,
-			Faulted: ex.isFaulted(i) || health[i].State == "dead",
+			Faulted: health[i].State == "dead",
 			State:   health[i].State,
 			Score:   health[i].Score,
 		}

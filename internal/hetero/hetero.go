@@ -1,6 +1,6 @@
 // Package hetero models heterogeneous execution of the HRSC solver:
 // accelerator devices, host CPUs, kernel launch and PCIe-style transfer
-// costs, and the scheduling of the solver's strip sweeps across a mixed
+// costs, and the scheduling of the solver's pencil tiles across a mixed
 // device set — statically, dynamically, or through the health-scored
 // router (see router.go and docs/HETERO.md).
 //
@@ -18,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -46,11 +47,12 @@ func (k Kind) String() string {
 type Spec struct {
 	Name string
 	Kind Kind
-	// ZoneRate is the sustained zone-update throughput in zones per
-	// virtual second for the HRSC flux kernel.
+	// ZoneRate is the sustained throughput of the HRSC flux kernel in
+	// zone-sweeps (one zone updated along one direction) per virtual
+	// second.
 	ZoneRate float64
 	// LaunchLatency is the fixed virtual cost of launching one kernel
-	// (one strip-range dispatch).
+	// (one tile-range dispatch).
 	LaunchLatency float64
 	// TransferLatency and TransferBW model the host↔device copy of a
 	// kernel's working set (zero-cost for host CPUs).
@@ -221,7 +223,7 @@ type Device struct {
 
 	mu    sync.Mutex
 	busy  float64 // accumulated virtual busy seconds
-	zones int64   // zones processed (load-balance accounting)
+	zones int64   // zone-sweeps charged (load-balance accounting)
 	kerns int64   // kernels launched
 	slow  float64 // chaos latency multiplier (1 = nominal); see chaos.go
 }
@@ -256,8 +258,8 @@ func MustDevice(s Spec) *Device {
 func (d *Device) Staged() bool { return d.Spec.Kind == GPU && !d.Spec.Resident }
 
 // KernelCost returns the *nominal* virtual cost of launching and
-// computing one kernel over the given zones (no transfer: DMA is
-// streamed and accounted per sweep phase, see TransferCost). Planners
+// computing one kernel of the given zone-sweeps (no transfer: DMA is
+// streamed and accounted per phase, see TransferCost). Planners
 // use this estimate; the clock charge additionally pays any chaos
 // latency multiplier, which only observation can reveal.
 func (d *Device) KernelCost(zones int) float64 {
@@ -274,16 +276,17 @@ func (d *Device) TransferCost(bytes int) float64 {
 	return 2*d.Spec.TransferLatency + float64(bytes)/d.Spec.TransferBW
 }
 
-// MarginalCost estimates the incremental virtual cost of adding a kernel
-// of the given zones to this device within one sweep phase: launch +
-// compute + (staged) the bandwidth share of its working set. The
-// per-phase transfer latency is amortised and excluded. The dynamic
-// scheduler plans with this estimate; the router replaces the nominal
-// compute term with the observed one (Router.EffPerZone).
-func (d *Device) MarginalCost(zones int) float64 {
-	c := d.KernelCost(zones)
+// MarginalCost estimates the incremental virtual cost of adding a tile
+// kernel — the given zones, each swept along ndim directions — to this
+// device within one phase: launch + compute + (staged) the bandwidth
+// share of its working set, which crosses the link once for all
+// directions. The per-phase transfer latency is amortised and excluded.
+// The list scheduler plans with this estimate; the router replaces the
+// nominal compute term with the observed one (Router.EffPerZone).
+func (d *Device) MarginalCost(zones, ndim int) float64 {
+	c := d.KernelCost(zones * ndim)
 	if d.Staged() {
-		c += float64(stripBytes(zones)) / d.Spec.TransferBW
+		c += float64(tileBytes(zones)) / d.Spec.TransferBW
 	}
 	return c
 }
@@ -373,9 +376,9 @@ func (d *Device) Reset() {
 	d.mu.Unlock()
 }
 
-// stripBytes estimates the working set of one strip: primitives in, RHS
-// out, NComp doubles each way.
-func stripBytes(zones int) int { return zones * state.NComp * 8 * 2 }
+// tileBytes estimates the working set of a tile range owning the given
+// zones: primitives in, RHS out, NComp doubles each way.
+func tileBytes(zones int) int { return zones * state.NComp * 8 * 2 }
 
 // ParseFleet builds a device set from a comma-separated preset list, the
 // wire format of rhscd's -fleet flag. Presets: "cpuN" (an N-core host
@@ -397,8 +400,9 @@ func ParseFleet(list string) ([]*Device, error) {
 		case name == "phi":
 			sp = SpecXeonPhi()
 		case strings.HasPrefix(name, "cpu") && len(name) > 3:
-			var cores int
-			if _, err := fmt.Sscanf(name[3:], "%d", &cores); err != nil || cores < 1 {
+			// Atoi alone would take a sign: "cpu+3" is not a preset.
+			cores, err := strconv.Atoi(name[3:])
+			if err != nil || cores < 1 || name[3] == '+' {
 				return nil, fmt.Errorf("hetero: bad fleet preset %q (want cpuN)", name)
 			}
 			sp = SpecHostCPU(cores)

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"math"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"rhsc/internal/core"
+	"rhsc/internal/grid"
 	"rhsc/internal/state"
 	"rhsc/internal/testprob"
 )
@@ -29,9 +31,10 @@ func TestKernelCostModel(t *testing.T) {
 	if got := staged.TransferCost(1 << 20); math.Abs(got-wantT) > 1e-15 {
 		t.Errorf("staged transfer = %v, want %v", got, wantT)
 	}
-	// MarginalCost for staged devices adds the bandwidth share only.
-	wantM := staged.KernelCost(1000) + float64(stripBytes(1000))/staged.Spec.TransferBW
-	if got := staged.MarginalCost(1000); math.Abs(got-wantM) > 1e-15 {
+	// MarginalCost of a tile kernel: every direction's compute, and for
+	// staged devices the bandwidth share of one working-set transfer.
+	wantM := staged.KernelCost(2*1000) + float64(tileBytes(1000))/staged.Spec.TransferBW
+	if got := staged.MarginalCost(1000, 2); math.Abs(got-wantM) > 1e-15 {
 		t.Errorf("marginal = %v, want %v", got, wantM)
 	}
 }
@@ -63,9 +66,9 @@ func TestDeviceCrossover(t *testing.T) {
 	cpu := MustDevice(SpecHostCPU(4))
 	gpu := MustDevice(SpecK20GPU())
 	rate := func(d *Device, zones int) float64 {
-		return float64(zones) / d.MarginalCost(zones)
+		return float64(zones) / d.MarginalCost(zones, 1)
 	}
-	small := 64 // one strip of a 64-cell row
+	small := 64 // one pencil of a 64-cell row
 	if rate(gpu, small) >= rate(cpu, small) {
 		t.Errorf("GPU should lose on %d zones: %v vs %v", small, rate(gpu, small), rate(cpu, small))
 	}
@@ -81,14 +84,14 @@ func planCovers(t *testing.T, plan []assignment, n int) {
 	for _, a := range plan {
 		for i := a.lo; i < a.hi; i++ {
 			if covered[i] {
-				t.Fatalf("strip %d assigned twice", i)
+				t.Fatalf("tile %d assigned twice", i)
 			}
 			covered[i] = true
 		}
 	}
 	for i, c := range covered {
 		if !c {
-			t.Fatalf("strip %d unassigned", i)
+			t.Fatalf("tile %d unassigned", i)
 		}
 	}
 }
@@ -103,10 +106,10 @@ func TestStaticPlanProportional(t *testing.T) {
 	for _, a := range plan {
 		n := a.hi - a.lo
 		if ex.Devices[a.dev].Spec.Name == "slow" && (n < 5 || n > 15) {
-			t.Errorf("slow device got %d strips", n)
+			t.Errorf("slow device got %d tiles", n)
 		}
 		if ex.Devices[a.dev].Spec.Name == "fast" && (n < 85 || n > 95) {
-			t.Errorf("fast device got %d strips", n)
+			t.Errorf("fast device got %d tiles", n)
 		}
 	}
 }
@@ -115,15 +118,15 @@ func TestDynamicPlanCoverageAndAdaptivity(t *testing.T) {
 	fast := MustDevice(Spec{Name: "fast", ZoneRate: 8e6, Workers: 1})
 	slow := MustDevice(Spec{Name: "slow", ZoneRate: 1e6, Workers: 1})
 	ex := MustExecutor(Dynamic, fast, slow)
-	ex.ChunkStrips = 4
-	plan := ex.dynamicPlan(128, 100)
+	uniform := tileCost{zones: func(lo, hi int) int { return (hi - lo) * 100 }, ndim: 2}
+	plan := ex.dynamicPlan(nil, 0, 128, uniform)
 	planCovers(t, plan, 128)
 	counts := map[int]int{}
 	for _, a := range plan {
 		counts[a.dev] += a.hi - a.lo
 	}
 	if counts[0] <= counts[1] {
-		t.Errorf("fast device got %d strips, slow got %d", counts[0], counts[1])
+		t.Errorf("fast device got %d tiles, slow got %d", counts[0], counts[1])
 	}
 	ratio := float64(counts[0]) / float64(counts[1])
 	if ratio < 4 || ratio > 16 {
@@ -164,6 +167,102 @@ func TestExecutorMatchesPlainSolver(t *testing.T) {
 		}
 		if ex.VirtualTime() <= 0 {
 			t.Errorf("%v: no virtual time accumulated", pol)
+		}
+	}
+}
+
+// An attached executor is handed the complete tile schedule of every RHS
+// evaluation. Whatever the policy, the tile size (3×5 does not divide
+// 12×10×8) and the device parallelism, every tile runs exactly once per
+// phase, the devices are charged TileZones × ndim zone-sweeps per phase,
+// and the field is bitwise equal to the unattached solver's.
+func TestAttachedTilesMatchUnattached(t *testing.T) {
+	run := func(attach func(*core.Solver)) []float64 {
+		g := grid.New(grid.Geometry{Nx: 12, Ny: 10, Nz: 8, Ng: 2,
+			X0: 0, X1: 1, Y0: 0, Y1: 1, Z0: 0, Z1: 1})
+		g.SetAllBCs(grid.Outflow)
+		cfg := core.DefaultConfig()
+		cfg.TileJ, cfg.TileK = 3, 5
+		s, err := core.New(g, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if attach != nil {
+			attach(s)
+		}
+		// Off-centre blast: no direction or octant is symmetric.
+		err = s.InitFromPrim(func(x, y, z float64) state.Prim {
+			dx, dy, dz := x-0.4, y-0.55, z-0.45
+			if dx*dx+dy*dy+dz*dz < 0.03 {
+				return state.Prim{Rho: 1, P: 50}
+			}
+			return state.Prim{Rho: 1, P: 0.1}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 3; i++ {
+			if err := s.Step(s.MaxDt()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		out := make([]float64, 0, state.NComp*g.NCells())
+		for c := 0; c < state.NComp; c++ {
+			out = append(out, g.U.Comp[c]...)
+		}
+		return out
+	}
+	plain := run(nil)
+
+	for _, pol := range []Policy{Static, Dynamic, Routed} {
+		for _, workers := range []int{1, 2, 8} {
+			gpu := SpecK20GPUStaged()
+			gpu.Workers = workers
+			ex := MustExecutor(pol, MustDevice(SpecHostCPU(workers)), MustDevice(gpu))
+			ex.Trace = true
+			phases := 0
+			wantZones := 0
+			het := run(func(s *core.Solver) {
+				ex.Attach(s)
+				wantZones = s.TileZones(0, s.NumTiles()) * 3
+				planned := s.Cfg.TileExec
+				s.Cfg.TileExec = func(nTiles int, runTiles func(lo, hi int)) {
+					seen := make([]atomic.Int32, nTiles)
+					planned(nTiles, func(lo, hi int) {
+						for i := lo; i < hi; i++ {
+							seen[i].Add(1)
+						}
+						runTiles(lo, hi)
+					})
+					for i := range seen {
+						if n := seen[i].Load(); n != 1 {
+							t.Errorf("%v workers=%d phase %d: tile %d run %d times", pol, workers, phases, i, n)
+						}
+					}
+					phases++
+				}
+			})
+			if wantZones != 12*10*8*3 {
+				t.Fatalf("TileZones × ndim = %d, want %d", wantZones, 12*10*8*3)
+			}
+			if phases != 3*core.DefaultConfig().Integrator.Stages() {
+				t.Errorf("%v workers=%d: %d phases for 3 steps", pol, workers, phases)
+			}
+			charged := map[int64]int{}
+			for _, e := range ex.TraceEvents() {
+				charged[e.Phase] += e.Zones
+			}
+			for ph := int64(0); ph < int64(phases); ph++ {
+				if charged[ph] != wantZones {
+					t.Errorf("%v workers=%d phase %d: charged %d zone-sweeps, want %d",
+						pol, workers, ph, charged[ph], wantZones)
+				}
+			}
+			for i := range plain {
+				if plain[i] != het[i] {
+					t.Fatalf("%v workers=%d: element %d differs: %v vs %v", pol, workers, i, plain[i], het[i])
+				}
+			}
 		}
 	}
 }
@@ -263,7 +362,8 @@ func TestThreeDeviceMix(t *testing.T) {
 }
 
 // Tracing: every kernel must appear exactly once, intervals on one device
-// must not overlap, and total traced zones must equal the sweep volume.
+// must not overlap, one phase is one RHS evaluation, and total traced
+// zones must equal the sweep volume (interior zones × ndim per phase).
 func TestExecutionTrace(t *testing.T) {
 	p := testprob.Blast2D
 	g := p.NewGrid(48, 2)
@@ -285,7 +385,7 @@ func TestExecutionTrace(t *testing.T) {
 	if len(events) == 0 {
 		t.Fatal("no trace events recorded")
 	}
-	// Phases: 2 dims x 2 stages x 2 steps = 8 sweep phases.
+	// Phases: 2 RK stages x 2 steps = 4 RHS evaluations.
 	phases := map[int64]bool{}
 	totalZones := 0
 	lastEnd := map[string]float64{}
@@ -300,8 +400,8 @@ func TestExecutionTrace(t *testing.T) {
 		}
 		lastEnd[e.Device] = e.End
 	}
-	if len(phases) != 8 {
-		t.Errorf("phases = %d, want 8", len(phases))
+	if len(phases) != 2*steps {
+		t.Errorf("phases = %d, want %d", len(phases), 2*steps)
 	}
 	want := 48 * 48 * 2 * 2 * steps
 	if totalZones != want {

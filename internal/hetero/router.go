@@ -80,7 +80,8 @@ type HealthConfig struct {
 	// ProbeAfter is the hold, in router ticks, before a drained device is
 	// probed (6); each failed probe doubles the device's hold.
 	ProbeAfter int64
-	// ProbeStrips is the probe kernel size in strips (1).
+	// ProbeStrips is the probe kernel size in tiles, the executor's work
+	// unit (1).
 	ProbeStrips int
 	// FlapWindow/FlapLimit: FlapLimit-th drain within FlapWindow ticks
 	// quarantines the device (window 32, limit 3).
@@ -306,7 +307,7 @@ func (r *Router) EffPerZone(i int) float64 {
 	return r.h[i].perZone
 }
 
-// ObservePhase folds one sweep phase's per-device observations into the
+// ObservePhase folds one phase's per-device observations into the
 // health model and advances the drain state machine: EWMA latency
 // update, straggler detection against the fleet median slowdown, probe
 // resolution, and hold expiry. One router tick passes per call.

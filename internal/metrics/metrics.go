@@ -1,95 +1,14 @@
 // Package metrics provides the performance instrumentation used by the
-// benchmark harness: wall-clock timers, zone-update throughput, and the
-// table formatting that reproduces the paper's reported rows (Mzups,
-// parallel efficiency, speedup).
+// benchmark harness: zone-update throughput and the table formatting
+// that reproduces the paper's reported rows (Mzups, parallel efficiency,
+// speedup).
 package metrics
 
 import (
 	"fmt"
-	"sort"
 	"strings"
-	"sync"
 	"time"
 )
-
-// Timer measures accumulated wall-clock time over named phases.
-type Timer struct {
-	mu      sync.Mutex
-	totals  map[string]time.Duration
-	counts  map[string]int
-	started map[string]time.Time
-}
-
-// NewTimer returns an empty timer.
-func NewTimer() *Timer {
-	return &Timer{
-		totals:  make(map[string]time.Duration),
-		counts:  make(map[string]int),
-		started: make(map[string]time.Time),
-	}
-}
-
-// Start begins (or restarts) phase name.
-func (t *Timer) Start(name string) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.started[name] = time.Now()
-}
-
-// Stop ends phase name and accumulates its elapsed time. Stopping a phase
-// that was never started is a no-op.
-func (t *Timer) Stop(name string) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if s, ok := t.started[name]; ok {
-		t.totals[name] += time.Since(s)
-		t.counts[name]++
-		delete(t.started, name)
-	}
-}
-
-// Time runs fn under phase name. Unlike Start/Stop pairs (which track one
-// exclusive phase), Time measures locally and merely accumulates, so it is
-// safe for many goroutines to Time the same phase concurrently.
-func (t *Timer) Time(name string, fn func()) {
-	start := time.Now()
-	fn()
-	d := time.Since(start)
-	t.mu.Lock()
-	t.totals[name] += d
-	t.counts[name]++
-	t.mu.Unlock()
-}
-
-// Total returns the accumulated duration of phase name.
-func (t *Timer) Total(name string) time.Duration {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.totals[name]
-}
-
-// Count returns how many times phase name completed.
-func (t *Timer) Count(name string) int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.counts[name]
-}
-
-// Summary formats all phases sorted by total time, descending.
-func (t *Timer) Summary() string {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	names := make([]string, 0, len(t.totals))
-	for n := range t.totals {
-		names = append(names, n)
-	}
-	sort.Slice(names, func(i, j int) bool { return t.totals[names[i]] > t.totals[names[j]] })
-	var b strings.Builder
-	for _, n := range names {
-		fmt.Fprintf(&b, "%-24s %12v  x%d\n", n, t.totals[n].Round(time.Microsecond), t.counts[n])
-	}
-	return b.String()
-}
 
 // Throughput converts zone updates and elapsed time into the standard
 // mega-zone-updates-per-second figure of merit.

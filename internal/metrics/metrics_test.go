@@ -7,36 +7,6 @@ import (
 	"time"
 )
 
-func TestTimerAccumulates(t *testing.T) {
-	tm := NewTimer()
-	tm.Time("phase", func() { time.Sleep(5 * time.Millisecond) })
-	tm.Time("phase", func() { time.Sleep(5 * time.Millisecond) })
-	if got := tm.Total("phase"); got < 8*time.Millisecond {
-		t.Errorf("total = %v, want >= 8ms", got)
-	}
-	if tm.Count("phase") != 2 {
-		t.Errorf("count = %d", tm.Count("phase"))
-	}
-}
-
-func TestTimerStopWithoutStart(t *testing.T) {
-	tm := NewTimer()
-	tm.Stop("never") // must not panic
-	if tm.Total("never") != 0 {
-		t.Error("phantom phase accumulated time")
-	}
-}
-
-func TestTimerSummaryOrdering(t *testing.T) {
-	tm := NewTimer()
-	tm.Time("fast", func() {})
-	tm.Time("slow", func() { time.Sleep(10 * time.Millisecond) })
-	s := tm.Summary()
-	if strings.Index(s, "slow") > strings.Index(s, "fast") {
-		t.Errorf("summary not sorted by time:\n%s", s)
-	}
-}
-
 func TestThroughput(t *testing.T) {
 	// 2e6 zone updates in 1s = 2 Mzups.
 	if got := Throughput(2_000_000, time.Second); math.Abs(got-2) > 1e-12 {
@@ -82,24 +52,5 @@ func TestTableDurationFormatting(t *testing.T) {
 	tb.AddRow("step", 1500*time.Microsecond)
 	if !strings.Contains(tb.String(), "1.5ms") {
 		t.Errorf("duration not formatted:\n%s", tb.String())
-	}
-}
-
-func TestTimerConcurrentUse(t *testing.T) {
-	tm := NewTimer()
-	done := make(chan struct{})
-	for w := 0; w < 8; w++ {
-		go func(id int) {
-			defer func() { done <- struct{}{} }()
-			for i := 0; i < 100; i++ {
-				tm.Time("shared", func() {})
-			}
-		}(w)
-	}
-	for w := 0; w < 8; w++ {
-		<-done
-	}
-	if tm.Count("shared") != 800 {
-		t.Errorf("count = %d, want 800", tm.Count("shared"))
 	}
 }

@@ -7,7 +7,7 @@
 //   - a finite-volume SRHD solver (reconstruction × Riemann solver ×
 //     SSP-RK integrator) on uniform 1/2/3-D grids,
 //   - block-structured adaptive mesh refinement,
-//   - a heterogeneous device model with static/dynamic strip scheduling,
+//   - a heterogeneous device model with static/dynamic tile scheduling,
 //   - a distributed (rank-decomposed) driver with sync/async halo
 //     exchange and a virtual network model, and
 //   - the exact SRHD Riemann solver for validation.
@@ -73,7 +73,7 @@ type Options struct {
 	Integrator string
 	// CFL is the Courant factor (default 0.4).
 	CFL float64
-	// Threads > 1 runs strip sweeps on a pool of that many workers;
+	// Threads > 1 runs tile sweeps on a pool of that many workers;
 	// 0 or 1 runs serially.
 	Threads int
 	// Gamma overrides the problem's adiabatic index when > 0.
@@ -406,7 +406,7 @@ func HostCPU(cores int) DeviceSpec { return hetero.SpecHostCPU(cores) }
 func GPU() DeviceSpec              { return hetero.SpecK20GPU() }
 func StagedGPU() DeviceSpec        { return hetero.SpecK20GPUStaged() }
 
-// SchedulePolicy selects static or dynamic strip scheduling.
+// SchedulePolicy selects static or dynamic tile scheduling.
 type SchedulePolicy = hetero.Policy
 
 // Scheduling policies.
@@ -421,7 +421,7 @@ type HeteroSim struct {
 	Exec *hetero.Executor
 }
 
-// NewHeteroSim builds a simulation whose strip sweeps are scheduled over
+// NewHeteroSim builds a simulation whose pencil tiles are scheduled over
 // the given devices.
 func NewHeteroSim(o Options, policy SchedulePolicy, specs ...DeviceSpec) (*HeteroSim, error) {
 	if len(specs) == 0 {
