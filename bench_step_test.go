@@ -42,39 +42,27 @@ func stepBench(b *testing.B, p *testprob.Problem, n int, cfg core.Config) {
 }
 
 func BenchmarkStep(b *testing.B) {
-	b.Run("sod1d-generic", func(b *testing.B) {
+	scheme := func(rc recon.Scheme, rs riemann.Solver) core.Config {
+		cfg := core.DefaultConfig()
+		cfg.Recon, cfg.Riemann = rc, rs
+		return cfg
+	}
+	b.Run("sod1d", func(b *testing.B) {
 		stepBench(b, testprob.Sod, 1024, core.DefaultConfig())
 	})
-	b.Run("blast2d-generic", func(b *testing.B) {
+	b.Run("blast2d", func(b *testing.B) {
 		stepBench(b, testprob.Blast2D, 128, core.DefaultConfig())
 	})
-	b.Run("blast2d-fused", func(b *testing.B) {
-		cfg := core.DefaultConfig()
-		cfg.Fused = true
-		stepBench(b, testprob.Blast2D, 128, cfg)
-	})
-	// The 3-D fused configuration is the headline number recorded in
-	// BENCH_step.json.
-	b.Run("blast3d-generic", func(b *testing.B) {
+	// The 3-D PLM-MC+HLLC configuration is the headline number recorded
+	// in BENCH_step.json (as blast3d-fused).
+	b.Run("blast3d", func(b *testing.B) {
 		stepBench(b, testprob.Blast3D, 48, core.DefaultConfig())
 	})
-	b.Run("blast3d-fused", func(b *testing.B) {
-		cfg := core.DefaultConfig()
-		cfg.Fused = true
-		stepBench(b, testprob.Blast3D, 48, cfg)
+	// The resilience fallback scheme.
+	b.Run("blast3d-pcmhll", func(b *testing.B) {
+		stepBench(b, testprob.Blast3D, 48, scheme(recon.PCM{}, riemann.HLL{}))
 	})
-	// The resilience fallback scheme (PCM + HLL), generic vs fused.
-	b.Run("blast3d-pcmhll-generic", func(b *testing.B) {
-		cfg := core.DefaultConfig()
-		cfg.Recon = recon.PCM{}
-		cfg.Riemann = riemann.HLL{}
-		stepBench(b, testprob.Blast3D, 48, cfg)
-	})
-	b.Run("blast3d-pcmhll-fused", func(b *testing.B) {
-		cfg := core.DefaultConfig()
-		cfg.Recon = recon.PCM{}
-		cfg.Riemann = riemann.HLL{}
-		cfg.Fused = true
-		stepBench(b, testprob.Blast3D, 48, cfg)
+	b.Run("blast3d-ppm-hll", func(b *testing.B) {
+		stepBench(b, testprob.Blast3D, 48, scheme(recon.PPM{}, riemann.HLL{}))
 	})
 }

@@ -196,27 +196,6 @@ func BenchmarkE10_Ablation(b *testing.B) {
 	}
 }
 
-// BenchmarkFusedKernel contrasts the generic (interface-dispatched) sweep
-// with the specialised PLM+HLLC+ideal-gas kernel — the single-kernel
-// analogue of the paper's per-device code specialisation.
-func BenchmarkFusedKernel(b *testing.B) {
-	for _, fused := range []bool{false, true} {
-		name := map[bool]string{false: "generic", true: "fused"}[fused]
-		b.Run(name, func(b *testing.B) {
-			cfg := core.DefaultConfig()
-			cfg.Fused = fused
-			s := newSolver(b, testprob.Blast2D, 128, cfg)
-			s.RecoverPrimitives()
-			rhs := state.NewFields(s.G.NCells())
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				s.ComputeRHS(rhs)
-			}
-			b.ReportMetric(128*128, "zones/op")
-		})
-	}
-}
-
 // --- kernel micro-benchmarks ---------------------------------------------
 
 // BenchmarkC2PRecover measures the conservative→primitive inversion.

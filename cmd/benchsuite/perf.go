@@ -71,7 +71,8 @@ func (s *suite) table3() error {
 }
 
 // table5 is E10: the reconstruction x Riemann-solver cost ablation — the
-// per-RHS cost on a long 1-D grid.
+// per-RHS cost on a long 1-D grid, every combination on the one face-flux
+// kernel.
 func (s *suite) table5() error {
 	n := 200_000
 	if s.quick {
@@ -121,35 +122,6 @@ func (s *suite) table5() error {
 		}
 	}
 	fmt.Print(tb.String())
-
-	// Specialised-kernel row: the fused PLM+HLLC+ideal-gas sweep
-	// (bitwise-identical results, devirtualised dispatch) measures the
-	// headroom per-configuration code generation buys.
-	{
-		p := testprob.Sod
-		g := p.NewGrid(n, 2)
-		cfg := core.DefaultConfig()
-		cfg.Fused = true
-		sol, err := core.New(g, cfg)
-		if err != nil {
-			return err
-		}
-		sol.InitFromPrim(p.Init)
-		sol.RecoverPrimitives()
-		rhs := newRHS(sol)
-		sol.ComputeRHS(rhs)
-		const reps = 3
-		start := time.Now()
-		for i := 0; i < reps; i++ {
-			sol.ComputeRHS(rhs)
-		}
-		perZone := float64(time.Since(start).Nanoseconds()) / float64(reps*n)
-		fmt.Printf("  fused plm+hllc kernel: %.4g ns/zone", perZone)
-		if plmHLLC > 0 {
-			fmt.Printf(" (%.2fx over the generic path)", plmHLLC/perZone)
-		}
-		fmt.Println()
-	}
 
 	// Baseline row: the Newtonian Euler RHS on the same grid measures the
 	// "relativity tax" (conservative-to-primitive iteration + heavier

@@ -145,11 +145,10 @@ func (s *Solver) checkState(stage int) error {
 }
 
 // SetMethod swaps the reconstruction scheme and Riemann solver at run
-// time and re-evaluates fused-kernel eligibility. The grid's ghost width
-// must cover the new scheme's stencil (any scheme no wider than the one
-// the solver was built with fits). The resilience layer uses this to
-// drop a retried step to piecewise-constant + HLL and to restore the
-// high-order method afterwards.
+// time. The grid's ghost width must cover the new scheme's stencil (any
+// scheme no wider than the one the solver was built with fits). The
+// resilience layer uses this to drop a retried step to piecewise-constant
+// + HLL and to restore the high-order method afterwards.
 func (s *Solver) SetMethod(rc recon.Scheme, rs riemann.Solver) error {
 	if rc == nil || rs == nil {
 		return errors.New("core: SetMethod needs a reconstruction scheme and a Riemann solver")
@@ -160,7 +159,7 @@ func (s *Solver) SetMethod(rc recon.Scheme, rs riemann.Solver) error {
 	}
 	s.Cfg.Recon = rc
 	s.Cfg.Riemann = rs
-	s.refreshFused()
+	s.resolveMethod()
 	return nil
 }
 

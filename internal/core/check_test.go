@@ -5,9 +5,11 @@ import (
 	"math"
 	"testing"
 
+	"rhsc/internal/eos"
 	"rhsc/internal/recon"
 	"rhsc/internal/riemann"
 	"rhsc/internal/state"
+	"rhsc/internal/testprob"
 )
 
 func checkSolver(t *testing.T) *Solver {
@@ -147,6 +149,65 @@ func TestSetMethodSwapsScheme(t *testing.T) {
 	if err := s.SetMethod(nil, nil); err == nil {
 		t.Fatal("nil scheme accepted")
 	}
+}
+
+// The resilience retry path: a step is retried with PCM+HLL from a restored
+// snapshot and the high-order method is switched back afterwards. Every
+// SetMethod re-resolves the solver kind, the EOS branch and the fail-safe's
+// repair scheme together, so a run that detours through the fallback and
+// discards the detour must reproduce the uninterrupted run bit for bit —
+// here with the fail-safe repairing an injected fault on a non-Γ-law gas,
+// before and after the detour.
+func TestSetMethodRoundTripBitwise(t *testing.T) {
+	run := func(detour bool) ([]float64, int64) {
+		g := testprob.Blast2D.NewGrid(32, 2)
+		cfg := DefaultConfig()
+		cfg.EOS = eos.TaubMathews{}
+		cfg.FailSafe = true
+		step := 0
+		idx := g.Idx(g.TotalX/2+2, g.TotalY/2-1, 0)
+		cfg.FaultHook = func(stage int, u *state.Fields) {
+			if stage == 1 && (step == 1 || step == 4) {
+				u.Comp[state.ITau][idx] = -1
+			}
+		}
+		s, err := New(g, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.InitFromPrim(testprob.Blast2D.Init); err != nil {
+			t.Fatal(err)
+		}
+		for ; step < 6; step++ {
+			if detour && step == 3 {
+				u0, w0, t0 := g.U.Clone(), g.W.Clone(), s.Time()
+				hiRec, hiRS := s.Method()
+				if err := s.SetMethod(recon.PCM{}, riemann.HLL{}); err != nil {
+					t.Fatal(err)
+				}
+				if err := s.Step(s.MaxDt()); err != nil {
+					t.Fatal(err)
+				}
+				if err := s.SetMethod(hiRec, hiRS); err != nil {
+					t.Fatal(err)
+				}
+				g.U.CopyFrom(u0)
+				g.W.CopyFrom(w0)
+				s.SetTime(t0)
+				s.InvalidateCFL()
+			}
+			if err := s.Step(s.MaxDt()); err != nil {
+				t.Fatalf("step %d: %v", step, err)
+			}
+		}
+		return append([]float64(nil), g.U.Raw()...), s.St.Repaired.Load()
+	}
+	want, repaired := run(false)
+	if repaired == 0 {
+		t.Fatal("injected faults were not repaired")
+	}
+	got, _ := run(true)
+	requireBitwiseEqual(t, "detour through PCM+HLL", want, got)
 }
 
 func TestInitFromPrimRejectsUnphysical(t *testing.T) {

@@ -30,9 +30,7 @@ package core
 import (
 	"math"
 
-	"rhsc/internal/eos"
 	"rhsc/internal/grid"
-	"rhsc/internal/riemann"
 	"rhsc/internal/state"
 )
 
@@ -48,10 +46,6 @@ func (s *Solver) initFS() {
 	s.fsTouched = make([]uint8, n)
 	s.fsU = state.NewFields(n)
 	s.fsW = state.NewFields(n)
-	s.fsGamma = 0
-	if ig, ok := s.Cfg.EOS.(eos.IdealGas); ok {
-		s.fsGamma = ig.GammaAd
-	}
 	s.fsStrides = s.fsStrides[:0]
 	for _, d := range g.ActiveDims() {
 		switch d {
@@ -363,19 +357,17 @@ func (s *Solver) fsRepairRow(d state.Direction, base, stride, n, cBeg, cEnd int,
 	}
 
 	// Original high-order fluxes, recomputed from the pre-stage snapshot
-	// through the same fillFlux dispatch the sweep and tile kernels use
-	// (identical inputs, identical code path — bitwise the same values as
-	// the tile segments the stage ran).
+	// through the same fillFlux the tile kernels use (identical inputs,
+	// identical code path — bitwise the same values as the tile segments
+	// the stage ran).
 	uO := gatherRow(s.fsW, base, stride, n, scO)
-	s.fillFlux(d, uO, n, cBeg, cEnd, scO)
+	s.m.fillFlux(d, uO, n, cBeg, cEnd, scO)
 
-	// First-order fallback fluxes from the same pre-stage primitives.
+	// First-order fallback fluxes from the same pre-stage primitives —
+	// bitwise the flux a global PCM+HLL step (the resilience layer's retry
+	// scheme) would have used.
 	uL := gatherRow(s.fsW, base, stride, n, scL)
-	if s.fsGamma > 0 {
-		fillFluxPCMHLL(s.fsGamma, d, uL, cBeg, cEnd, scL)
-	} else {
-		s.fillFluxLowGeneric(d, uL, cBeg, cEnd, scL)
-	}
+	s.low.fillFlux(d, uL, n, cBeg, cEnd, scL)
 
 	g := s.G
 	touched := s.fsTouched
@@ -426,32 +418,6 @@ func (s *Solver) fsRepairRow(d state.Direction, base, stride, n, cBeg, cEnd int,
 				rhs.Comp[c][idx] += div
 			}
 		}
-	}
-}
-
-// fillFluxLowGeneric computes the first-order PCM+HLL fluxes for
-// non-Γ-law equations of state: face states are the adjacent cell
-// primitives (exactly recon.PCM) fed to the generic HLL solver.
-func (s *Solver) fillFluxLowGeneric(d state.Direction, u [state.NComp][]float64, cBeg, cEnd int,
-	sc *rowScratch) {
-
-	e := s.Cfg.EOS
-	var hll riemann.HLL
-	for f := cBeg; f <= cEnd; f++ {
-		pl := state.Prim{
-			Rho: u[state.IRho][f-1], Vx: u[state.IVx][f-1],
-			Vy: u[state.IVy][f-1], Vz: u[state.IVz][f-1], P: u[state.IP][f-1],
-		}
-		pr := state.Prim{
-			Rho: u[state.IRho][f], Vx: u[state.IVx][f],
-			Vy: u[state.IVy][f], Vz: u[state.IVz][f], P: u[state.IP][f],
-		}
-		fx := hll.Flux(e, pl, pr, d)
-		sc.fx[state.ID][f] = fx.D
-		sc.fx[state.ISx][f] = fx.Sx
-		sc.fx[state.ISy][f] = fx.Sy
-		sc.fx[state.ISz][f] = fx.Sz
-		sc.fx[state.ITau][f] = fx.Tau
 	}
 }
 

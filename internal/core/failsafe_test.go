@@ -24,7 +24,8 @@ func runSteps(t *testing.T, s *Solver, n int) []float64 {
 
 // TestFailSafeZeroTroubledBitwise pins the fail-safe contract on clean
 // runs: with zero troubled cells the pipeline must be bitwise identical
-// to the plain fused/generic pipeline — the detector only reads, and the
+// to the plain pipeline (with the inert Config.Fused flag set or not) —
+// the detector only reads, and the
 // dt sequence is unchanged because the in-pass CFL fold rides the same
 // detection recovery.
 func TestFailSafeZeroTroubledBitwise(t *testing.T) {

@@ -1,0 +1,139 @@
+package core
+
+import (
+	"testing"
+
+	"rhsc/internal/eos"
+	"rhsc/internal/grid"
+	"rhsc/internal/recon"
+	"rhsc/internal/riemann"
+	"rhsc/internal/state"
+	"rhsc/internal/testprob"
+)
+
+// goldenCase is one run whose final conserved field (and fail-safe
+// counts) testdata/generic_golden.json froze from the interface-dispatched
+// flux kernel — two ToCons, two state.Flux and two WaveSpeeds per face
+// through the EOS and Riemann interfaces — that the single face-flux
+// kernel replaced.
+type goldenCase struct {
+	name string
+	run  func(t *testing.T) (u []float64, troubled, repaired int64)
+}
+
+// goldenRun advances g from init for a fixed number of CFL steps under
+// cfg and returns the full conserved field, ghosts included.
+func goldenRun(t *testing.T, g *grid.Grid, cfg Config, init func(x, y, z float64) state.Prim,
+	steps int) []float64 {
+
+	t.Helper()
+	s, err := New(g, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.InitFromPrim(init); err != nil {
+		t.Fatal(err)
+	}
+	return runSteps(t, s, steps)
+}
+
+func goldenCases() []goldenCase {
+	var cases []goldenCase
+	blast2D := func(name string, mut func(*Config)) {
+		cases = append(cases, goldenCase{name, func(t *testing.T) ([]float64, int64, int64) {
+			cfg := DefaultConfig()
+			mut(&cfg)
+			return goldenRun(t, testprob.Blast2D.NewGrid(48, cfg.Recon.Ghost()), cfg,
+				testprob.Blast2D.Init, 6), 0, 0
+		}})
+	}
+	// Every reconstruction × Riemann solver on the Γ-law gas. The weno5
+	// rows take the first-order admissibility fallback at a few hundred
+	// faces; no other row does.
+	for _, rc := range recon.All() {
+		for _, rs := range riemann.All() {
+			blast2D("blast2d-"+rc.Name()+"-"+rs.Name(), func(c *Config) {
+				c.Recon, c.Riemann = rc, rs
+			})
+		}
+	}
+	// The production scheme on the two closures with no inlined h, c_s².
+	blast2D("blast2d-plm-mc-hllc-taub", func(c *Config) { c.EOS = eos.TaubMathews{} })
+	blast2D("blast2d-plm-mc-hllc-hybrid", func(c *Config) {
+		c.EOS = eos.NewHybrid(0.1, 2, 5.0/3.0)
+	})
+	// 1-D Marti–Müller blast to t = 0.2 through Advance.
+	cases = append(cases, goldenCase{"blast1d-plm-mc-hllc", func(t *testing.T) ([]float64, int64, int64) {
+		s, err := New(testprob.Blast.NewGrid(200, 2), DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.InitFromPrim(testprob.Blast.Init); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Advance(0.2); err != nil {
+			t.Fatal(err)
+		}
+		return append([]float64(nil), s.G.U.Raw()...), 0, 0
+	}})
+	// Three active directions through the panel sweeps.
+	cases = append(cases, goldenCase{"blast3d-ppm-hll", func(t *testing.T) ([]float64, int64, int64) {
+		g := grid.New(grid.Geometry{Nx: 12, Ny: 10, Nz: 8, Ng: 3,
+			X0: 0, X1: 1, Y0: 0, Y1: 1, Z0: 0, Z1: 1})
+		g.SetAllBCs(grid.Outflow)
+		cfg := DefaultConfig()
+		cfg.Recon, cfg.Riemann = recon.PPM{}, riemann.HLL{}
+		return goldenRun(t, g, cfg, blast3DInit, 3), 0, 0
+	}})
+	// Fail-safe repair on a non-Γ-law gas: the high-order recompute and
+	// the PCM+HLL repair flux both go through the EOS interface.
+	cases = append(cases, goldenCase{"failsafe-taub", func(t *testing.T) ([]float64, int64, int64) {
+		g := testprob.Blast2D.NewGrid(48, 2)
+		cfg := DefaultConfig()
+		cfg.EOS = eos.TaubMathews{}
+		cfg.FailSafe = true
+		step := 0
+		idx := g.Idx(g.TotalX/2+3, g.TotalY/2-2, 0)
+		cfg.FaultHook = func(stage int, u *state.Fields) {
+			if stage == 1 && step == 2 {
+				u.Comp[state.ITau][idx] = -1
+			}
+		}
+		s, err := New(g, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.InitFromPrim(testprob.Blast2D.Init); err != nil {
+			t.Fatal(err)
+		}
+		for ; step < 5; step++ {
+			if err := s.Step(s.MaxDt()); err != nil {
+				t.Fatalf("step %d not repaired: %v", step, err)
+			}
+		}
+		troubled, repaired := s.St.Troubled.Load(), s.St.Repaired.Load()
+		if troubled == 0 || repaired != troubled {
+			t.Fatalf("fault not repaired: troubled=%d repaired=%d", troubled, repaired)
+		}
+		return append([]float64(nil), g.U.Raw()...), troubled, repaired
+	}})
+	return cases
+}
+
+// TestKernelMatchesGenericGolden holds the one face-flux kernel to the
+// results of the generic path it replaced, for the whole scheme matrix.
+func TestKernelMatchesGenericGolden(t *testing.T) {
+	for _, gc := range goldenCases() {
+		t.Run(gc.name, func(t *testing.T) {
+			u, troubled, repaired := gc.run(t)
+			want, ok := loadGolden(t, "testdata/generic_golden.json", gc.name)
+			if !ok {
+				return
+			}
+			if fp := fieldFingerprint(u); fp != want.FNV64 || troubled != want.Troubled || repaired != want.Repaired {
+				t.Fatalf("fingerprint %s troubled=%d repaired=%d, generic golden %s %d/%d",
+					fp, troubled, repaired, want.FNV64, want.Troubled, want.Repaired)
+			}
+		})
+	}
+}

@@ -76,10 +76,9 @@ type Config struct {
 	CFL float64
 	// Pool runs tiles concurrently; nil runs serially.
 	Pool *par.Pool
-	// Fused enables the specialised (devirtualised, inlined) sweep kernel
-	// when the configuration matches PLM-MC + HLLC + ideal gas; results
-	// are bitwise identical to the generic path, only faster. Other
-	// configurations ignore the flag.
+	// Fused selects nothing: every configuration runs the one face-flux
+	// kernel (flux.go). The field remains only because bench/, which a
+	// kernel change may not edit, still sets it.
 	Fused bool
 	// C2POpts overrides the conservative-to-primitive options; zero value
 	// selects c2p.DefaultOptions.
@@ -178,15 +177,14 @@ type Solver struct {
 	C2P *c2p.Solver
 	St  Stats
 
-	t       float64
-	rhs     *state.Fields
-	u0      *state.Fields   // RK stage-zero storage
-	scratch chan *rowScratch // free list of row scratch buffers
+	t          float64
+	rhs        *state.Fields
+	u0         *state.Fields    // RK stage-zero storage
+	scratch    chan *rowScratch // free list of row scratch buffers
 	newScratch func() *rowScratch
-	mon     *Monitor
-	fused   fusedKind    // specialised kernel active (see Config.Fused)
-	gamma   float64      // Γ of the ideal gas when fused != fusedNone
-	trc     *tracerState // passive scalar; nil when disabled
+	mon        *Monitor
+	m, low     method       // Cfg's method and its PCM+HLL fallback (see resolveMethod)
+	trc        *tracerState // passive scalar; nil when disabled
 
 	// Pre-bound chunk bodies for parallelFor. A closure literal passed to
 	// the pool escapes and would be heap-allocated at every call site;
@@ -206,12 +204,11 @@ type Solver struct {
 	// Fail-safe pipeline state (Config.FailSafe; see failsafe.go). All
 	// buffers are allocated once so the zero-troubled steady state stays
 	// allocation-free.
-	fsMask    []uint8       // troubled-cell mask, full grid layout
-	fsTouched []uint8       // cells whose U the repair rewrote
-	fsU       *state.Fields // pre-stage conserved snapshot
-	fsW       *state.Fields // pre-stage primitive snapshot
-	fsGamma   float64       // Γ of the ideal gas for the fused low-order flux, else 0
-	fsStrides []int         // flat-index strides of the active dims (DMP neighbourhood)
+	fsMask                  []uint8       // troubled-cell mask, full grid layout
+	fsTouched               []uint8       // cells whose U the repair rewrote
+	fsU                     *state.Fields // pre-stage conserved snapshot
+	fsW                     *state.Fields // pre-stage primitive snapshot
+	fsStrides               []int         // flat-index strides of the active dims (DMP neighbourhood)
 	fsScanChunk, fsDMPChunk func(lo, hi int)
 	fsCount                 atomic.Int64
 
@@ -358,17 +355,8 @@ func New(g *grid.Grid, cfg Config) (*Solver, error) {
 		}
 	}
 	s.initTiles()
-	s.refreshFused()
+	s.resolveMethod()
 	return s, nil
-}
-
-// refreshFused re-evaluates fused-kernel eligibility and caches the
-// adiabatic index the specialised kernels inline.
-func (s *Solver) refreshFused() {
-	s.fused = s.fusable()
-	if s.fused != fusedNone {
-		s.gamma = s.Cfg.EOS.(eos.IdealGas).GammaAd
-	}
 }
 
 func (s *Solver) getScratch() *rowScratch {
@@ -386,9 +374,6 @@ func (s *Solver) putScratch(sc *rowScratch) {
 	default:
 	}
 }
-
-// Fused reports whether a specialised sweep kernel is active.
-func (s *Solver) Fused() bool { return s.fused != fusedNone }
 
 // Time returns the current solution time.
 func (s *Solver) Time() float64 { return s.t }
@@ -510,52 +495,34 @@ func (s *Solver) combineCFL() float64 {
 
 // rowCFL returns the row's max over cells of Σ_d λ_max/dx_d — the CFL
 // reduction unit shared by the in-pass accumulation and the fallback
-// traversal, so the two are bitwise identical by construction. The fused
-// configurations inline the Γ-law sound speed (mirroring
-// eos.IdealGas.SoundSpeed2 and state.WaveSpeeds operation for operation);
-// every other configuration goes through the EOS interface unchanged.
+// traversal, so the two are bitwise identical by construction. c_s² is
+// direction-independent, so it is evaluated once per cell (inlined for the
+// Γ-law gas, one EOS call otherwise) — bitwise what state.MaxAbsSpeed
+// recomputes per direction.
 func (s *Solver) rowCFL(row int) float64 {
 	g := s.G
+	m := &s.m
+	w := g.W
+	rhoC, vxC, vyC, vzC, pC := w.Comp[state.IRho], w.Comp[state.IVx],
+		w.Comp[state.IVy], w.Comp[state.IVz], w.Comp[state.IP]
+	hasY, hasZ := g.Ny > 1, g.Nz > 1
 	rowMax := 0.0
-	if s.fused != fusedNone {
-		gamma := s.gamma
-		w := g.W
-		rhoC, vxC, vyC, vzC, pC := w.Comp[state.IRho], w.Comp[state.IVx],
-			w.Comp[state.IVy], w.Comp[state.IVz], w.Comp[state.IP]
-		hasY, hasZ := g.Ny > 1, g.Nz > 1
-		for i := g.IBeg(); i < g.IEnd(); i++ {
-			idx := row + i
-			rho, vx, vy, vz, p := rhoC[idx], vxC[idx], vyC[idx], vzC[idx], pC[idx]
-			v2 := vx*vx + vy*vy + vz*vz
-			h := 1 + gamma/(gamma-1)*p/rho
-			cs2 := gamma * p / (rho * h)
-			sqrtCs2 := math.Sqrt(cs2)
-			sum := fusedMaxSpeed(vx, v2, cs2, sqrtCs2) / g.Dx
-			if hasY {
-				sum += fusedMaxSpeed(vy, v2, cs2, sqrtCs2) / g.Dy
-			}
-			if hasZ {
-				sum += fusedMaxSpeed(vz, v2, cs2, sqrtCs2) / g.Dz
-			}
-			if sum > rowMax {
-				rowMax = sum
-			}
-		}
-		return rowMax
-	}
-	e := s.Cfg.EOS
-	dims := g.ActiveDims()
 	for i := g.IBeg(); i < g.IEnd(); i++ {
-		w := g.W.GetPrim(row + i)
-		sum := 0.0
-		for _, d := range dims {
-			dx := g.Dx
-			if d == state.Y {
-				dx = g.Dy
-			} else if d == state.Z {
-				dx = g.Dz
-			}
-			sum += state.MaxAbsSpeed(e, w, d) / dx
+		idx := row + i
+		rho, vx, vy, vz, p := rhoC[idx], vxC[idx], vyC[idx], vzC[idx], pC[idx]
+		v2 := vx*vx + vy*vy + vz*vz
+		var cs2 float64
+		if m.ideal {
+			cs2 = m.gas.SoundSpeed2(rho, p)
+		} else {
+			cs2 = m.eos.SoundSpeed2(rho, p)
+		}
+		sum := maxAbsSpeed(cs2, v2, vx) / g.Dx
+		if hasY {
+			sum += maxAbsSpeed(cs2, v2, vy) / g.Dy
+		}
+		if hasZ {
+			sum += maxAbsSpeed(cs2, v2, vz) / g.Dz
 		}
 		if sum > rowMax {
 			rowMax = sum
@@ -564,18 +531,9 @@ func (s *Solver) rowCFL(row int) float64 {
 	return rowMax
 }
 
-// fusedMaxSpeed mirrors state.WaveSpeeds + state.MaxAbsSpeed with the
-// Γ-law sound speed precomputed (cs² is direction-independent; computing
-// it once per cell is bitwise identical to recomputing it per direction).
-func fusedMaxSpeed(vd, v2, cs2, sqrtCs2 float64) float64 {
-	den := 1 - v2*cs2
-	disc := (1 - v2) * (1 - v2*cs2 - vd*vd*(1-cs2))
-	if disc < 0 {
-		disc = 0
-	}
-	root := math.Sqrt(disc) * sqrtCs2
-	lm := (vd*(1-cs2) - root) / den
-	lp := (vd*(1-cs2) + root) / den
+// maxAbsSpeed is state.MaxAbsSpeed on a precomputed sound speed.
+func maxAbsSpeed(cs2, v2, vd float64) float64 {
+	lm, lp := state.SignalSpeeds(cs2, v2, vd)
 	return math.Max(math.Abs(lm), math.Abs(lp))
 }
 
@@ -623,71 +581,6 @@ func accumulateRow(sc *rowScratch, rhs *state.Fields, base, stride, cBeg, cEnd i
 	}
 }
 
-// fillFluxGeneric reconstructs the gathered strip u with the configured
-// scheme and writes the faces' Riemann fluxes into sc.fx — the flux half
-// of sweepRow, shared with the fail-safe repair so recomputed fluxes are
-// bitwise identical to the sweep's.
-func (s *Solver) fillFluxGeneric(d state.Direction, u [state.NComp][]float64, n, cBeg, cEnd int,
-	sc *rowScratch) {
-
-	// Reconstruct every component.
-	for c := 0; c < state.NComp; c++ {
-		s.Cfg.Recon.Reconstruct(u[c], sc.fl[c][:n+1], sc.fr[c][:n+1])
-	}
-
-	// Face fluxes for faces cBeg..cEnd (cell i owns faces i and i+1).
-	e := s.Cfg.EOS
-	for f := cBeg; f <= cEnd; f++ {
-		pl := state.Prim{
-			Rho: sc.fl[state.IRho][f], Vx: sc.fl[state.IVx][f],
-			Vy: sc.fl[state.IVy][f], Vz: sc.fl[state.IVz][f], P: sc.fl[state.IP][f],
-		}
-		pr := state.Prim{
-			Rho: sc.fr[state.IRho][f], Vx: sc.fr[state.IVx][f],
-			Vy: sc.fr[state.IVy][f], Vz: sc.fr[state.IVz][f], P: sc.fr[state.IP][f],
-		}
-		// Fall back to first-order states when high-order reconstruction
-		// produced an inadmissible face state (possible near strong shocks
-		// and vacuum).
-		if !pl.IsPhysical() {
-			pl = state.Prim{
-				Rho: u[state.IRho][f-1], Vx: u[state.IVx][f-1],
-				Vy: u[state.IVy][f-1], Vz: u[state.IVz][f-1], P: u[state.IP][f-1],
-			}
-		}
-		if !pr.IsPhysical() {
-			pr = state.Prim{
-				Rho: u[state.IRho][f], Vx: u[state.IVx][f],
-				Vy: u[state.IVy][f], Vz: u[state.IVz][f], P: u[state.IP][f],
-			}
-		}
-		fx := s.Cfg.Riemann.Flux(e, pl, pr, d)
-		sc.fx[state.ID][f] = fx.D
-		sc.fx[state.ISx][f] = fx.Sx
-		sc.fx[state.ISy][f] = fx.Sy
-		sc.fx[state.ISz][f] = fx.Sz
-		sc.fx[state.ITau][f] = fx.Tau
-	}
-}
-
-// fillFlux dispatches the configured flux kernel for a gathered row (or
-// tile segment) u of n cells, writing face fluxes [cBeg, cEnd] into
-// sc.fx. It is the single flux entry point shared by the tile engine and
-// the fail-safe repair, so fluxes recomputed anywhere are bitwise
-// identical to the sweep's.
-func (s *Solver) fillFlux(d state.Direction, u [state.NComp][]float64, n, cBeg, cEnd int,
-	sc *rowScratch) {
-
-	switch s.fused {
-	case fusedPLMHLLC:
-		s.fillFluxPLMHLLC(d, u, n, cBeg, cEnd, sc)
-	case fusedPCMHLL:
-		fillFluxPCMHLL(s.gamma, d, u, cBeg, cEnd, sc)
-	default:
-		s.fillFluxGeneric(d, u, n, cBeg, cEnd, sc)
-	}
-}
-
 // sweepRow performs one strip: gather primitives along the row starting at
 // flat index base with the given stride and length n, reconstruct, solve
 // the face Riemann problems, and accumulate flux differences for interior
@@ -698,7 +591,7 @@ func (s *Solver) sweepRow(d state.Direction, base, stride, n, cBeg, cEnd int, dx
 	// Gather the strip (aliased for x, strided copy for y/z).
 	u := gatherRow(s.G.W, base, stride, n, sc)
 
-	s.fillFlux(d, u, n, cBeg, cEnd, sc)
+	s.m.fillFlux(d, u, n, cBeg, cEnd, sc)
 
 	accumulateRow(sc, rhs, base, stride, cBeg, cEnd, dx, overwrite)
 
@@ -726,7 +619,7 @@ func (s *Solver) sweepPanel(d state.Direction, base, stride, n, cBeg, cEnd int, 
 			u[c] = sc.pu[c][r*n : (r+1)*n]
 		}
 		rbase := base + r
-		s.fillFlux(d, u, n, cBeg, cEnd, sc)
+		s.m.fillFlux(d, u, n, cBeg, cEnd, sc)
 		accumulateRow(sc, rhs, rbase, stride, cBeg, cEnd, dx, overwrite)
 		if s.trc != nil {
 			s.tracerSweepRow(rbase, stride, cBeg, cEnd, dx, sc)

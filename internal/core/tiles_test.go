@@ -62,8 +62,12 @@ func runTiled(t *testing.T, mut func(*Config)) []float64 {
 	return out
 }
 
-// stripGolden is one frozen result of the deleted per-direction strip
-// traversal (testdata/strip_golden.json).
+// stripGoldenFile freezes results of the deleted per-direction strip
+// traversal.
+const stripGoldenFile = "testdata/strip_golden.json"
+
+// stripGolden is one frozen result of a deleted code path (a testdata
+// golden file entry).
 type stripGolden struct {
 	FNV64    string `json:"fnv64"`
 	Troubled int64  `json:"troubled"`
@@ -82,13 +86,13 @@ func fieldFingerprint(v []float64) string {
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
-// loadStripGolden returns the named golden for this architecture, or
+// loadGolden returns the named golden of file for this architecture, or
 // skips the golden comparison (with a log line) where none was recorded:
 // other architectures contract multiply-adds differently, so their bits
 // legitimately differ from the recording host's.
-func loadStripGolden(t *testing.T, name string) (stripGolden, bool) {
+func loadGolden(t *testing.T, file, name string) (stripGolden, bool) {
 	t.Helper()
-	blob, err := os.ReadFile("testdata/strip_golden.json")
+	blob, err := os.ReadFile(file)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +102,7 @@ func loadStripGolden(t *testing.T, name string) (stripGolden, bool) {
 	}
 	raw, ok := all[runtime.GOARCH]
 	if !ok {
-		t.Logf("no strip goldens recorded for GOARCH=%s; comparing tile runs to each other only", runtime.GOARCH)
+		t.Logf("%s: no goldens recorded for GOARCH=%s; skipping the golden comparison", file, runtime.GOARCH)
 		return stripGolden{}, false
 	}
 	var arch map[string]stripGolden
@@ -107,7 +111,7 @@ func loadStripGolden(t *testing.T, name string) (stripGolden, bool) {
 	}
 	g, ok := arch[name]
 	if !ok {
-		t.Fatalf("strip golden %q missing for GOARCH=%s", name, runtime.GOARCH)
+		t.Fatalf("%s: golden %q missing for GOARCH=%s", file, name, runtime.GOARCH)
 	}
 	return g, true
 }
@@ -184,6 +188,10 @@ func TestTileDecompositionCovers(t *testing.T) {
 // a tile covering the whole (j, k) plane is the full-row X→Y→Z traversal
 // — and, on the recording architecture, the committed fingerprint of the
 // strip traversal the tile engine replaced.
+//
+// The two subtests date from the generic/hand-fused kernel pair, whose
+// strip goldens were recorded separately; Config.Fused now selects
+// nothing, and both still have to land on their golden.
 func TestTiledBitwiseInvariance(t *testing.T) {
 	for _, fused := range []bool{false, true} {
 		name := "generic"
@@ -195,7 +203,7 @@ func TestTiledBitwiseInvariance(t *testing.T) {
 				c.TileJ, c.TileK = 64, 64
 				c.Fused = fused
 			})
-			if g, ok := loadStripGolden(t, "blast3d-"+name); ok {
+			if g, ok := loadGolden(t, stripGoldenFile, "blast3d-"+name); ok {
 				if fp := fieldFingerprint(baseline); fp != g.FNV64 {
 					t.Fatalf("one-tile run fingerprint %s, strip golden %s", fp, g.FNV64)
 				}
@@ -310,7 +318,7 @@ func TestFailSafeTiledMatchesLegacy(t *testing.T) {
 			ttr, trep, otr, orep)
 	}
 	requireBitwiseEqual(t, "failsafe", one, tiled)
-	if g, ok := loadStripGolden(t, "failsafe"); ok {
+	if g, ok := loadGolden(t, stripGoldenFile, "failsafe"); ok {
 		if fp := fieldFingerprint(tiled); fp != g.FNV64 || ttr != g.Troubled || trep != g.Repaired {
 			t.Fatalf("tiled repair %s troubled=%d repaired=%d, strip golden %s %d/%d",
 				fp, ttr, trep, g.FNV64, g.Troubled, g.Repaired)

@@ -108,8 +108,9 @@ func TestTracerTracksContact(t *testing.T) {
 	}
 }
 
-// Tracer evolution must also work through the fused kernel, bitwise equal
-// to the generic path.
+// Config.Fused selects nothing (every configuration runs the one flux
+// kernel), so the tracer, which rides the kernel's mass flux, must not see
+// the flag either.
 func TestTracerFusedIdentical(t *testing.T) {
 	run := func(fused bool) []float64 {
 		p := testprob.Blast2D

@@ -19,7 +19,6 @@ package recon
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"rhsc/internal/mathutil"
 )
@@ -186,12 +185,6 @@ func mcSlope(dm, dp float64) float64 {
 	return 0
 }
 
-// ppmScratch pools the PPM interface-value buffer across rows.
-var ppmScratch = sync.Pool{New: func() any {
-	s := make([]float64, 0, 1024)
-	return &s
-}}
-
 // PPM is the piecewise-parabolic method of Colella & Woodward (1984) with
 // the standard monotonization (no contact steepening or flattening: those
 // are shock-tube cosmetics the HLLC solver does not need).
@@ -206,61 +199,62 @@ func (PPM) Ghost() int { return 3 }
 // Order implements Scheme.
 func (PPM) Order() int { return 3 }
 
-// Reconstruct implements Scheme.
+// Reconstruct implements Scheme. One pass over cells 2…n−3: cell j's
+// monotonised parabola gives the right state of face j (its left edge) and
+// the left state of face j+1 (its right edge), so each limited slope, each
+// fourth-order interface value and each parabola is computed once and
+// carried to the next cell, with no scratch buffer. Bitwise identical to
+// the slopes → interface values → per-face-side parabola passes it
+// replaced (TestPPMMatchesReference).
 func (PPM) Reconstruct(u, uL, uR []float64) {
 	n := checkSizes(u, uL, uR, 3)
 
-	// Limited slopes (CW84 eq. 1.8).
-	slope := func(j int) float64 {
-		dm, dp := u[j]-u[j-1], u[j+1]-u[j]
-		if dm*dp <= 0 {
-			return 0
-		}
-		d := 0.5 * (u[j+1] - u[j-1])
-		return mathutil.Sign(d) * mathutil.Min3(2*absf(dm), 2*absf(dp), absf(d))
-	}
-
-	// Fourth-order interface values (CW84 eq. 1.6):
+	// Limited slopes (CW84 eq. 1.8) of cells 1 and 2, and the fourth-order
+	// interface value (CW84 eq. 1.6) at face 2:
 	// u_{j+1/2} = (u_j + u_{j+1})/2 − (δ_{j+1} − δ_j)/6.
-	// iface[i] is the value at face i (between cells i−1 and i). The
-	// buffer is pooled: Reconstruct runs once per row per component and a
-	// per-call allocation would dominate the sweep's allocation profile.
-	buf := ppmScratch.Get().(*[]float64)
-	if cap(*buf) < n+1 {
-		*buf = make([]float64, n+1)
-	}
-	iface := (*buf)[:n+1]
-	defer ppmScratch.Put(buf)
-	for i := 2; i <= n-2; i++ {
-		j := i - 1
-		iface[i] = 0.5*(u[j]+u[j+1]) - (slope(j+1)-slope(j))/6
-	}
+	dp := u[2] - u[1]
+	sPrev := ppmSlope(u[1]-u[0], dp, u[2]-u[0])
+	dm := dp
+	dp = u[3] - u[2]
+	s := ppmSlope(dm, dp, u[3]-u[1])
+	fL := 0.5*(u[1]+u[2]) - (s-sPrev)/6
 
-	// Per-cell parabola edges with monotonization (CW84 eq. 1.10). Face i
-	// takes its left state from the parabola of cell i−1 and its right
-	// state from the parabola of cell i; the needed interface values
-	// iface[2..n−2] are all available for faces i in [3, n−3].
-	for i := 3; i <= n-3; i++ {
-		// Face i: left side from cell j = i−1, right side from cell i.
-		for side := 0; side < 2; side++ {
-			j := i - 1 + side
-			aL, aR := iface[j], iface[j+1] // edges of cell j
-			u0 := u[j]
-			switch {
-			case (aR-u0)*(u0-aL) <= 0:
-				aL, aR = u0, u0
-			case (aR-aL)*(u0-0.5*(aL+aR)) > (aR-aL)*(aR-aL)/6:
-				aL = 3*u0 - 2*aR
-			case (aR-aL)*(u0-0.5*(aL+aR)) < -(aR-aL)*(aR-aL)/6:
-				aR = 3*u0 - 2*aL
-			}
-			if side == 0 {
-				uL[i] = aR
-			} else {
-				uR[i] = aL
-			}
+	for j := 2; j <= n-3; j++ {
+		dm = dp
+		dp = u[j+2] - u[j+1]
+		sNext := ppmSlope(dm, dp, u[j+2]-u[j])
+		fR := 0.5*(u[j]+u[j+1]) - (sNext-s)/6
+
+		// Parabola edges of cell j with monotonization (CW84 eq. 1.10).
+		aL, aR, u0 := fL, fR, u[j]
+		switch {
+		case (aR-u0)*(u0-aL) <= 0:
+			aL, aR = u0, u0
+		case (aR-aL)*(u0-0.5*(aL+aR)) > (aR-aL)*(aR-aL)/6:
+			aL = 3*u0 - 2*aR
+		case (aR-aL)*(u0-0.5*(aL+aR)) < -(aR-aL)*(aR-aL)/6:
+			aR = 3*u0 - 2*aL
 		}
+		// Faces 3…n−3 are filled: cell 2 has no face-2 right state to give,
+		// cell n−3 no face-(n−2) left state.
+		if j >= 3 {
+			uR[j] = aL
+		}
+		if j <= n-4 {
+			uL[j+1] = aR
+		}
+		s, fL = sNext, fR
 	}
+}
+
+// ppmSlope is the limited slope of a cell with left difference dm, right
+// difference dp and centred difference dc = u_{j+1} − u_{j−1}.
+func ppmSlope(dm, dp, dc float64) float64 {
+	if dm*dp <= 0 {
+		return 0
+	}
+	d := 0.5 * dc
+	return mathutil.Sign(d) * mathutil.Min3(2*absf(dm), 2*absf(dp), absf(d))
 }
 
 func absf(x float64) float64 {

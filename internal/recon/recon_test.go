@@ -3,6 +3,7 @@ package recon
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -447,6 +448,116 @@ func TestPLMMatchesReference(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// ppmReference is the three-pass PPM — limited slopes, interface values
+// into a buffer, then one monotonised parabola per face side — that the
+// streaming Reconstruct replaced; the rewrite must be bitwise identical.
+func ppmReference(u, uL, uR []float64) {
+	n := len(u)
+	slope := func(j int) float64 {
+		dm, dp := u[j]-u[j-1], u[j+1]-u[j]
+		if dm*dp <= 0 {
+			return 0
+		}
+		d := 0.5 * (u[j+1] - u[j-1])
+		return mathutil.Sign(d) * mathutil.Min3(2*absf(dm), 2*absf(dp), absf(d))
+	}
+	iface := make([]float64, n+1)
+	for i := 2; i <= n-2; i++ {
+		j := i - 1
+		iface[i] = 0.5*(u[j]+u[j+1]) - (slope(j+1)-slope(j))/6
+	}
+	for i := 3; i <= n-3; i++ {
+		for side := 0; side < 2; side++ {
+			j := i - 1 + side
+			aL, aR := iface[j], iface[j+1]
+			u0 := u[j]
+			switch {
+			case (aR-u0)*(u0-aL) <= 0:
+				aL, aR = u0, u0
+			case (aR-aL)*(u0-0.5*(aL+aR)) > (aR-aL)*(aR-aL)/6:
+				aL = 3*u0 - 2*aR
+			case (aR-aL)*(u0-0.5*(aL+aR)) < -(aR-aL)*(aR-aL)/6:
+				aR = 3*u0 - 2*aL
+			}
+			if side == 0 {
+				uL[i] = aR
+			} else {
+				uR[i] = aL
+			}
+		}
+	}
+}
+
+// ppmRow draws rows that hit every branch of the slope limiter and the
+// monotonization: noise, exact zeros, plateaus with ties, smooth ramps, and
+// magnitudes from 1e-40 to 1e40.
+type ppmRow []float64
+
+// Generate implements quick.Generator; rows run from the minimum n = 7.
+func (ppmRow) Generate(rng *rand.Rand, _ int) reflect.Value {
+	u := make(ppmRow, 7+rng.Intn(60))
+	scale := math.Pow(10, float64(rng.Intn(81)-40))
+	for j := range u {
+		switch rng.Intn(5) {
+		case 0:
+			u[j] = rng.NormFloat64()
+		case 1:
+			u[j] = 0
+		case 2:
+			u[j] = math.Trunc(2 * rng.NormFloat64()) // repeated plateaus
+		case 3:
+			u[j] = float64(j) + 0.1*rng.NormFloat64() // mostly monotone
+		default:
+			if j > 0 {
+				u[j] = u[j-1] // flat run
+			}
+		}
+		u[j] *= scale
+	}
+	return reflect.ValueOf(u)
+}
+
+func TestPPMMatchesReference(t *testing.T) {
+	sentinel := math.Float64frombits(0x7ff8dead0000beef)
+	fill := func(n int) []float64 {
+		v := make([]float64, n)
+		for i := range v {
+			v[i] = sentinel
+		}
+		return v
+	}
+	same := func(a, b []float64) int {
+		for i := range a {
+			if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+				return i
+			}
+		}
+		return -1
+	}
+	prop := func(u ppmRow) bool {
+		n := len(u)
+		gotL, gotR, wantL, wantR := fill(n+1), fill(n+1), fill(n+1), fill(n+1)
+		PPM{}.Reconstruct(u, gotL, gotR)
+		ppmReference(u, wantL, wantR)
+		// Whole arrays: faces outside [3, n−3] must keep the sentinel.
+		if i := same(gotL, wantL); i >= 0 {
+			t.Errorf("n=%d uL[%d] = %v, reference %v", n, i, gotL[i], wantL[i])
+			return false
+		}
+		if i := same(gotR, wantR); i >= 0 {
+			t.Errorf("n=%d uR[%d] = %v, reference %v", n, i, gotR[i], wantR[i])
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 20000, Rand: rand.New(rand.NewSource(13))}); err != nil {
+		t.Fatal(err)
+	}
+	if !prop(ppmRow{3, 1, 4, 1, 5, 9, 2}) { // the minimum row
+		t.Fatal("n = 7 differs")
 	}
 }
 

@@ -39,7 +39,7 @@ func TestFaultRetryInvalidatesCFLCache(t *testing.T) {
 
 // TestFaultRecoveredRunCFLCoherent: across a transient injection — the
 // dt-halving retry plus the first-order fallback engaging and
-// disengaging (which re-evaluates fused-kernel eligibility) — every
+// disengaging (which re-resolves the solver's method) — every
 // committed step must leave the CFL cache coherent with the state.
 func TestFaultRecoveredRunCFLCoherent(t *testing.T) {
 	s := sodSolver(t)

@@ -24,25 +24,100 @@ import (
 type Solver interface {
 	// Name identifies the solver in output and benchmarks.
 	Name() string
+	// Kind identifies the solver's combiner, so a sweep can resolve the
+	// configured solver once and evaluate Kind.Flux on face states it
+	// built itself.
+	Kind() Kind
 	// Flux returns the numerical flux along direction d given left and
-	// right primitive states.
+	// right primitive states: Kind().Flux on the two evaluated states.
 	Flux(e eos.EOS, pl, pr state.Prim, d state.Direction) state.Cons
 }
 
-// consSub returns a − b componentwise.
-func consSub(a, b state.Cons) state.Cons {
-	return state.Cons{
-		D: a.D - b.D, Sx: a.Sx - b.Sx, Sy: a.Sy - b.Sy, Sz: a.Sz - b.Sz,
-		Tau: a.Tau - b.Tau,
+// Face is the evaluated state on one side of a face — everything a
+// combiner needs: the conserved variables, their fluxes along the sweep
+// direction, the normal velocity, the pressure and the characteristic
+// speeds.
+type Face struct {
+	D, Sx, Sy, Sz, Tau      float64 // conserved
+	FD, FSx, FSy, FSz, FTau float64 // fluxes along the sweep direction
+	Vd, P                   float64 // normal velocity, pressure
+	Lm, Lp                  float64 // characteristic speeds λ−, λ+
+}
+
+// Eval fills f from the primitive state q, its specific enthalpy h and
+// squared sound speed cs2. The arithmetic is state.Prim.ToCons, state.Flux
+// and state.WaveSpeeds operation for operation with h and cs2 hoisted out,
+// so a sweep that inlines its equation of state reproduces the
+// interface-dispatched results bitwise. It fills in place: returning the
+// 112-byte struct by value puts a duffcopy on the per-face hot path.
+func (f *Face) Eval(h, cs2 float64, q state.Prim, d state.Direction) {
+	v2 := q.Vx*q.Vx + q.Vy*q.Vy + q.Vz*q.Vz
+	w := 1 / math.Sqrt(1-v2)
+	rhw2 := q.Rho * h * w * w
+	f.D = q.Rho * w
+	f.Sx = rhw2 * q.Vx
+	f.Sy = rhw2 * q.Vy
+	f.Sz = rhw2 * q.Vz
+	f.Tau = rhw2 - q.P - f.D
+
+	var vd, sd float64
+	switch d {
+	case state.X:
+		vd, sd = q.Vx, f.Sx
+	case state.Y:
+		vd, sd = q.Vy, f.Sy
+	default:
+		vd, sd = q.Vz, f.Sz
+	}
+	f.Vd, f.P = vd, q.P
+	f.FD = f.D * vd
+	f.FSx = f.Sx * vd
+	f.FSy = f.Sy * vd
+	f.FSz = f.Sz * vd
+	f.FTau = sd - f.D*vd
+	switch d {
+	case state.X:
+		f.FSx += q.P
+	case state.Y:
+		f.FSy += q.P
+	default:
+		f.FSz += q.P
+	}
+	f.Lm, f.Lp = state.SignalSpeeds(cs2, v2, vd)
+}
+
+// Kind enumerates the combiners.
+type Kind uint8
+
+// The three solvers.
+const (
+	KindLLF Kind = iota
+	KindHLL
+	KindHLLC
+)
+
+// Flux returns the numerical flux (D, S_x, S_y, S_z, τ components) through
+// a face along direction d from the evaluated states on its two sides.
+func (k Kind) Flux(l, r *Face, d state.Direction) (fd, fsx, fsy, fsz, ftau float64) {
+	switch k {
+	case KindLLF:
+		return llf(l, r)
+	case KindHLL:
+		return hll(l, r)
+	default:
+		return hllc(l, r, d)
 	}
 }
 
-// consAXPY returns a + s·b componentwise.
-func consAXPY(a state.Cons, s float64, b state.Cons) state.Cons {
-	return state.Cons{
-		D: a.D + s*b.D, Sx: a.Sx + s*b.Sx, Sy: a.Sy + s*b.Sy,
-		Sz: a.Sz + s*b.Sz, Tau: a.Tau + s*b.Tau,
-	}
+// primFlux backs the Solver.Flux methods: evaluate both sides through the
+// EOS interface, then combine.
+func (k Kind) primFlux(e eos.EOS, pl, pr state.Prim, d state.Direction) state.Cons {
+	var l, r Face
+	l.Eval(e.Enthalpy(pl.Rho, pl.P), e.SoundSpeed2(pl.Rho, pl.P), pl, d)
+	r.Eval(e.Enthalpy(pr.Rho, pr.P), e.SoundSpeed2(pr.Rho, pr.P), pr, d)
+	var f state.Cons
+	f.D, f.Sx, f.Sy, f.Sz, f.Tau = k.Flux(&l, &r, d)
+	return f
 }
 
 // LLF is the local Lax–Friedrichs (Rusanov) solver: maximally dissipative
@@ -53,63 +128,59 @@ type LLF struct{}
 // Name implements Solver.
 func (LLF) Name() string { return "llf" }
 
+// Kind implements Solver.
+func (LLF) Kind() Kind { return KindLLF }
+
 // Flux implements Solver.
 func (LLF) Flux(e eos.EOS, pl, pr state.Prim, d state.Direction) state.Cons {
-	ul := pl.ToCons(e)
-	ur := pr.ToCons(e)
-	fl := state.Flux(pl, ul, d)
-	fr := state.Flux(pr, ur, d)
-	al := state.MaxAbsSpeed(e, pl, d)
-	ar := state.MaxAbsSpeed(e, pr, d)
+	return KindLLF.primFlux(e, pl, pr, d)
+}
+
+func llf(l, r *Face) (fd, fsx, fsy, fsz, ftau float64) {
+	al := math.Max(math.Abs(l.Lm), math.Abs(l.Lp))
+	ar := math.Max(math.Abs(r.Lm), math.Abs(r.Lp))
 	alpha := math.Max(al, ar)
-	du := consSub(ur, ul)
-	return state.Cons{
-		D:   0.5 * (fl.D + fr.D - alpha*du.D),
-		Sx:  0.5 * (fl.Sx + fr.Sx - alpha*du.Sx),
-		Sy:  0.5 * (fl.Sy + fr.Sy - alpha*du.Sy),
-		Sz:  0.5 * (fl.Sz + fr.Sz - alpha*du.Sz),
-		Tau: 0.5 * (fl.Tau + fr.Tau - alpha*du.Tau),
-	}
+	return 0.5 * (l.FD + r.FD - alpha*(r.D-l.D)),
+		0.5 * (l.FSx + r.FSx - alpha*(r.Sx-l.Sx)),
+		0.5 * (l.FSy + r.FSy - alpha*(r.Sy-l.Sy)),
+		0.5 * (l.FSz + r.FSz - alpha*(r.Sz-l.Sz)),
+		0.5 * (l.FTau + r.FTau - alpha*(r.Tau-l.Tau))
 }
 
-// outerSpeeds returns the Davis estimates S_L = min(λ−(L), λ−(R)) and
-// S_R = max(λ+(L), λ+(R)) used by HLL and HLLC.
-func outerSpeeds(e eos.EOS, pl, pr state.Prim, d state.Direction) (sl, sr float64) {
-	lmL, lpL := state.WaveSpeeds(e, pl, d)
-	lmR, lpR := state.WaveSpeeds(e, pr, d)
-	return math.Min(lmL, lmR), math.Max(lpL, lpR)
-}
-
-// HLL is the two-wave Harten–Lax–van Leer solver.
+// HLL is the two-wave Harten–Lax–van Leer solver, with the Davis
+// estimates S_L = min(λ−(L), λ−(R)) and S_R = max(λ+(L), λ+(R)) of the
+// outer wave speeds (HLLC uses the same).
 type HLL struct{}
 
 // Name implements Solver.
 func (HLL) Name() string { return "hll" }
 
+// Kind implements Solver.
+func (HLL) Kind() Kind { return KindHLL }
+
 // Flux implements Solver.
 func (HLL) Flux(e eos.EOS, pl, pr state.Prim, d state.Direction) state.Cons {
-	sl, sr := outerSpeeds(e, pl, pr, d)
-	ul := pl.ToCons(e)
-	ur := pr.ToCons(e)
+	return KindHLL.primFlux(e, pl, pr, d)
+}
+
+func hll(l, r *Face) (fd, fsx, fsy, fsz, ftau float64) {
+	sl := math.Min(l.Lm, r.Lm)
+	sr := math.Max(l.Lp, r.Lp)
 	switch {
 	case sl >= 0:
-		return state.Flux(pl, ul, d)
+		return l.FD, l.FSx, l.FSy, l.FSz, l.FTau
 	case sr <= 0:
-		return state.Flux(pr, ur, d)
+		return r.FD, r.FSx, r.FSy, r.FSz, r.FTau
 	}
-	fl := state.Flux(pl, ul, d)
-	fr := state.Flux(pr, ur, d)
 	inv := 1 / (sr - sl)
 	hll := func(flc, frc, ulc, urc float64) float64 {
 		return (sr*flc - sl*frc + sl*sr*(urc-ulc)) * inv
 	}
-	return state.Cons{
-		D:   hll(fl.D, fr.D, ul.D, ur.D),
-		Sx:  hll(fl.Sx, fr.Sx, ul.Sx, ur.Sx),
-		Sy:  hll(fl.Sy, fr.Sy, ul.Sy, ur.Sy),
-		Sz:  hll(fl.Sz, fr.Sz, ul.Sz, ur.Sz),
-		Tau: hll(fl.Tau, fr.Tau, ul.Tau, ur.Tau),
-	}
+	return hll(l.FD, r.FD, l.D, r.D),
+		hll(l.FSx, r.FSx, l.Sx, r.Sx),
+		hll(l.FSy, r.FSy, l.Sy, r.Sy),
+		hll(l.FSz, r.FSz, l.Sz, r.Sz),
+		hll(l.FTau, r.FTau, l.Tau, r.Tau)
 }
 
 // HLLC is the three-wave solver of Mignone & Bodo (2005) for SRHD: the HLL
@@ -120,19 +191,23 @@ type HLLC struct{}
 // Name implements Solver.
 func (HLLC) Name() string { return "hllc" }
 
+// Kind implements Solver.
+func (HLLC) Kind() Kind { return KindHLLC }
+
 // Flux implements Solver.
 func (HLLC) Flux(e eos.EOS, pl, pr state.Prim, d state.Direction) state.Cons {
-	sl, sr := outerSpeeds(e, pl, pr, d)
-	ul := pl.ToCons(e)
-	ur := pr.ToCons(e)
+	return KindHLLC.primFlux(e, pl, pr, d)
+}
+
+func hllc(l, r *Face, d state.Direction) (fd, fsx, fsy, fsz, ftau float64) {
+	sl := math.Min(l.Lm, r.Lm)
+	sr := math.Max(l.Lp, r.Lp)
 	switch {
 	case sl >= 0:
-		return state.Flux(pl, ul, d)
+		return l.FD, l.FSx, l.FSy, l.FSz, l.FTau
 	case sr <= 0:
-		return state.Flux(pr, ur, d)
+		return r.FD, r.FSx, r.FSy, r.FSz, r.FTau
 	}
-	fl := state.Flux(pl, ul, d)
-	fr := state.Flux(pr, ur, d)
 
 	// HLL state and flux of the total energy E = τ + D and the normal
 	// momentum m = S_d. F(E) = F(τ) + F(D) = S_d.
@@ -143,21 +218,19 @@ func (HLLC) Flux(e eos.EOS, pl, pr state.Prim, d state.Direction) state.Cons {
 	hllF := func(flc, frc, ulc, urc float64) float64 {
 		return (sr*flc - sl*frc + sl*sr*(urc-ulc)) * inv
 	}
-	eL := ul.Tau + ul.D
-	eR := ur.Tau + ur.D
-	mL := ul.S(d)
-	mR := ur.S(d)
-	feL := fl.Tau + fl.D // = S_d(L)
-	feR := fr.Tau + fr.D
-	var fmL, fmR float64
+	eL := l.Tau + l.D
+	eR := r.Tau + r.D
+	var mL, mR, fmL, fmR float64
 	switch d {
 	case state.X:
-		fmL, fmR = fl.Sx, fr.Sx
+		mL, mR, fmL, fmR = l.Sx, r.Sx, l.FSx, r.FSx
 	case state.Y:
-		fmL, fmR = fl.Sy, fr.Sy
+		mL, mR, fmL, fmR = l.Sy, r.Sy, l.FSy, r.FSy
 	default:
-		fmL, fmR = fl.Sz, fr.Sz
+		mL, mR, fmL, fmR = l.Sz, r.Sz, l.FSz, r.FSz
 	}
+	feL := l.FTau + l.FD // = S_d(L)
+	feR := r.FTau + r.FD
 	eH := hllU(eL, eR, feL, feR)
 	mH := hllU(mL, mR, fmL, fmR)
 	feH := hllF(feL, feR, eL, eR)
@@ -191,42 +264,42 @@ func (HLLC) Flux(e eos.EOS, pl, pr state.Prim, d state.Direction) state.Cons {
 	// Star-region pressure (M&B eq. 17).
 	pstar := -feH*lstar + fmH
 
-	// Jump conditions across the outer wave on the side containing the
-	// face (λ* >= 0 → left star state).
+	// Rankine–Hugoniot jump across the outer wave S_K on the side
+	// containing the face (λ* >= 0 → left star state); the flux is
+	// F_K + S_K (U*_K − U_K).
+	k, sk := r, sr
 	if lstar >= 0 {
-		return starFlux(pl, ul, fl, sl, lstar, pstar, d)
+		k, sk = l, sl
 	}
-	return starFlux(pr, ur, fr, sr, lstar, pstar, d)
-}
-
-// starFlux builds the star state on side K from the Rankine–Hugoniot jump
-// across the outer wave S_K and returns F_K + S_K (U*_K − U_K).
-func starFlux(p state.Prim, u state.Cons, f state.Cons, sk, lstar, pstar float64, d state.Direction) state.Cons {
-	vk := p.V(d)
-	ek := u.Tau + u.D
-	inv := 1 / (sk - lstar)
-	dstar := u.D * (sk - vk) * inv
-	estar := (ek*(sk-vk) + pstar*lstar - p.P*vk) * inv
+	vk := k.Vd
+	ek := k.Tau + k.D
+	invK := 1 / (sk - lstar)
+	dstar := k.D * (sk - vk) * invK
+	estar := (ek*(sk-vk) + pstar*lstar - k.P*vk) * invK
 	// Normal momentum: m* = (m(S_K − v) + p* − p)/(S_K − λ*).
 	// Transverse momenta advect: S_t* = S_t (S_K − v)/(S_K − λ*).
-	adv := (sk - vk) * inv
+	adv := (sk - vk) * invK
 	var sxs, sys, szs float64
 	switch d {
 	case state.X:
-		sxs = (u.Sx*(sk-vk) + pstar - p.P) * inv
-		sys = u.Sy * adv
-		szs = u.Sz * adv
+		sxs = (k.Sx*(sk-vk) + pstar - k.P) * invK
+		sys = k.Sy * adv
+		szs = k.Sz * adv
 	case state.Y:
-		sys = (u.Sy*(sk-vk) + pstar - p.P) * inv
-		sxs = u.Sx * adv
-		szs = u.Sz * adv
+		sys = (k.Sy*(sk-vk) + pstar - k.P) * invK
+		sxs = k.Sx * adv
+		szs = k.Sz * adv
 	default:
-		szs = (u.Sz*(sk-vk) + pstar - p.P) * inv
-		sxs = u.Sx * adv
-		sys = u.Sy * adv
+		szs = (k.Sz*(sk-vk) + pstar - k.P) * invK
+		sxs = k.Sx * adv
+		sys = k.Sy * adv
 	}
-	ustar := state.Cons{D: dstar, Sx: sxs, Sy: sys, Sz: szs, Tau: estar - dstar}
-	return consAXPY(f, sk, consSub(ustar, u))
+	taustar := estar - dstar
+	return k.FD + sk*(dstar-k.D),
+		k.FSx + sk*(sxs-k.Sx),
+		k.FSy + sk*(sys-k.Sy),
+		k.FSz + sk*(szs-k.Sz),
+		k.FTau + sk*(taustar-k.Tau)
 }
 
 // ByName returns the solver registered under name: "llf", "hll", "hllc".

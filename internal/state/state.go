@@ -182,18 +182,21 @@ func Flux(p Prim, c Cons, d Direction) Cons {
 //
 // Both are guaranteed to lie in (−1, 1) for admissible states.
 func WaveSpeeds(e eos.EOS, p Prim, d Direction) (lm, lp float64) {
-	cs2 := e.SoundSpeed2(p.Rho, p.P)
-	v2 := p.VSq()
-	vd := p.V(d)
+	return SignalSpeeds(e.SoundSpeed2(p.Rho, p.P), p.VSq(), p.V(d))
+}
+
+// SignalSpeeds is WaveSpeeds on precomputed inputs — the squared sound
+// speed cs2, v² and the velocity vd along the direction — for kernels that
+// evaluate the equation of state once per state rather than once per
+// direction. The results are unnamed to fit the compiler's inlining budget.
+func SignalSpeeds(cs2, v2, vd float64) (float64, float64) {
 	den := 1 - v2*cs2
 	disc := (1 - v2) * (1 - v2*cs2 - vd*vd*(1-cs2))
 	if disc < 0 {
 		disc = 0
 	}
 	root := math.Sqrt(disc) * math.Sqrt(cs2)
-	lm = (vd*(1-cs2) - root) / den
-	lp = (vd*(1-cs2) + root) / den
-	return lm, lp
+	return (vd*(1-cs2) - root) / den, (vd*(1-cs2) + root) / den
 }
 
 // MaxAbsSpeed returns max(|λ−|, |λ+|) along direction d — the CFL speed.

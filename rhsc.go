@@ -146,10 +146,6 @@ func buildConfig(o Options) (*testprob.Problem, core.Config, error) {
 	if o.Threads > 1 {
 		cfg.Pool = par.NewPool(o.Threads)
 	}
-	// The specialised kernel is bitwise-identical to the generic path, so
-	// it is always enabled; it activates only when the configuration
-	// matches (PLM-MC + HLLC + ideal gas).
-	cfg.Fused = true
 	return p, cfg, nil
 }
 
@@ -744,11 +740,11 @@ func (r *simRunner) StepOnce() (float64, error) {
 	return r.guard.Step(dt)
 }
 
-func (r *simRunner) Time() float64       { return r.sim.Time() }
-func (r *simRunner) TEnd() float64       { return r.tEnd }
-func (r *simRunner) Steps() int          { return r.guard.Steps() }
-func (r *simRunner) SetStepBase(n int)   { r.guard.SetSteps(n) }
-func (r *simRunner) ZoneUpdates() int64  { return r.sim.ZoneUpdates() }
+func (r *simRunner) Time() float64      { return r.sim.Time() }
+func (r *simRunner) TEnd() float64      { return r.tEnd }
+func (r *simRunner) Steps() int         { return r.guard.Steps() }
+func (r *simRunner) SetStepBase(n int)  { r.guard.SetSteps(n) }
+func (r *simRunner) ZoneUpdates() int64 { return r.sim.ZoneUpdates() }
 func (r *simRunner) Zones() int {
 	g := r.sim.Grid
 	return g.Nx * g.Ny * g.Nz
