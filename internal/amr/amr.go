@@ -93,21 +93,17 @@ type Tree struct {
 	roots  []*node
 	nodes  map[key]*node
 	leaves []*node
-
-	// ghostScratch is the reusable node slice SyncSubset builds its ghost
-	// set in, so the per-stage distributed sync does not allocate.
-	ghostScratch []*node
+	// all is 0..len(leaves)-1: the leaf subset Step hands to StepLeaves
+	// and the whole-tree ghost fills walk, rebuilt with the leaf cache.
+	all []int
 
 	t           float64
 	steps       int
 	zoneUpdates int64
 
-	// Cumulative fail-safe accounting (see failsafe.go). fsPending holds
-	// the current stage's flagged-cell count between StageAdvanceFS and
-	// FSRepairLeaves in the distributed split-phase flow.
+	// Cumulative fail-safe accounting (see failsafe.go).
 	troubledCells int64
 	repairedCells int64
-	fsPending     int
 }
 
 // NewTree builds the hierarchy for problem p with nbx root blocks along x
@@ -175,7 +171,7 @@ func NewTree(p *testprob.Problem, nbx int, cfg Config) (*Tree, error) {
 		}
 		t.fillGhosts()
 	}
-	t.sync(true)
+	t.sync()
 	return t, nil
 }
 
@@ -291,6 +287,10 @@ func (t *Tree) rebuildLeaves() {
 	}
 	for _, r := range t.roots {
 		walk(r)
+	}
+	t.all = t.all[:0]
+	for i := range t.leaves {
+		t.all = append(t.all, i)
 	}
 }
 
@@ -466,69 +466,70 @@ func avgPrim(a, b state.Prim) state.Prim {
 
 // fillGhosts fills the External-face ghost zones of every leaf from the
 // current leaf data.
-func (t *Tree) fillGhosts() { t.fillGhostsOf(t.leaves) }
+func (t *Tree) fillGhosts() { t.fillGhostsOf(t.all) }
 
 // fillGhostsOf fills the External-face ghost zones of the given leaves.
 // Sampling only reads the interiors of face-adjacent leaves (the ghost
 // band is at most half a block wide at any admissible BlockN), which is
 // what lets the distributed driver fill ghosts of locally owned blocks
 // from a halo of neighbour copies.
-func (t *Tree) fillGhostsOf(ls []*node) {
-	for _, n := range ls {
-		g := n.sol.G
-		ng := g.Ng
-		fill := func(i, j int) {
+func (t *Tree) fillGhostsOf(idx []int) {
+	for _, li := range idx {
+		g := t.leaves[li].sol.G
+		t.forExternalGhosts(g, func(i, j int) {
 			p := t.sampleAvg(g.X(i), g.Y(j), g.Dx, g.Dy)
 			g.W.SetPrim(g.Idx(i, j, g.KBeg()), p)
-		}
-		if g.BCs[0][0] == grid.External {
-			for j := g.JBeg(); j < g.JEnd(); j++ {
-				for i := 0; i < ng; i++ {
-					fill(i, j)
-				}
+		})
+	}
+}
+
+// forExternalGhosts calls fill for every ghost cell (i, j) behind an
+// External face of g — the bands the primitive ghost fill and the
+// fail-safe mask ghost fill both walk, so a troubled flag next to a block
+// face lands in exactly the ghost cells whose primitives it dirties.
+func (t *Tree) forExternalGhosts(g *grid.Grid, fill func(i, j int)) {
+	ng := g.Ng
+	if g.BCs[0][0] == grid.External {
+		for j := g.JBeg(); j < g.JEnd(); j++ {
+			for i := 0; i < ng; i++ {
+				fill(i, j)
 			}
 		}
-		if g.BCs[0][1] == grid.External {
-			for j := g.JBeg(); j < g.JEnd(); j++ {
-				for i := g.IEnd(); i < g.IEnd()+ng; i++ {
-					fill(i, j)
-				}
+	}
+	if g.BCs[0][1] == grid.External {
+		for j := g.JBeg(); j < g.JEnd(); j++ {
+			for i := g.IEnd(); i < g.IEnd()+ng; i++ {
+				fill(i, j)
 			}
 		}
-		if t.dim >= 2 {
-			if g.BCs[1][0] == grid.External {
-				for j := 0; j < ng; j++ {
-					for i := g.IBeg(); i < g.IEnd(); i++ {
-						fill(i, j)
-					}
-				}
+	}
+	if t.dim < 2 {
+		return
+	}
+	if g.BCs[1][0] == grid.External {
+		for j := 0; j < ng; j++ {
+			for i := g.IBeg(); i < g.IEnd(); i++ {
+				fill(i, j)
 			}
-			if g.BCs[1][1] == grid.External {
-				for j := g.JEnd(); j < g.JEnd()+ng; j++ {
-					for i := g.IBeg(); i < g.IEnd(); i++ {
-						fill(i, j)
-					}
-				}
+		}
+	}
+	if g.BCs[1][1] == grid.External {
+		for j := g.JEnd(); j < g.JEnd()+ng; j++ {
+			for i := g.IBeg(); i < g.IEnd(); i++ {
+				fill(i, j)
 			}
 		}
 	}
 }
 
 // sync re-establishes the invariant: every leaf's primitives (interior,
-// physical ghosts, and External ghosts) reflect its conserved state. When
-// accum is set each leaf's recovery also folds the CFL reduction into the
-// same pass (core.Solver.AccumulateCFLNext), so the next MaxDt over the
-// tree is a cheap per-leaf combine. Arm only syncs whose recovered state
-// is the one MaxDt will be asked about — the final sync of a step, not
-// the stage syncs.
-func (t *Tree) sync(accum bool) {
-	for _, n := range t.leaves {
-		if accum {
-			n.sol.AccumulateCFLNext()
-		}
-		n.sol.RecoverPrimitives()
-	}
-	t.fillGhosts()
+// physical ghosts, and External ghosts) reflect its conserved state, and
+// each leaf's recovery folds the CFL reduction into the same pass
+// (core.Solver.AccumulateCFLNext), so the next MaxDt over the tree is a
+// cheap per-leaf combine.
+func (t *Tree) sync() {
+	t.ArmCFL(t.all)
+	t.SyncSubset(t.all, t.all)
 }
 
 // MaxDt returns the global CFL step: the minimum over all leaves.
@@ -542,47 +543,115 @@ func (t *Tree) MaxDt() float64 {
 	return dt
 }
 
-// Step advances every leaf by dt with stage-synchronous SSP RK2.
+// StepHooks are the two points at which StepLeaves hands control to the
+// driver that knows where the neighbours of the stepped leaves live: in
+// this tree (Step) or on other ranks (package damr).
+type StepHooks struct {
+	// Masks runs only under core.Config.FailSafe, once per Euler stage,
+	// between detection and repair; troubled is the number of cells the
+	// detector flagged on the stepped leaves. On return the troubled-cell
+	// mask (LeafFSMask) of every leaf adjacent to a stepped one must be
+	// current. repair reports whether any of those masks, stepped or
+	// adjacent, carries a flag; when none does the stage skips the repair
+	// and its mask ghost fill.
+	Masks func(stage, troubled int) (repair bool, err error)
+	// Halos runs after Euler stages 1 and 2 and, as stage 0, after the
+	// combine. On return every stepped leaf and every leaf adjacent to
+	// one must hold primitives recovered exactly once from its new
+	// conserved state, and the External ghosts of the stepped leaves must
+	// be refilled (SyncSubset). recovered reports that the stepped leaves
+	// are already recovered — a fail-safe stage, whose detection and
+	// repair recover as they go — and must not be recovered again: a cell
+	// whose stored primitives were clamped (pressure floor, velocity cap)
+	// would re-enter Newton from the clamped guess and land on a
+	// marginally different root than the plain path's single recovery.
+	Halos func(stage int, recovered bool) error
+}
+
+// StepLeaves advances the leaves own by dt with stage-synchronous SSP-RK2
+// and moves the solution clock — the one stage sequence of the serial
+// and the distributed driver: snapshot, two Euler stages u += dt·L(u)
+// (each followed, under core.Config.FailSafe, by detect → Masks → repair,
+// see failsafe.go), the combine u ← ½u⁰ + ½u, clock advance, with Halos
+// after each stage and after the combine. Ghosts of the stepped leaves
+// must be current on entry. The combine is a convex combination of two
+// detector-clean states and the admissible set is convex, so it needs no
+// detection; its recovery is the one MaxDt will be asked about, so it
+// alone is armed to fold the CFL reduction in. A hook error aborts the
+// step and leaves the stepped leaves mid-stage.
+func (t *Tree) StepLeaves(own []int, dt float64, h StepHooks) error {
+	fs := t.cfg.Core.FailSafe
+	for _, i := range own {
+		n := t.leaves[i]
+		n.u0.CopyFrom(n.sol.G.U)
+	}
+	for stage := 1; stage <= 2; stage++ {
+		for _, i := range own {
+			n := t.leaves[i]
+			n.sol.ComputeRHS(n.rhs)
+			t.zoneUpdates += int64(n.sol.G.Nx * n.sol.G.Ny)
+		}
+		if fs {
+			for _, i := range own {
+				t.leaves[i].sol.FSBegin()
+			}
+		}
+		for _, i := range own {
+			n := t.leaves[i]
+			n.sol.G.U.AXPY(dt, n.rhs)
+		}
+		if fs {
+			if err := t.detectRepair(own, stage, dt, h.Masks); err != nil {
+				return err
+			}
+		}
+		if err := h.Halos(stage, fs); err != nil {
+			return err
+		}
+	}
+	for _, i := range own {
+		n := t.leaves[i]
+		n.sol.G.U.LinComb2(0.5, n.u0, 0.5, n.sol.G.U)
+	}
+	t.ArmCFL(own)
+	if err := h.Halos(0, false); err != nil {
+		return err
+	}
+	t.t += dt
+	t.steps++
+	return nil
+}
+
+// Step advances every leaf by dt, then regrids on the configured cadence.
+// With every leaf stepped here the neighbours' masks are already current
+// when Masks runs, which leaves it the global demotion check
+// (core.Config.FailSafeMaxFrac), and Halos is the whole-tree sync.
 func (t *Tree) Step(dt float64) error {
 	if dt <= 0 {
 		return fmt.Errorf("amr: non-positive dt %v", dt)
 	}
-	stage := func(num int) error {
-		if t.cfg.Core.FailSafe {
-			return t.stageFS(num, dt)
-		}
-		for _, n := range t.leaves {
-			n.sol.ComputeRHS(n.rhs)
-			t.zoneUpdates += int64(n.sol.G.Nx * n.sol.G.Ny)
-		}
-		for _, n := range t.leaves {
-			n.sol.G.U.AXPY(dt, n.rhs)
-		}
-		t.sync(false)
-		return nil
-	}
-	for _, n := range t.leaves {
-		n.u0.CopyFrom(n.sol.G.U)
-	}
-	if err := stage(1); err != nil {
+	err := t.StepLeaves(t.all, dt, StepHooks{
+		Masks: func(stage, troubled int) (bool, error) {
+			if f := t.cfg.Core.FailSafeMaxFrac; f > 0 && float64(troubled) > f*float64(t.TotalZones()) {
+				return false, &core.StateError{Stage: stage, Troubled: troubled}
+			}
+			return troubled > 0, nil
+		},
+		Halos: func(_ int, recovered bool) error {
+			if recovered {
+				t.fillGhosts()
+			} else {
+				t.SyncSubset(t.all, t.all)
+			}
+			return nil
+		},
+	})
+	if err != nil {
 		return err
 	}
-	if err := stage(2); err != nil {
-		return err
-	}
-	// The combine is a convex combination of two detector-clean states
-	// and the admissible set is convex, so it needs no detection (see
-	// failsafe.go).
-	for _, n := range t.leaves {
-		n.sol.G.U.LinComb2(0.5, n.u0, 0.5, n.sol.G.U)
-	}
-	t.sync(true)
-
-	t.t += dt
-	t.steps++
 	if t.steps%t.cfg.RegridEvery == 0 {
 		t.regrid()
-		t.sync(true)
+		t.sync()
 	}
 	return nil
 }

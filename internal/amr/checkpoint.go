@@ -96,20 +96,20 @@ func (t *Tree) save(w io.Writer, prims bool) error {
 // fit wraps output.ErrCheckpointMismatch. The serving layer uses this
 // to distinguish fatal resume failures from transient I/O.
 func Load(r io.Reader, coreCfg core.Config) (*Tree, error) {
-	payload, framed, err := durable.Sniff(r)
+	// Save always frames; a stream without the frame header is rejected
+	// as corrupt here.
+	framed, err := durable.NewReader(r)
 	if err != nil {
 		return nil, err
 	}
 	var cp treeCheckpoint
-	if err := gob.NewDecoder(payload).Decode(&cp); err != nil {
+	if err := gob.NewDecoder(framed).Decode(&cp); err != nil {
 		return nil, output.CorruptError("amr: decode checkpoint", err)
 	}
-	if framed != nil {
-		// gob may leave the frame tail unread; Verify rules out a torn
-		// tail masquerading as a clean load.
-		if err := framed.Verify(); err != nil {
-			return nil, output.CorruptError("amr: verify checkpoint frame", err)
-		}
+	// gob may leave the frame tail unread; Verify rules out a torn tail
+	// masquerading as a clean load.
+	if err := framed.Verify(); err != nil {
+		return nil, output.CorruptError("amr: verify checkpoint frame", err)
 	}
 	p, err := testprob.ByName(cp.Problem)
 	if err != nil {
@@ -151,7 +151,7 @@ func Load(r io.Reader, coreCfg core.Config) (*Tree, error) {
 		}
 	}
 	if !exact {
-		t.sync(true)
+		t.sync()
 	}
 	return t, nil
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"rhsc/internal/core"
+	"rhsc/internal/durable"
 	"rhsc/internal/output"
 	"rhsc/internal/testprob"
 )
@@ -261,9 +262,21 @@ func TestLoadErrorTaxonomy(t *testing.T) {
 			Leaves: []leafRecord{{Level: 0, Bi: 0, Bj: 0, U: []float64{1}}}},
 	}
 	for i, cp := range bad {
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(&cp); err != nil {
+		var raw, buf bytes.Buffer
+		if err := gob.NewEncoder(&raw).Encode(&cp); err != nil {
 			t.Fatal(err)
+		}
+		fw := durable.NewWriter(&buf)
+		if _, err := fw.Write(raw.Bytes()); err != nil {
+			t.Fatal(err)
+		}
+		if err := fw.Seal(); err != nil {
+			t.Fatal(err)
+		}
+		// The same payload without its frame is what no writer has
+		// produced since PR 8: corrupt, never loaded.
+		if _, err := Load(&raw, coreCfg); !errors.Is(err, output.ErrCheckpointCorrupt) {
+			t.Errorf("unframed payload %d classified %v, want ErrCheckpointCorrupt", i, err)
 		}
 		_, err := Load(&buf, coreCfg)
 		if !errors.Is(err, output.ErrCheckpointMismatch) {

@@ -11,8 +11,9 @@ import (
 )
 
 // This file is the distribution interface of the tree: the minimal set of
-// exported, leaf-indexed operations package damr needs to run one Tree
-// replica per rank in lockstep. Leaves are addressed by their index into
+// exported, leaf-indexed operations package damr needs, beside StepLeaves
+// and its two hooks (amr.go), to run one Tree replica per rank in
+// lockstep. Leaves are addressed by their index into
 // the current leaf ordering (deterministic depth-first traversal); the
 // ordering — and therefore every index — is invalidated by a regrid, so
 // callers re-enumerate via LeafRefs after RegridWithIndicators reports a
@@ -216,40 +217,6 @@ func (t *Tree) coveringLeaves(k key) []*node {
 	return nil
 }
 
-// BeginStep snapshots the conserved state of the given leaves into their
-// RK stage-zero storage (the first half of Tree.Step, restricted to a
-// leaf subset).
-func (t *Tree) BeginStep(idx []int) {
-	for _, i := range idx {
-		n := t.leaves[i]
-		n.u0.CopyFrom(n.sol.G.U)
-	}
-}
-
-// StageAdvance evaluates the RHS of the given leaves and applies the
-// Euler update u += dt·L(u), accounting the zone updates. Ghosts must be
-// current; the caller re-synchronises afterwards.
-func (t *Tree) StageAdvance(idx []int, dt float64) {
-	for _, i := range idx {
-		n := t.leaves[i]
-		n.sol.ComputeRHS(n.rhs)
-		t.zoneUpdates += int64(n.sol.G.Nx * n.sol.G.Ny)
-	}
-	for _, i := range idx {
-		n := t.leaves[i]
-		n.sol.G.U.AXPY(dt, n.rhs)
-	}
-}
-
-// CombineStage applies the SSP-RK2 combination u ← ½u⁰ + ½u to the given
-// leaves.
-func (t *Tree) CombineStage(idx []int) {
-	for _, i := range idx {
-		n := t.leaves[i]
-		n.sol.G.U.LinComb2(0.5, n.u0, 0.5, n.sol.G.U)
-	}
-}
-
 // SyncSubset recovers primitives on the `recover` leaves and refills the
 // External ghosts of the `ghosts` leaves. The ghost fill of a leaf reads
 // the recovered interiors of its neighbours, so `recover` must cover the
@@ -258,18 +225,14 @@ func (t *Tree) SyncSubset(recover, ghosts []int) {
 	for _, i := range recover {
 		t.leaves[i].sol.RecoverPrimitives()
 	}
-	ls := t.ghostScratch[:0]
-	for _, i := range ghosts {
-		ls = append(ls, t.leaves[i])
-	}
-	t.ghostScratch = ls
-	t.fillGhostsOf(ls)
+	t.fillGhostsOf(ghosts)
 }
 
 // ArmCFL arms the next primitive recovery of the given leaves to fold the
-// CFL reduction into its pass (core.Solver.AccumulateCFLNext). Distributed
-// drivers arm their owned leaves before the final SyncSubset of a step so
-// the following MaxDtOf is a cheap per-leaf combine.
+// CFL reduction into its pass (core.Solver.AccumulateCFLNext), so the
+// following MaxDtOf is a cheap per-leaf combine. Arm only a recovery whose
+// state is the one MaxDt will be asked about: StepLeaves arms the
+// combine's, drivers the post-regrid one.
 func (t *Tree) ArmCFL(idx []int) {
 	for _, i := range idx {
 		t.leaves[i].sol.AccumulateCFLNext()
@@ -278,7 +241,7 @@ func (t *Tree) ArmCFL(idx []int) {
 
 // SyncAll re-establishes the full primitive/ghost invariant on every leaf
 // (exported for drivers that bulk-install conserved data).
-func (t *Tree) SyncAll() { t.sync(true) }
+func (t *Tree) SyncAll() { t.sync() }
 
 // MaxDtOf returns the CFL step minimised over the given leaves (+Inf for
 // an empty set, ready for an all-reduce).
@@ -290,13 +253,6 @@ func (t *Tree) MaxDtOf(idx []int) float64 {
 		}
 	}
 	return dt
-}
-
-// AdvanceTime moves the solution clock forward one step of size dt. The
-// caller is responsible for having advanced every leaf consistently.
-func (t *Tree) AdvanceTime(dt float64) {
-	t.t += dt
-	t.steps++
 }
 
 // RegridWithIndicators runs the regrid cycle with externally supplied

@@ -4,7 +4,6 @@ import (
 	"errors"
 
 	"rhsc/internal/core"
-	"rhsc/internal/grid"
 )
 
 // A posteriori fail-safe over the block tree (core.Config.FailSafe on
@@ -37,57 +36,51 @@ import (
 // stage sync's primitive recovery re-enters c2p at the already
 // converged pressures, which the Newton loop returns unchanged.
 
-// stageFS is the fail-safe variant of the Step stage closure: Euler
-// update, detect, repair, sync.
-func (t *Tree) stageFS(stage int, dt float64) error {
-	for _, n := range t.leaves {
-		n.sol.ComputeRHS(n.rhs)
-		t.zoneUpdates += int64(n.sol.G.Nx * n.sol.G.Ny)
-	}
-	for _, n := range t.leaves {
-		n.sol.FSBegin()
-	}
-	for _, n := range t.leaves {
-		n.sol.G.U.AXPY(dt, n.rhs)
-	}
+// detectRepair is the fail-safe tail of one Euler stage of StepLeaves,
+// entered with the candidate update u += dt·L(u) applied to the leaves
+// own: fault hook, detect, Masks hook, repair. Detection (and repair)
+// recover every stepped leaf's primitives from the candidate state as
+// they go, which is why the stage's Halos hook is told not to.
+//
+// Both owners of a face between a stepped leaf and a neighbour must see
+// the same flags so each recomputes the same corrected flux; the Masks
+// hook makes the neighbours' masks current (a no-op when they are stepped
+// here too, an exchange when another rank steps them), and when every
+// mask is clean the repair and its mask ghost fill are skipped. Only
+// flagged cells count as repaired — cells that merely receive a corrected
+// neighbour flux do not, the accounting core.Solver uses.
+func (t *Tree) detectRepair(own []int, stage int, dt float64, masks func(stage, troubled int) (bool, error)) error {
 	// Same injection point core.Step offers: after the candidate update,
 	// before detection, once per leaf in deterministic leaf order.
 	if hook := t.cfg.Core.FaultHook; hook != nil {
-		for _, n := range t.leaves {
-			hook(stage, n.sol.G.U)
+		for _, i := range own {
+			hook(stage, t.leaves[i].sol.G.U)
 		}
 	}
 	troubled := 0
-	for _, n := range t.leaves {
-		troubled += n.sol.FSDetect()
+	for _, i := range own {
+		troubled += t.leaves[i].sol.FSDetect()
 	}
-	if troubled > 0 {
-		t.troubledCells += int64(troubled)
-		if f := t.cfg.Core.FailSafeMaxFrac; f > 0 && float64(troubled) > f*float64(t.TotalZones()) {
-			return &core.StateError{Stage: stage, Troubled: troubled}
-		}
-		t.fillMaskGhostsOf(t.leaves)
-		for _, n := range t.leaves {
-			if !maskAny(n.sol.FSMask()) {
-				continue
-			}
-			if err := n.sol.FSRepair(stage, dt, 0, 1); err != nil {
-				var se *core.StateError
-				if errors.As(err, &se) {
-					se.Troubled = troubled
-				}
-				return err
-			}
-		}
-		t.repairedCells += int64(troubled)
+	t.troubledCells += int64(troubled)
+	repair, err := masks(stage, troubled)
+	if err != nil || !repair {
+		return err
 	}
-	// Detection (and repair) already recovered every leaf's primitives
-	// from the candidate state, so the stage sync reduces to the ghost
-	// refill. Re-running recovery here would not be bitwise neutral: a
-	// cell whose stored primitives were clamped (pressure floor,
-	// velocity cap) re-enters Newton from the clamped guess and lands on
-	// a marginally different root than the plain path's single recovery.
-	t.fillGhosts()
+	t.fillMaskGhostsOf(own)
+	for _, i := range own {
+		n := t.leaves[i]
+		if !maskAny(n.sol.FSMask()) {
+			continue
+		}
+		if err := n.sol.FSRepair(stage, dt, 0, 1); err != nil {
+			var se *core.StateError
+			if errors.As(err, &se) {
+				se.Troubled = troubled
+			}
+			return err
+		}
+	}
+	t.repairedCells += int64(troubled)
 	return nil
 }
 
@@ -100,46 +93,17 @@ func (t *Tree) TroubledCells() int64 { return t.troubledCells }
 func (t *Tree) RepairedCells() int64 { return t.repairedCells }
 
 // fillMaskGhostsOf fills External-face mask ghosts of the given leaves
-// from neighbour interiors, mirroring fillGhostsOf band for band so a
-// flag next to a block face is visible from both sides before repair.
-func (t *Tree) fillMaskGhostsOf(ls []*node) {
-	for _, n := range ls {
-		g := n.sol.G
-		mask := n.sol.FSMask()
-		ng := g.Ng
-		fill := func(i, j int) {
+// from neighbour interiors, over the bands fillGhostsOf fills, so a flag
+// next to a block face is visible from both sides before repair. Mask
+// sampling reads the interiors of face-adjacent leaves, so their masks
+// must be current.
+func (t *Tree) fillMaskGhostsOf(idx []int) {
+	for _, li := range idx {
+		sol := t.leaves[li].sol
+		g, mask := sol.G, sol.FSMask()
+		t.forExternalGhosts(g, func(i, j int) {
 			mask[g.Idx(i, j, g.KBeg())] = t.sampleMask(g.X(i), g.Y(j), g.Dx, g.Dy)
-		}
-		if g.BCs[0][0] == grid.External {
-			for j := g.JBeg(); j < g.JEnd(); j++ {
-				for i := 0; i < ng; i++ {
-					fill(i, j)
-				}
-			}
-		}
-		if g.BCs[0][1] == grid.External {
-			for j := g.JBeg(); j < g.JEnd(); j++ {
-				for i := g.IEnd(); i < g.IEnd()+ng; i++ {
-					fill(i, j)
-				}
-			}
-		}
-		if t.dim >= 2 {
-			if g.BCs[1][0] == grid.External {
-				for j := 0; j < ng; j++ {
-					for i := g.IBeg(); i < g.IEnd(); i++ {
-						fill(i, j)
-					}
-				}
-			}
-			if g.BCs[1][1] == grid.External {
-				for j := g.JEnd(); j < g.JEnd()+ng; j++ {
-					for i := g.IBeg(); i < g.IEnd(); i++ {
-						fill(i, j)
-					}
-				}
-			}
-		}
+		})
 	}
 }
 
@@ -173,78 +137,8 @@ func maskAny(m []uint8) bool {
 	return false
 }
 
-// Distribution interface (see dist.go): the split-phase version of
-// stageFS a per-rank driver runs on its owned leaf subset, with the
-// cross-rank mask exchange between detection and repair.
-
-// StageAdvanceFS is StageAdvance with the fail-safe pipeline: stage
-// snapshot, Euler update, fault hook, detection. It returns the number
-// of interior cells flagged on the given leaves; the caller exchanges
-// troubled-cell masks with the ranks owning neighbour leaves (so both
-// sides of a rank-boundary face recompute the same corrected flux),
-// then calls FSGhostMasks and FSRepairLeaves.
-func (t *Tree) StageAdvanceFS(idx []int, stage int, dt float64) int {
-	for _, i := range idx {
-		n := t.leaves[i]
-		n.sol.ComputeRHS(n.rhs)
-		t.zoneUpdates += int64(n.sol.G.Nx * n.sol.G.Ny)
-	}
-	for _, i := range idx {
-		t.leaves[i].sol.FSBegin()
-	}
-	for _, i := range idx {
-		n := t.leaves[i]
-		n.sol.G.U.AXPY(dt, n.rhs)
-	}
-	if hook := t.cfg.Core.FaultHook; hook != nil {
-		for _, i := range idx {
-			hook(stage, t.leaves[i].sol.G.U)
-		}
-	}
-	troubled := 0
-	for _, i := range idx {
-		troubled += t.leaves[i].sol.FSDetect()
-	}
-	t.troubledCells += int64(troubled)
-	t.fsPending += troubled
-	return troubled
-}
-
-// FSGhostMasks fills the External-face mask ghosts of the given leaves.
-// Mask sampling reads the interiors of face-adjacent leaves, so the
-// masks of halo replicas must be current (installed via LeafFSMask)
-// before the call.
-func (t *Tree) FSGhostMasks(idx []int) {
-	ls := t.ghostScratch[:0]
-	for _, i := range idx {
-		ls = append(ls, t.leaves[i])
-	}
-	t.ghostScratch = ls
-	t.fillMaskGhostsOf(ls)
-}
-
-// FSRepairLeaves runs the local flux-replacement repair on every dirty
-// leaf among idx for the given Euler stage. On success the stage's
-// flagged-cell tally (from StageAdvanceFS) moves into RepairedCells;
-// cells that only receive a corrected neighbour flux are not counted —
-// the same accounting core.Solver uses.
-func (t *Tree) FSRepairLeaves(idx []int, stage int, dt float64) error {
-	for _, i := range idx {
-		n := t.leaves[i]
-		if !maskAny(n.sol.FSMask()) {
-			continue
-		}
-		if err := n.sol.FSRepair(stage, dt, 0, 1); err != nil {
-			t.fsPending = 0
-			return err
-		}
-	}
-	t.repairedCells += int64(t.fsPending)
-	t.fsPending = 0
-	return nil
-}
-
 // LeafFSMask returns the troubled-cell mask of leaf i (full grid
-// layout, allocated on first use) — the distributed driver packs owned
-// masks from it and installs received neighbour masks into it.
+// layout, allocated on first use) — the distributed driver's Masks hook
+// packs owned masks from it and installs received neighbour masks into
+// it.
 func (t *Tree) LeafFSMask(i int) []uint8 { return t.leaves[i].sol.FSMask() }

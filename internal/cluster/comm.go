@@ -162,7 +162,7 @@ type Comm struct {
 	expect []uint64
 	ooo    []map[uint64]message
 	// alarmSeen is the alarm generation this rank has already processed
-	// (see SeenAlarm in fault.go).
+	// (see AckAlarm in fault.go).
 	alarmSeen uint64
 }
 
@@ -222,28 +222,16 @@ func (c *Comm) Send(dst, tag int, data []float64, stamp float64) {
 // everything it sent (or, in reliable mode, could still retransmit) has
 // been drained, Recv returns ErrRankFailed. On a transport world with a
 // configured RecvDeadline the wait is additionally time-bounded and
-// surfaces ErrTimeout.
+// surfaces ErrTimeout. It is the receive of the non-fault-tolerant
+// protocols, which have no exclusion protocol to hand a timeout to;
+// everything that must survive a peer failure uses FTRecv (fault.go).
 func (c *Comm) Recv(src, tag int) ([]float64, float64, error) {
-	return c.recvTagged(src, tag, c.w.RecvDeadline(), false, 0)
-}
-
-// RecvTimeout is Recv with an explicit deadline overriding the world's
-// base RecvDeadline; d <= 0 disables the deadline for this call.
-func (c *Comm) RecvTimeout(src, tag int, d time.Duration) ([]float64, float64, error) {
-	return c.recvTagged(src, tag, d, false, 0)
-}
-
-// RecvInterruptible is RecvTimeout that additionally wakes with
-// ErrInterrupted when the world alarm generation moves past seenGen
-// (see World.Alarm). Callers snapshot AlarmGen at their recovery point
-// and pass it here.
-func (c *Comm) RecvInterruptible(src, tag int, d time.Duration, seenGen uint64) ([]float64, float64, error) {
-	return c.recvTagged(src, tag, d, true, seenGen)
+	return c.recvTagged(src, tag, c.w.RecvDeadline(), false)
 }
 
 // recvTagged is the tag-matching layer over recvMsg: scan the stash,
 // then pull messages (stashing mismatched tags) until one matches.
-func (c *Comm) recvTagged(src, tag int, d time.Duration, intr bool, seenGen uint64) ([]float64, float64, error) {
+func (c *Comm) recvTagged(src, tag int, d time.Duration, intr bool) ([]float64, float64, error) {
 	for i, m := range c.pending[src] {
 		if m.tag == tag {
 			c.pending[src] = append(c.pending[src][:i], c.pending[src][i+1:]...)
@@ -255,7 +243,7 @@ func (c *Comm) recvTagged(src, tag int, d time.Duration, intr bool, seenGen uint
 		deadline = time.Now().Add(d)
 	}
 	for {
-		m, err := c.recvMsg(src, deadline, intr, seenGen)
+		m, err := c.recvMsg(src, deadline, intr)
 		if err != nil {
 			return nil, 0, fmt.Errorf("%w: rank %d (tag %d)", err, src, tag)
 		}
@@ -268,16 +256,18 @@ func (c *Comm) recvTagged(src, tag int, d time.Duration, intr bool, seenGen uint
 
 // recvMsg pulls the next deliverable message from src: the next frame on
 // a default world, the next in-sequence fresh-era frame on a reliable
-// world. It returns bare sentinel errors (ErrRankFailed, ErrTimeout,
+// world. With intr set the wait also ends, with ErrInterrupted, once the
+// world alarm generation has moved past the one this rank acknowledged
+// (AckAlarm). It returns bare sentinel errors (ErrRankFailed, ErrTimeout,
 // ErrInterrupted); recvTagged adds context.
-func (c *Comm) recvMsg(src int, deadline time.Time, intr bool, seenGen uint64) (message, error) {
+func (c *Comm) recvMsg(src int, deadline time.Time, intr bool) (message, error) {
 	w := c.w
 	box := w.boxes[src][c.rank]
 	rel := w.rel != nil
 	nc := w.counters()
 	for {
 		if intr {
-			if _, gen := w.alarms.state(); gen != seenGen {
+			if _, gen := w.alarms.state(); gen != c.alarmSeen {
 				if nc != nil {
 					nc.Interrupts.Add(1)
 				}
@@ -547,6 +537,17 @@ func (n NetModel) Cost(bytes int) float64 {
 		c += float64(bytes) / n.Bandwidth
 	}
 	return c
+}
+
+// Arrive returns a receiver's virtual clock once a message of the given
+// float64 words, stamped with the sender's clock at posting time, has
+// landed: the message is available at stamp plus its transit time, and a
+// receiver that is already past that point does not wait.
+func (n NetModel) Arrive(clock, stamp float64, words int) float64 {
+	if avail := stamp + n.Cost(words*8); avail > clock {
+		return avail
+	}
+	return clock
 }
 
 // AllReduceCost returns the modelled virtual cost of one scalar allreduce

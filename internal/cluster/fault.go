@@ -4,8 +4,8 @@ package cluster
 // itself and returning from its driver loop; it never closes its
 // mailboxes (closing would panic later senders) and never sends again.
 // Survivors observe the failure either by reading Failed, or — the only
-// race-free way during a protocol — through RecvErr, whose wake-up on the
-// victim's down channel happens-after Kill.
+// race-free way during a protocol — through a receive (Recv, FTRecv),
+// whose wake-up on the victim's down channel happens-after Kill.
 //
 // Failure model (matches the damr recovery protocol): fail-stop, one
 // failure per detection window, failures only between protocol phases
@@ -59,27 +59,20 @@ func (c *Comm) Failed(r int) bool { return c.w.Failed(r) }
 // AliveRanks returns the ranks not yet killed, ascending.
 func (c *Comm) AliveRanks() []int { return c.w.AliveRanks() }
 
-// RecvErr is Recv with failure detection: it blocks for the next message
-// from src with the given tag, but returns ErrRankFailed once src is dead
-// and everything it sent before dying (or, in reliable mode, everything
-// its retransmitter can still repair) has been drained. Messages with
-// other tags are stashed exactly like Recv. Since the transport layer
-// unified the receive paths, RecvErr and Recv are the same call; the
-// name is kept for the protocols written against the fail-stop model.
-func (c *Comm) RecvErr(src, tag int) ([]float64, float64, error) {
-	return c.recvTagged(src, tag, c.w.RecvDeadline(), false, 0)
+// AckAlarm reads the world's alarm generation and records it as processed
+// by this rank — the snapshot a rank takes at its recovery point. It
+// returns the generation and whether it had moved since the previous
+// acknowledgement. FTRecv — and with it the FT collectives — wakes with
+// ErrInterrupted as soon as the world alarm moves past the acknowledged
+// generation.
+func (c *Comm) AckAlarm() (gen uint64, moved bool) {
+	_, gen = c.w.alarms.state()
+	moved = gen != c.alarmSeen
+	c.alarmSeen = gen
+	return gen, moved
 }
 
-// SeenAlarm records the alarm generation this rank has already processed
-// (snapshot at its recovery point). Interruptible receives — including
-// the FT collectives on a transport world — wake with ErrInterrupted as
-// soon as the world alarm moves past it.
-func (c *Comm) SeenAlarm(gen uint64) { c.alarmSeen = gen }
-
-// AlarmGen returns the world's current alarm generation.
-func (c *Comm) AlarmGen() uint64 { return c.w.AlarmGen() }
-
-// Suspect converts a timed-out receive from p into the revocation
+// suspect converts a timed-out receive from p into the revocation
 // protocol: if this rank has itself been excluded meanwhile (a
 // partitioned rank usually discovers its own exclusion this way, because
 // its point-to-point deadlines are longer than its peers'), it must bow
@@ -87,7 +80,7 @@ func (c *Comm) AlarmGen() uint64 { return c.w.AlarmGen() }
 // round; otherwise declare p dead and raise the alarm so every rank
 // unwinds to recovery. Kill happens strictly before Alarm, so every rank
 // woken by the alarm computes the same survivor set.
-func (c *Comm) Suspect(p int) error {
+func (c *Comm) suspect(p int) error {
 	if c.w.Failed(c.rank) {
 		return fmt.Errorf("%w: rank %d", ErrSelfExcluded, c.rank)
 	}
@@ -99,19 +92,31 @@ func (c *Comm) Suspect(p int) error {
 	return fmt.Errorf("%w: rank %d unresponsive, alarm raised", ErrInterrupted, p)
 }
 
-// ftRecv is the receive primitive of the FT collectives. On a default
-// world it is exactly the historical RecvErr (blocking, death-aware). On
-// a transport world it is additionally bounded by mult × the base
-// deadline and interruptible by the recovery alarm.
-func (c *Comm) ftRecv(src, tag, mult int) ([]float64, float64, error) {
+// FTRecv is the receive of every protocol that survives a peer failure:
+// the FT collectives below and the point-to-point phases of the damr
+// driver. On a default world it blocks and is death-aware (ErrRankFailed
+// once src is dead and everything it sent before dying has been drained).
+// On a transport world it additionally waits at most mult × the base
+// RecvDeadline, wakes with ErrInterrupted when the recovery alarm moves
+// past the generation this rank acknowledged (AckAlarm), and hands a
+// timeout to the revocation protocol (suspect) — so the caller only ever
+// sees ErrRankFailed, ErrInterrupted or ErrSelfExcluded, never a bare
+// ErrTimeout. Callers pick mult so that a partitioned rank's own waits
+// outlast its peers': it must discover its own exclusion before it can
+// falsely suspect a live peer.
+func (c *Comm) FTRecv(src, tag, mult int) ([]float64, float64, error) {
 	if c.w.tc == nil {
-		return c.recvTagged(src, tag, 0, false, 0)
+		return c.recvTagged(src, tag, 0, false)
 	}
 	d := c.w.tc.RecvDeadline
 	if d > 0 {
 		d *= time.Duration(mult)
 	}
-	return c.recvTagged(src, tag, d, true, c.alarmSeen)
+	data, stamp, err := c.recvTagged(src, tag, d, true)
+	if errors.Is(err, ErrTimeout) {
+		err = c.suspect(src)
+	}
+	return data, stamp, err
 }
 
 // Fault-tolerant collective tags (clear of halo, reduce and damr tags).
@@ -121,89 +126,38 @@ const (
 )
 
 // FTAllReduceMin is AllReduceMin over a participant list that survives
-// rank failures. participants must be ascending, identical on every
-// calling rank, and contain the caller; every participant that is alive
-// must call it. The root (lowest participant) gathers with RecvErr, so a
-// participant that died before contributing is simply excluded; the root
-// then broadcasts the reduced value together with the survivor list, and
-// every survivor returns the same (value, survivors) pair. If the root
-// itself died, the remaining participants retry with the next rank as
-// root (first-round contributions sent to the dead root rot unread in its
-// mailboxes, so retries cannot observe stale data). The error is always
-// nil today; it is reserved for exhaustion of the participant list.
+// rank failures: the in-order fold of FTAllGather, with the same
+// participant contract and failure semantics. Every survivor folds the
+// same contributions in ascending rank order, so all of them return the
+// same (value, survivors) pair to the last bit.
 func (c *Comm) FTAllReduceMin(x float64, participants []int) (float64, []int, error) {
-	parts := append([]int(nil), participants...)
-	for {
-		if len(parts) == 0 {
-			return 0, nil, fmt.Errorf("%w: no participants left", ErrRankFailed)
-		}
-		if len(parts) == 1 {
-			return x, parts, nil
-		}
-		root := parts[0]
-		if c.rank == root {
-			val := x
-			alive := []int{root}
-			for _, p := range parts[1:] {
-				v, _, err := c.ftRecv(p, tagFTReduce, 1)
-				if errors.Is(err, ErrTimeout) {
-					return 0, nil, c.Suspect(p)
-				}
-				if err != nil && !errors.Is(err, ErrRankFailed) {
-					return 0, nil, err // interrupted or self-excluded
-				}
-				if err != nil {
-					continue // p died before contributing
-				}
-				if v[0] < val {
-					val = v[0]
-				}
-				alive = append(alive, p)
-			}
-			payload := make([]float64, 0, 2+len(alive))
-			payload = append(payload, val, float64(len(alive)))
-			for _, p := range alive {
-				payload = append(payload, float64(p))
-			}
-			for _, p := range alive[1:] {
-				c.Send(p, tagFTBcast, payload, 0)
-			}
-			return val, alive, nil
-		}
-		c.Send(root, tagFTReduce, []float64{x}, 0)
-		// The non-root deadline is scaled well past the root's per-peer
-		// deadline: the root may legitimately wait ~len(parts) deadlines
-		// before broadcasting, and a partitioned rank must discover its
-		// own exclusion (ErrSelfExcluded via Suspect) before it can
-		// falsely suspect a live root.
-		v, _, err := c.ftRecv(root, tagFTBcast, len(parts)+2)
-		if errors.Is(err, ErrTimeout) {
-			return 0, nil, c.Suspect(root)
-		}
-		if err != nil && !errors.Is(err, ErrRankFailed) {
-			return 0, nil, err // interrupted or self-excluded
-		}
-		if err != nil {
-			// Root died: drop it and retry with the next participant as
-			// root. (Our contribution above is lost in its mailbox.)
-			parts = parts[1:]
-			continue
-		}
-		val := v[0]
-		n := int(v[1])
-		alive := make([]int, n)
-		for i := 0; i < n; i++ {
-			alive[i] = int(v[2+i])
-		}
-		return val, alive, nil
+	parts, alive, err := c.FTAllGather([]float64{x}, participants)
+	if err != nil {
+		return 0, nil, err
 	}
+	val := parts[alive[0]][0]
+	for _, p := range alive[1:] {
+		if v := parts[p][0]; v < val {
+			val = v
+		}
+	}
+	return val, alive, nil
 }
 
-// FTAllGather is AllGather with the same failure semantics as
-// FTAllReduceMin: the returned slice is indexed by world rank (nil for
-// ranks that did not participate or died before contributing), and every
-// survivor gets the same survivor list. The returned slices alias
-// transported buffers; callers must not mutate them.
+// FTAllGather is AllGather over a participant list that survives rank
+// failures. participants must be ascending, identical on every calling
+// rank, and contain the caller; every participant that is alive must call
+// it. The root (lowest participant) gathers with FTRecv, so a participant
+// that died before contributing is simply excluded; the root then
+// broadcasts the contributions together with the survivor list, and every
+// survivor returns the same pair. The returned slice is indexed by world
+// rank (nil for ranks that did not participate or died before
+// contributing) and aliases transported buffers; callers must not mutate
+// it. If the root itself died, the remaining participants retry with the
+// next rank as root (first-round contributions sent to the dead root rot
+// unread in its mailboxes, so retries cannot observe stale data). An
+// error means this rank must unwind: it was interrupted by the recovery
+// alarm, excluded, or ran out of participants.
 func (c *Comm) FTAllGather(data []float64, participants []int) ([][]float64, []int, error) {
 	parts := append([]int(nil), participants...)
 	for {
@@ -221,15 +175,12 @@ func (c *Comm) FTAllGather(data []float64, participants []int) ([][]float64, []i
 			out[root] = data
 			alive := []int{root}
 			for _, p := range parts[1:] {
-				v, _, err := c.ftRecv(p, tagFTReduce, 1)
-				if errors.Is(err, ErrTimeout) {
-					return nil, nil, c.Suspect(p)
-				}
-				if err != nil && !errors.Is(err, ErrRankFailed) {
-					return nil, nil, err
+				v, _, err := c.FTRecv(p, tagFTReduce, 1)
+				if errors.Is(err, ErrRankFailed) {
+					continue // p died before contributing
 				}
 				if err != nil {
-					continue
+					return nil, nil, err // interrupted or self-excluded
 				}
 				out[p] = v
 				alive = append(alive, p)
@@ -255,16 +206,19 @@ func (c *Comm) FTAllGather(data []float64, participants []int) ([][]float64, []i
 			return out, alive, nil
 		}
 		c.Send(root, tagFTReduce, data, 0)
-		flat, _, err := c.ftRecv(root, tagFTBcast, len(parts)+2)
-		if errors.Is(err, ErrTimeout) {
-			return nil, nil, c.Suspect(root)
-		}
-		if err != nil && !errors.Is(err, ErrRankFailed) {
-			return nil, nil, err
-		}
-		if err != nil {
+		// The non-root deadline is scaled well past the root's per-peer
+		// deadline: the root may legitimately wait ~len(parts) deadlines
+		// before broadcasting, and a partitioned rank must discover its
+		// own exclusion before it can falsely suspect a live root.
+		flat, _, err := c.FTRecv(root, tagFTBcast, len(parts)+2)
+		if errors.Is(err, ErrRankFailed) {
+			// Root died: drop it and retry with the next participant as
+			// root. (Our contribution above is lost in its mailbox.)
 			parts = parts[1:]
 			continue
+		}
+		if err != nil {
+			return nil, nil, err // interrupted or self-excluded
 		}
 		n := int(flat[0])
 		alive := make([]int, n)

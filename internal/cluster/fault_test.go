@@ -2,12 +2,16 @@ package cluster
 
 import (
 	"errors"
+	"math"
 	"reflect"
 	"sync"
 	"testing"
+	"testing/quick"
 )
 
-func TestFaultRecvErrDrainsBeforeFailing(t *testing.T) {
+// The two TestFaultRecv* tests pin FTRecv on a default world: blocking,
+// tag-stashing, and death-aware only after the victim's backlog drained.
+func TestFaultRecvDrainsBeforeFailing(t *testing.T) {
 	w := NewWorld(2)
 	a, b := w.Comm(0), w.Comm(1)
 	// Rank 0 posts two messages (one on a mismatched tag) and dies.
@@ -16,26 +20,26 @@ func TestFaultRecvErrDrainsBeforeFailing(t *testing.T) {
 	a.Kill()
 
 	// The mismatched tag is stashed, the matching one delivered.
-	v, _, err := b.RecvErr(0, 9)
+	v, _, err := b.FTRecv(0, 9, 1)
 	if err != nil || v[0] != 2 {
-		t.Fatalf("RecvErr(9) = %v, %v", v, err)
+		t.Fatalf("FTRecv(9) = %v, %v", v, err)
 	}
-	v, _, err = b.RecvErr(0, 7)
+	v, _, err = b.FTRecv(0, 7, 1)
 	if err != nil || v[0] != 1 {
-		t.Fatalf("RecvErr(7) = %v, %v", v, err)
+		t.Fatalf("FTRecv(7) = %v, %v", v, err)
 	}
 	// Mailbox empty, sender dead: typed failure.
-	if _, _, err = b.RecvErr(0, 7); !errors.Is(err, ErrRankFailed) {
+	if _, _, err = b.FTRecv(0, 7, 1); !errors.Is(err, ErrRankFailed) {
 		t.Fatalf("expected ErrRankFailed, got %v", err)
 	}
 }
 
-func TestFaultRecvErrWakesBlockedReceiver(t *testing.T) {
+func TestFaultRecvWakesBlockedReceiver(t *testing.T) {
 	w := NewWorld(2)
 	b := w.Comm(1)
 	done := make(chan error, 1)
 	go func() {
-		_, _, err := b.RecvErr(0, 7) // blocks: nothing sent
+		_, _, err := b.FTRecv(0, 7, 1) // blocks: nothing sent
 		done <- err
 	}()
 	w.Kill(0)
@@ -127,6 +131,78 @@ func TestFaultFTAllReduceMinRootDeath(t *testing.T) {
 		if !reflect.DeepEqual(lists[r], want) {
 			t.Fatalf("rank %d: survivors = %v, want %v", r, lists[r], want)
 		}
+	}
+}
+
+// TestFaultFTAllReduceMinIsGatherFold: for random values (signed zeros
+// and NaNs included) and random dead subsets, every survivor's
+// FTAllReduceMin is bit for bit the strict-less fold, in ascending rank
+// order, of what FTAllGather delivers — and both agree on the survivors.
+func TestFaultFTAllReduceMinIsGatherFold(t *testing.T) {
+	const n = 5
+	special := []float64{math.Copysign(0, -1), 0, math.NaN(), math.Inf(1), math.Inf(-1)}
+	check := func(vals [n]float64, pick [n]uint8, deadMask uint8) bool {
+		for i, k := range pick {
+			if k%4 == 0 { // a quarter of the slots draw from the awkward values
+				vals[i] = special[int(k/4)%len(special)]
+			}
+		}
+		if deadMask&(1<<n-1) == 1<<n-1 {
+			deadMask &^= 1 // keep at least one rank alive
+		}
+		w := NewWorld(n)
+		parts := make([]int, n)
+		var want []int
+		for r := range parts {
+			parts[r] = r
+			if deadMask&(1<<r) != 0 {
+				w.Kill(r)
+			} else {
+				want = append(want, r)
+			}
+		}
+		fold := vals[want[0]]
+		for _, r := range want[1:] {
+			if vals[r] < fold {
+				fold = vals[r]
+			}
+		}
+		ok := make([]bool, n)
+		var wg sync.WaitGroup
+		for _, r := range want {
+			wg.Add(1)
+			go func(r int) {
+				defer wg.Done()
+				c := w.Comm(r)
+				min, alive, err := c.FTAllReduceMin(vals[r], parts)
+				if err != nil {
+					return
+				}
+				got, galive, err := c.FTAllGather([]float64{vals[r]}, parts)
+				if err != nil {
+					return
+				}
+				gfold := got[galive[0]][0]
+				for _, p := range galive[1:] {
+					if got[p][0] < gfold {
+						gfold = got[p][0]
+					}
+				}
+				ok[r] = reflect.DeepEqual(alive, want) && reflect.DeepEqual(galive, want) &&
+					math.Float64bits(min) == math.Float64bits(gfold) &&
+					math.Float64bits(min) == math.Float64bits(fold)
+			}(r)
+		}
+		wg.Wait()
+		for _, r := range want {
+			if !ok[r] {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -33,6 +33,24 @@ func (m Mode) String() string {
 	return "async"
 }
 
+// Overlap splits the compute charge of one stage — zones zone-updates,
+// boundaryZones of them adjacent to a halo — around the halo wait:
+// before is charged once the sends are posted, after once the receives
+// have landed. Sync computes nothing until the halos are in; Async
+// sweeps the interior while they are in flight and only the boundary
+// zones wait.
+func (m Mode) Overlap(zones, boundaryZones int, dims, rate float64) (before, after float64) {
+	full := float64(zones) * dims / rate
+	if m != Async {
+		return 0, full
+	}
+	boundary := float64(boundaryZones) * dims / rate
+	if boundary > full {
+		boundary = full
+	}
+	return full - boundary, boundary
+}
+
 // Options configures a distributed run.
 type Options struct {
 	// Ranks is the total rank count. The process grid is Px × Py; when
@@ -223,10 +241,6 @@ func (r *rankState) exchange(w *state.Fields) {
 
 	// Virtual compute costs of this stage: boundary work is the ghost-
 	// adjacent band of each external face.
-	zones := float64(g.Nx * g.Ny * g.Nz)
-	rate := r.rate
-	dims := float64(g.Dim())
-	full := zones * dims / rate
 	bzones := 0
 	if r.left >= 0 {
 		bzones += ng * g.Ny * g.Nz
@@ -240,18 +254,13 @@ func (r *rankState) exchange(w *state.Fields) {
 	if r.up >= 0 {
 		bzones += ng * g.Nx * g.TotalZ
 	}
-	boundary := float64(bzones) * dims / rate
-	if boundary > full {
-		boundary = full
-	}
-	interior := full - boundary
+	before, after := r.opts.Mode.Overlap(g.Nx*g.Ny*g.Nz, bzones, float64(g.Dim()), r.rate)
 
 	charge := !r.firstSync
 	r.firstSync = false
 
-	if charge && r.opts.Mode == Async {
-		// Interior computes while halos are in flight.
-		r.clock += interior
+	if charge {
+		r.clock += before
 	}
 
 	recvOne := func(src, tag int) {
@@ -267,10 +276,7 @@ func (r *rankState) exchange(w *state.Fields) {
 			unpackYHalo(g, w, g.JEnd(), data)
 		}
 		if charge {
-			avail := stamp + r.opts.Net.Cost(len(data)*8)
-			if avail > r.clock {
-				r.clock = avail
-			}
+			r.clock = r.opts.Net.Arrive(r.clock, stamp, len(data))
 		}
 	}
 	if r.left >= 0 {
@@ -287,11 +293,7 @@ func (r *rankState) exchange(w *state.Fields) {
 	}
 
 	if charge {
-		if r.opts.Mode == Async {
-			r.clock += boundary
-		} else {
-			r.clock += full
-		}
+		r.clock += after
 	}
 }
 

@@ -13,11 +13,11 @@ package cluster
 //   - deadline-aware receives: every blocking receive is bounded and
 //     surfaces typed errors (ErrTimeout, ErrRankFailed, ErrInterrupted)
 //     instead of hanging;
-//   - a world-wide recovery alarm: the first rank whose receive times
-//     out marks the hung peer failed and raises the alarm, which wakes
-//     every other blocked receive with ErrInterrupted so the whole
-//     world collapses to its recovery protocol without cascading false
-//     suspicion;
+//   - a world-wide recovery alarm: the first rank whose fault-tolerant
+//     receive (Comm.FTRecv) times out marks the hung peer failed and
+//     raises the alarm, which wakes every other blocked FTRecv with
+//     ErrInterrupted so the whole world collapses to its recovery
+//     protocol without cascading false suspicion;
 //   - recovery eras: each Comm carries an era stamped onto its frames;
 //     after a recovery every survivor advances its era and the receive
 //     path discards (after acknowledging) any frame from before it, so
@@ -185,15 +185,15 @@ func (a *alarm) raise() {
 	a.gen++
 }
 
-// Alarm raises the world-wide recovery alarm: every receive blocked in
-// an interruptible wait wakes with ErrInterrupted, and receives entered
-// afterwards fail immediately until the caller re-reads AlarmGen. The
-// detector must Kill the suspect *before* raising the alarm so every
-// woken rank computes the same survivor set.
+// Alarm raises the world-wide recovery alarm: every FTRecv blocked on a
+// transport world wakes with ErrInterrupted, and those entered afterwards
+// fail immediately until the calling rank acknowledges the new generation
+// (Comm.AckAlarm). The detector must Kill the suspect *before* raising
+// the alarm so every woken rank computes the same survivor set.
 func (w *World) Alarm() { w.alarms.raise() }
 
-// AlarmGen returns the current alarm generation; a rank snapshots it at
-// its recovery point and passes it to interruptible receives.
+// AlarmGen returns the current alarm generation (ranks acknowledge it
+// through Comm.AckAlarm).
 func (w *World) AlarmGen() uint64 {
 	_, gen := w.alarms.state()
 	return gen

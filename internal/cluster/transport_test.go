@@ -55,14 +55,17 @@ func TestRecvDrainThenFail(t *testing.T) {
 	})
 }
 
-// TestRecvTimeoutTyped checks that a bounded receive with no sender
-// surfaces ErrTimeout (and is counted), never blocking past the bound.
-func TestRecvTimeoutTyped(t *testing.T) {
-	w := NewWorldTransport(2, TransportConfig{Reliable: true, RTO: time.Millisecond})
+// TestRecvDeadlineTyped checks that a receive with no sender on a world
+// with a RecvDeadline surfaces ErrTimeout (and is counted), never
+// blocking past the bound.
+func TestRecvDeadlineTyped(t *testing.T) {
+	w := NewWorldTransport(2, TransportConfig{
+		Reliable: true, RTO: time.Millisecond, RecvDeadline: 30 * time.Millisecond,
+	})
 	defer w.Close()
 	c1 := w.Comm(1)
 	withTimeout(t, 5*time.Second, func() {
-		if _, _, err := c1.RecvTimeout(0, 1, 30*time.Millisecond); !errors.Is(err, ErrTimeout) {
+		if _, _, err := c1.Recv(0, 1); !errors.Is(err, ErrTimeout) {
 			t.Errorf("err = %v, want ErrTimeout", err)
 		}
 	})
@@ -75,7 +78,9 @@ func TestRecvTimeoutTyped(t *testing.T) {
 // everything arrives intact, in per-tag order, with no repairs needed.
 func TestReliableCleanDelivery(t *testing.T) {
 	const n = 100
-	w := NewWorldTransport(2, TransportConfig{Reliable: true, RTO: 50 * time.Millisecond})
+	w := NewWorldTransport(2, TransportConfig{
+		Reliable: true, RTO: 50 * time.Millisecond, RecvDeadline: 5 * time.Second,
+	})
 	defer w.Close()
 	var wg sync.WaitGroup
 	wg.Add(2)
@@ -90,7 +95,7 @@ func TestReliableCleanDelivery(t *testing.T) {
 		defer wg.Done()
 		c := w.Comm(1)
 		for i := 0; i < n; i++ {
-			d, s, err := c.RecvTimeout(0, i%3, 5*time.Second)
+			d, s, err := c.Recv(0, i%3)
 			if err != nil {
 				t.Errorf("recv %d: %v", i, err)
 				return
@@ -115,10 +120,12 @@ func TestReliableCleanDelivery(t *testing.T) {
 }
 
 // chaosPattern runs a fixed all-pairs exchange over the given transport
-// and returns every received payload in a deterministic order.
+// (every receive bounded by a generous world deadline) and returns every
+// received payload in a deterministic order.
 func chaosPattern(t *testing.T, tc TransportConfig) [][]float64 {
 	t.Helper()
 	const ranks, msgs = 3, 40
+	tc.RecvDeadline = 10 * time.Second
 	w := NewWorldTransport(ranks, tc)
 	defer w.Close()
 	out := make([][][]float64, ranks)
@@ -140,7 +147,7 @@ func chaosPattern(t *testing.T, tc TransportConfig) [][]float64 {
 					continue
 				}
 				for i := 0; i < msgs; i++ {
-					d, s, err := c.RecvTimeout(src, i%4, 10*time.Second)
+					d, s, err := c.Recv(src, i%4)
 					if err != nil {
 						t.Errorf("rank %d recv %d from %d: %v", r, i, src, err)
 						return
@@ -180,6 +187,7 @@ func TestChaosMaskedBitwise(t *testing.T) {
 	})
 
 	// The schedule must actually have injected faults and repaired them.
+	chaos.RecvDeadline = 10 * time.Second
 	w := NewWorldTransport(2, chaos)
 	var wg sync.WaitGroup
 	wg.Add(2)
@@ -194,7 +202,7 @@ func TestChaosMaskedBitwise(t *testing.T) {
 		defer wg.Done()
 		c := w.Comm(1)
 		for i := 0; i < 200; i++ {
-			d, _, err := c.RecvTimeout(0, 0, 10*time.Second)
+			d, _, err := c.Recv(0, 0)
 			if err != nil || d[0] != float64(i) {
 				t.Errorf("recv %d: %v, %v", i, d, err)
 				return
@@ -213,8 +221,8 @@ func TestChaosMaskedBitwise(t *testing.T) {
 }
 
 // TestChaosSilenceSuspect checks the unmaskable fault path: a silenced
-// rank times out, and Suspect converts the timeout into exclusion plus
-// a raised alarm rather than a hang or a silent wrong answer.
+// rank times out, and FTRecv converts the timeout into exclusion plus a
+// raised alarm rather than a hang or a silent wrong answer.
 func TestChaosSilenceSuspect(t *testing.T) {
 	w := NewWorldTransport(2, TransportConfig{
 		Chaos:        &ChaosSpec{Seed: 7, Silence: &SilenceFault{Rank: 0, AfterSends: 0}},
@@ -225,12 +233,11 @@ func TestChaosSilenceSuspect(t *testing.T) {
 	c1 := w.Comm(1)
 	w.Comm(0).Send(1, 1, []float64{1}, 0) // muted by the silence fault
 	withTimeout(t, 5*time.Second, func() {
-		_, _, err := c1.Recv(0, 1)
-		if !errors.Is(err, ErrTimeout) {
+		if _, _, err := c1.Recv(0, 1); !errors.Is(err, ErrTimeout) {
 			t.Fatalf("recv from silenced rank: err = %v, want ErrTimeout", err)
 		}
-		if err := c1.Suspect(0); !errors.Is(err, ErrInterrupted) {
-			t.Fatalf("Suspect: err = %v, want ErrInterrupted", err)
+		if _, _, err := c1.FTRecv(0, 1, 1); !errors.Is(err, ErrInterrupted) {
+			t.Fatalf("FTRecv from silenced rank: err = %v, want ErrInterrupted", err)
 		}
 	})
 	if !w.Failed(0) {
@@ -241,10 +248,12 @@ func TestChaosSilenceSuspect(t *testing.T) {
 	}
 }
 
-// TestAlarmInterruptsRecv checks that a raised alarm unblocks an
-// interruptible receive immediately with ErrInterrupted.
+// TestAlarmInterruptsRecv checks that a raised alarm unblocks a
+// fault-tolerant receive immediately with ErrInterrupted.
 func TestAlarmInterruptsRecv(t *testing.T) {
-	w := NewWorldTransport(2, TransportConfig{Reliable: true, RTO: time.Millisecond})
+	w := NewWorldTransport(2, TransportConfig{
+		Reliable: true, RTO: time.Millisecond, RecvDeadline: 10 * time.Second,
+	})
 	defer w.Close()
 	c1 := w.Comm(1)
 	go func() {
@@ -253,7 +262,7 @@ func TestAlarmInterruptsRecv(t *testing.T) {
 	}()
 	withTimeout(t, 5*time.Second, func() {
 		start := time.Now()
-		_, _, err := c1.RecvInterruptible(0, 1, 10*time.Second, 0)
+		_, _, err := c1.FTRecv(0, 1, 1)
 		if !errors.Is(err, ErrInterrupted) {
 			t.Errorf("err = %v, want ErrInterrupted", err)
 		}
@@ -267,18 +276,20 @@ func TestAlarmInterruptsRecv(t *testing.T) {
 // receiver acknowledges-and-discards frames of the aborted era, and
 // fresh-era traffic flows normally.
 func TestEraDiscardsStaleFrames(t *testing.T) {
-	w := NewWorldTransport(2, TransportConfig{Reliable: true, RTO: time.Millisecond})
+	w := NewWorldTransport(2, TransportConfig{
+		Reliable: true, RTO: time.Millisecond, RecvDeadline: 200 * time.Millisecond,
+	})
 	defer w.Close()
 	c0, c1 := w.Comm(0), w.Comm(1)
 	c0.Send(1, 1, []float64{1}, 0) // era 0 frame
 	c1.SetEra(1)
 	withTimeout(t, 5*time.Second, func() {
-		if _, _, err := c1.RecvTimeout(0, 1, 50*time.Millisecond); !errors.Is(err, ErrTimeout) {
+		if _, _, err := c1.Recv(0, 1); !errors.Is(err, ErrTimeout) {
 			t.Fatalf("stale frame delivered: err = %v, want ErrTimeout", err)
 		}
 		c0.SetEra(1)
 		c0.Send(1, 1, []float64{2}, 0)
-		d, _, err := c1.RecvTimeout(0, 1, 5*time.Second)
+		d, _, err := c1.Recv(0, 1)
 		if err != nil || d[0] != 2 {
 			t.Fatalf("fresh frame: got %v, %v", d, err)
 		}
@@ -363,11 +374,8 @@ func TestFTCollectiveKillRace(t *testing.T) {
 			defer wg.Done()
 			c := w.Comm(r)
 			active := []int{0, 1, 2}
-			seen := uint64(0)
 			for round := 0; round < rounds; {
-				if gen := c.AlarmGen(); gen != seen {
-					seen = gen
-					c.SeenAlarm(gen)
+				if _, moved := c.AckAlarm(); moved {
 					var alive []int
 					for _, a := range active {
 						if !c.Failed(a) {

@@ -39,7 +39,7 @@ func measureStepAllocs(t *testing.T, cfg amr.Config) float64 {
 		starts[i] = make(chan float64)
 		go func(r *rankRun, start chan float64) {
 			for dt := range start {
-				if err := r.step(dt); err != nil {
+				if err := r.t.StepLeaves(r.ep.mine, dt, r.hooks); err != nil {
 					t.Errorf("rank %d step: %v", r.rank, err)
 				}
 				done <- struct{}{}

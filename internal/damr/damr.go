@@ -14,11 +14,13 @@
 // Three halo exchanges per SSP-RK2 step (one per RHS stage plus one
 // after the stage combination) keep the ring fresh; a fourth, heavier
 // exchange after each regrid migrates blocks whose Morton-curve owner
-// changed and refreshes newly adjacent rings. Because each rank performs
-// exactly the same per-leaf operation sequence as the serial tree —
-// including the con2prim Newton guess, which travels with migrated
-// blocks — the distributed run reproduces the single-rank run to the
-// last bit at any rank count, which TestRankCountInvariance pins down.
+// changed and refreshes newly adjacent rings. Each rank runs the serial
+// tree's own stage sequence (amr.Tree.StepLeaves) on its owned leaves,
+// with its mask and halo exchanges as the two hooks, so every leaf sees
+// exactly the per-leaf operation sequence of the serial tree — including
+// the con2prim Newton guess, which travels with migrated blocks — and
+// the distributed run reproduces the single-rank run to the last bit at
+// any rank count, which TestRankCountInvariance pins down.
 //
 // Communication rides on the channel transport of package cluster and is
 // charged to the same virtual clock / NetModel accounting, so the

@@ -266,4 +266,8 @@ func TestOptionsValidation(t *testing.T) {
 	if _, err := Run(testprob.Blast2D, 4, cfg, Options{Ranks: 2, RankRates: []float64{1, -1}}); err == nil {
 		t.Error("accepted negative rank rate")
 	}
+	cfg.Core.FailSafe, cfg.Core.FailSafeMaxFrac = true, 0.01
+	if _, err := Run(testprob.Blast2D, 4, cfg, Options{Ranks: 2, Steps: 1}); err == nil {
+		t.Error("accepted FailSafeMaxFrac, which no rank can evaluate")
+	}
 }

@@ -259,12 +259,16 @@ type rankRun struct {
 
 	// Transport-mode recovery state: dirty is set when a protocol phase
 	// unwound on ErrInterrupted/ErrRankFailed and the loop top must run a
-	// recovery; seenGen is the alarm generation this rank has processed;
-	// shrinkEras counts recoveries entered via the (alarm-free) collective
-	// shrink path, so era = seenGen + shrinkEras stays lockstep-agreed.
+	// recovery; shrinkEras counts recoveries entered via the (alarm-free)
+	// collective shrink path, so era = acknowledged alarm generation +
+	// shrinkEras stays lockstep-agreed.
 	dirty      bool
-	seenGen    uint64
 	shrinkEras int
+
+	// hooks hands exchangeMasks and exchangeHalos to amr.Tree.StepLeaves;
+	// bound once per rank (they reach the tree and the epoch through r),
+	// so the step loop does not allocate them.
+	hooks amr.StepHooks
 
 	// Pooled exchange buffers. The channel transport does not copy
 	// payloads, so a buffer may only be repacked once its previous
@@ -359,15 +363,12 @@ func (r *rankRun) checkpoint() error {
 		prev := r.active[(pos+len(r.active)-1)%len(r.active)]
 		r.ckPack = packBytesInto(stage.own, r.ckPack)
 		r.comm.Send(next, tagCheckpoint, r.ckPack, r.clock)
-		got, stamp, err := r.recvPt(prev, tagCheckpoint)
+		got, err := r.recv(prev, tagCheckpoint)
 		if err != nil {
 			return err
 		}
 		stage.buddy = unpackBytesInto(got, stage.buddy)
 		stage.buddyRank = prev
-		if avail := stamp + r.opts.Net.Cost(len(got)*8); avail > r.clock {
-			r.clock = avail
-		}
 	}
 	stage.valid = true
 	r.ckPrev = r.ckCur
@@ -457,47 +458,37 @@ func (r *rankRun) recoverFromFailure(survivors []int) error {
 	return nil
 }
 
-// recvPt is the point-to-point receive of every damr protocol phase.
-// On the default fabric it is a plain (death-aware) Recv. On the lossy
-// transport it is interruptible by the recovery alarm and bounded by 3×
-// the base deadline — longer than any deadline the FT collectives use,
-// so a partitioned rank discovers its own exclusion (its loop-top
-// collective deadline fires first, or the alarm wakes it) before it can
-// falsely suspect a live peer here. A timeout is converted into the
-// revocation protocol: the unresponsive peer is killed, the alarm
-// raised, and the caller unwinds to the loop top dirty.
-func (r *rankRun) recvPt(src, tag int) ([]float64, float64, error) {
-	if r.opts.Transport == nil {
-		return r.comm.Recv(src, tag)
+// ptMult scales the base receive deadline for the point-to-point phases:
+// longer than any deadline the FT collectives use, so a partitioned rank
+// discovers its own exclusion (its loop-top collective deadline fires
+// first, or the alarm wakes it) before it can falsely suspect a live peer
+// here.
+const ptMult = 3
+
+// recv is the point-to-point receive of every damr protocol phase: the
+// fault-tolerant receive, whose failure unwinds the caller to the loop
+// top, plus the arrival charge on the virtual clock.
+func (r *rankRun) recv(src, tag int) ([]float64, error) {
+	data, stamp, err := r.comm.FTRecv(src, tag, ptMult)
+	if err != nil {
+		return nil, err
 	}
-	d := r.opts.Transport.RecvDeadline
-	if d > 0 {
-		d *= 3
-	}
-	data, stamp, err := r.comm.RecvInterruptible(src, tag, d, r.seenGen)
-	if errors.Is(err, cluster.ErrTimeout) {
-		err = r.comm.Suspect(src)
-	}
-	return data, stamp, err
+	r.clock = r.opts.Net.Arrive(r.clock, stamp, len(data))
+	return data, nil
 }
 
-// exchangeHalos runs one halo phase: post packed conserved blocks to
-// every peer, receive the symmetric sets, then restore the recover/ghost
-// invariant on the fresh set. When stageZones > 0 the phase also charges
-// that much compute to the virtual clock, split interior/boundary for
-// the Async overlap model exactly as cluster.rankState.exchange does.
-func (r *rankRun) exchangeHalos(stageZones bool) error {
+// exchangeHalos is the Halos hook of amr.Tree.StepLeaves: post packed
+// conserved blocks to every peer, receive the symmetric sets, then
+// restore the recover/ghost invariant on the fresh set. After an Euler
+// stage (stage > 0) the phase also charges the stage's compute to the
+// virtual clock, split around the halo wait by the overlap mode; the
+// combine (stage 0) is not charged.
+func (r *rankRun) exchangeHalos(stage int, recovered bool) error {
 	t, ep := r.t, r.ep
-	dims := float64(t.Dim())
-	full, boundary := 0.0, 0.0
-	if stageZones {
-		full = float64(ep.interiorZones+ep.boundaryZones) * dims / r.rate
-		boundary = float64(ep.boundaryZones) * dims / r.rate
-		if boundary > full {
-			boundary = full
-		}
+	before, after := 0.0, 0.0
+	if stage > 0 {
+		before, after = r.opts.Mode.Overlap(ep.interiorZones+ep.boundaryZones, ep.boundaryZones, float64(t.Dim()), r.rate)
 	}
-	interior := full - boundary
 
 	par := r.haloPhase & 1
 	r.haloPhase++
@@ -511,11 +502,9 @@ func (r *rankRun) exchangeHalos(stageZones bool) error {
 		r.haloSend[dst] = pair
 		r.comm.Send(dst, tagHalo, buf, r.clock)
 	}
-	if r.opts.Mode == cluster.Async {
-		r.clock += interior
-	}
+	r.clock += before
 	for _, src := range ep.peersIn {
-		data, stamp, err := r.recvPt(src, tagHalo)
+		data, err := r.recv(src, tagHalo)
 		if err != nil {
 			return err
 		}
@@ -525,43 +514,25 @@ func (r *rankRun) exchangeHalos(stageZones bool) error {
 			copy(raw, data[off:off+len(raw)])
 			off += len(raw)
 		}
-		if avail := stamp + r.opts.Net.Cost(len(data) * 8); avail > r.clock {
-			r.clock = avail
-		}
 	}
-	if r.opts.Mode == cluster.Async {
-		r.clock += boundary
-	} else {
-		r.clock += full
-	}
+	r.clock += after
 
-	if !stageZones {
-		// End-of-step recovery: fold the CFL reduction into it so the
-		// next loop-top MaxDtOf is a cheap per-leaf combine.
-		t.ArmCFL(ep.mine)
-	}
 	rec := ep.fresh
-	if stageZones && r.cfg.Core.FailSafe {
-		// The fail-safe stage already recovered every owned leaf (the
-		// detector's candidate recovery covers the interior; repair
-		// re-recovers the cells it touched), so only the halo replicas
-		// need the post-exchange recover. Re-recovering owners would not
-		// be bitwise neutral: a cell whose stored primitives were clamped
-		// (pressure floor, velocity cap) re-enters Newton from the
-		// clamped guess and drifts off the serial tree's bit pattern.
-		rec = ep.halo
+	if recovered {
+		rec = ep.halo // only the replicas just installed
 	}
 	t.SyncSubset(rec, ep.mine)
 	return nil
 }
 
-// exchangeMasks swaps the troubled-cell masks of boundary leaves with
-// every halo peer — unconditionally, so a replica's mask can never go
-// stale — and reports whether any local or received mask carries a
-// flag. The payload packs 8 mask bytes per float64 word into the
-// parity send buffers sized by setEpoch, so a clean steady-state stage
-// allocates nothing.
-func (r *rankRun) exchangeMasks(localTroubled int) (bool, error) {
+// exchangeMasks is the Masks hook of amr.Tree.StepLeaves: it swaps the
+// troubled-cell masks of boundary leaves with every halo peer —
+// unconditionally, so a replica's mask can never go stale and no
+// collective is needed to agree on skipping a clean stage's repair — and
+// reports whether any local or received mask carries a flag. The payload
+// packs 8 mask bytes per float64 word into the parity send buffers sized
+// by setEpoch, so a clean steady-state stage allocates nothing.
+func (r *rankRun) exchangeMasks(_, localTroubled int) (bool, error) {
 	t, ep := r.t, r.ep
 	par := r.maskPhase & 1
 	r.maskPhase++
@@ -577,7 +548,7 @@ func (r *rankRun) exchangeMasks(localTroubled int) (bool, error) {
 	}
 	dirty := localTroubled > 0
 	for _, src := range ep.peersIn {
-		data, stamp, err := r.recvPt(src, tagFSMask)
+		data, err := r.recv(src, tagFSMask)
 		if err != nil {
 			return false, err
 		}
@@ -589,63 +560,15 @@ func (r *rankRun) exchangeMasks(localTroubled int) (bool, error) {
 			}
 			off += (len(m) + 7) / 8
 		}
-		if avail := stamp + r.opts.Net.Cost(len(data)*8); avail > r.clock {
-			r.clock = avail
-		}
 	}
 	return dirty, nil
 }
 
-// step advances one global CFL step, mirroring amr.Tree.Step stage for
-// stage so every fresh leaf follows the identical operation sequence.
-// Under the fail-safe each Euler stage inserts the mask exchange
-// between detection and repair, so both owners of a rank-boundary face
-// see the same troubled flags and recompute the same corrected flux;
-// when every mask is clean the repair (and its ghost fill) is skipped
-// entirely, without any collective.
-func (r *rankRun) step(dt float64) error {
-	t, ep := r.t, r.ep
-	t.BeginStep(ep.mine)
-	if r.cfg.Core.FailSafe {
-		for s := 1; s <= 2; s++ {
-			troubled := t.StageAdvanceFS(ep.mine, s, dt)
-			repair, err := r.exchangeMasks(troubled)
-			if err != nil {
-				return err
-			}
-			if repair {
-				t.FSGhostMasks(ep.mine)
-				if err := t.FSRepairLeaves(ep.mine, s, dt); err != nil {
-					return err
-				}
-			}
-			if err := r.exchangeHalos(true); err != nil {
-				return err
-			}
-		}
-	} else {
-		for s := 0; s < 2; s++ {
-			t.StageAdvance(ep.mine, dt)
-			if err := r.exchangeHalos(true); err != nil {
-				return err
-			}
-		}
-	}
-	t.CombineStage(ep.mine)
-	if err := r.exchangeHalos(false); err != nil {
-		return err
-	}
-	t.AdvanceTime(dt)
-	r.imbAccum += r.ep.imbalance
-	r.execSteps++
-	return nil
-}
-
-// regridPhase mirrors the regrid branch of amr.Tree.Step: regrid with
-// owner-computed (allgathered) indicators, then — when the hierarchy
-// changed — repartition, migrate, and refresh before the post-regrid
-// sync. When nothing changed the phase reduces to the serial tree's
-// plain post-regrid sync.
+// regridPhase is the distributed form of the regrid branch of
+// amr.Tree.Step: regrid with owner-computed (allgathered) indicators,
+// then — when the hierarchy changed — repartition, migrate, and refresh
+// before the post-regrid sync. When nothing changed the phase reduces to
+// the serial tree's plain post-regrid sync.
 func (r *rankRun) regridPhase() error {
 	start := time.Now()
 	clock0 := r.clock
@@ -762,12 +685,9 @@ func (r *rankRun) regridPhase() error {
 		r.comm.Send(dst, tagMigrate, r.migPack[dst], r.clock)
 	}
 	for _, src := range sortedKeys(recvPlan) {
-		payload, stamp, err := r.recvPt(src, tagMigrate)
+		payload, err := r.recv(src, tagMigrate)
 		if err != nil {
 			return err
-		}
-		if avail := stamp + opts.Net.Cost(len(payload) * 8); avail > r.clock {
-			r.clock = avail
 		}
 		if _, err := t.DecodeLeaves(unpackBytes(payload)); err != nil {
 			return fmt.Errorf("damr: decode migration from rank %d: %w", src, err)
@@ -917,6 +837,12 @@ func Run(p *testprob.Problem, nbx int, cfg amr.Config, opts Options) (*Result, e
 	if err := opts.validate(); err != nil {
 		return nil, err
 	}
+	if cfg.Core.FailSafeMaxFrac > 0 {
+		// The demotion bound is a fraction of the whole hierarchy's zones;
+		// a rank sees only the troubled count of the leaves it owns.
+		return nil, fmt.Errorf("damr: FailSafeMaxFrac %v is not supported (the global troubled fraction is known to no single rank)",
+			cfg.Core.FailSafeMaxFrac)
+	}
 	var world *cluster.World
 	if opts.Transport != nil {
 		world = cluster.NewWorldTransport(opts.Ranks, *opts.Transport)
@@ -981,6 +907,7 @@ func newRankRun(comm *cluster.Comm, p *testprob.Problem, nbx int, cfg amr.Config
 		active:  active,
 		migPack: map[int][]float64{},
 	}
+	r.hooks = amr.StepHooks{Masks: r.exchangeMasks, Halos: r.exchangeHalos}
 	r.ckCur.buddyRank = -1
 	r.ckPrev.buddyRank = -1
 	if len(opts.RankRates) > 0 {
@@ -995,163 +922,137 @@ func runRank(comm *cluster.Comm, p *testprob.Problem, nbx int, cfg amr.Config, o
 	if err != nil {
 		return nil, err
 	}
-	rank := r.rank
-
 	tEnd := p.TEnd
 	if opts.TEnd > 0 {
 		tEnd = opts.TEnd
 	}
-
-	transport := opts.Transport != nil
-
-	// classify routes a protocol-phase error on the lossy transport:
-	// self-exclusion is the clean victim exit; an interrupt or an
-	// observed peer death unwinds to the loop top dirty, where the next
-	// iteration runs the recovery; anything else is fatal. On the
-	// default fabric every error is fatal, exactly as before.
-	classify := func(err error) (retry bool, ret error) {
-		if !transport {
-			return false, err
-		}
-		if errors.Is(err, cluster.ErrSelfExcluded) || comm.Failed(rank) {
-			return false, errKilled
-		}
-		if errors.Is(err, cluster.ErrInterrupted) || errors.Is(err, cluster.ErrRankFailed) {
-			r.dirty = true
-			return true, nil
-		}
-		return false, err
-	}
-
 	start := time.Now()
-	iters := 0
-	// Termination, checkpointing, regrids, and the fault trigger all key
-	// off the tree's committed step count, so a recovery that rewinds the
-	// tree transparently replays the lost window.
-	for {
-		iters++
-		if iters > 1_000_000 {
-			return nil, fmt.Errorf("damr: step budget exhausted")
-		}
-		if transport {
-			// Revocation check: an alarm raised since this rank's last
-			// recovery point — or a phase this rank itself unwound from,
-			// dirty — sends it straight into recovery over the survivor
-			// set. Kill happens-before Alarm on the detector, so by the
-			// time any rank observes the new generation the Failed flags
-			// identify the same victim everywhere, and no agreement round
-			// is needed. A rank that finds *itself* among the failed was
-			// presumed dead by its peers (partition or silence); it bows
-			// out like a killed rank.
-			gen := comm.AlarmGen()
-			if r.dirty || gen != r.seenGen {
-				r.seenGen = gen
-				comm.SeenAlarm(gen)
-				r.dirty = false
-				if comm.Failed(rank) {
-					return nil, errKilled
-				}
-				survivors := make([]int, 0, len(r.active))
-				for _, a := range r.active {
-					if !comm.Failed(a) {
-						survivors = append(survivors, a)
-					}
-				}
-				if len(survivors) == 0 || !contains(survivors, rank) {
-					return nil, errKilled
-				}
-				// The era is derived from lockstep-agreed state, so every
-				// survivor lands on the same value and the receive path
-				// can discard all traffic of the aborted phase.
-				comm.SetEra(r.seenGen + uint64(r.shrinkEras))
-				if err := r.recoverFromFailure(survivors); err != nil {
-					if retry, ret := classify(err); !retry {
-						return nil, ret
-					}
-				}
-				continue
+	// Every protocol phase of an iteration returns its error to this one
+	// site, so none can skip the recovery unwind.
+	for iters := 0; iters < 1_000_000; iters++ {
+		res, err := r.iterate(tEnd, start)
+		if err != nil {
+			if err = r.unwind(err); err != nil {
+				return nil, err
 			}
+			continue // recover at the loop top, then replay the lost window
 		}
-		done := false
-		if opts.Steps > 0 {
-			done = r.t.Steps() >= opts.Steps
-		} else {
-			done = r.t.Time() >= tEnd-1e-14
-		}
-		if done {
-			res, err := r.finalize(time.Since(start))
-			if err != nil {
-				if retry, ret := classify(err); retry {
-					continue // recover, replay the lost window, finalize again
-				} else {
-					return nil, ret
-				}
-			}
+		if res != nil {
 			return res, nil
 		}
-		if opts.CheckpointEvery > 0 && r.t.Steps()%opts.CheckpointEvery == 0 {
-			if err := r.checkpoint(); err != nil {
-				if retry, ret := classify(err); retry {
-					continue
-				} else {
-					return nil, ret
+	}
+	return nil, fmt.Errorf("damr: step budget exhausted")
+}
+
+// unwind routes a protocol-phase error. On the lossy transport
+// self-exclusion is the clean victim exit; an interrupt or an observed
+// peer death marks the rank dirty and returns nil, so the next iteration
+// runs the recovery; anything else is fatal. On the default fabric every
+// error is fatal.
+func (r *rankRun) unwind(err error) error {
+	if r.opts.Transport == nil {
+		return err
+	}
+	if errors.Is(err, cluster.ErrSelfExcluded) || r.comm.Failed(r.rank) {
+		return errKilled
+	}
+	if errors.Is(err, cluster.ErrInterrupted) || errors.Is(err, cluster.ErrRankFailed) {
+		r.dirty = true
+		return nil
+	}
+	return err
+}
+
+// iterate runs one pass of the step loop: recovery when one is due, else
+// termination, checkpoint, fault trigger, the dt collective, one step and
+// the regrid on its cadence. It returns the Result once the run is
+// complete. Termination, checkpointing, regrids, and the fault trigger
+// all key off the tree's committed step count, so a recovery that rewinds
+// the tree transparently replays the lost window.
+func (r *rankRun) iterate(tEnd float64, start time.Time) (*Result, error) {
+	comm, opts := r.comm, r.opts
+	transport := opts.Transport != nil
+	if transport {
+		// Revocation check: an alarm raised since this rank's last
+		// recovery point — or a phase this rank itself unwound from,
+		// dirty — sends it straight into recovery over the survivor
+		// set. Kill happens-before Alarm on the detector, so by the
+		// time any rank observes the new generation the Failed flags
+		// identify the same victim everywhere, and no agreement round
+		// is needed. A rank that finds *itself* among the failed was
+		// presumed dead by its peers (partition or silence); it bows
+		// out like a killed rank.
+		if gen, moved := comm.AckAlarm(); r.dirty || moved {
+			r.dirty = false
+			survivors := make([]int, 0, len(r.active))
+			for _, a := range r.active {
+				if !comm.Failed(a) {
+					survivors = append(survivors, a)
 				}
 			}
-		}
-		if f := opts.Fault; f != nil && rank == f.Rank && r.t.Steps() == f.AfterStep {
-			comm.Kill()
-			return nil, errKilled
-		}
-		dt, alive, err := comm.FTAllReduceMin(r.t.MaxDtOf(r.ep.mine), r.active)
-		if err != nil {
-			if retry, ret := classify(err); retry {
-				continue
-			} else {
-				return nil, ret
+			if !contains(survivors, r.rank) {
+				return nil, errKilled
 			}
-		}
-		r.clock += opts.Net.AllReduceCost(len(r.active))
-		if len(alive) < len(r.active) {
-			// A peer died: restore the checkpoint generation over the
-			// survivors and replay (the loop top re-checkpoints first,
-			// restoring buddy redundancy on the new ring).
-			if transport {
-				// This recovery is entered without an alarm, so it bumps
-				// the era through the shrink count instead — the shrink is
-				// agreed through the collective, so the count stays
-				// lockstep too.
-				r.shrinkEras++
-				comm.SetEra(r.seenGen + uint64(r.shrinkEras))
-			}
-			if err := r.recoverFromFailure(alive); err != nil {
-				if retry, ret := classify(err); retry {
-					continue
-				} else {
-					return nil, ret
-				}
-			}
-			continue
-		}
-		if opts.Steps == 0 && r.t.Time()+dt > tEnd {
-			dt = tEnd - r.t.Time()
-		}
-		if err := r.step(dt); err != nil {
-			if retry, ret := classify(err); retry {
-				continue
-			} else {
-				return nil, ret
-			}
-		}
-		if r.t.Steps()%r.t.RegridEvery() == 0 {
-			if err := r.regridPhase(); err != nil {
-				if retry, ret := classify(err); retry {
-					continue
-				} else {
-					return nil, ret
-				}
-			}
+			// The era is derived from lockstep-agreed state, so every
+			// survivor lands on the same value and the receive path
+			// can discard all traffic of the aborted phase.
+			comm.SetEra(gen + uint64(r.shrinkEras))
+			return nil, r.recoverFromFailure(survivors)
 		}
 	}
+	done := false
+	if opts.Steps > 0 {
+		done = r.t.Steps() >= opts.Steps
+	} else {
+		done = r.t.Time() >= tEnd-1e-14
+	}
+	if done {
+		// An error here unwinds like any other: recover, replay the lost
+		// window, finalize again.
+		return r.finalize(time.Since(start))
+	}
+	if opts.CheckpointEvery > 0 && r.t.Steps()%opts.CheckpointEvery == 0 {
+		if err := r.checkpoint(); err != nil {
+			return nil, err
+		}
+	}
+	if f := opts.Fault; f != nil && r.rank == f.Rank && r.t.Steps() == f.AfterStep {
+		comm.Kill()
+		return nil, errKilled
+	}
+	dt, alive, err := comm.FTAllReduceMin(r.t.MaxDtOf(r.ep.mine), r.active)
+	if err != nil {
+		return nil, err
+	}
+	r.clock += opts.Net.AllReduceCost(len(r.active))
+	if len(alive) < len(r.active) {
+		// A peer died: restore the checkpoint generation over the
+		// survivors and replay (the loop top re-checkpoints first,
+		// restoring buddy redundancy on the new ring).
+		if transport {
+			// This recovery is entered without an alarm, so it bumps
+			// the era through the shrink count instead — the shrink is
+			// agreed through the collective, so the count stays
+			// lockstep too.
+			r.shrinkEras++
+			comm.AdvanceEra()
+		}
+		return nil, r.recoverFromFailure(alive)
+	}
+	if opts.Steps == 0 && r.t.Time()+dt > tEnd {
+		dt = tEnd - r.t.Time()
+	}
+	// One global CFL step: every fresh leaf follows the operation sequence
+	// of the serial tree, with this rank's exchanges as the two hooks.
+	if err := r.t.StepLeaves(r.ep.mine, dt, r.hooks); err != nil {
+		return nil, err
+	}
+	r.imbAccum += r.ep.imbalance
+	r.execSteps++
+	if r.t.Steps()%r.t.RegridEvery() == 0 {
+		return nil, r.regridPhase()
+	}
+	return nil, nil
 }
 
 // finalize runs the end-of-run collectives — the per-rank stats gather
@@ -1209,7 +1110,7 @@ func (r *rankRun) finalize(real time.Duration) (*Result, error) {
 		return &Result{}, nil
 	}
 	for _, src := range r.active[1:] {
-		payload, _, err := r.recvPt(src, tagGather)
+		payload, _, err := r.comm.FTRecv(src, tagGather, ptMult) // uncharged, like the stats
 		if err != nil {
 			return nil, err
 		}

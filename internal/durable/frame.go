@@ -1,7 +1,6 @@
 package durable
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -469,27 +468,4 @@ func ReadSection(r io.Reader) ([]byte, error) {
 		return nil, corrupt("durable: section payload", err)
 	}
 	return b, nil
-}
-
-// --- stream sniffing ---------------------------------------------------
-
-// Sniff peeks at a stream's first bytes and returns a payload reader
-// plus the frame Reader when the stream is framed, or the buffered
-// stream itself (nil Reader) for legacy raw payloads. Load paths use
-// it to accept both framed and pre-framing checkpoints; when the
-// returned Reader is non-nil the caller must Verify after decoding.
-func Sniff(r io.Reader) (io.Reader, *Reader, error) {
-	br := bufio.NewReader(r)
-	head, err := br.Peek(MagicLen)
-	if err != nil && err != io.EOF {
-		return nil, nil, err
-	}
-	if !IsFramed(head) {
-		return br, nil, nil
-	}
-	fr, err := NewReader(br)
-	if err != nil {
-		return nil, nil, err
-	}
-	return fr, fr, nil
 }

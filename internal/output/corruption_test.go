@@ -78,21 +78,17 @@ func TestCheckpointCorruptionMatrix(t *testing.T) {
 	})
 }
 
-// TestLegacyRawGobCheckpointStillLoads pins the migration contract:
-// checkpoints written before framing (raw gob) keep loading.
-func TestLegacyRawGobCheckpointStillLoads(t *testing.T) {
+// TestLegacyRawGobCheckpointRejected pins the end of the migration
+// window: every writer frames its output, so a bare gob stream — the
+// pre-framing on-disk format — is refused as corrupt, never loaded.
+func TestLegacyRawGobCheckpointRejected(t *testing.T) {
 	g := mkGrid1D()
 	var buf bytes.Buffer
-	// Reproduce the legacy on-disk format: bare gob, no frame.
 	if err := legacyEncode(&buf, g, 2.5); err != nil {
 		t.Fatal(err)
 	}
-	g2, tt, prims, err := LoadCheckpointFull(&buf)
-	if err != nil {
-		t.Fatalf("legacy checkpoint rejected: %v", err)
-	}
-	if tt != 2.5 || prims || g2.Nx != g.Nx {
-		t.Fatalf("legacy checkpoint mangled: t=%v prims=%v", tt, prims)
+	if _, _, _, err := LoadCheckpointFull(&buf); !errors.Is(err, ErrCheckpointCorrupt) {
+		t.Fatalf("unframed checkpoint: err = %v, want ErrCheckpointCorrupt", err)
 	}
 }
 

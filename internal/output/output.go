@@ -228,21 +228,21 @@ func LoadCheckpoint(r io.Reader) (*grid.Grid, float64, error) {
 // ErrCheckpointCorrupt, structurally valid payloads that do not fit
 // the grid wrap ErrCheckpointMismatch (see CheckpointError).
 func LoadCheckpointFull(r io.Reader) (*grid.Grid, float64, bool, error) {
-	payload, framed, err := durable.Sniff(r)
+	// Every checkpoint is framed; a stream without the frame header is
+	// rejected as corrupt here.
+	framed, err := durable.NewReader(r)
 	if err != nil {
 		return nil, 0, false, err
 	}
 	var cp checkpoint
-	if err := gob.NewDecoder(payload).Decode(&cp); err != nil {
+	if err := gob.NewDecoder(framed).Decode(&cp); err != nil {
 		return nil, 0, false, CorruptError("output: decode checkpoint", err)
 	}
-	if framed != nil {
-		// gob reads exactly one value and may leave the frame tail
-		// unconsumed; Verify proves the footer (stream CRC, totals) is
-		// intact so a torn tail cannot pass as a clean load.
-		if err := framed.Verify(); err != nil {
-			return nil, 0, false, CorruptError("output: verify checkpoint frame", err)
-		}
+	// gob reads exactly one value and may leave the frame tail
+	// unconsumed; Verify proves the footer (stream CRC, totals) is
+	// intact so a torn tail cannot pass as a clean load.
+	if err := framed.Verify(); err != nil {
+		return nil, 0, false, CorruptError("output: verify checkpoint frame", err)
 	}
 	// grid.New panics on non-positive extents; surface a decodable-but-
 	// absurd geometry as a mismatch instead.

@@ -3,7 +3,6 @@ package output
 import (
 	"bytes"
 	"encoding/csv"
-	"encoding/gob"
 	"errors"
 	"math"
 	"strconv"
@@ -171,7 +170,7 @@ func TestCheckpointErrorTaxonomy(t *testing.T) {
 	}
 	for i, cp := range bad {
 		var b bytes.Buffer
-		if err := gob.NewEncoder(&b).Encode(&cp); err != nil {
+		if err := sealCheckpoint(&b, &cp); err != nil {
 			t.Fatal(err)
 		}
 		_, _, _, err := LoadCheckpointFull(&b)

@@ -17,7 +17,7 @@
 //     instead of a panic.
 //
 //   - Rank faults — a distributed-AMR rank dying mid-run. Handled in
-//     internal/damr via cluster.Kill/RecvErr and buddy checkpoints.
+//     internal/damr via cluster.Kill/FTRecv and buddy checkpoints.
 //
 //   - Device faults — a modelled accelerator erroring mid-sweep. Handled
 //     in internal/hetero via plan-time re-execution with backoff.

@@ -82,38 +82,39 @@ func TestLoadSpoolSkipsAndQuarantinesCorruptRecord(t *testing.T) {
 	}
 }
 
-// TestLoadSpoolLegacyPairs pins the migration contract: pre-durable
-// two-file spools still load, and an unparseable legacy meta is
-// quarantined rather than fatal.
-func TestLoadSpoolLegacyPairs(t *testing.T) {
+// TestLoadSpoolLegacyPairsIgnored pins the end of the migration
+// window: a pre-durable two-file spool entry (<id>.json + <id>.ckpt) is
+// not a store record, so LoadSpool admits nothing from it — zero silent
+// loads — and leaves the files exactly where the operator put them.
+func TestLoadSpoolLegacyPairsIgnored(t *testing.T) {
 	dir := t.TempDir()
-	good := `{"id":"jlegacy","spec":{"problem":"sod","n":64,"max_steps":8},"has_snapshot":false}`
-	if err := os.WriteFile(filepath.Join(dir, "jlegacy.json"), []byte(good), 0o644); err != nil {
-		t.Fatal(err)
+	files := map[string]string{
+		"jlegacy.json": `{"id":"jlegacy","spec":{"problem":"sod","n":64,"max_steps":8},"has_snapshot":true}`,
+		"jlegacy.ckpt": "raw gob snapshot bytes",
 	}
-	if err := os.WriteFile(filepath.Join(dir, "broken.json"), []byte("{not json"), 0o644); err != nil {
-		t.Fatal(err)
+	for name, body := range files {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	s := New(Config{Workers: 1})
 	defer s.Close()
 	n, err := s.LoadSpool(dir)
-	if n != 1 {
-		t.Fatalf("loaded %d legacy jobs, want 1", n)
+	if n != 0 || err != nil {
+		t.Fatalf("LoadSpool = %d, %v; want 0 jobs and no error", n, err)
 	}
-	if err == nil {
-		t.Fatal("broken legacy meta reported no error")
+	if jobs := s.List(); len(jobs) != 0 {
+		t.Fatalf("legacy pair admitted jobs: %+v", jobs)
 	}
-	if _, serr := os.Stat(filepath.Join(dir, durable.QuarantineDir, "broken.json")); serr != nil {
-		t.Fatalf("broken legacy meta not quarantined: %v", serr)
-	}
-	if _, serr := os.Stat(filepath.Join(dir, "jlegacy.json")); !os.IsNotExist(serr) {
-		t.Fatalf("consumed legacy meta still present: %v", serr)
-	}
-	for _, st := range s.List() {
-		if final, _ := s.Wait(st.ID); final.State != Done {
-			t.Fatalf("legacy job ended %q (%s)", final.State, final.Reason)
+	for name, body := range files {
+		got, rerr := os.ReadFile(filepath.Join(dir, name))
+		if rerr != nil || string(got) != body {
+			t.Fatalf("%s touched: %q, %v", name, got, rerr)
 		}
+	}
+	if _, serr := os.Stat(filepath.Join(dir, durable.QuarantineDir)); !os.IsNotExist(serr) {
+		t.Fatalf("legacy pair quarantined: %v", serr)
 	}
 }
 

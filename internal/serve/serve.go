@@ -34,10 +34,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -745,11 +742,11 @@ func spoolJob(st *durable.Store, j *job) error {
 // before anything is trusted; corrupt generations fall back to an
 // older valid one when the store holds it, and unreadable or unusable
 // entries are quarantined to <dir>/corrupt/ with a .reason note
-// instead of wedging the boot. Consumed records are removed. Legacy
-// two-file spools (<id>.json + <id>.ckpt) from pre-durable daemons are
-// still honoured, with the same quarantine discipline. Returns the
-// number of jobs loaded; per-job failures are joined into the error
-// but do not stop the sweep.
+// instead of wedging the boot. Consumed records are removed. Files
+// that are not store records — a stray <id>.json/<id>.ckpt pair, say —
+// are neither loaded nor touched. Returns the number of jobs loaded;
+// per-job failures are joined into the error but do not stop the
+// sweep.
 func (s *Server) LoadSpool(dir string) (int, error) {
 	st, err := durable.Open(s.cfg.SpoolFS, dir, s.D)
 	if err != nil {
@@ -800,61 +797,6 @@ func (s *Server) LoadSpool(dir string) (int, error) {
 		loaded++
 	}
 
-	n, lerrs := s.loadLegacySpool(st, dir)
-	loaded += n
-	if lerrs != nil {
-		errs = append(errs, lerrs)
-	}
-	return loaded, errors.Join(errs...)
-}
-
-// loadLegacySpool sweeps pre-durable two-file spool entries
-// (<id>.json + <id>.ckpt). Unreadable entries are quarantined through
-// the store so operators find them in the same corrupt/ directory.
-func (s *Server) loadLegacySpool(st *durable.Store, dir string) (int, error) {
-	metas, err := filepath.Glob(filepath.Join(dir, "*.json"))
-	if err != nil {
-		return 0, err
-	}
-	sort.Strings(metas)
-	loaded := 0
-	var errs []error
-	quarantine := func(mp, cp string, cause error) {
-		errs = append(errs, cause)
-		_ = st.Quarantine(filepath.Base(mp), cause.Error())
-		if cp != "" {
-			if _, err := os.Stat(cp); err == nil {
-				_ = st.Quarantine(filepath.Base(cp), cause.Error())
-			}
-		}
-	}
-	for _, mp := range metas {
-		cp := strings.TrimSuffix(mp, ".json") + ".ckpt"
-		blob, err := os.ReadFile(mp)
-		if err != nil {
-			errs = append(errs, err)
-			continue
-		}
-		var meta spoolMeta
-		if err := json.Unmarshal(blob, &meta); err != nil {
-			quarantine(mp, cp, fmt.Errorf("serve: spool meta %s: %w", mp, err))
-			continue
-		}
-		var snap []byte
-		if meta.HasSnapshot {
-			if snap, err = os.ReadFile(cp); err != nil {
-				quarantine(mp, "", fmt.Errorf("serve: spool snapshot for %s: %w", meta.ID, err))
-				continue
-			}
-		}
-		if err := s.readmit(meta, snap); err != nil {
-			quarantine(mp, cp, err)
-			continue
-		}
-		os.Remove(mp)
-		os.Remove(cp)
-		loaded++
-	}
 	return loaded, errors.Join(errs...)
 }
 
