@@ -13,9 +13,11 @@
 //   - Ghost zones of a leaf are filled by conservative point sampling of
 //     the neighbouring leaves: same-level neighbours copy exactly, coarse
 //     neighbours prolongate piecewise-constantly, fine neighbours are
-//     averaged (restriction). Coarse-fine interfaces are not refluxed;
-//     the conservation drift this causes is measured by the tests and
-//     stays far below the scheme's discretisation error.
+//     averaged (restriction). The sample points are resolved to source
+//     cells once per hierarchy and replayed (ghostplan.go). Coarse-fine
+//     interfaces are not refluxed; the conservation drift this causes is
+//     measured by the tests and stays far below the scheme's
+//     discretisation error.
 package amr
 
 import (
@@ -69,11 +71,13 @@ func DefaultConfig(c core.Config) Config {
 
 type key struct{ level, bi, bj int }
 
-// node is one tree block; only leaves (children == nil) hold solvers.
+// node is one tree block; only leaves (children == nil) hold solvers, and
+// li is a leaf's index in Tree.leaves.
 type node struct {
 	level, bi, bj int
 	parent        *node
 	children      []*node
+	li            int
 	sol           *core.Solver
 	rhs, u0       *state.Fields
 }
@@ -96,6 +100,8 @@ type Tree struct {
 	// all is 0..len(leaves)-1: the leaf subset Step hands to StepLeaves
 	// and the whole-tree ghost fills walk, rebuilt with the leaf cache.
 	all []int
+	// plans[i] is the ghost plan of leaves[i] (ghostplan.go).
+	plans []ghostPlan
 
 	t           float64
 	steps       int
@@ -272,12 +278,22 @@ func (t *Tree) initLeaves(ls []*node) error {
 	return nil
 }
 
-// rebuildLeaves refreshes the leaf cache.
+// rebuildLeaves refreshes the leaf cache. The ghost plans index the leaf
+// ordering, so they are dropped when it changed — and kept when it did
+// not: regridWith calls this on every cascade pass, and a regrid that
+// refined and coarsened nothing must not cost a plan rebuild per leaf.
 func (t *Tree) rebuildLeaves() {
+	old := t.leaves
 	t.leaves = t.leaves[:0]
+	same := true
 	var walk func(n *node)
 	walk = func(n *node) {
 		if n.leaf() {
+			// Position k is compared before the append overwrites it.
+			if k := len(t.leaves); k >= len(old) || old[k] != n {
+				same = false
+			}
+			n.li = len(t.leaves)
 			t.leaves = append(t.leaves, n)
 			return
 		}
@@ -288,9 +304,22 @@ func (t *Tree) rebuildLeaves() {
 	for _, r := range t.roots {
 		walk(r)
 	}
+	if same && len(t.leaves) == len(old) {
+		return
+	}
 	t.all = t.all[:0]
 	for i := range t.leaves {
 		t.all = append(t.all, i)
+	}
+	// Dropped plans keep their storage for whichever leaf lands on the
+	// index next.
+	for len(t.plans) < len(t.leaves) {
+		t.plans = append(t.plans, ghostPlan{})
+	}
+	t.plans = t.plans[:len(t.leaves)]
+	for i := range t.plans {
+		p := &t.plans[i]
+		p.built, p.dst, p.src = false, p.dst[:0], p.src[:0]
 	}
 }
 
@@ -358,7 +387,8 @@ func wrap(x, lo, hi float64) float64 {
 }
 
 // locate returns the leaf containing physical point (x, y) and the flat
-// cell index of the containing cell.
+// cell index of the containing cell. It serves SampleAt and ghost plan
+// construction; no per-step path descends the tree.
 func (t *Tree) locate(x, y float64) (*node, int) {
 	if t.prob.BC == grid.Periodic {
 		x = wrap(x, t.x0, t.x1)
@@ -430,30 +460,6 @@ func (t *Tree) SampleAt(x, y float64) state.Prim {
 	return n.sol.G.W.GetPrim(idx)
 }
 
-// sampleAvg averages the primitives over the sub-points of a ghost cell
-// centred at (x, y) with sizes (dx, dy): one point per potential finer
-// cell, which makes the fill exact for same-level and coarse neighbours
-// and a conservative restriction for fine ones.
-func (t *Tree) sampleAvg(x, y, dx, dy float64) state.Prim {
-	if t.dim == 1 {
-		a, ia := t.locate(x-0.25*dx, y)
-		b, ib := t.locate(x+0.25*dx, y)
-		pa := a.sol.G.W.GetPrim(ia)
-		pb := b.sol.G.W.GetPrim(ib)
-		return avgPrim(pa, pb)
-	}
-	var ps [4]state.Prim
-	c := 0
-	for _, fy := range [2]float64{-0.25, 0.25} {
-		for _, fx := range [2]float64{-0.25, 0.25} {
-			n, i := t.locate(x+fx*dx, y+fy*dy)
-			ps[c] = n.sol.G.W.GetPrim(i)
-			c++
-		}
-	}
-	return avgPrim(avgPrim(ps[0], ps[1]), avgPrim(ps[2], ps[3]))
-}
-
 func avgPrim(a, b state.Prim) state.Prim {
 	return state.Prim{
 		Rho: 0.5 * (a.Rho + b.Rho),
@@ -461,64 +467,6 @@ func avgPrim(a, b state.Prim) state.Prim {
 		Vy:  0.5 * (a.Vy + b.Vy),
 		Vz:  0.5 * (a.Vz + b.Vz),
 		P:   0.5 * (a.P + b.P),
-	}
-}
-
-// fillGhosts fills the External-face ghost zones of every leaf from the
-// current leaf data.
-func (t *Tree) fillGhosts() { t.fillGhostsOf(t.all) }
-
-// fillGhostsOf fills the External-face ghost zones of the given leaves.
-// Sampling only reads the interiors of face-adjacent leaves (the ghost
-// band is at most half a block wide at any admissible BlockN), which is
-// what lets the distributed driver fill ghosts of locally owned blocks
-// from a halo of neighbour copies.
-func (t *Tree) fillGhostsOf(idx []int) {
-	for _, li := range idx {
-		g := t.leaves[li].sol.G
-		t.forExternalGhosts(g, func(i, j int) {
-			p := t.sampleAvg(g.X(i), g.Y(j), g.Dx, g.Dy)
-			g.W.SetPrim(g.Idx(i, j, g.KBeg()), p)
-		})
-	}
-}
-
-// forExternalGhosts calls fill for every ghost cell (i, j) behind an
-// External face of g — the bands the primitive ghost fill and the
-// fail-safe mask ghost fill both walk, so a troubled flag next to a block
-// face lands in exactly the ghost cells whose primitives it dirties.
-func (t *Tree) forExternalGhosts(g *grid.Grid, fill func(i, j int)) {
-	ng := g.Ng
-	if g.BCs[0][0] == grid.External {
-		for j := g.JBeg(); j < g.JEnd(); j++ {
-			for i := 0; i < ng; i++ {
-				fill(i, j)
-			}
-		}
-	}
-	if g.BCs[0][1] == grid.External {
-		for j := g.JBeg(); j < g.JEnd(); j++ {
-			for i := g.IEnd(); i < g.IEnd()+ng; i++ {
-				fill(i, j)
-			}
-		}
-	}
-	if t.dim < 2 {
-		return
-	}
-	if g.BCs[1][0] == grid.External {
-		for j := 0; j < ng; j++ {
-			for i := g.IBeg(); i < g.IEnd(); i++ {
-				fill(i, j)
-			}
-		}
-	}
-	if g.BCs[1][1] == grid.External {
-		for j := g.JEnd(); j < g.JEnd()+ng; j++ {
-			for i := g.IBeg(); i < g.IEnd(); i++ {
-				fill(i, j)
-			}
-		}
 	}
 }
 

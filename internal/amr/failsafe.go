@@ -16,13 +16,13 @@ import (
 //   - Mask ghosts. A troubled cell next to a block face dirties faces
 //     of the neighbouring leaf too, and the repair on both leaves must
 //     see the same flags so each recomputes the shared face flux. The
-//     tree fills External-face mask ghosts by OR-sampling neighbour
-//     interiors at exactly the sub-points the primitive ghost fill
-//     averages (sampleAvg), before any leaf repairs. At same-level
-//     faces the stencils on either side then hold bitwise-identical
-//     values, so the corrected flux matches and conservation stays
-//     exact; coarse-fine faces inherit the tree's existing
-//     no-refluxing policy (package comment).
+//     tree fills External-face mask ghosts by OR-ing neighbour
+//     interiors over exactly the source cells the primitive ghost fill
+//     averages (one ghost plan serves both, ghostplan.go), before any
+//     leaf repairs. At same-level faces the stencils on either side
+//     then hold bitwise-identical values, so the corrected flux matches
+//     and conservation stays exact; coarse-fine faces inherit the
+//     tree's existing no-refluxing policy (package comment).
 //
 //   - Stage selection. The SSP-RK2 combine is a convex combination of
 //     two detector-clean states, and the admissible set (D > 0,
@@ -91,40 +91,6 @@ func (t *Tree) TroubledCells() int64 { return t.troubledCells }
 // RepairedCells returns the cumulative cells re-updated by the local
 // flux-replacement repair.
 func (t *Tree) RepairedCells() int64 { return t.repairedCells }
-
-// fillMaskGhostsOf fills External-face mask ghosts of the given leaves
-// from neighbour interiors, over the bands fillGhostsOf fills, so a flag
-// next to a block face is visible from both sides before repair. Mask
-// sampling reads the interiors of face-adjacent leaves, so their masks
-// must be current.
-func (t *Tree) fillMaskGhostsOf(idx []int) {
-	for _, li := range idx {
-		sol := t.leaves[li].sol
-		g, mask := sol.G, sol.FSMask()
-		t.forExternalGhosts(g, func(i, j int) {
-			mask[g.Idx(i, j, g.KBeg())] = t.sampleMask(g.X(i), g.Y(j), g.Dx, g.Dy)
-		})
-	}
-}
-
-// sampleMask ORs the troubled flags at the sub-points sampleAvg
-// averages: a ghost cell is dirty if any covering fine cell (or the
-// one covering coarse cell) is flagged.
-func (t *Tree) sampleMask(x, y, dx, dy float64) uint8 {
-	if t.dim == 1 {
-		a, ia := t.locate(x-0.25*dx, y)
-		b, ib := t.locate(x+0.25*dx, y)
-		return a.sol.FSMask()[ia] | b.sol.FSMask()[ib]
-	}
-	var m uint8
-	for _, fy := range [2]float64{-0.25, 0.25} {
-		for _, fx := range [2]float64{-0.25, 0.25} {
-			n, i := t.locate(x+fx*dx, y+fy*dy)
-			m |= n.sol.FSMask()[i]
-		}
-	}
-	return m
-}
 
 // maskAny reports whether any cell (interior or ghost) is flagged — a
 // ghost flag alone still dirties local faces, so the leaf must repair.

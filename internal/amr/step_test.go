@@ -122,3 +122,34 @@ func TestStepLeavesHookContract(t *testing.T) {
 		})
 	}
 }
+
+// TestStepZeroAllocs is the serial row of the zero-allocation family
+// (core and damr hold the others): between regrids, with the solvers'
+// scratch and every leaf's ghost plan warm, Tree.Step — stage advances,
+// whole-tree recoveries, three plan-replayed ghost fills, and under
+// FailSafe the per-stage detection — allocates nothing. A ghost fill that
+// rebuilt a plan, or walked the tree through a closure, would show here.
+func TestStepZeroAllocs(t *testing.T) {
+	for _, fs := range []bool{false, true} {
+		cfg := DefaultConfig(core.DefaultConfig())
+		cfg.BlockN, cfg.MaxLevel, cfg.RegridEvery = 8, 2, 1<<30
+		cfg.Core.FailSafe = fs
+		tr, err := NewTree(testprob.Blast2D, 4, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A fixed dt well inside the CFL bound of every measured step.
+		dt := tr.MaxDt() / 2
+		step := func() {
+			if err := tr.Step(dt); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 3; i++ {
+			step()
+		}
+		if allocs := testing.AllocsPerRun(5, step); allocs != 0 {
+			t.Errorf("failsafe=%v: steady-state serial step allocates %.1f times, want 0", fs, allocs)
+		}
+	}
+}

@@ -97,6 +97,40 @@ func TestRankCountInvariance(t *testing.T) {
 	}
 }
 
+// TestHalosRecoverOrderBitwise pins the Halos hook's order — owned leaves
+// recovered while the halos are in flight, replicas after they land — to
+// the serial tree, whose sync recovers every leaf in one pass: the gathered
+// tree's fingerprint (every leaf's U and W, ghosts included) must be equal
+// at 2 and 4 ranks, on the plain arm and on the fail-safe arm (detector
+// kept firing, so the stage arrives already recovered and only the
+// replicas are).
+func TestHalosRecoverOrderBitwise(t *testing.T) {
+	p := testprob.Blast2D
+	const nbx, steps = 4, 10
+	for _, fs := range []bool{false, true} {
+		cfg := blastConfig()
+		if fs {
+			cfg.Core.FailSafe = true
+			cfg.Core.FailSafeRelax = 0.05
+		}
+		ref := referenceRun(t, p, nbx, steps, cfg)
+		if fs && ref.TroubledCells() == 0 {
+			t.Fatal("fail-safe reference never flagged a cell — the arm exercises nothing")
+		}
+		for _, ranks := range []int{2, 4} {
+			res, err := Run(p, nbx, cfg, Options{
+				Ranks: ranks, Mode: cluster.Async, Net: cluster.Infiniband(), Steps: steps,
+			})
+			if err != nil {
+				t.Fatalf("failsafe=%v ranks=%d: %v", fs, ranks, err)
+			}
+			if got, want := res.Tree.Fingerprint(), ref.Fingerprint(); got != want {
+				t.Errorf("failsafe=%v ranks=%d: gathered tree %016x, serial tree %016x", fs, ranks, got, want)
+			}
+		}
+	}
+}
+
 // TestSod1DInvariance exercises the 1-D code path (binary tree, x-only
 // halos) across ranks.
 func TestSod1DInvariance(t *testing.T) {

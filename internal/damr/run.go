@@ -478,11 +478,14 @@ func (r *rankRun) recv(src, tag int) ([]float64, error) {
 }
 
 // exchangeHalos is the Halos hook of amr.Tree.StepLeaves: post packed
-// conserved blocks to every peer, receive the symmetric sets, then
-// restore the recover/ghost invariant on the fresh set. After an Euler
-// stage (stage > 0) the phase also charges the stage's compute to the
-// virtual clock, split around the halo wait by the overlap mode; the
-// combine (stage 0) is not charged.
+// conserved blocks to every peer, recover the owned leaves while those are
+// in flight, receive the symmetric sets, recover the replicas just
+// installed, then refill the owned ghosts. Recovery is leaf-local and an
+// owned leaf's needs nothing remote, so running it inside the wait changes
+// no value; the virtual clock does not see it either — the charges below
+// keep their place around the receives. After an Euler stage (stage > 0)
+// the phase charges the stage's compute to the virtual clock, split around
+// the halo wait by the overlap mode; the combine (stage 0) is not charged.
 func (r *rankRun) exchangeHalos(stage int, recovered bool) error {
 	t, ep := r.t, r.ep
 	before, after := 0.0, 0.0
@@ -502,6 +505,9 @@ func (r *rankRun) exchangeHalos(stage int, recovered bool) error {
 		r.haloSend[dst] = pair
 		r.comm.Send(dst, tagHalo, buf, r.clock)
 	}
+	if !recovered {
+		t.SyncSubset(ep.mine, nil)
+	}
 	r.clock += before
 	for _, src := range ep.peersIn {
 		data, err := r.recv(src, tagHalo)
@@ -517,11 +523,7 @@ func (r *rankRun) exchangeHalos(stage int, recovered bool) error {
 	}
 	r.clock += after
 
-	rec := ep.fresh
-	if recovered {
-		rec = ep.halo // only the replicas just installed
-	}
-	t.SyncSubset(rec, ep.mine)
+	t.SyncSubset(ep.halo, ep.mine)
 	return nil
 }
 

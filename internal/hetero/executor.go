@@ -284,8 +284,10 @@ func (ex *Executor) exec(tc tileCost, nTiles int, run func(lo, hi int)) {
 	}
 	ex.rememberOwners(nTiles, plan)
 
-	// Execute: kernels run for real on the pool; each is charged to its
-	// device's virtual clock.
+	// Execute: kernels run for real on the pool, then each is charged to
+	// its device's virtual clock — in plan order, after the join, because a
+	// clock is a float sum and completion order would make its last digit
+	// depend on the scheduler.
 	phaseStart := make([]float64, len(ex.Devices))
 	phaseZones := make([]int64, len(ex.Devices))
 	phaseKerns := make([]int64, len(ex.Devices))
@@ -301,21 +303,23 @@ func (ex *Executor) exec(tc tileCost, nTiles int, run func(lo, hi int)) {
 		ex.pool.Go(func() {
 			defer wg.Done()
 			run(a.lo, a.hi)
-			zones := tc.zones(a.lo, a.hi) * tc.ndim
-			dev := ex.Devices[a.dev]
-			_, start, end := dev.chargeInterval(zones)
-			if ex.Trace {
-				ex.mu.Lock()
-				ex.events = append(ex.events, TraceEvent{
-					Phase: phase, Device: dev.Spec.Name,
-					Tiles: a.hi - a.lo, Zones: zones,
-					Start: start, End: end,
-				})
-				ex.mu.Unlock()
-			}
 		})
 	}
 	wg.Wait()
+	for _, a := range plan {
+		zones := tc.zones(a.lo, a.hi) * tc.ndim
+		dev := ex.Devices[a.dev]
+		_, start, end := dev.chargeInterval(zones)
+		if ex.Trace {
+			ex.mu.Lock()
+			ex.events = append(ex.events, TraceEvent{
+				Phase: phase, Device: dev.Spec.Name,
+				Tiles: a.hi - a.lo, Zones: zones,
+				Start: start, End: end,
+			})
+			ex.mu.Unlock()
+		}
+	}
 
 	// Staged devices pay one streamed transfer of the phase working set:
 	// the zones they own cross the link once for all directions.

@@ -477,3 +477,49 @@ func TestPolicyKindStrings(t *testing.T) {
 		t.Error("kind names")
 	}
 }
+
+// Device clocks are float sums, so the order kernels are charged in is
+// part of the result. The executor charges in plan order after the phase
+// joins; charging from the pool goroutines made VirtualTime follow
+// completion order in its last digit. The 3×3 tiles do not divide 20×20,
+// so the kernels of a phase differ in cost and the order shows. Run under
+// -race -count=20.
+func TestVirtualClockDeterministic(t *testing.T) {
+	run := func() (float64, []float64) {
+		p := testprob.Blast3D
+		g := p.NewGrid(20, 2)
+		cfg := core.DefaultConfig()
+		cfg.TileJ, cfg.TileK = 3, 3
+		s, err := core.New(g, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ex := MustExecutor(Dynamic, MustDevice(SpecHostCPU(2)), MustDevice(SpecK20GPU()))
+		ex.Attach(s)
+		if err := s.InitFromPrim(p.Init); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 3; i++ {
+			if err := s.Step(s.MaxDt()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		busy := make([]float64, len(ex.Devices))
+		for i, d := range ex.Devices {
+			busy[i] = d.Busy()
+		}
+		return ex.VirtualTime(), busy
+	}
+	v0, b0 := run()
+	for rep := 0; rep < 4; rep++ {
+		v, b := run()
+		if v != v0 {
+			t.Fatalf("run %d: VirtualTime %v, first run %v", rep+1, v, v0)
+		}
+		for i := range b {
+			if b[i] != b0[i] {
+				t.Fatalf("run %d: device %d busy %v, first run %v", rep+1, i, b[i], b0[i])
+			}
+		}
+	}
+}
