@@ -79,7 +79,6 @@ type node struct {
 	children      []*node
 	li            int
 	sol           *core.Solver
-	rhs, u0       *state.Fields
 }
 
 func (n *node) leaf() bool { return n.children == nil }
@@ -211,7 +210,8 @@ func (t *Tree) blockExtent(level, bi, bj int) (x0, x1, y0, y1 float64) {
 	return
 }
 
-// attachSolver allocates the grid, solver and stage storage of a leaf.
+// attachSolver allocates the grid and solver of a leaf; the solver's own
+// stage buffers (core.Solver.StageBuffers) are the leaf's stage storage.
 func (t *Tree) attachSolver(n *node) error {
 	x0, x1, y0, y1 := t.blockExtent(n.level, n.bi, n.bj)
 	geom := grid.Geometry{
@@ -231,8 +231,6 @@ func (t *Tree) attachSolver(n *node) error {
 	if t.cfg.Attach != nil {
 		t.cfg.Attach(sol)
 	}
-	n.rhs = state.NewFields(g.NCells())
-	n.u0 = state.NewFields(g.NCells())
 	return nil
 }
 
@@ -493,77 +491,78 @@ func (t *Tree) MaxDt() float64 {
 
 // StepHooks are the two points at which StepLeaves hands control to the
 // driver that knows where the neighbours of the stepped leaves live: in
-// this tree (Step) or on other ranks (package damr).
+// this tree (Step) or on other ranks (package damr). stage is 1 or 2.
 type StepHooks struct {
-	// Masks runs only under core.Config.FailSafe, once per Euler stage,
-	// between detection and repair; troubled is the number of cells the
-	// detector flagged on the stepped leaves. On return the troubled-cell
-	// mask (LeafFSMask) of every leaf adjacent to a stepped one must be
+	// Masks runs only under core.Config.FailSafe, once per stage, between
+	// detection and repair; troubled is the number of cells the detector
+	// flagged on the stepped leaves. On return the troubled-cell mask
+	// (LeafFSMask) of every leaf adjacent to a stepped one must be
 	// current. repair reports whether any of those masks, stepped or
 	// adjacent, carries a flag; when none does the stage skips the repair
 	// and its mask ghost fill.
 	Masks func(stage, troubled int) (repair bool, err error)
-	// Halos runs after Euler stages 1 and 2 and, as stage 0, after the
-	// combine. On return every stepped leaf and every leaf adjacent to
-	// one must hold primitives recovered exactly once from its new
-	// conserved state, and the External ghosts of the stepped leaves must
-	// be refilled (SyncSubset). recovered reports that the stepped leaves
-	// are already recovered — a fail-safe stage, whose detection and
-	// repair recover as they go — and must not be recovered again: a cell
-	// whose stored primitives were clamped (pressure floor, velocity cap)
-	// would re-enter Newton from the clamped guess and land on a
-	// marginally different root than the plain path's single recovery.
+	// Halos runs at the end of each stage. On return every stepped leaf
+	// and every leaf adjacent to one must hold primitives recovered
+	// exactly once from its new conserved state, and the External ghosts
+	// of the stepped leaves must be refilled (SyncSubset). recovered
+	// reports that the stepped leaves are already recovered — a fail-safe
+	// stage, whose detection and repair recover as they go — and must not
+	// be recovered again: a cell whose stored primitives were clamped
+	// (pressure floor, velocity cap) would re-enter Newton from the
+	// clamped guess and land on a marginally different root than the
+	// plain path's single recovery.
 	Halos func(stage int, recovered bool) error
 }
 
 // StepLeaves advances the leaves own by dt with stage-synchronous SSP-RK2
 // and moves the solution clock — the one stage sequence of the serial
-// and the distributed driver: snapshot, two Euler stages u += dt·L(u)
-// (each followed, under core.Config.FailSafe, by detect → Masks → repair,
-// see failsafe.go), the combine u ← ½u⁰ + ½u, clock advance, with Halos
-// after each stage and after the combine. Ghosts of the stepped leaves
-// must be current on entry. The combine is a convex combination of two
-// detector-clean states and the admissible set is convex, so it needs no
-// detection; its recovery is the one MaxDt will be asked about, so it
-// alone is armed to fold the CFL reduction in. A hook error aborts the
-// step and leaves the stepped leaves mid-stage.
+// and the distributed driver, and per leaf operation for operation
+// core.Solver.Step's: snapshot u⁰, the Euler stage u ← u + dt·L(u), then
+// the Euler update fused with the SSP combine, u ← ½u⁰ + ½(u + dt·L(u)).
+// Each stage ends, under core.Config.FailSafe, with detect → Masks →
+// repair (failsafe.go) and then with Halos: two RHS sweeps, two recoveries
+// and two ghost fills a step. Ghosts of the stepped leaves must be current
+// on entry. Stage 2's recovery is the one MaxDt will be asked about, so it
+// is armed to fold the CFL reduction in. A hook error aborts the step and
+// leaves the stepped leaves mid-stage.
 func (t *Tree) StepLeaves(own []int, dt float64, h StepHooks) error {
 	fs := t.cfg.Core.FailSafe
-	for _, i := range own {
-		n := t.leaves[i]
-		n.u0.CopyFrom(n.sol.G.U)
-	}
 	for stage := 1; stage <= 2; stage++ {
-		for _, i := range own {
-			n := t.leaves[i]
-			n.sol.ComputeRHS(n.rhs)
-			t.zoneUpdates += int64(n.sol.G.Nx * n.sol.G.Ny)
+		// The stage's candidate is a·u⁰ + b·(u + dt·L(u)).
+		a, b := 0.0, 1.0
+		if stage == 2 {
+			a, b = 0.5, 0.5
+			t.ArmCFL(own)
 		}
-		if fs {
-			for _, i := range own {
-				t.leaves[i].sol.FSBegin()
+		// All sweeps, then all updates: interleaving the streaming update
+		// with the next leaf's sweep measured 2–5 % slower on the serial tree.
+		for _, i := range own {
+			sol := t.leaves[i].sol
+			_, rhs := sol.StageBuffers()
+			sol.ComputeRHS(rhs)
+			t.zoneUpdates += int64(sol.G.Nx * sol.G.Ny)
+		}
+		for _, i := range own {
+			sol := t.leaves[i].sol
+			u0, rhs := sol.StageBuffers()
+			if fs {
+				sol.FSBegin()
+			}
+			if stage == 1 {
+				u0.CopyFrom(sol.G.U)
+				sol.G.U.AXPY(dt, rhs)
+			} else {
+				sol.G.U.LinComb2AXPY(a, u0, b, dt, rhs)
 			}
 		}
-		for _, i := range own {
-			n := t.leaves[i]
-			n.sol.G.U.AXPY(dt, n.rhs)
-		}
 		if fs {
-			if err := t.detectRepair(own, stage, dt, h.Masks); err != nil {
+			if err := t.detectRepair(own, stage, dt, a, b, h.Masks); err != nil {
 				return err
 			}
 		}
 		if err := h.Halos(stage, fs); err != nil {
 			return err
 		}
-	}
-	for _, i := range own {
-		n := t.leaves[i]
-		n.sol.G.U.LinComb2(0.5, n.u0, 0.5, n.sol.G.U)
-	}
-	t.ArmCFL(own)
-	if err := h.Halos(0, false); err != nil {
-		return err
 	}
 	t.t += dt
 	t.steps++

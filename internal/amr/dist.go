@@ -231,8 +231,8 @@ func (t *Tree) SyncSubset(recover, ghosts []int) {
 // ArmCFL arms the next primitive recovery of the given leaves to fold the
 // CFL reduction into its pass (core.Solver.AccumulateCFLNext), so the
 // following MaxDtOf is a cheap per-leaf combine. Arm only a recovery whose
-// state is the one MaxDt will be asked about: StepLeaves arms the
-// combine's, drivers the post-regrid one.
+// state is the one MaxDt will be asked about: StepLeaves arms stage 2's,
+// drivers the post-regrid one.
 func (t *Tree) ArmCFL(idx []int) {
 	for _, i := range idx {
 		t.leaves[i].sol.AccumulateCFLNext()

@@ -7,8 +7,8 @@ import (
 )
 
 // A posteriori fail-safe over the block tree (core.Config.FailSafe on
-// the leaf method). Each Euler stage runs the per-leaf detector after
-// the candidate update; flagged cells are repaired in place with the
+// the leaf method). Each stage runs the per-leaf detector after the
+// candidate update; flagged cells are repaired in place with the
 // first-order flux replacement (core.Solver.FSRepair) before the stage
 // sync, so by the time ghosts are refilled every leaf holds an
 // admissible state. Two tree-specific pieces live here:
@@ -24,20 +24,22 @@ import (
 //     and conservation stays exact; coarse-fine faces inherit the
 //     tree's existing no-refluxing policy (package comment).
 //
-//   - Stage selection. The SSP-RK2 combine is a convex combination of
-//     two detector-clean states, and the admissible set (D > 0,
-//     tau > 0, |S| - (tau + D + p) < 0) is convex — D and tau are
-//     linear in U and the causality functional is a norm minus a
-//     linear form. The combine therefore cannot leave the set and only
-//     the Euler stages are detected.
+//   - Stage coefficients. Both stages are detected, each as the
+//     candidate a·u⁰ + b·(u + dt·L(u)) it actually wrote — (0, 1) for
+//     the Euler stage, (½, ½) for the second stage fused with the SSP
+//     combine — against the pre-stage neighbourhood, and repaired with
+//     the same (a, b), exactly as core.Solver.Step validates its stages
+//     on a uniform grid (core.fsStagePost). The leaf solver's own stage
+//     buffers hold u⁰ and L(u) (core.Solver.StageBuffers), which is
+//     where FSRepair reads them.
 //
 // A run in which the detector never fires is bitwise identical to the
-// plain tree step: detection only reads the candidate state, and the
-// stage sync's primitive recovery re-enters c2p at the already
-// converged pressures, which the Newton loop returns unchanged.
+// plain tree step: detection only reads the candidate state, and its
+// primitive recovery is the stage's one recovery (the Halos hook is told
+// not to repeat it).
 
-// detectRepair is the fail-safe tail of one Euler stage of StepLeaves,
-// entered with the candidate update u += dt·L(u) applied to the leaves
+// detectRepair is the fail-safe tail of one stage of StepLeaves, entered
+// with the candidate update a·u⁰ + b·(u + dt·L(u)) applied to the leaves
 // own: fault hook, detect, Masks hook, repair. Detection (and repair)
 // recover every stepped leaf's primitives from the candidate state as
 // they go, which is why the stage's Halos hook is told not to.
@@ -49,7 +51,7 @@ import (
 // mask is clean the repair and its mask ghost fill are skipped. Only
 // flagged cells count as repaired — cells that merely receive a corrected
 // neighbour flux do not, the accounting core.Solver uses.
-func (t *Tree) detectRepair(own []int, stage int, dt float64, masks func(stage, troubled int) (bool, error)) error {
+func (t *Tree) detectRepair(own []int, stage int, dt, a, b float64, masks func(stage, troubled int) (bool, error)) error {
 	// Same injection point core.Step offers: after the candidate update,
 	// before detection, once per leaf in deterministic leaf order.
 	if hook := t.cfg.Core.FaultHook; hook != nil {
@@ -72,7 +74,7 @@ func (t *Tree) detectRepair(own []int, stage int, dt float64, masks func(stage, 
 		if !maskAny(n.sol.FSMask()) {
 			continue
 		}
-		if err := n.sol.FSRepair(stage, dt, 0, 1); err != nil {
+		if err := n.sol.FSRepair(stage, dt, a, b); err != nil {
 			var se *core.StateError
 			if errors.As(err, &se) {
 				se.Troubled = troubled

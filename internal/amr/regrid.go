@@ -115,7 +115,7 @@ func (t *Tree) refine(n *node) error {
 		n.children[c] = child
 	}
 	// The parent becomes structural.
-	n.sol, n.rhs, n.u0 = nil, nil, nil
+	n.sol = nil
 	return nil
 }
 

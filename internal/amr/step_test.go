@@ -13,25 +13,28 @@ import (
 
 // TestStepLeavesHookContract drives StepLeaves with a recording hook set
 // and pins the call contract the distributed driver is written against:
-// Masks only under FailSafe, once per Euler stage, with the detector's
-// count and before any repair; Halos after stage 1, after stage 2 and
-// after the combine; the stepped leaves' primitives left untouched for
-// the hook on plain stages and on the combine, already recovered — and
-// flagged as such — on fail-safe stages. The hooks do what Tree.Step's
-// do, so the stepped tree must also match a Tree.Step twin bit for bit.
+// Masks only under FailSafe, once per stage, with the detector's count and
+// before any repair; Halos at the end of stage 1 and of stage 2 and never
+// again — the SSP combine is fused into stage 2, so a step is two syncs;
+// the stepped leaves' primitives left untouched for the hook on plain
+// stages, already recovered — and flagged as such — on fail-safe stages.
+// The hooks do what Tree.Step's do, so the stepped tree must also match a
+// Tree.Step twin bit for bit.
 func TestStepLeavesHookContract(t *testing.T) {
 	cases := []struct {
 		name     string
 		failSafe bool
-		poison   bool // NaN one cell per leaf on stage 1, so the repair runs
+		poison   int // stage on which one cell per leaf is NaN'd so the repair runs; 0 = never
 		want     []string
 	}{
-		{"plain", false, false, []string{
-			"halos(1,false)", "halos(2,false)", "halos(0,false)"}},
-		{"failsafe-clean", true, false, []string{
-			"masks(1,0)", "halos(1,true)", "masks(2,0)", "halos(2,true)", "halos(0,false)"}},
-		{"failsafe-troubled", true, true, []string{
-			"masks(1,4)", "halos(1,true)", "masks(2,0)", "halos(2,true)", "halos(0,false)"}},
+		{"plain", false, 0, []string{
+			"halos(1,false)", "halos(2,false)"}},
+		{"failsafe-clean", true, 0, []string{
+			"masks(1,0)", "halos(1,true)", "masks(2,0)", "halos(2,true)"}},
+		{"failsafe-troubled", true, 1, []string{
+			"masks(1,4)", "halos(1,true)", "masks(2,0)", "halos(2,true)"}},
+		{"failsafe-troubled-fused", true, 2, []string{
+			"masks(1,0)", "halos(1,true)", "masks(2,4)", "halos(2,true)"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -43,9 +46,9 @@ func TestStepLeavesHookContract(t *testing.T) {
 				cfg.Core.FailSafe = tc.failSafe
 				ng := cfg.Core.Recon.Ghost()
 				cell = (ng+4)*(cfg.BlockN+2*ng) + ng + 4
-				if tc.poison {
+				if tc.poison > 0 {
 					cfg.Core.FaultHook = func(stage int, u *state.Fields) {
-						if stage == 1 {
+						if stage == tc.poison {
 							u.Comp[state.ITau][cell] = math.NaN()
 						}
 					}
@@ -78,8 +81,8 @@ func TestStepLeavesHookContract(t *testing.T) {
 					if tr.RepairedCells() != repaired {
 						t.Errorf("stage %d: Masks ran after the stage's repair", stage)
 					}
-					if tau := tr.leaves[0].sol.G.U.Comp[state.ITau][cell]; tc.poison && stage == 1 && !math.IsNaN(tau) {
-						t.Errorf("stage 1: poisoned cell already repaired (tau = %v) when Masks ran", tau)
+					if tau := tr.leaves[0].sol.G.U.Comp[state.ITau][cell]; stage == tc.poison && !math.IsNaN(tau) {
+						t.Errorf("stage %d: poisoned cell already repaired (tau = %v) when Masks ran", stage, tau)
 					}
 					return troubled > 0, nil
 				},
@@ -107,7 +110,7 @@ func TestStepLeavesHookContract(t *testing.T) {
 			if !reflect.DeepEqual(calls, tc.want) {
 				t.Errorf("hook calls\n got %v\nwant %v", calls, tc.want)
 			}
-			if tc.poison && (tr.TroubledCells() != 4 || tr.RepairedCells() != 4) {
+			if tc.poison > 0 && (tr.TroubledCells() != 4 || tr.RepairedCells() != 4) {
 				t.Errorf("troubled %d, repaired %d, want 4 and 4", tr.TroubledCells(), tr.RepairedCells())
 			}
 			if tr.Steps() != 1 || tr.Time() != dt {
@@ -123,10 +126,90 @@ func TestStepLeavesHookContract(t *testing.T) {
 	}
 }
 
+// TestSingleLeafMatchesCoreStep is the tree's uniform-grid oracle: with
+// one root block and no refinement there is no neighbour to sync with, so
+// StepLeaves must be core.Solver.Step operation for operation — MaxDt and
+// every entry of U bit-equal over ten steps, plain, under FailSafe with the
+// detector left to itself, and with the fused second stage poisoned so the repair has to
+// rebuild the (½, ½) candidate from the solver's own u⁰ and RHS.
+func TestSingleLeafMatchesCoreStep(t *testing.T) {
+	modes := []struct {
+		name     string
+		failSafe bool
+		poison   bool
+	}{{"plain", false, false}, {"failsafe", true, false}, {"failsafe-repair", true, true}}
+	for _, p := range []*testprob.Problem{testprob.Sod, testprob.Blast2D} {
+		for _, m := range modes {
+			t.Run(p.Name+"/"+m.name, func(t *testing.T) {
+				cfg := DefaultConfig(core.DefaultConfig())
+				cfg.BlockN, cfg.MaxLevel = 32, 0
+				cfg.Core.FailSafe = m.failSafe
+				ng := cfg.Core.Recon.Ghost()
+				g := p.NewGrid(cfg.BlockN, ng)
+				if m.poison {
+					cell := g.Idx(g.IBeg()+5, g.JBeg()+(g.Ny-1)/2, g.KBeg())
+					cfg.Core.FaultHook = func(stage int, u *state.Fields) {
+						if stage == 2 {
+							u.Comp[state.ITau][cell] = math.NaN()
+						}
+					}
+				}
+				tr, err := NewTree(p, 1, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if tr.NumLeaves() != 1 {
+					t.Fatalf("%d leaves, want the single root block", tr.NumLeaves())
+				}
+				sol, err := core.New(g, cfg.Core)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := sol.InitFromPrim(p.Init); err != nil {
+					t.Fatal(err)
+				}
+				// NewTree ends on a sync; core.Solver.Advance opens with the
+				// same recovery.
+				sol.RecoverPrimitives()
+				for step := 0; step < 10; step++ {
+					dt, want := tr.MaxDt(), sol.MaxDt()
+					if dt != want {
+						t.Fatalf("step %d: tree dt %v, core dt %v", step, dt, want)
+					}
+					if err := tr.Step(dt); err != nil {
+						t.Fatal(err)
+					}
+					if err := sol.Step(dt); err != nil {
+						t.Fatal(err)
+					}
+					got, ref := tr.LeafRawU(0), sol.G.U.Raw()
+					diff := 0
+					for i := range ref {
+						if math.Float64bits(got[i]) != math.Float64bits(ref[i]) {
+							diff++
+						}
+					}
+					if diff != 0 || len(got) != len(ref) {
+						t.Fatalf("step %d: %d of %d U entries differ from core.Solver.Step", step, diff, len(ref))
+					}
+				}
+				// Blast2D's shell trips the DMP detector on its own at this
+				// resolution; whatever fires must fire alike on both sides.
+				if a, b := tr.TroubledCells(), sol.St.Troubled.Load(); a != b {
+					t.Errorf("tree flagged %d cells, core.Solver %d", a, b)
+				}
+				if a, b := tr.RepairedCells(), sol.St.Repaired.Load(); a != b || m.poison && a < 10 {
+					t.Errorf("tree repaired %d cells, core.Solver %d (poisoned: at least 10)", a, b)
+				}
+			})
+		}
+	}
+}
+
 // TestStepZeroAllocs is the serial row of the zero-allocation family
 // (core and damr hold the others): between regrids, with the solvers'
 // scratch and every leaf's ghost plan warm, Tree.Step — stage advances,
-// whole-tree recoveries, three plan-replayed ghost fills, and under
+// whole-tree recoveries, two plan-replayed ghost fills, and under
 // FailSafe the per-stage detection — allocates nothing. A ghost fill that
 // rebuilt a plan, or walked the tree through a closure, would show here.
 func TestStepZeroAllocs(t *testing.T) {

@@ -165,24 +165,53 @@ func (s *Solver) atmosphere() state.Prim {
 // calls are devirtualised, mirroring eos.IdealGas operation for operation
 // so the root — and hence the recovered state — is bitwise independent of
 // the dispatch path.
+//
+// Everything that depends on the conserved state alone (E, S², the Γ-law
+// constants) is formed once in newResidual; eval is primsAt without the
+// velocities, operation for operation, and keeps ρ and v² of its last
+// admissible evaluation so a root Newton converged on needs no second
+// reconstruction.
 type residual struct {
 	c     state.Cons
-	vmax  float64
+	en    float64 // E = τ + D
+	s2    float64 // S²
+	vmax2 float64
 	e     eos.EOS
 	gamma float64 // adiabatic index when e is a Γ-law gas; 0 otherwise
+	gm1   float64 // Γ − 1
+	gog   float64 // Γ/(Γ − 1)
+
+	rho, v2 float64 // of the last evaluation that returned ok
+}
+
+func newResidual(c state.Cons, en, s2, vmax float64, e eos.EOS, gamma float64) residual {
+	return residual{c: c, en: en, s2: s2, vmax2: vmax * vmax, e: e,
+		gamma: gamma, gm1: gamma - 1, gog: gamma / (gamma - 1)}
 }
 
 func (r *residual) eval(p float64) (fv, df float64, ok bool) {
-	rho, _, _, _, eps, v2, ok := primsAt(r.c, p, r.vmax)
-	if !ok {
+	ep := r.en + p
+	if ep <= 0 {
 		return 0, 0, false
 	}
-	if gamma := r.gamma; gamma > 0 {
-		pe := (gamma - 1) * rho * eps
+	v2 := r.s2 / (ep * ep)
+	if v2 >= r.vmax2 {
+		return 0, 0, false
+	}
+	w := 1 / math.Sqrt(1-v2)
+	rho := r.c.D / w
+	h := ep / (r.c.D * w)
+	eps := h - 1 - p/rho
+	if !(rho > 0) || math.IsNaN(eps) {
+		return 0, 0, false
+	}
+	r.rho, r.v2 = rho, v2
+	if r.gamma > 0 {
+		pe := r.gm1 * rho * eps
 		cs2 := 0.0
 		if pe > 0 {
-			h := 1 + gamma/(gamma-1)*pe/rho
-			cs2 = gamma * pe / (rho * h)
+			h := 1 + r.gog*pe/rho
+			cs2 = r.gamma * pe / (rho * h)
 		}
 		return pe - p, v2*cs2 - 1, true
 	}
@@ -232,7 +261,8 @@ func (s *Solver) recover(c state.Cons, guess, gamma float64, st *statDelta) (sta
 	// further floor check is needed (for admissible Γ-law states the
 	// causality term is in fact always negative — see the regression test
 	// TestCausalityBoundBracket).
-	sAbs := math.Sqrt(c.SSq())
+	s2 := c.SSq()
+	sAbs := math.Sqrt(s2)
 	pMin := math.Max(opts.PFloor, (sAbs-e)*(1+1e-10))
 
 	p := guess
@@ -245,7 +275,7 @@ func (s *Solver) recover(c state.Cons, guess, gamma float64, st *statDelta) (sta
 		}
 	}
 
-	fr := residual{c: c, vmax: opts.VMax, e: s.EOS, gamma: gamma}
+	fr := newResidual(c, e, s2, opts.VMax, s.EOS, gamma)
 
 	// Newton iteration with the monotone derivative approximation.
 	// Convergence requires both a small step and a small residual: the step
@@ -356,13 +386,22 @@ func (s *Solver) recover(c state.Cons, guess, gamma float64, st *statDelta) (sta
 		}
 	}
 
-	rho, vx, vy, vz, _, v2, ok := primsAt(c, p, opts.VMax)
-	if !ok {
-		st.failures++
-		return s.atmosphere(), fmt.Errorf("%w: inadmissible root p=%v", ErrUnphysical, p)
+	// The Newton root was just evaluated: its ρ and v² are in fr, and the
+	// velocities follow from the same 1/(E+p) primsAt forms. A bisected or
+	// floor-clamped p was not, and is reconstructed (and re-checked) whole.
+	var prim state.Prim
+	v2 := fr.v2
+	if converged {
+		inv := 1 / (e + p)
+		prim = state.Prim{Rho: fr.rho, Vx: c.Sx * inv, Vy: c.Sy * inv, Vz: c.Sz * inv, P: p}
+	} else {
+		rho, vx, vy, vz, _, pv2, ok := primsAt(c, p, opts.VMax)
+		if !ok {
+			st.failures++
+			return s.atmosphere(), fmt.Errorf("%w: inadmissible root p=%v", ErrUnphysical, p)
+		}
+		prim, v2 = state.Prim{Rho: rho, Vx: vx, Vy: vy, Vz: vz, P: p}, pv2
 	}
-
-	prim := state.Prim{Rho: rho, Vx: vx, Vy: vy, Vz: vz, P: p}
 
 	// Velocity cap.
 	if v2 > opts.VMax*opts.VMax {

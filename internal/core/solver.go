@@ -467,6 +467,12 @@ func (s *Solver) recoverPrims(flagging bool) int {
 	return r
 }
 
+// StageBuffers returns the solver's RK stage storage — the stage-zero
+// snapshot and the RHS that FSRepair reads — for drivers that run the
+// stage sequence themselves (the AMR trees), so a leaf's stage data has
+// one owner.
+func (s *Solver) StageBuffers() (u0, rhs *state.Fields) { return s.u0, s.rhs }
+
 // AccumulateCFLNext arms the next RecoverPrimitives call to fuse the CFL
 // reduction into its recovery pass. Drivers that manage recovery
 // themselves (the AMR trees) arm the final recovery of each step so their

@@ -11,10 +11,11 @@
 //	owned leaves ∪ halo ring (all face+corner neighbours of owned
 //	leaves) carry bit-identical data to a single-rank amr run.
 //
-// Three halo exchanges per SSP-RK2 step (one per RHS stage plus one
-// after the stage combination) keep the ring fresh; a fourth, heavier
-// exchange after each regrid migrates blocks whose Morton-curve owner
-// changed and refreshes newly adjacent rings. Each rank runs the serial
+// Two halo exchanges per SSP-RK2 step — one per RHS stage, the second
+// stage being fused with the SSP combination as on a uniform grid — keep
+// the ring fresh; a third, heavier exchange after each regrid migrates
+// blocks whose Morton-curve owner changed and refreshes newly adjacent
+// rings. Each rank runs the serial
 // tree's own stage sequence (amr.Tree.StepLeaves) on its owned leaves,
 // with its mask and halo exchanges as the two hooks, so every leaf sees
 // exactly the per-leaf operation sequence of the serial tree — including

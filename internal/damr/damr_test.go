@@ -3,6 +3,7 @@ package damr
 import (
 	"math"
 	"testing"
+	"time"
 
 	"rhsc/internal/amr"
 	"rhsc/internal/cluster"
@@ -128,6 +129,68 @@ func TestHalosRecoverOrderBitwise(t *testing.T) {
 				t.Errorf("failsafe=%v ranks=%d: gathered tree %016x, serial tree %016x", fs, ranks, got, want)
 			}
 		}
+	}
+}
+
+// TestTwoHaloExchangesPerStep counts the step's traffic on the reliable
+// transport: with checkpoints off and no regrid inside the window, doubling
+// the step count must add, per step, exactly two halo frames per directed
+// peer pair beside the dt collective, and two halo payloads' worth of bytes
+// — the quantity bench reports as damr.halo_bytes_per_step. A third
+// exchange (the combine sync StepLeaves no longer has) would add a frame
+// per pair and half as many bytes again.
+func TestTwoHaloExchangesPerStep(t *testing.T) {
+	p := testprob.Blast2D
+	cfg := blastConfig()
+	cfg.RegridEvery = 1 << 30
+	const nbx, steps = 4, 6
+	opts := Options{Ranks: 2, Net: cluster.Infiniband()}
+	run := func(n int) *Result {
+		o := opts
+		o.Steps = n
+		o.Transport = &cluster.TransportConfig{Reliable: true, RTO: 50 * time.Millisecond}
+		res, err := runWithin(t, time.Minute, func() (*Result, error) { return Run(p, nbx, cfg, o) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Regrids != 0 || res.Checkpoints != 0 || res.Net.Timeouts != 0 {
+			t.Fatalf("window not clean: %d regrids, %d checkpoints, %d timeouts",
+				res.Regrids, res.Checkpoints, res.Net.Timeouts)
+		}
+		return res
+	}
+	short, long := run(steps), run(2*steps)
+
+	// One exchange's payload and frame count, from the exchange plan both
+	// runs keep from the first step to the last.
+	if err := opts.validate(); err != nil {
+		t.Fatal(err)
+	}
+	var haloBytes, pairs int64
+	for rank := 0; rank < opts.Ranks; rank++ {
+		ep := buildEpoch(long.Tree, &opts, cfg.MaxLevel, rank, []int{0, 1})
+		for _, dst := range ep.peersOut {
+			pairs++
+			for _, i := range ep.sendTo[dst] {
+				haloBytes += int64(8 * len(long.Tree.LeafRawU(i)))
+			}
+		}
+	}
+	if pairs != 2 || haloBytes == 0 {
+		t.Fatalf("exchange plan has %d directed pairs carrying %d B, want 2 and > 0", pairs, haloBytes)
+	}
+
+	// The dt collective is one contribution to the root and one rebroadcast
+	// at two ranks; the end-of-run gathers are the same frames in both runs.
+	const collectiveFrames = 2
+	if got, want := long.Net.Sent-short.Net.Sent, int64(steps)*(2*pairs+collectiveFrames); got != want {
+		t.Errorf("%d more steps sent %d more frames, want %d (two exchanges a step)", steps, got, want)
+	}
+	// Bytes: the collective's few words and the value-dependent size of the
+	// final gob gather are noise far below one exchange.
+	perStep := float64(long.Net.SentBytes-short.Net.SentBytes) / steps
+	if d := perStep - 2*float64(haloBytes); d < -float64(haloBytes)/4 || d > float64(haloBytes)/4 {
+		t.Errorf("%.0f halo B per step, want two exchanges of %d B", perStep, haloBytes)
 	}
 }
 

@@ -483,15 +483,12 @@ func (r *rankRun) recv(src, tag int) ([]float64, error) {
 // installed, then refill the owned ghosts. Recovery is leaf-local and an
 // owned leaf's needs nothing remote, so running it inside the wait changes
 // no value; the virtual clock does not see it either — the charges below
-// keep their place around the receives. After an Euler stage (stage > 0)
-// the phase charges the stage's compute to the virtual clock, split around
-// the halo wait by the overlap mode; the combine (stage 0) is not charged.
-func (r *rankRun) exchangeHalos(stage int, recovered bool) error {
+// keep their place around the receives. Every call ends a stage (two a
+// step), so each charges its stage's compute to the virtual clock, split
+// around the halo wait by the overlap mode.
+func (r *rankRun) exchangeHalos(_ int, recovered bool) error {
 	t, ep := r.t, r.ep
-	before, after := 0.0, 0.0
-	if stage > 0 {
-		before, after = r.opts.Mode.Overlap(ep.interiorZones+ep.boundaryZones, ep.boundaryZones, float64(t.Dim()), r.rate)
-	}
+	before, after := r.opts.Mode.Overlap(ep.interiorZones+ep.boundaryZones, ep.boundaryZones, float64(t.Dim()), r.rate)
 
 	par := r.haloPhase & 1
 	r.haloPhase++

@@ -207,10 +207,11 @@ func (s *Server) tenantLocked(name string) *tenantAcct {
 }
 
 // Submit runs admission control and either queues the job or records a
-// rejection. The returned Status is the job's initial snapshot — state
-// Queued, or RejectedState with Reason set. An error is returned only
-// for invalid specs (the HTTP layer maps it to 400; rejections map to
-// 429).
+// rejection. The returned Status is the job's admission snapshot — state
+// Queued, or RejectedState with Reason set — taken before s.mu is
+// released, so no worker can have moved the job on by then (lock order
+// s.mu → j.mu, as in Drain). An error is returned only for invalid specs
+// (the HTTP layer maps it to 400; rejections map to 429).
 func (s *Server) Submit(spec JobSpec) (Status, error) {
 	if err := spec.Validate(); err != nil {
 		return Status{}, err
@@ -240,8 +241,9 @@ func (s *Server) Submit(spec JobSpec) (Status, error) {
 		j.reason = reason
 		j.finished = now
 		s.C.Rejected.Add(1)
+		st := j.status()
 		s.mu.Unlock()
-		return j.status(), nil
+		return st, nil
 	}
 	if s.stopping {
 		return reject("server draining")
@@ -269,8 +271,9 @@ func (s *Server) Submit(spec JobSpec) (Status, error) {
 	s.C.QueueDepth.Store(int64(len(s.queue)))
 	s.maybePreemptLocked(spec.Priority)
 	s.cond.Signal()
+	st := j.status()
 	s.mu.Unlock()
-	return j.status(), nil
+	return st, nil
 }
 
 // maybePreemptLocked flags the lowest-priority running job for

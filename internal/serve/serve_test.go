@@ -3,6 +3,7 @@ package serve
 import (
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -65,6 +66,33 @@ func TestSubmitRunsToCompletion(t *testing.T) {
 	if m.Accepted != 1 || m.Completed != 1 || m.Failed != 0 {
 		t.Fatalf("metrics %+v, want accepted=1 completed=1 failed=0", m)
 	}
+}
+
+// TestSubmitReturnsAdmissionSnapshot: Submit's Status is taken under the
+// scheduler lock, so however fast a worker picks the job up — one-step
+// jobs on two idle workers finish in microseconds — the caller sees the
+// admission decision, never a later state.
+func TestSubmitReturnsAdmissionSnapshot(t *testing.T) {
+	s := New(Config{Workers: 2})
+	defer s.Close()
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 25; i++ {
+				st, err := s.Submit(JobSpec{Problem: "sod", N: 16, MaxSteps: 1})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if st.State != Queued && st.State != RejectedState {
+					t.Errorf("Submit returned state %q, want queued or rejected", st.State)
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestValidationRejectsBadSpecs(t *testing.T) {
