@@ -22,6 +22,12 @@
 // The package also owns the robustness policy production HRSC codes need
 // near vacuum: density and pressure floors ("atmosphere"), a velocity cap,
 // and per-solver failure accounting.
+//
+// The inversion is a row kernel (recoverRow): the prologue and the Newton
+// loop run inline over a contiguous range of cells, so neighbouring cells'
+// division and square-root chains overlap in the processor. The algorithm
+// and each cell's evaluation order are those of a one-cell call; only the
+// derivative is formed lazily, after the convergence test it cannot affect.
 package c2p
 
 import (
@@ -62,7 +68,7 @@ func DefaultOptions() Options {
 }
 
 // Stats counts recovery events. All fields are updated atomically so one
-// Solver may be shared across the strip-parallel RHS evaluation.
+// Solver may be shared by the workers recovering tile chunks in parallel.
 //
 // Atomicity contract: each field is individually atomic, but the set of
 // counters is not updated under a common lock, so a Snapshot taken while
@@ -132,26 +138,21 @@ func NewSolver(e eos.EOS) *Solver {
 // the physical domain (E+p ≤ |S| for every admissible p, negative D, …).
 var ErrUnphysical = errors.New("c2p: unphysical conserved state")
 
-// primsAt evaluates the algebraic primitive reconstruction at pressure p.
-// It returns ok=false when p is inadmissible for this conserved state.
-func primsAt(c state.Cons, p float64, vmax float64) (rho, vx, vy, vz, eps, v2 float64, ok bool) {
-	e := c.Tau + c.D
-	ep := e + p
-	s2 := c.SSq()
-	if ep <= 0 {
-		return 0, 0, 0, 0, 0, 0, false
-	}
+// trial evaluates the algebraic reconstruction of the conserved state
+// (D, E = τ + D, S²) at pressure p: ρ, ε and v². It returns ok=false when p
+// is inadmissible for the state (E + p ≤ 0, v² ≥ VMax², ρ ≤ 0 or ε NaN —
+// the arithmetic runs regardless, NaN and all, and only ok says whether to
+// believe it). It is the one copy of these operations, small enough that
+// the Newton loop, the bisection and the final reconstruction all inline
+// it, so a pressure reconstructs to the same bits wherever it is tried.
+func trial(d, en, s2, vmax2, p float64) (rho, eps, v2 float64, ok bool) {
+	ep := en + p
 	v2 = s2 / (ep * ep)
-	if v2 >= vmax*vmax {
-		return 0, 0, 0, 0, 0, 0, false
-	}
 	w := 1 / math.Sqrt(1-v2)
-	rho = c.D / w
-	h := ep / (c.D * w)
+	rho = d / w
+	h := ep / (d * w)
 	eps = h - 1 - p/rho
-	inv := 1 / ep
-	vx, vy, vz = c.Sx*inv, c.Sy*inv, c.Sz*inv
-	return rho, vx, vy, vz, eps, v2, rho > 0 && !math.IsNaN(eps)
+	return rho, eps, v2, !(ep <= 0) && !(v2 >= vmax2) && rho > 0 && !math.IsNaN(eps)
 }
 
 // atmosphere returns the floor state.
@@ -159,72 +160,39 @@ func (s *Solver) atmosphere() state.Prim {
 	return state.Prim{Rho: s.Opts.RhoFloor, P: s.Opts.PFloor}
 }
 
-// residual evaluates f(p) = p_EOS(ρ(p), ε(p)) − p and the monotone
-// derivative approximation f'(p) ≈ v²c_s² − 1 for one conserved state.
-// When gamma > 0 the EOS is a Γ-law gas and the Pressure/SoundSpeed2
-// calls are devirtualised, mirroring eos.IdealGas operation for operation
-// so the root — and hence the recovered state — is bitwise independent of
-// the dispatch path.
-//
-// Everything that depends on the conserved state alone (E, S², the Γ-law
-// constants) is formed once in newResidual; eval is primsAt without the
-// velocities, operation for operation, and keeps ρ and v² of its last
-// admissible evaluation so a root Newton converged on needs no second
-// reconstruction.
-type residual struct {
-	c     state.Cons
-	en    float64 // E = τ + D
-	s2    float64 // S²
-	vmax2 float64
-	e     eos.EOS
-	gamma float64 // adiabatic index when e is a Γ-law gas; 0 otherwise
-	gm1   float64 // Γ − 1
-	gog   float64 // Γ/(Γ − 1)
+// failure says why an inversion failed; the zero value is success. The row
+// kernel carries the code, and only Recover — the one caller that returns an
+// error — formats a message from it, so a failing cell (routine, and
+// repaired, under fail-safe flagging) costs no allocation.
+type failure uint8
 
-	rho, v2 float64 // of the last evaluation that returned ok
-}
+const (
+	recovered     failure = iota
+	failHopeless          // D or E non-positive or NaN
+	failNoBracket         // no admissible pressure has a positive residual
+	failUnbounded         // the residual stays positive however high p goes
+	failRoot              // the bisected pressure is itself inadmissible
+)
 
-func newResidual(c state.Cons, en, s2, vmax float64, e eos.EOS, gamma float64) residual {
-	return residual{c: c, en: en, s2: s2, vmax2: vmax * vmax, e: e,
-		gamma: gamma, gm1: gamma - 1, gog: gamma / (gamma - 1)}
-}
-
-func (r *residual) eval(p float64) (fv, df float64, ok bool) {
-	ep := r.en + p
-	if ep <= 0 {
-		return 0, 0, false
+// err formats the failure of conserved state c; p is the pressure a
+// failRoot was rejected at.
+func (f failure) err(c state.Cons, p float64) error {
+	switch f {
+	case failHopeless:
+		return fmt.Errorf("%w: D=%v E=%v", ErrUnphysical, c.D, c.Tau+c.D)
+	case failNoBracket:
+		return fmt.Errorf("%w: no pressure bracket (D=%.3e S=%.3e tau=%.3e)",
+			ErrUnphysical, c.D, math.Sqrt(c.SSq()), c.Tau)
+	case failUnbounded:
+		return fmt.Errorf("%w: unbounded pressure residual (D=%.3e)", ErrUnphysical, c.D)
+	case failRoot:
+		return fmt.Errorf("%w: inadmissible root p=%v", ErrUnphysical, p)
 	}
-	v2 := r.s2 / (ep * ep)
-	if v2 >= r.vmax2 {
-		return 0, 0, false
-	}
-	w := 1 / math.Sqrt(1-v2)
-	rho := r.c.D / w
-	h := ep / (r.c.D * w)
-	eps := h - 1 - p/rho
-	if !(rho > 0) || math.IsNaN(eps) {
-		return 0, 0, false
-	}
-	r.rho, r.v2 = rho, v2
-	if r.gamma > 0 {
-		pe := r.gm1 * rho * eps
-		cs2 := 0.0
-		if pe > 0 {
-			h := 1 + r.gog*pe/rho
-			cs2 = r.gamma * pe / (rho * h)
-		}
-		return pe - p, v2*cs2 - 1, true
-	}
-	pe := r.e.Pressure(rho, eps)
-	cs2 := 0.0
-	if pe > 0 {
-		cs2 = r.e.SoundSpeed2(rho, pe)
-	}
-	return pe - p, v2*cs2 - 1, true
+	return nil
 }
 
 // idealGamma returns the adiabatic index when the solver's EOS is a Γ-law
-// gas, else 0 (the sentinel residual.eval branches on).
+// gas, else 0 (the sentinel the row kernel branches on).
 func (s *Solver) idealGamma() float64 {
 	if g, ok := s.EOS.(eos.IdealGas); ok {
 		return g.GammaAd
@@ -243,184 +211,18 @@ func (s *Solver) Recover(c state.Cons, guess float64) (state.Prim, error) {
 	return p, err
 }
 
-// recover is Recover with the stats batched into st and the Γ-law
-// devirtualisation hoisted (gamma as returned by idealGamma).
+// recover is Recover with the stats batched into st: the row kernel on a
+// one-cell row that lives on the stack.
 func (s *Solver) recover(c state.Cons, guess, gamma float64, st *statDelta) (state.Prim, error) {
-	st.calls++
-	opts := &s.Opts
-
-	// Immediately hopeless states: non-positive D or E.
-	e := c.Tau + c.D
-	if !(c.D > 0) || !(e > 0) || math.IsNaN(c.D) || math.IsNaN(e) {
-		st.failures++
-		return s.atmosphere(), fmt.Errorf("%w: D=%v E=%v", ErrUnphysical, c.D, e)
+	var buf [2 * state.NComp]float64
+	u, w := state.Fields{N: 1}, state.Fields{N: 1}
+	for k := range u.Comp {
+		u.Comp[k], w.Comp[k] = buf[k:k+1], buf[state.NComp+k:state.NComp+k+1]
 	}
-
-	// Admissible pressure bracket. Causality demands E + p > |S|; the
-	// outer Max already clamps the bound onto the pressure floor, so no
-	// further floor check is needed (for admissible Γ-law states the
-	// causality term is in fact always negative — see the regression test
-	// TestCausalityBoundBracket).
-	s2 := c.SSq()
-	sAbs := math.Sqrt(s2)
-	pMin := math.Max(opts.PFloor, (sAbs-e)*(1+1e-10))
-
-	p := guess
-	if !(p > pMin) || math.IsNaN(p) {
-		// Ideal-gas-flavoured initial estimate: p ≈ (Γ̂−1)(E − D) with Γ̂ = 5/3,
-		// clipped into the bracket.
-		p = math.Max(pMin*1.000001, (2.0/3.0)*(e-c.D))
-		if !(p > 0) {
-			p = pMin * 1.000001
-		}
-	}
-
-	fr := newResidual(c, e, s2, opts.VMax, s.EOS, gamma)
-
-	// Newton iteration with the monotone derivative approximation.
-	// Convergence requires both a small step and a small residual: the step
-	// alone can shrink spuriously when the iterate is pinned against pMin.
-	converged := false
-	for it := 0; it < opts.MaxIter; it++ {
-		fv, df, ok := fr.eval(p)
-		st.iters++
-		if !ok {
-			break
-		}
-		if math.Abs(fv) <= opts.Tol*math.Max(p, opts.PFloor) {
-			converged = true
-			break
-		}
-		if df >= 0 { // should not happen for causal EOS; bail to bisection
-			break
-		}
-		dp := -fv / df
-		pNew := p + dp
-		if pNew <= pMin {
-			pNew = 0.5 * (p + pMin)
-		}
-		p = pNew
-	}
-
-	if !converged {
-		// Bisection fallback. For Γ-law gases f is monotone decreasing
-		// (one root), but steep hybrid/piecewise cold curves can make f
-		// non-monotone: negative near pMin (clipped thermal part),
-		// positive in a band, negative again above the physical root. The
-		// fallback therefore (1) locates a point with f > 0, (2) expands
-		// upward until f < 0 again, and (3) bisects that bracket, which
-		// always contains the physical (largest) root.
-		st.bisections++
-		lo := pMin * (1 + 1e-14)
-
-		// (1) A positive-residual point: try pMin, the last Newton
-		// iterate and the ideal-gas estimate, then scan geometrically.
-		pPos, havePos := 0.0, false
-		for _, cand := range []float64{lo, p, (2.0 / 3.0) * (e - c.D)} {
-			if cand < lo {
-				continue
-			}
-			if fv, _, ok := fr.eval(cand); ok && fv > 0 {
-				pPos, havePos = cand, true
-				break
-			}
-		}
-		if !havePos {
-			for scan := lo * 2; scan < lo*1e30; scan *= 1.7 {
-				if fv, _, ok := fr.eval(scan); ok && fv > 0 {
-					pPos, havePos = scan, true
-					break
-				}
-			}
-		}
-
-		// Distinguish why no positive residual can exist: when pMin is
-		// just the pressure floor the state is genuinely cold and
-		// clamping to the floor is correct; when pMin is the causality
-		// bound |S|−E the state admits no pressure at all.
-		causalityBound := (sAbs-e)*(1+1e-10) > opts.PFloor
-		if !havePos {
-			fLo, _, okLo := fr.eval(lo)
-			if okLo && fLo <= 0 && !causalityBound {
-				p = lo
-			} else {
-				st.failures++
-				return s.atmosphere(), fmt.Errorf("%w: no pressure bracket (D=%.3e S=%.3e tau=%.3e)",
-					ErrUnphysical, c.D, sAbs, c.Tau)
-			}
-		} else {
-			// (2) Expand above pPos until the residual turns negative.
-			lo = pPos
-			hi := math.Max(2*pPos, 1.0)
-			okBracket := false
-			for k := 0; k < 200; k++ {
-				if fv, _, ok := fr.eval(hi); !ok || fv < 0 {
-					okBracket = true
-					break
-				}
-				lo = hi // residual still positive: the root is above
-				hi *= 4
-				if math.IsInf(hi, 0) {
-					break
-				}
-			}
-			if !okBracket {
-				st.failures++
-				return s.atmosphere(), fmt.Errorf("%w: unbounded pressure residual (D=%.3e)",
-					ErrUnphysical, c.D)
-			}
-			// (3) Bisect [lo, hi].
-			for k := 0; k < 200; k++ {
-				mid := 0.5 * (lo + hi)
-				fv, _, ok := fr.eval(mid)
-				if !ok || fv < 0 {
-					hi = mid
-				} else {
-					lo = mid
-				}
-				if hi-lo <= opts.Tol*hi {
-					break
-				}
-			}
-			p = 0.5 * (lo + hi)
-		}
-	}
-
-	// The Newton root was just evaluated: its ρ and v² are in fr, and the
-	// velocities follow from the same 1/(E+p) primsAt forms. A bisected or
-	// floor-clamped p was not, and is reconstructed (and re-checked) whole.
-	var prim state.Prim
-	v2 := fr.v2
-	if converged {
-		inv := 1 / (e + p)
-		prim = state.Prim{Rho: fr.rho, Vx: c.Sx * inv, Vy: c.Sy * inv, Vz: c.Sz * inv, P: p}
-	} else {
-		rho, vx, vy, vz, _, pv2, ok := primsAt(c, p, opts.VMax)
-		if !ok {
-			st.failures++
-			return s.atmosphere(), fmt.Errorf("%w: inadmissible root p=%v", ErrUnphysical, p)
-		}
-		prim, v2 = state.Prim{Rho: rho, Vx: vx, Vy: vy, Vz: vz, P: p}, pv2
-	}
-
-	// Velocity cap.
-	if v2 > opts.VMax*opts.VMax {
-		scale := opts.VMax / math.Sqrt(v2)
-		prim.Vx *= scale
-		prim.Vy *= scale
-		prim.Vz *= scale
-		st.floorHits++
-	}
-	// Floors.
-	if prim.Rho < opts.RhoFloor {
-		prim.Rho = opts.RhoFloor
-		st.floorHits++
-	}
-	if prim.P < opts.PFloor {
-		prim.P = opts.PFloor
-		st.floorHits++
-	}
-	return prim, nil
+	u.SetCons(0, c)
+	w.Comp[state.IP][0] = guess
+	res := s.recoverRow(&u, &w, 0, 1, nil, false, gamma, st)
+	return w.GetPrim(0), res.why.err(c, res.badP)
 }
 
 // RecoverRange inverts cells [lo, hi) of cons into prim, using each cell's
@@ -440,6 +242,9 @@ type RangeResult struct {
 	// FirstCons is the conserved state of that cell as it was *before*
 	// any atmosphere reset — the real failure, preserved for diagnostics.
 	FirstCons state.Cons
+
+	why  failure // of the cell at FirstIdx
+	badP float64 // the pressure its failRoot was rejected at
 }
 
 // RecoverRangeEx is RecoverRange with two extra controls for the
@@ -462,29 +267,273 @@ func (s *Solver) RecoverRangeEx(cons, prim *state.Fields, lo, hi int, mask []uin
 	if lo < 0 || hi > cons.N || lo > hi {
 		panic(fmt.Sprintf("c2p: RecoverRange bad range [%d,%d) of %d", lo, hi, cons.N))
 	}
-	gamma := s.idealGamma()
 	var st statDelta
+	res := s.recoverRow(cons, prim, lo, hi, mask, reset, s.idealGamma(), &st)
+	s.Stat.flush(&st)
+	return res
+}
+
+// pressureFloor returns the lower end of the admissible pressure bracket.
+// Causality demands E + p > |S|; the max already clamps that bound onto
+// the pressure floor, so no further floor check is needed (for admissible
+// Γ-law states the causality term is in fact always negative — see the
+// regression test TestCausalityBoundBracket). The builtin max inlines where
+// math.Max is a call, and differs from it only on an (±Inf, NaN) pair,
+// which a finite floor rules out.
+func pressureFloor(pFloor, sAbs, en float64) float64 {
+	return max(pFloor, (sAbs-en)*(1+1e-10))
+}
+
+// recoverRow is the recovery kernel: the admissibility prologue and the
+// Newton iteration run inline on locals for each cell of the row, so that
+// nothing but the slab loads and stores separates one cell's
+// div → sqrt → div → div chain from the next cell's and the processor can
+// overlap them. Per cell the operations, operands and order are those of a
+// one-cell call — a row is bitwise its cells recovered one by one. A cell
+// Newton converges on inside the floors (nearly all of them) is written
+// straight to the slabs; every other one goes through settle.
+//
+// gamma > 0 selects the Γ-law residual, which mirrors eos.IdealGas
+// operation for operation so the root is bitwise independent of the
+// dispatch path; otherwise Pressure and SoundSpeed2 are interface calls.
+// The derivative f'(p) ≈ v²c_s² − 1 is formed only once the residual test
+// has failed: the evaluation that converges never needs it.
+func (s *Solver) recoverRow(cons, prim *state.Fields, lo, hi int, mask []uint8, reset bool, gamma float64, st *statDelta) RangeResult {
 	res := RangeResult{FirstIdx: -1}
-	for i := lo; i < hi; i++ {
-		c := cons.GetCons(i)
-		guess := prim.Comp[state.IP][i]
-		p, err := s.recover(c, guess, gamma, &st)
-		if err != nil {
+	u, w := &cons.Comp, &prim.Comp
+	D, Sx, Sy, Sz, Tau := u[state.ID][lo:hi], u[state.ISx][lo:hi], u[state.ISy][lo:hi], u[state.ISz][lo:hi], u[state.ITau][lo:hi]
+	Rho, Vx, Vy, Vz, P := w[state.IRho][lo:hi], w[state.IVx][lo:hi], w[state.IVy][lo:hi], w[state.IVz][lo:hi], w[state.IP][lo:hi]
+
+	e := s.EOS
+	gm1, gog := gamma-1, gamma/(gamma-1)
+	tol, maxIter := s.Opts.Tol, s.Opts.MaxIter
+	rhoFloor, pFloor, vmax2 := s.Opts.RhoFloor, s.Opts.PFloor, s.Opts.VMax*s.Opts.VMax
+	atm := s.atmosphere()
+	iters := int64(0) // every evaluation counts, the inadmissible one included
+
+	for i, d := range D {
+		sx, sy, sz, tau := Sx[i], Sy[i], Sz[i], Tau[i]
+		en := tau + d
+		p, converged := P[i], false
+
+		// Immediately hopeless states: non-positive D or E (the negated
+		// comparisons send NaN the same way).
+		hopeless := !(d > 0) || !(en > 0) || math.IsNaN(d) || math.IsNaN(en)
+		if !hopeless {
+			s2 := sx*sx + sy*sy + sz*sz
+			pMin := pressureFloor(pFloor, math.Sqrt(s2), en)
+			if !(p > pMin) || math.IsNaN(p) {
+				// Ideal-gas-flavoured initial estimate: p ≈ (Γ̂−1)(E − D)
+				// with Γ̂ = 5/3, clipped into the bracket.
+				p = max(pMin*1.000001, (2.0/3.0)*(en-d))
+				if !(p > 0) {
+					p = pMin * 1.000001
+				}
+			}
+
+			// Newton iteration with the monotone derivative approximation.
+			// Convergence requires both a small step and a small residual:
+			// the step alone can shrink spuriously when the iterate is
+			// pinned against pMin.
+			rho := 0.0
+			for it := 0; it < maxIter; it++ {
+				iters++
+				var eps, v2 float64
+				var ok bool
+				if rho, eps, v2, ok = trial(d, en, s2, vmax2, p); !ok {
+					break
+				}
+				var pe float64
+				if gamma > 0 {
+					pe = gm1 * rho * eps
+				} else {
+					pe = e.Pressure(rho, eps)
+				}
+				fv := pe - p
+				if math.Abs(fv) <= tol*max(p, pFloor) {
+					converged = true
+					break
+				}
+				cs2 := 0.0
+				if pe > 0 && gamma > 0 {
+					h := 1 + gog*pe/rho
+					cs2 = gamma * pe / (rho * h)
+				} else if pe > 0 {
+					cs2 = e.SoundSpeed2(rho, pe)
+				}
+				df := v2*cs2 - 1
+				if df >= 0 { // should not happen for causal EOS; bail to bisection
+					break
+				}
+				dp := -fv / df
+				pNew := p + dp
+				if pNew <= pMin {
+					pNew = 0.5 * (p + pMin)
+				}
+				p = pNew
+			}
+
+			// The converged evaluation passed v² < VMax², so the velocity
+			// cap cannot bind; with ρ and p inside the floors too the cell
+			// is done, its velocities from one 1/(E+p).
+			if converged && !(rho < rhoFloor) && !(p < pFloor) {
+				inv := 1 / (en + p)
+				Rho[i], Vx[i], Vy[i], Vz[i], P[i] = rho, sx*inv, sy*inv, sz*inv, p
+				continue
+			}
+		}
+
+		// The rare exits: bisection, floors, failure.
+		c := state.Cons{D: d, Sx: sx, Sy: sy, Sz: sz, Tau: tau}
+		var out state.Prim
+		why, badP := failHopeless, 0.0
+		if !hopeless {
+			out, why, badP = s.settle(c, p, converged, gamma, st)
+		}
+		if why != recovered {
+			st.failures++
 			if res.Failures == 0 {
-				res.FirstIdx, res.FirstCons = i, c
+				res.FirstIdx, res.FirstCons, res.why, res.badP = lo+i, c, why, badP
 			}
 			res.Failures++
 			if mask != nil {
-				mask[i] = 1
+				mask[lo+i] = 1
 			}
 			if reset {
 				// Resync the conserved state with the atmosphere so the next
 				// step starts from a consistent pair.
-				cons.SetCons(i, p.ToCons(s.EOS))
+				cons.SetCons(lo+i, atm.ToCons(s.EOS))
+			}
+			out = atm
+		}
+		prim.SetPrim(lo+i, out)
+	}
+	st.calls += int64(len(D))
+	st.iters += iters
+	return res
+}
+
+// settle finishes a cell the row kernel could not write directly: p is the
+// last Newton iterate for conserved state c. Unless Newton converged on
+// it, the root is found by bisection; either way the state is reconstructed
+// whole — for a converged p the very operations of the kernel's last
+// evaluation — and the velocity cap and the floors applied. A failRoot
+// comes with the pressure it rejected.
+func (s *Solver) settle(c state.Cons, p float64, converged bool, gamma float64, st *statDelta) (state.Prim, failure, float64) {
+	opts := &s.Opts
+	en, s2, vmax2 := c.Tau+c.D, c.SSq(), opts.VMax*opts.VMax
+	if !converged {
+		pMin := pressureFloor(opts.PFloor, math.Sqrt(s2), en)
+		// Bisection fallback. For Γ-law gases f is monotone decreasing
+		// (one root), but steep hybrid/piecewise cold curves can make f
+		// non-monotone: negative near pMin (clipped thermal part),
+		// positive in a band, negative again above the physical root. The
+		// fallback therefore (1) locates a point with f > 0, (2) expands
+		// upward until f < 0 again, and (3) bisects that bracket, which
+		// always contains the physical (largest) root.
+		st.bisections++
+		f := func(p float64) (float64, bool) {
+			rho, eps, _, ok := trial(c.D, en, s2, vmax2, p)
+			if !ok {
+				return 0, false
+			}
+			if gamma > 0 {
+				return (gamma-1)*rho*eps - p, true
+			}
+			return s.EOS.Pressure(rho, eps) - p, true
+		}
+		lo := pMin * (1 + 1e-14)
+
+		// (1) A positive-residual point: try pMin, the last Newton
+		// iterate and the ideal-gas estimate, then scan geometrically.
+		pPos, havePos := 0.0, false
+		for _, cand := range []float64{lo, p, (2.0 / 3.0) * (en - c.D)} {
+			if cand < lo {
+				continue
+			}
+			if fv, ok := f(cand); ok && fv > 0 {
+				pPos, havePos = cand, true
+				break
 			}
 		}
-		prim.SetPrim(i, p)
+		if !havePos {
+			for scan := lo * 2; scan < lo*1e30; scan *= 1.7 {
+				if fv, ok := f(scan); ok && fv > 0 {
+					pPos, havePos = scan, true
+					break
+				}
+			}
+		}
+
+		// Distinguish why no positive residual can exist: when pMin is
+		// just the pressure floor the state is genuinely cold and
+		// clamping to the floor is correct; when pMin is the causality
+		// bound |S|−E the state admits no pressure at all.
+		if !havePos {
+			fLo, okLo := f(lo)
+			if causalityBound := pMin > opts.PFloor; !(okLo && fLo <= 0 && !causalityBound) {
+				return state.Prim{}, failNoBracket, 0
+			}
+			p = lo
+		} else {
+			// (2) Expand above pPos until the residual turns negative.
+			lo = pPos
+			hi := math.Max(2*pPos, 1.0)
+			okBracket := false
+			for k := 0; k < 200; k++ {
+				if fv, ok := f(hi); !ok || fv < 0 {
+					okBracket = true
+					break
+				}
+				lo = hi // residual still positive: the root is above
+				hi *= 4
+				if math.IsInf(hi, 0) {
+					break
+				}
+			}
+			if !okBracket {
+				return state.Prim{}, failUnbounded, 0
+			}
+			// (3) Bisect [lo, hi].
+			for k := 0; k < 200; k++ {
+				mid := 0.5 * (lo + hi)
+				fv, ok := f(mid)
+				if !ok || fv < 0 {
+					hi = mid
+				} else {
+					lo = mid
+				}
+				if hi-lo <= opts.Tol*hi {
+					break
+				}
+			}
+			p = 0.5 * (lo + hi)
+		}
 	}
-	s.Stat.flush(&st)
-	return res
+
+	rho, _, v2, ok := trial(c.D, en, s2, vmax2, p)
+	if !ok {
+		return state.Prim{}, failRoot, p
+	}
+	inv := 1 / (en + p)
+	prim := state.Prim{Rho: rho, Vx: c.Sx * inv, Vy: c.Sy * inv, Vz: c.Sz * inv, P: p}
+
+	// Velocity cap.
+	if v2 > vmax2 {
+		scale := opts.VMax / math.Sqrt(v2)
+		prim.Vx *= scale
+		prim.Vy *= scale
+		prim.Vz *= scale
+		st.floorHits++
+	}
+	// Floors.
+	if prim.Rho < opts.RhoFloor {
+		prim.Rho = opts.RhoFloor
+		st.floorHits++
+	}
+	if prim.P < opts.PFloor {
+		prim.P = opts.PFloor
+		st.floorHits++
+	}
+	return prim, recovered, 0
 }

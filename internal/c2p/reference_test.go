@@ -14,7 +14,29 @@ import (
 // The inversion as it stood before the trial-pressure evaluation was
 // deduplicated, kept verbatim as the reference recover is pinned against:
 // refResidual.eval reconstructs through primsAt on every call, and
-// referenceRecover reconstructs the converged root a second time.
+// referenceRecover reconstructs the converged root a second time. primsAt
+// moved here, verbatim, when the row kernel's trial replaced it, so the
+// reference shares no arithmetic with the code it judges.
+
+func primsAt(c state.Cons, p float64, vmax float64) (rho, vx, vy, vz, eps, v2 float64, ok bool) {
+	e := c.Tau + c.D
+	ep := e + p
+	s2 := c.SSq()
+	if ep <= 0 {
+		return 0, 0, 0, 0, 0, 0, false
+	}
+	v2 = s2 / (ep * ep)
+	if v2 >= vmax*vmax {
+		return 0, 0, 0, 0, 0, 0, false
+	}
+	w := 1 / math.Sqrt(1-v2)
+	rho = c.D / w
+	h := ep / (c.D * w)
+	eps = h - 1 - p/rho
+	inv := 1 / ep
+	vx, vy, vz = c.Sx*inv, c.Sy*inv, c.Sz*inv
+	return rho, vx, vy, vz, eps, v2, rho > 0 && !math.IsNaN(eps)
+}
 
 type refResidual struct {
 	c     state.Cons

@@ -540,7 +540,7 @@ func (s *Solver) rowCFL(row int) float64 {
 // maxAbsSpeed is state.MaxAbsSpeed on a precomputed sound speed.
 func maxAbsSpeed(cs2, v2, vd float64) float64 {
 	lm, lp := state.SignalSpeeds(cs2, v2, vd)
-	return math.Max(math.Abs(lm), math.Abs(lp))
+	return max(math.Abs(lm), math.Abs(lp))
 }
 
 // gatherRow views one strip of the primitive field as per-component

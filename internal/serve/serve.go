@@ -594,9 +594,11 @@ func (s *Server) complete(j *job, runner rhsc.JobRunner) {
 	} else {
 		j.reason = fmt.Sprintf("result serialisation failed: %v", resErr)
 	}
+	// Counted before the state is visible: a Wait that subscribes to an
+	// already-terminal job returns at once and may read Metrics next.
+	s.C.Completed.Add(1)
 	j.mu.Unlock()
 	s.release(j)
-	s.C.Completed.Add(1)
 	j.publish()
 }
 
@@ -610,9 +612,9 @@ func (s *Server) fail(j *job, reason string) {
 	j.state = Failed
 	j.reason = reason
 	j.finished = time.Now()
+	s.C.Failed.Add(1) // before the state is visible, as in complete
 	j.mu.Unlock()
 	s.release(j)
-	s.C.Failed.Add(1)
 	j.publish()
 }
 

@@ -200,9 +200,11 @@ func SignalSpeeds(cs2, v2, vd float64) (float64, float64) {
 }
 
 // MaxAbsSpeed returns max(|λ−|, |λ+|) along direction d — the CFL speed.
+// The builtin max inlines (math.Max is a call) and differs from it only on
+// an (±Inf, NaN) pair, which finite wave speeds never form.
 func MaxAbsSpeed(e eos.EOS, p Prim, d Direction) float64 {
 	lm, lp := WaveSpeeds(e, p, d)
-	return math.Max(math.Abs(lm), math.Abs(lp))
+	return max(math.Abs(lm), math.Abs(lp))
 }
 
 // Fields is a struct-of-arrays container for NComp evolved components over
