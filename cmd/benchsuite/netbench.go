@@ -18,16 +18,16 @@ import (
 // netRow is one chaos schedule of E19: the reliable transport driving
 // the distributed blast over a fabric with the given fault rates.
 type netRow struct {
-	Scenario      string  `json:"scenario"`
-	DropRate      float64 `json:"drop_rate"`
-	DupRate       float64 `json:"dup_rate,omitempty"`
-	CorruptRate   float64 `json:"corrupt_rate,omitempty"`
-	WallMS        float64 `json:"wall_ms"`
-	Sent          int64   `json:"sent"`
-	SentBytes     int64   `json:"sent_bytes"`
-	Retransmits   int64   `json:"retransmits"`
-	ChaosDropped  int64   `json:"chaos_dropped"`
-	CrcRejected   int64   `json:"crc_rejected"`
+	Scenario     string  `json:"scenario"`
+	DropRate     float64 `json:"drop_rate"`
+	DupRate      float64 `json:"dup_rate,omitempty"`
+	CorruptRate  float64 `json:"corrupt_rate,omitempty"`
+	WallMS       float64 `json:"wall_ms"`
+	Sent         int64   `json:"sent"`
+	SentBytes    int64   `json:"sent_bytes"`
+	Retransmits  int64   `json:"retransmits"`
+	ChaosDropped int64   `json:"chaos_dropped"`
+	CrcRejected  int64   `json:"crc_rejected"`
 	// RetransmitOverhead is extra deliveries per application frame.
 	RetransmitOverhead float64 `json:"retransmit_overhead"`
 	// GoodputMBs is application payload over wall-clock — the rate the

@@ -49,12 +49,12 @@ func chaosRun(n, steps int, pol hetero.Policy, chaos *hetero.ChaosSchedule,
 
 // routerScenario is one static-vs-routed comparison in BENCH_hetero.json.
 type routerScenario struct {
-	StaticMs float64                 `json:"static_ms"`
-	RoutedMs float64                 `json:"routed_ms"`
-	Speedup  float64                 `json:"speedup"`
-	Bitwise  bool                    `json:"bitwise_identical"`
-	Health   []hetero.DeviceHealth   `json:"health"`
-	Counters metrics.RouterSnapshot  `json:"counters"`
+	StaticMs float64                `json:"static_ms"`
+	RoutedMs float64                `json:"routed_ms"`
+	Speedup  float64                `json:"speedup"`
+	Bitwise  bool                   `json:"bitwise_identical"`
+	Health   []hetero.DeviceHealth  `json:"health"`
+	Counters metrics.RouterSnapshot `json:"counters"`
 }
 
 // heteroBenchReport is the BENCH_hetero.json payload.

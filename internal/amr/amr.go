@@ -122,7 +122,7 @@ func NewTree(p *testprob.Problem, nbx int, cfg Config) (*Tree, error) {
 	if cfg.BlockN%2 != 0 {
 		return nil, fmt.Errorf("amr: BlockN %d must be even for 2:1 cell alignment", cfg.BlockN)
 	}
-	if cfg.MaxLevel < 0 || cfg.MaxLevel > 12 {
+	if cfg.MaxLevel < 0 || cfg.MaxLevel > maxLevelLimit {
 		return nil, fmt.Errorf("amr: MaxLevel %d out of range", cfg.MaxLevel)
 	}
 	if cfg.RefineTol <= cfg.CoarsenTol {
@@ -134,31 +134,12 @@ func NewTree(p *testprob.Problem, nbx int, cfg Config) (*Tree, error) {
 	if cfg.Core.TileExec != nil || cfg.Core.HaloExchange != nil {
 		return nil, errors.New("amr: core TileExec/HaloExchange must be nil (leaves schedule their own tiles; use Attach)")
 	}
-	if cfg.Core.MaskExchange != nil {
-		return nil, errors.New("amr: core MaskExchange must be nil (the tree fills mask ghosts)")
-	}
 	if nbx < 1 {
 		return nil, errors.New("amr: need at least one root block")
 	}
-	if p.Dim > 2 {
-		return nil, fmt.Errorf("amr: %d-D problems are not supported (quadtree refinement is 1-D/2-D)", p.Dim)
-	}
-	dim := p.Dim
-	nby := rootLayout(p, nbx)
-	t := &Tree{
-		cfg: cfg, prob: p, dim: dim, nbx: nbx, nby: nby,
-		x0: p.X0, x1: p.X1, y0: p.Y0, y1: p.Y1,
-		nodes: make(map[key]*node),
-	}
-	for bj := 0; bj < nby; bj++ {
-		for bi := 0; bi < nbx; bi++ {
-			n := &node{level: 0, bi: bi, bj: bj}
-			if err := t.attachSolver(n); err != nil {
-				return nil, err
-			}
-			t.roots = append(t.roots, n)
-			t.nodes[key{0, bi, bj}] = n
-		}
+	t, err := newSkeleton(p, cfg, nbx, rootLayout(p, nbx))
+	if err != nil {
+		return nil, err
 	}
 	t.rebuildLeaves()
 	if err := t.initLeaves(t.leaves); err != nil {

@@ -1,9 +1,7 @@
 package amr
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"hash/fnv"
 	"io"
@@ -13,35 +11,22 @@ import (
 	"rhsc/internal/core"
 	"rhsc/internal/durable"
 	"rhsc/internal/output"
+	"rhsc/internal/state"
 	"rhsc/internal/testprob"
 )
 
-// leafRecord is one leaf's identity and conserved data in a checkpoint.
-// W is only populated by the block-migration path (see EncodeLeaves):
-// primitive recovery seeds its Newton iteration with the previous
-// pressure, so a migrated replica must inherit the owner's primitives to
-// continue bit-identically. Checkpoints leave W nil and re-recover on
-// load; gob tolerates the absent field in either direction.
-type leafRecord struct {
-	Level, Bi, Bj int
-	U             []float64
-	W             []float64
+// treeHeader is the fixed binary head of a tree checkpoint (binary.Write,
+// little-endian). NameLen bytes of problem name follow it, then the
+// record set of every leaf as little-endian words (record.go), all inside
+// one durable frame.
+type treeHeader struct {
+	BlockN, MaxLevel, RegridEvery, Nbx, Nby int64
+	RefineTol, CoarsenTol, Time             float64
+	Steps, ZoneUpdates, NameLen             int64
 }
 
-// treeCheckpoint is the gob payload of a hierarchy snapshot.
-type treeCheckpoint struct {
-	Problem     string
-	BlockN      int
-	MaxLevel    int
-	RefineTol   float64
-	CoarsenTol  float64
-	RegridEvery int
-	Nbx, Nby    int
-	Time        float64
-	Steps       int
-	ZoneUpdates int64
-	Leaves      []leafRecord
-}
+// maxNameLen bounds the problem name a checkpoint may declare.
+const maxNameLen = 64
 
 // Save serialises the tree structure and every leaf's conserved state.
 // Loads from it re-recover primitives, so a restarted run is accurate
@@ -54,33 +39,17 @@ func (t *Tree) Save(w io.Writer) error { return t.save(w, false) }
 func (t *Tree) SaveExact(w io.Writer) error { return t.save(w, true) }
 
 func (t *Tree) save(w io.Writer, prims bool) error {
-	cp := treeCheckpoint{
-		Problem:     t.prob.Name,
-		BlockN:      t.cfg.BlockN,
-		MaxLevel:    t.cfg.MaxLevel,
-		RefineTol:   t.cfg.RefineTol,
-		CoarsenTol:  t.cfg.CoarsenTol,
-		RegridEvery: t.cfg.RegridEvery,
-		Nbx:         t.nbx,
-		Nby:         t.nby,
-		Time:        t.t,
-		Steps:       t.steps,
-		ZoneUpdates: t.zoneUpdates,
-	}
-	for _, n := range t.leaves {
-		raw := n.sol.G.U.Raw()
-		rec := leafRecord{Level: n.level, Bi: n.bi, Bj: n.bj,
-			U: append([]float64(nil), raw...)}
-		if prims {
-			rec.W = append([]float64(nil), n.sol.G.W.Raw()...)
-		}
-		cp.Leaves = append(cp.Leaves, rec)
-	}
+	c := t.cfg
+	h := treeHeader{int64(c.BlockN), int64(c.MaxLevel), int64(c.RegridEvery), int64(t.nbx), int64(t.nby),
+		c.RefineTol, c.CoarsenTol, t.t,
+		int64(t.steps), t.zoneUpdates, int64(len(t.prob.Name))}
 	// Frame the payload (per-chunk CRC32C + sealed footer) so torn
 	// writes and bit rot surface as ErrCheckpointCorrupt at load time.
 	fw := durable.NewWriter(w)
-	if err := gob.NewEncoder(fw).Encode(&cp); err != nil {
-		return err
+	for _, part := range []any{&h, []byte(t.prob.Name), t.appendRecords(nil, t.all, prims)} {
+		if err := binary.Write(fw, binary.LittleEndian, part); err != nil {
+			return err
+		}
 	}
 	return fw.Seal()
 }
@@ -91,10 +60,11 @@ func (t *Tree) save(w io.Writer, prims bool) error {
 // sized for).
 //
 // Failures are classified with the output package's checkpoint error
-// taxonomy: an undecodable payload wraps output.ErrCheckpointCorrupt;
-// a decodable payload whose problem, structure or block shapes do not
-// fit wraps output.ErrCheckpointMismatch. The serving layer uses this
-// to distinguish fatal resume failures from transient I/O.
+// taxonomy: an undecodable payload — including one of any other format —
+// wraps output.ErrCheckpointCorrupt; a decodable payload whose problem,
+// structure or block shapes do not fit wraps output.ErrCheckpointMismatch.
+// The serving layer uses this to distinguish fatal resume failures from
+// transient I/O.
 func Load(r io.Reader, coreCfg core.Config) (*Tree, error) {
 	// Save always frames; a stream without the frame header is rejected
 	// as corrupt here.
@@ -102,54 +72,51 @@ func Load(r io.Reader, coreCfg core.Config) (*Tree, error) {
 	if err != nil {
 		return nil, err
 	}
-	var cp treeCheckpoint
-	if err := gob.NewDecoder(framed).Decode(&cp); err != nil {
-		return nil, output.CorruptError("amr: decode checkpoint", err)
+	var h treeHeader
+	if err := binary.Read(framed, binary.LittleEndian, &h); err != nil {
+		return nil, output.CorruptError("amr: checkpoint header", err)
 	}
-	// gob may leave the frame tail unread; Verify rules out a torn tail
-	// masquerading as a clean load.
-	if err := framed.Verify(); err != nil {
-		return nil, output.CorruptError("amr: verify checkpoint frame", err)
-	}
-	p, err := testprob.ByName(cp.Problem)
+	// Reading to EOF also validates the frame footer, so a torn tail
+	// cannot pass as a clean load.
+	rest, err := io.ReadAll(framed)
 	if err != nil {
-		return nil, output.MismatchError("amr: checkpoint problem", err)
+		return nil, output.CorruptError("amr: read checkpoint", err)
 	}
-	cfg := Config{
-		Core:        coreCfg,
-		BlockN:      cp.BlockN,
-		MaxLevel:    cp.MaxLevel,
-		RefineTol:   cp.RefineTol,
-		CoarsenTol:  cp.CoarsenTol,
-		RegridEvery: cp.RegridEvery,
+	if h.NameLen < 0 || h.NameLen > maxNameLen || h.NameLen > int64(len(rest)) {
+		return nil, output.CorruptError("amr: checkpoint header",
+			fmt.Errorf("problem name of %d bytes", h.NameLen))
 	}
-	if cp.BlockN < 2*coreCfg.Recon.Ghost() || cp.Nbx < 1 || cp.Nby < 1 {
-		return nil, output.MismatchError("amr: checkpoint layout",
-			fmt.Errorf("block size %d (ghost %d), roots %dx%d",
-				cp.BlockN, coreCfg.Recon.Ghost(), cp.Nbx, cp.Nby))
-	}
-	t, err := newSkeleton(p, cfg, cp.Nbx, cp.Nby)
+	words, err := leWords(rest[h.NameLen:])
 	if err != nil {
 		return nil, err
 	}
-	if err := t.installRecords(cp.Leaves, cp.Time); err != nil {
-		return nil, output.MismatchError("amr: checkpoint structure", err)
+	sets, err := splitSets(words)
+	if err != nil {
+		return nil, err
 	}
-	t.t = cp.Time
-	t.steps = cp.Steps
-	t.zoneUpdates = cp.ZoneUpdates
+
+	p, err := testprob.ByName(string(rest[:h.NameLen]))
+	if err != nil {
+		return nil, output.MismatchError("amr: checkpoint problem", err)
+	}
+	// Every size is bounded by the input before a block is allocated.
+	n, ghost := int64(len(words)), int64(coreCfg.Recon.Ghost())
+	if h.BlockN < 2*ghost || h.BlockN > n || h.Nbx < 1 || h.Nbx > n || h.Nby < 1 || h.Nby > n ||
+		h.MaxLevel < 0 || h.MaxLevel > maxLevelLimit || h.RegridEvery < 1 {
+		return nil, output.MismatchError("amr: checkpoint layout",
+			fmt.Errorf("block size %d (ghost %d), roots %dx%d, max level %d, regrid every %d",
+				h.BlockN, ghost, h.Nbx, h.Nby, h.MaxLevel, h.RegridEvery))
+	}
+	cfg := Config{Core: coreCfg, BlockN: int(h.BlockN), MaxLevel: int(h.MaxLevel),
+		RefineTol: h.RefineTol, CoarsenTol: h.CoarsenTol, RegridEvery: int(h.RegridEvery)}
+	t, exact, err := rebuild(p, cfg, int(h.Nbx), int(h.Nby), sets, h.Time, int(h.Steps), h.ZoneUpdates)
+	if err != nil {
+		return nil, err
+	}
 	// An exact checkpoint (SaveExact) carries every leaf's primitives, so
 	// the state is already consistent and re-recovery would only reseed
 	// the Newton guesses away from the uninterrupted trajectory. Plain
-	// checkpoints carry none: re-recover. (Mixed records never occur —
-	// save writes all or none — but any W-less leaf forces the safe path.)
-	exact := len(cp.Leaves) > 0
-	for _, rec := range cp.Leaves {
-		if rec.W == nil {
-			exact = false
-			break
-		}
-	}
+	// checkpoints carry none: re-recover.
 	if !exact {
 		t.sync()
 	}
@@ -199,11 +166,11 @@ func (t *Tree) Fingerprint() uint64 {
 	return h.Sum64()
 }
 
-// newSkeleton builds a level-0 hierarchy without bootstrap refinement:
-// NewTree's construction minus the initial condition and regrid rounds.
+// newSkeleton builds the level-0 hierarchy of nbx×nby root blocks, with
+// no data: NewTree's construction before the initial condition.
 func newSkeleton(p *testprob.Problem, cfg Config, nbx, nby int) (*Tree, error) {
 	if p.Dim > 2 {
-		return nil, fmt.Errorf("amr: checkpointed problem is %d-D", p.Dim)
+		return nil, fmt.Errorf("amr: %d-D problems are not supported (quadtree refinement is 1-D/2-D)", p.Dim)
 	}
 	t := &Tree{
 		cfg: cfg, prob: p, dim: p.Dim, nbx: nbx, nby: nby,
@@ -223,106 +190,98 @@ func newSkeleton(p *testprob.Problem, cfg Config, nbx, nby int) (*Tree, error) {
 	return t, nil
 }
 
-// installRecords recreates the refinement structure implied by the
-// records (refining ancestors level by level) and installs each record's
-// data: U always, W when the record carries primitives. Together the
-// records must cover every leaf of one consistent snapshot.
-func (t *Tree) installRecords(recs []leafRecord, time float64) error {
-	recs = append([]leafRecord(nil), recs...)
-	sort.Slice(recs, func(i, j int) bool { return recs[i].Level < recs[j].Level })
-	for _, rec := range recs {
-		// Walk down from the containing root, refining as needed.
-		for lvl := 0; lvl < rec.Level; lvl++ {
-			shift := rec.Level - lvl
-			bi := rec.Bi >> shift
-			bj := rec.Bj
+// rebuild builds the hierarchy that verified record sets describe over
+// nbx×nby root blocks — refining each recorded leaf's ancestors, which
+// does not depend on the record order — and installs every record's data:
+// U always, W when carried. Together the records must cover every leaf of
+// one consistent snapshot. Each record is matched against the block
+// layout of cfg before any block is allocated, so what a rebuild
+// allocates is bounded by the input's own size. It reports whether every
+// record carried primitives.
+func rebuild(p *testprob.Problem, cfg Config, nbx, nby int, sets [][]float64,
+	time float64, steps int, zoneUpdates int64) (*Tree, bool, error) {
+
+	mismatch := func(format string, args ...any) (*Tree, bool, error) {
+		return nil, false, output.MismatchError("amr: leaf records", fmt.Errorf(format, args...))
+	}
+	side := cfg.BlockN + 2*cfg.Core.Recon.Ghost()
+	slab := state.NComp * side
+	if p.Dim >= 2 {
+		slab *= side
+	}
+	leaves, fits, exact := 0, true, true
+	forRecords(sets, func(r leafRecord) error {
+		leaves++
+		fits = fits && r.Level <= cfg.MaxLevel && len(r.U) == slab
+		exact = exact && r.W != nil
+		return nil
+	})
+	if !fits || leaves < nbx*nby {
+		return mismatch("records do not fit %d root blocks of %d-word slabs to level %d", nbx*nby, slab, cfg.MaxLevel)
+	}
+	t, err := newSkeleton(p, cfg, nbx, nby)
+	if err != nil {
+		return mismatch("%v", err)
+	}
+	if err := forRecords(sets, func(r leafRecord) error {
+		for lvl := 0; lvl < r.Level; lvl++ {
+			shift := r.Level - lvl
+			bi, bj := r.Bi>>shift, r.Bj
 			if t.dim >= 2 {
-				bj = rec.Bj >> shift
+				bj = r.Bj >> shift
 			}
 			anc, ok := t.nodes[key{lvl, bi, bj}]
 			if !ok {
-				return fmt.Errorf("amr: checkpoint structure broken at L%d (%d,%d)", lvl, bi, bj)
+				return output.MismatchError("amr: leaf records",
+					fmt.Errorf("structure broken at L%d (%d,%d)", lvl, bi, bj))
 			}
-			if anc.leaf() {
-				if err := t.refine(anc); err != nil {
-					return err
-				}
+			if err := t.refine(anc); err != nil {
+				return err
 			}
 		}
+		return nil
+	}); err != nil {
+		return nil, false, err
 	}
 	t.rebuildLeaves()
-
-	installed := 0
-	for _, rec := range recs {
-		n, ok := t.nodes[key{rec.Level, rec.Bi, rec.Bj}]
-		if !ok || !n.leaf() {
-			return fmt.Errorf("amr: checkpoint leaf L%d (%d,%d) missing after rebuild",
-				rec.Level, rec.Bi, rec.Bj)
+	if err := forRecords(sets, func(r leafRecord) error {
+		n, err := t.leafFor(r)
+		if err == nil {
+			n.install(r)
+			n.sol.SetTime(time)
 		}
-		raw := n.sol.G.U.Raw()
-		if len(rec.U) != len(raw) {
-			return fmt.Errorf("amr: leaf data size %d, grid needs %d", len(rec.U), len(raw))
-		}
-		copy(raw, rec.U)
-		if rec.W != nil {
-			if len(rec.W) != len(raw) {
-				return fmt.Errorf("amr: leaf prim size %d, grid needs %d", len(rec.W), len(raw))
-			}
-			copy(n.sol.G.W.Raw(), rec.W)
-		}
-		n.sol.SetTime(time)
-		// Direct writes to U/W bypass the solver's recovery bookkeeping;
-		// drop any cached CFL reduction so MaxDt re-traverses.
-		n.sol.InvalidateCFL()
-		installed++
+		return err
+	}); err != nil {
+		return nil, false, err
 	}
-	if installed != len(t.leaves) {
-		return fmt.Errorf("amr: records carry %d leaves, tree rebuilt %d",
-			installed, len(t.leaves))
+	if leaves != len(t.leaves) {
+		return mismatch("records carry %d leaves, tree rebuilt %d", leaves, len(t.leaves))
 	}
-	return nil
+	t.t, t.steps, t.zoneUpdates = time, steps, zoneUpdates
+	return t, exact && leaves > 0, nil
 }
 
-// TreeFromLeafBlobs rebuilds a hierarchy from EncodeLeaves blobs that
-// together cover every leaf of one consistent snapshot. Unlike Load it
-// restores both conserved and primitive fields (including ghosts)
-// bit-exactly and performs no re-recovery, so a restored run continues
-// bit-identically to the run the blobs were taken from — the property
-// the damr rank-failure recovery relies on. The problem, root block
-// count and config must match the tree the blobs were encoded from.
+// TreeFromLeafBlobs rebuilds a hierarchy from AppendLeafRecords sets —
+// one or more back to back per element — that together cover every leaf
+// of one consistent snapshot. Unlike Load it restores both conserved and
+// primitive fields (including ghosts) bit-exactly and performs no
+// re-recovery, so a restored run continues bit-identically to the run
+// the sets were taken from — the property the damr rank-failure recovery
+// relies on. Every set's CRC word is verified before anything is built,
+// so a damaged contribution is output.ErrCheckpointCorrupt. The problem,
+// root block count and config must match the tree the sets were encoded
+// from.
 func TreeFromLeafBlobs(p *testprob.Problem, nbx int, cfg Config,
-	blobs [][]byte, time float64, steps int, zoneUpdates int64) (*Tree, error) {
+	parts [][]float64, time float64, steps int, zoneUpdates int64) (*Tree, error) {
 
-	var recs []leafRecord
-	for i, b := range blobs {
-		// Buddy-checkpoint blobs are framed (damr wraps EncodeLeavesInto
-		// output in a durable blob frame); verify integrity before
-		// trusting a contribution. Raw blobs (direct EncodeLeaves use)
-		// pass through unframed.
-		if durable.IsFramed(b) {
-			payload, err := durable.ExtractBlob(b)
-			if err != nil {
-				return nil, output.CorruptError(
-					fmt.Sprintf("amr: leaf blob %d", i), err)
-			}
-			b = payload
+	var sets [][]float64
+	for _, part := range parts {
+		s, err := splitSets(part)
+		if err != nil {
+			return nil, err
 		}
-		var part []leafRecord
-		if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&part); err != nil {
-			return nil, output.CorruptError(
-				fmt.Sprintf("amr: decode leaf blob %d", i), err)
-		}
-		recs = append(recs, part...)
+		sets = append(sets, s...)
 	}
-	t, err := newSkeleton(p, cfg, nbx, rootLayout(p, nbx))
-	if err != nil {
-		return nil, err
-	}
-	if err := t.installRecords(recs, time); err != nil {
-		return nil, err
-	}
-	t.t = time
-	t.steps = steps
-	t.zoneUpdates = zoneUpdates
-	return t, nil
+	t, _, err := rebuild(p, cfg, nbx, rootLayout(p, nbx), sets, time, steps, zoneUpdates)
+	return t, err
 }

@@ -2,8 +2,10 @@ package amr
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
 	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -166,7 +168,7 @@ func TestCheckpoint2D(t *testing.T) {
 }
 
 // TestTreeFromLeafBlobsBitExact pins the rank-failure recovery property:
-// a tree rebuilt from EncodeLeaves blobs (which carry U and W, including
+// a tree rebuilt from leaf record sets (which carry U and W, including
 // ghosts) continues bit-identically to the original — unlike Load, which
 // re-recovers primitives and only matches to c2p tolerance.
 func TestTreeFromLeafBlobsBitExact(t *testing.T) {
@@ -184,7 +186,7 @@ func TestTreeFromLeafBlobsBitExact(t *testing.T) {
 		}
 	}
 
-	// Encode the leaves split across two "ranks" to mimic buddy blobs.
+	// Encode the leaves split across two "ranks" to mimic buddy checkpoints.
 	n := tr.NumLeaves()
 	half := make([]int, 0, n)
 	rest := make([]int, 0, n)
@@ -195,17 +197,11 @@ func TestTreeFromLeafBlobsBitExact(t *testing.T) {
 			rest = append(rest, i)
 		}
 	}
-	blobA, err := tr.EncodeLeaves(half)
-	if err != nil {
-		t.Fatal(err)
-	}
-	blobB, err := tr.EncodeLeaves(rest)
-	if err != nil {
-		t.Fatal(err)
-	}
+	setA := tr.AppendLeafRecords(nil, half)
+	setB := tr.AppendLeafRecords(nil, rest)
 
 	re, err := TreeFromLeafBlobs(testprob.Blast2D, 4, cfg,
-		[][]byte{blobA, blobB}, tr.Time(), tr.Steps(), tr.ZoneUpdates())
+		[][]float64{setA, setB}, tr.Time(), tr.Steps(), tr.ZoneUpdates())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,6 +242,42 @@ func TestTreeFromLeafBlobsBitExact(t *testing.T) {
 	}
 }
 
+// frameCheckpoint writes a tree checkpoint with the given header, problem
+// name and record set the way save does, so tests can build payloads that
+// decode but do not fit.
+func frameCheckpoint(t *testing.T, h treeHeader, name string, set []float64) (framed, raw []byte) {
+	t.Helper()
+	var payload, buf bytes.Buffer
+	h.NameLen = int64(len(name))
+	if err := binary.Write(&payload, binary.LittleEndian, &h); err != nil {
+		t.Fatal(err)
+	}
+	payload.WriteString(name)
+	binary.Write(&payload, binary.LittleEndian, set)
+	fw := durable.NewWriter(&buf)
+	if _, err := fw.Write(payload.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	if err := fw.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes(), payload.Bytes()
+}
+
+// recordSet encodes records into a set, CRC word included.
+func recordSet(recs ...leafRecord) []float64 {
+	set := []float64{recordFormat, float64(len(recs))}
+	for _, r := range recs {
+		hasW := 0.0
+		if r.W != nil {
+			hasW = 1
+		}
+		set = append(set, float64(r.Level), float64(r.Bi), float64(r.Bj), hasW, float64(len(r.U)))
+		set = append(append(set, r.U...), r.W...)
+	}
+	return append(set, float64(durable.CRCWords(set)))
+}
+
 func TestLoadErrorTaxonomy(t *testing.T) {
 	coreCfg := core.DefaultConfig()
 	// Undecodable payload: corrupt.
@@ -254,31 +286,29 @@ func TestLoadErrorTaxonomy(t *testing.T) {
 		t.Errorf("garbage classified %v, want ErrCheckpointCorrupt", err)
 	}
 	// Decodable payloads that cannot fit this build: mismatch.
-	bad := []treeCheckpoint{
-		{Problem: "no-such-problem", BlockN: 16, Nbx: 4, Nby: 1},
-		{Problem: "sod", BlockN: 2, Nbx: 4, Nby: 1}, // < 2×ghost
-		{Problem: "sod", BlockN: 16, Nbx: 0, Nby: 1},
-		{Problem: "sod", BlockN: 16, Nbx: 4, Nby: 1,
-			Leaves: []leafRecord{{Level: 0, Bi: 0, Bj: 0, U: []float64{1}}}},
+	sod := treeHeader{BlockN: 16, MaxLevel: 2, RegridEvery: 4, Nbx: 4, Nby: 1}
+	type payload struct {
+		h    treeHeader
+		name string
+		set  []float64
 	}
-	for i, cp := range bad {
-		var raw, buf bytes.Buffer
-		if err := gob.NewEncoder(&raw).Encode(&cp); err != nil {
-			t.Fatal(err)
-		}
-		fw := durable.NewWriter(&buf)
-		if _, err := fw.Write(raw.Bytes()); err != nil {
-			t.Fatal(err)
-		}
-		if err := fw.Seal(); err != nil {
-			t.Fatal(err)
-		}
+	noLeaves := recordSet()
+	oneWord := recordSet(leafRecord{U: []float64{1}})
+	bad := []payload{
+		{sod, "no-such-problem", noLeaves},
+		{treeHeader{BlockN: 2, MaxLevel: 2, RegridEvery: 4, Nbx: 4, Nby: 1}, "sod", noLeaves}, // < 2×ghost
+		{treeHeader{BlockN: 16, MaxLevel: 2, RegridEvery: 4, Nbx: 0, Nby: 1}, "sod", noLeaves},
+		{treeHeader{BlockN: 2, MaxLevel: 2, RegridEvery: 4, Nbx: 1, Nby: 1}, "sod", oneWord},
+		{treeHeader{BlockN: 4, MaxLevel: 2, RegridEvery: 4, Nbx: 1, Nby: 1}, "sod", oneWord},
+	}
+	for i, b := range bad {
+		framed, raw := frameCheckpoint(t, b.h, b.name, b.set)
 		// The same payload without its frame is what no writer has
 		// produced since PR 8: corrupt, never loaded.
-		if _, err := Load(&raw, coreCfg); !errors.Is(err, output.ErrCheckpointCorrupt) {
+		if _, err := Load(bytes.NewReader(raw), coreCfg); !errors.Is(err, output.ErrCheckpointCorrupt) {
 			t.Errorf("unframed payload %d classified %v, want ErrCheckpointCorrupt", i, err)
 		}
-		_, err := Load(&buf, coreCfg)
+		_, err := Load(bytes.NewReader(framed), coreCfg)
 		if !errors.Is(err, output.ErrCheckpointMismatch) {
 			t.Errorf("bad payload %d classified %v, want ErrCheckpointMismatch", i, err)
 		}
@@ -299,6 +329,105 @@ func TestLoadErrorTaxonomy(t *testing.T) {
 	trunc := buf.Bytes()[:buf.Len()/3]
 	if _, err := Load(bytes.NewReader(trunc), coreCfg); !errors.Is(err, output.ErrCheckpointCorrupt) {
 		t.Errorf("truncated checkpoint classified %v, want ErrCheckpointCorrupt", err)
+	}
+}
+
+// gobLeafRecord and gobTreeCheckpoint are the gob checkpoint payload this
+// package wrote before the fixed-layout record set.
+type gobLeafRecord struct {
+	Level, Bi, Bj int
+	U             []float64
+	W             []float64
+}
+
+type gobTreeCheckpoint struct {
+	Problem     string
+	BlockN      int
+	MaxLevel    int
+	RefineTol   float64
+	CoarsenTol  float64
+	RegridEvery int
+	Nbx, Nby    int
+	Time        float64
+	Steps       int
+	ZoneUpdates int64
+	Leaves      []gobLeafRecord
+}
+
+// TestLegacyGobCheckpointRejected pins the one-format rule: a framed gob tree
+// checkpoint, written the way the previous format was, is corrupt — there
+// is no second loader.
+func TestLegacyGobCheckpointRejected(t *testing.T) {
+	cfg := DefaultConfig(core.DefaultConfig())
+	tr, err := NewTree(testprob.Sod, 8, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp := gobTreeCheckpoint{
+		Problem: tr.prob.Name, BlockN: cfg.BlockN, MaxLevel: cfg.MaxLevel,
+		RefineTol: cfg.RefineTol, CoarsenTol: cfg.CoarsenTol, RegridEvery: cfg.RegridEvery,
+		Nbx: tr.nbx, Nby: tr.nby, Time: tr.Time(), Steps: tr.Steps(), ZoneUpdates: tr.ZoneUpdates(),
+	}
+	for _, n := range tr.leaves {
+		cp.Leaves = append(cp.Leaves, gobLeafRecord{Level: n.level, Bi: n.bi, Bj: n.bj,
+			U: n.sol.G.U.Raw(), W: n.sol.G.W.Raw()})
+	}
+	var buf bytes.Buffer
+	fw := durable.NewWriter(&buf)
+	if err := gob.NewEncoder(fw).Encode(&cp); err != nil {
+		t.Fatal(err)
+	}
+	if err := fw.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Load(&buf, cfg.Core); !errors.Is(err, output.ErrCheckpointCorrupt) {
+		t.Fatalf("framed gob checkpoint classified %v, want ErrCheckpointCorrupt", err)
+	}
+}
+
+// TestRecordSetEveryBitFlipAndTruncationCorrupt flips every bit of an
+// encoded record set, and cuts it at every length: each damaged input is
+// ErrCheckpointCorrupt and installs nothing into the target tree.
+func TestRecordSetEveryBitFlipAndTruncationCorrupt(t *testing.T) {
+	cfg := DefaultConfig(core.DefaultConfig())
+	cfg.BlockN, cfg.MaxLevel = 8, 1
+	src, err := NewTree(testprob.Sod, 4, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst, err := NewTree(testprob.Sod, 4, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := src.Step(src.MaxDt()); err != nil {
+		t.Fatal(err)
+	}
+	data, err := src.EncodeLeaves([]int{0, src.NumLeaves() - 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp := dst.Fingerprint()
+	reject := func(what string, b []byte) {
+		t.Helper()
+		if _, err := dst.DecodeLeaves(b); !errors.Is(err, output.ErrCheckpointCorrupt) {
+			t.Fatalf("%s: %v, want ErrCheckpointCorrupt", what, err)
+		}
+		if dst.Fingerprint() != fp {
+			t.Fatalf("%s: a rejected set changed the tree", what)
+		}
+	}
+	for off := range data {
+		for bit := 0; bit < 8; bit++ {
+			data[off] ^= 1 << bit
+			reject(fmt.Sprintf("flip at byte %d bit %d", off, bit), data)
+			data[off] ^= 1 << bit
+		}
+	}
+	for cut := 0; cut < len(data); cut++ {
+		reject(fmt.Sprintf("truncation to %d bytes", cut), data[:cut])
+	}
+	if n, err := dst.DecodeLeaves(data); err != nil || n != 2 {
+		t.Fatalf("restored set: %d leaves, %v", n, err)
 	}
 }
 

@@ -1,8 +1,6 @@
 package amr
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"math"
 	"sort"
@@ -269,69 +267,4 @@ func (t *Tree) RegridWithIndicators(vals map[BlockRef]float64) bool {
 		}
 		return t.indicator(n)
 	})
-}
-
-// EncodeLeaves gob-serialises the identified leaves' conserved state and
-// primitives using the checkpoint machinery (the leafRecord layout Save
-// writes, plus the W field), for block migration between ranks. The
-// primitives travel along because they seed the next con2prim Newton
-// iteration: without them a migrated replica would recover from a
-// different guess and drift off the owner's bit pattern.
-func (t *Tree) EncodeLeaves(idx []int) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := t.EncodeLeavesInto(idx, &buf); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// EncodeLeavesInto is EncodeLeaves writing into a caller-owned buffer
-// (appended to, not reset), so steady senders can reuse one buffer across
-// generations. The records alias the live U/W storage — gob serialises
-// them synchronously and retains nothing — so no per-leaf copies are made.
-func (t *Tree) EncodeLeavesInto(idx []int, buf *bytes.Buffer) error {
-	recs := make([]leafRecord, 0, len(idx))
-	for _, i := range idx {
-		n := t.leaves[i]
-		recs = append(recs, leafRecord{
-			Level: n.level, Bi: n.bi, Bj: n.bj,
-			U: n.sol.G.U.Raw(),
-			W: n.sol.G.W.Raw(),
-		})
-	}
-	if err := gob.NewEncoder(buf).Encode(recs); err != nil {
-		return fmt.Errorf("amr: encode leaves: %w", err)
-	}
-	return nil
-}
-
-// DecodeLeaves installs a blob produced by EncodeLeaves into the matching
-// leaves of this tree and returns how many blocks it carried. The tree
-// structure must already contain every encoded leaf.
-func (t *Tree) DecodeLeaves(data []byte) (int, error) {
-	var recs []leafRecord
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&recs); err != nil {
-		return 0, fmt.Errorf("amr: decode leaves: %w", err)
-	}
-	for _, rec := range recs {
-		n, ok := t.nodes[key{rec.Level, rec.Bi, rec.Bj}]
-		if !ok || !n.leaf() {
-			return 0, fmt.Errorf("amr: migrated leaf L%d (%d,%d) not a leaf here", rec.Level, rec.Bi, rec.Bj)
-		}
-		raw := n.sol.G.U.Raw()
-		if len(rec.U) != len(raw) {
-			return 0, fmt.Errorf("amr: migrated leaf data size %d, grid needs %d", len(rec.U), len(raw))
-		}
-		copy(raw, rec.U)
-		if rec.W != nil {
-			if len(rec.W) != len(raw) {
-				return 0, fmt.Errorf("amr: migrated leaf prim size %d, grid needs %d", len(rec.W), len(raw))
-			}
-			copy(n.sol.G.W.Raw(), rec.W)
-		}
-		// The raw install bypassed the solver's recovery bookkeeping; a
-		// cached CFL reduction would reflect the overwritten state.
-		n.sol.InvalidateCFL()
-	}
-	return len(recs), nil
 }

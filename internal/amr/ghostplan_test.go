@@ -219,11 +219,8 @@ func TestGhostPlanMatchesSampling(t *testing.T) {
 					t.Fatalf("SaveExact/Load fingerprint %016x, source %016x", fb, fa)
 				}
 			}
-			blob, err := tr.EncodeLeaves(tr.all)
-			if err != nil {
-				t.Fatal(err)
-			}
-			re, err := TreeFromLeafBlobs(tc.prob, tc.nbx, cfg, [][]byte{blob}, tr.Time(), tr.Steps(), tr.ZoneUpdates())
+			blob := tr.AppendLeafRecords(nil, tr.all)
+			re, err := TreeFromLeafBlobs(tc.prob, tc.nbx, cfg, [][]float64{blob}, tr.Time(), tr.Steps(), tr.ZoneUpdates())
 			if err != nil {
 				t.Fatal(err)
 			}

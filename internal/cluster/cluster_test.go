@@ -4,6 +4,7 @@ import (
 	"math"
 	"sync"
 	"testing"
+	"time"
 
 	"rhsc/internal/core"
 	"rhsc/internal/grid"
@@ -244,6 +245,20 @@ func TestRunValidation(t *testing.T) {
 	if _, err := Run(testprob.Sod, 64, cfg, Options{Ranks: 0}); err == nil {
 		t.Error("0 ranks accepted")
 	}
+}
+
+// TestRunRejectsFailSafe pins the fail-safe rejection: the repair exchanges
+// halos only on ranks that flagged a cell, so a 4-rank 1-D blast under
+// FailSafe would deadlock — Run must refuse it up front. The deadline
+// turns a regression into a failure instead of a hung test binary.
+func TestRunRejectsFailSafe(t *testing.T) {
+	cfg := core.DefaultConfig()
+	cfg.FailSafe = true
+	withTimeout(t, 30*time.Second, func() {
+		if _, err := Run(testprob.Blast, 400, cfg, Options{Ranks: 4, Steps: 200}); err == nil {
+			t.Error("FailSafe accepted")
+		}
+	})
 }
 
 func TestPerfectSpeedup(t *testing.T) {

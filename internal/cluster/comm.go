@@ -25,6 +25,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"rhsc/internal/durable"
 	"rhsc/internal/metrics"
 )
 
@@ -374,7 +375,7 @@ func (c *Comm) recvMsg(src int, deadline time.Time, intr bool) (message, error) 
 		case m.seq < e:
 			nc.DupDiscarded.Add(1)
 			c.postAck(src)
-		case crcPayload(m.data) != m.crc:
+		case durable.CRCWords(m.data) != m.crc:
 			nc.CrcRejected.Add(1)
 		case m.seq > e:
 			c.ooo[src][m.seq] = m

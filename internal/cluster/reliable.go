@@ -11,34 +11,11 @@ package cluster
 // reproduces even the modelled timings bitwise.
 
 import (
-	"encoding/binary"
-	"hash/crc32"
-	"math"
 	"sync"
 	"time"
+
+	"rhsc/internal/durable"
 )
-
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
-// crcPayload is the CRC32C of the payload's IEEE-754 bit patterns, little
-// endian, staged through a 4 KiB stack buffer so the table-driven update
-// runs once per 512 words instead of once per word.
-func crcPayload(data []float64) uint32 {
-	var b [4096]byte
-	crc := uint32(0)
-	for len(data) > 0 {
-		n := len(data)
-		if n > len(b)/8 {
-			n = len(b) / 8
-		}
-		for i, v := range data[:n] {
-			binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(v))
-		}
-		crc = crc32.Update(crc, castagnoli, b[:8*n])
-		data = data[n:]
-	}
-	return crc
-}
 
 // ackMsg is a cumulative acknowledgement: every frame from `from` with
 // seq <= cum has been delivered in order.
@@ -62,12 +39,12 @@ type senderState struct {
 }
 
 type reliableState struct {
-	w     *World
-	acks  []chan ackMsg // one inbound ack channel per rank
-	send  []*senderState
-	stop  chan struct{}
-	once  sync.Once
-	wg    sync.WaitGroup
+	w    *World
+	acks []chan ackMsg // one inbound ack channel per rank
+	send []*senderState
+	stop chan struct{}
+	once sync.Once
+	wg   sync.WaitGroup
 }
 
 func newReliableState(w *World) *reliableState {
@@ -108,7 +85,7 @@ func (rs *reliableState) stopAll() {
 // keep its posted bytes for as long as it can be re-sent.
 func (rs *reliableState) post(src, dst int, m message) {
 	m.data = append([]float64(nil), m.data...)
-	m.crc = crcPayload(m.data)
+	m.crc = durable.CRCWords(m.data)
 	st := rs.send[src]
 	st.mu.Lock()
 	st.nextSeq[dst]++

@@ -1,15 +1,10 @@
 package cluster
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"math"
-	"math/rand"
 	"sync"
 	"testing"
-	"testing/quick"
 	"time"
 )
 
@@ -436,40 +431,4 @@ func TestMustRecvPanics(t *testing.T) {
 		}()
 		c1.AllReduceMin(1)
 	})
-}
-
-// crcPayloadPerWord is the frame checksum as it was first written, one
-// crc32.Update per float64 — the reference crcPayload's chunked staging
-// must reproduce.
-func crcPayloadPerWord(data []float64) uint32 {
-	var b [8]byte
-	crc := uint32(0)
-	for _, v := range data {
-		binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
-		crc = crc32.Update(crc, castagnoli, b[:])
-	}
-	return crc
-}
-
-// TestCRCPayloadMatchesPerWord pins crcPayload to the per-word CRC32C on
-// the lengths around its 512-word chunk and on random lengths spanning
-// several chunks, with raw bit patterns (NaNs, infinities, denormals) as
-// payload.
-func TestCRCPayloadMatchesPerWord(t *testing.T) {
-	check := func(n uint16, seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		data := make([]float64, int(n)%2100)
-		for i := range data {
-			data[i] = math.Float64frombits(rng.Uint64())
-		}
-		return crcPayload(data) == crcPayloadPerWord(data)
-	}
-	for _, n := range []uint16{0, 1, 511, 512, 513, 1024, 1025} {
-		if !check(n, int64(n)) {
-			t.Errorf("length %d: chunked CRC differs from the per-word CRC", n)
-		}
-	}
-	if err := quick.Check(check, nil); err != nil {
-		t.Error(err)
-	}
 }

@@ -230,9 +230,6 @@ func (s *Solver) fsStagePost(stage int, dt, a, b float64) error {
 func (s *Solver) FSRepair(stage int, dt, a, b float64) error {
 	g := s.G
 	s.fsFillMaskBCs()
-	if s.Cfg.MaskExchange != nil {
-		s.Cfg.MaskExchange(s.fsMask)
-	}
 	clear(s.fsTouched)
 
 	scO := s.getScratch()

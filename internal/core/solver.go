@@ -134,12 +134,6 @@ type Config struct {
 	// fraction of interior cells exceeds it — a failure that widespread is
 	// not local. Zero never demotes on fraction.
 	FailSafeMaxFrac float64
-	// MaskExchange, when non-nil, is called by the fail-safe repair with
-	// the troubled-cell mask (full grid layout, ghosts included) after the
-	// local boundary fill, so a distributed driver can fill ghost-band
-	// mask entries of faces marked grid.External with its neighbours'
-	// flags — the cross-rank analogue of HaloExchange.
-	MaskExchange func(mask []uint8)
 	// FaultHook, when non-nil, is called after every candidate RK stage
 	// update with the stage index and the conserved field, before any
 	// validation or fail-safe detection. Deterministic fault injectors use

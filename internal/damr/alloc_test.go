@@ -9,13 +9,14 @@ import (
 	"rhsc/internal/testprob"
 )
 
-// measureStepAllocs drives persistent rank workers through warmed
-// lockstep steps and returns the steady-state allocations per step.
+// measureAllocs drives persistent rank workers through warmed lockstep
+// calls of op — handed a CFL-safe dt — and returns the steady-state
+// allocations per call across both ranks.
 //
 // testing.AllocsPerRun reads the global allocation counter, so the rank
 // goroutines are persistent workers driven over channels — a goroutine
 // spawn per measured run would be counted.
-func measureStepAllocs(t *testing.T, cfg amr.Config) float64 {
+func measureAllocs(t *testing.T, cfg amr.Config, op func(r *rankRun, dt float64) error) float64 {
 	t.Helper()
 	p := testprob.Blast2D
 	const nbx, ranks = 4, 2
@@ -39,8 +40,8 @@ func measureStepAllocs(t *testing.T, cfg amr.Config) float64 {
 		starts[i] = make(chan float64)
 		go func(r *rankRun, start chan float64) {
 			for dt := range start {
-				if err := r.t.StepLeaves(r.ep.mine, dt, r.hooks); err != nil {
-					t.Errorf("rank %d step: %v", r.rank, err)
+				if err := op(r, dt); err != nil {
+					t.Errorf("rank %d: %v", r.rank, err)
 				}
 				done <- struct{}{}
 			}
@@ -70,7 +71,7 @@ func measureStepAllocs(t *testing.T, cfg amr.Config) float64 {
 	}
 	dt /= 2
 
-	for i := 0; i < 3; i++ { // warm the scratch pools and halo buffers
+	for i := 0; i < 3; i++ { // warm the scratch pools, halo buffers and both checkpoint slots
 		stepAll(dt)
 	}
 	return testing.AllocsPerRun(5, func() { stepAll(dt) })
@@ -89,16 +90,28 @@ func measureStepAllocs(t *testing.T, cfg amr.Config) float64 {
 // are outside this scope: they run at most once per step or per epoch
 // and inherently build survivor-set payloads.
 func TestStepZeroAllocs(t *testing.T) {
+	step := func(r *rankRun, dt float64) error { return r.t.StepLeaves(r.ep.mine, dt, r.hooks) }
 	t.Run("plain", func(t *testing.T) {
-		if allocs := measureStepAllocs(t, blastConfig()); allocs != 0 {
+		if allocs := measureAllocs(t, blastConfig(), step); allocs != 0 {
 			t.Errorf("steady-state distributed step allocates %.1f times, want 0", allocs)
 		}
 	})
 	t.Run("failsafe", func(t *testing.T) {
 		cfg := blastConfig()
 		cfg.Core.FailSafe = true
-		if allocs := measureStepAllocs(t, cfg); allocs != 0 {
+		if allocs := measureAllocs(t, cfg, step); allocs != 0 {
 			t.Errorf("steady-state fail-safe step allocates %.1f times, want 0", allocs)
 		}
 	})
+}
+
+// TestCheckpointZeroAllocs pins the buddy checkpoint's storage discipline:
+// once both slots have held a generation, encoding the owned leaves into
+// the recycled slot, posting it to the ring and copying the predecessor's
+// set into the buddy slot allocate nothing on the default fabric.
+func TestCheckpointZeroAllocs(t *testing.T) {
+	ck := func(r *rankRun, _ float64) error { return r.checkpoint() }
+	if allocs := measureAllocs(t, blastConfig(), ck); allocs != 0 {
+		t.Errorf("steady-state checkpoint allocates %.1f times, want 0", allocs)
+	}
 }

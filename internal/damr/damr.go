@@ -70,9 +70,9 @@ type Options struct {
 
 	// CheckpointEvery > 0 takes an in-memory buddy checkpoint whenever
 	// the tree's committed step count is a multiple of it: each active
-	// rank gob-encodes its owned leaves (U and W, including ghosts) and
-	// swaps blobs around the ring of active ranks, so one rank failure
-	// loses no generation. Required for Fault.
+	// rank encodes its owned leaves (U and W, including ghosts) as one
+	// leaf record set and swaps sets around the ring of active ranks, so
+	// one rank failure loses no generation. Required for Fault.
 	CheckpointEvery int
 	// Fault, when non-nil, injects one deterministic fail-stop rank
 	// failure (see RankFault); the survivors detect it, restore the last
@@ -136,8 +136,9 @@ type Result struct {
 
 	// Checkpoints counts buddy-checkpoint generations taken (per rank —
 	// lockstep makes the count identical across ranks); CheckpointBytes
-	// is the summed encoded payload, CheckpointVirtual the virtual-clock
-	// share of the ring exchanges (max over ranks).
+	// is the summed payload posted to the ring (8 bytes per record word),
+	// CheckpointVirtual the virtual-clock share of the ring exchanges (max
+	// over ranks).
 	Checkpoints       int
 	CheckpointBytes   int64
 	CheckpointVirtual float64

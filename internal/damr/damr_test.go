@@ -186,11 +186,46 @@ func TestTwoHaloExchangesPerStep(t *testing.T) {
 	if got, want := long.Net.Sent-short.Net.Sent, int64(steps)*(2*pairs+collectiveFrames); got != want {
 		t.Errorf("%d more steps sent %d more frames, want %d (two exchanges a step)", steps, got, want)
 	}
-	// Bytes: the collective's few words and the value-dependent size of the
-	// final gob gather are noise far below one exchange.
-	perStep := float64(long.Net.SentBytes-short.Net.SentBytes) / steps
-	if d := perStep - 2*float64(haloBytes); d < -float64(haloBytes)/4 || d > float64(haloBytes)/4 {
-		t.Errorf("%.0f halo B per step, want two exchanges of %d B", perStep, haloBytes)
+	// Bytes, exactly: the collective is a one-word contribution and a
+	// rebroadcast of [count, 2 ranks, 2 lengths, 2 values]; the final
+	// gather's record set has the same size in both runs, since its size
+	// depends only on the leaves, not on their values.
+	const collectiveBytes = 8 * (1 + 7)
+	if got, want := long.Net.SentBytes-short.Net.SentBytes, int64(steps)*(2*haloBytes+collectiveBytes); got != want {
+		t.Errorf("%d more steps sent %d more B, want %d (two exchanges of %d B a step)", steps, got, want, haloBytes)
+	}
+}
+
+// TestCheckpointBytesArePostedBytes pins Result.CheckpointBytes to the
+// fabric: on the reliable transport, with no regrid, a run with buddy
+// checkpoints sends exactly CheckpointBytes more bytes, in exactly one
+// ring frame per rank per generation, than the same run without them.
+func TestCheckpointBytesArePostedBytes(t *testing.T) {
+	p := testprob.Blast2D
+	cfg := blastConfig()
+	cfg.RegridEvery = 1 << 30
+	const nbx, steps, every, ranks = 4, 6, 2, 3
+	run := func(k int) *Result {
+		o := Options{Ranks: ranks, Net: cluster.Infiniband(), Steps: steps, CheckpointEvery: k,
+			Transport: &cluster.TransportConfig{Reliable: true, RTO: 50 * time.Millisecond}}
+		res, err := runWithin(t, time.Minute, func() (*Result, error) { return Run(p, nbx, cfg, o) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Regrids != 0 || res.Net.Timeouts != 0 {
+			t.Fatalf("window not clean: %d regrids, %d timeouts", res.Regrids, res.Net.Timeouts)
+		}
+		return res
+	}
+	plain, ck := run(0), run(every)
+	if ck.Checkpoints != steps/every || ck.CheckpointBytes == 0 {
+		t.Fatalf("%d checkpoints of %d B, want %d generations", ck.Checkpoints, ck.CheckpointBytes, steps/every)
+	}
+	if got := ck.Net.SentBytes - plain.Net.SentBytes; got != ck.CheckpointBytes {
+		t.Errorf("checkpoints added %d B to the fabric, Result.CheckpointBytes says %d", got, ck.CheckpointBytes)
+	}
+	if got, want := ck.Net.Sent-plain.Net.Sent, int64(ranks*ck.Checkpoints); got != want {
+		t.Errorf("checkpoints added %d frames, want %d ring sends", got, want)
 	}
 }
 

@@ -103,9 +103,9 @@ func TestFaultAcrossRegrid(t *testing.T) {
 
 	ref := referenceRun(t, p, nbx, steps, cfg)
 	res, err := Run(p, nbx, cfg, Options{
-		Ranks:           2,
-		Net:             cluster.Infiniband(),
-		Steps:           steps,
+		Ranks: 2,
+		Net:   cluster.Infiniband(),
+		Steps: steps,
 		// Checkpoint at step 6, death detected at step 8 — right after
 		// the regrid that fires on step 8 — so the replayed window
 		// re-executes that regrid on the survivor partition.

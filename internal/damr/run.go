@@ -1,7 +1,6 @@
 package damr
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"math"
@@ -11,7 +10,6 @@ import (
 
 	"rhsc/internal/amr"
 	"rhsc/internal/cluster"
-	"rhsc/internal/durable"
 	"rhsc/internal/metrics"
 	"rhsc/internal/testprob"
 )
@@ -277,17 +275,16 @@ type rankRun struct {
 	//     peer posts its phase-s+1 message only after finishing its
 	//     phase-s receives, and we repack the parity-s buffer only after
 	//     receiving that s+1 message, so reuse at s+2 is race-free.
-	//   - ckPack / migPack are reused across generations separated by
-	//     the loop-top FTAllReduceMin collective, which the receiver can
-	//     only reach after consuming (copying out of) the payload.
+	//   - migPack and the checkpoint slots' own sets are reused across
+	//     generations separated by the loop-top FTAllReduceMin
+	//     collective, which the receiver can only reach after consuming
+	//     (copying out of) the payload.
 	// setEpoch re-derives the halo buffers whenever the plan changes.
 	haloSend  map[int][2][]float64
 	haloPhase int
 	maskSend  map[int][2][]float64 // fail-safe troubled-cell masks, same parity discipline
 	maskPhase int
 	migPack   map[int][]float64
-	ckPack    []float64
-	encBuf    bytes.Buffer
 
 	clock       float64
 	rebalClock  float64
@@ -308,13 +305,13 @@ type rankRun struct {
 	maxLevelCfg int
 }
 
-// ckSlot is one complete buddy-checkpoint generation: this rank's own
-// encoded leaves, the ring predecessor's blob, and the tree counters
-// needed to restart from it. valid is false until the generation's ring
-// exchange completed on this rank.
+// ckSlot is one complete buddy-checkpoint generation: the record set of
+// this rank's owned leaves, the ring predecessor's set, and the tree
+// counters needed to restart from it. valid is false until the
+// generation's ring exchange completed on this rank.
 type ckSlot struct {
-	own       []byte
-	buddy     []byte
+	own       []float64
+	buddy     []float64
 	buddyRank int
 	steps     int
 	time      float64
@@ -322,8 +319,8 @@ type ckSlot struct {
 	valid     bool
 }
 
-// checkpoint encodes this rank's owned leaves and swaps blobs around the
-// ring of active ranks, so each rank's segment survives on its ring
+// checkpoint encodes this rank's owned leaves and swaps record sets around
+// the ring of active ranks, so each rank's segment survives on its ring
 // successor. Lockstep guarantees every active rank checkpoints at the
 // same tree step, and a victim that dies at this loop top dies *after*
 // its send, so the generation is always complete (the receive drains
@@ -335,17 +332,12 @@ type ckSlot struct {
 // — the generation recovery will agree on — untouched.
 func (r *rankRun) checkpoint() error {
 	clock0 := r.clock
-	r.encBuf.Reset()
-	if err := r.t.EncodeLeavesInto(r.ep.mine, &r.encBuf); err != nil {
-		return err
-	}
-	// The blob survives in a buddy's memory and crosses the simulated
-	// network; the durable frame (CRC32C + sealed footer) lets the
-	// rebuild reject a damaged contribution instead of installing it.
-	blob := r.encBuf.Bytes()
 	stage := r.ckPrev // recycle the oldest slot's storage
 	r.ckPrev.valid = false
-	stage.own = durable.AppendBlob(stage.own[:0], blob)
+	// The set survives in a buddy's memory and crosses the simulated
+	// network; its CRC word lets the rebuild reject a damaged
+	// contribution instead of installing it.
+	stage.own = r.t.AppendLeafRecords(stage.own[:0], r.ep.mine)
 	stage.steps = r.t.Steps()
 	stage.time = r.t.Time()
 	stage.zu = r.t.ZoneUpdates()
@@ -361,28 +353,30 @@ func (r *rankRun) checkpoint() error {
 		}
 		next := r.active[(pos+1)%len(r.active)]
 		prev := r.active[(pos+len(r.active)-1)%len(r.active)]
-		r.ckPack = packBytesInto(stage.own, r.ckPack)
-		r.comm.Send(next, tagCheckpoint, r.ckPack, r.clock)
+		// own goes out without a copy, like migPack: the slot is rewritten
+		// two generations later, past collectives the receiver reaches
+		// only after copying the set into its buddy slot.
+		r.comm.Send(next, tagCheckpoint, stage.own, r.clock)
+		r.ckBytes += int64(8 * len(stage.own))
 		got, err := r.recv(prev, tagCheckpoint)
 		if err != nil {
 			return err
 		}
-		stage.buddy = unpackBytesInto(got, stage.buddy)
+		stage.buddy = append(stage.buddy, got...)
 		stage.buddyRank = prev
 	}
 	stage.valid = true
 	r.ckPrev = r.ckCur
 	r.ckCur = stage
 	r.checkpoints++
-	r.ckBytes += int64(len(blob))
 	r.ckClock += r.clock - clock0
 	return nil
 }
 
 // recoverFromFailure rebuilds the hierarchy from the latest checkpoint
 // generation after the dt collective reported a shrunken survivor set:
-// every survivor contributes its own blob — plus the victim's, held by
-// its ring successor — rebuilds the tree bit-exactly at the checkpoint
+// every survivor contributes its own record set — plus the victim's, held
+// by its ring successor — rebuilds the tree bit-exactly at the checkpoint
 // step (amr.TreeFromLeafBlobs installs U and W verbatim, no re-recover),
 // and re-partitions the Morton curve over the survivors. Because the
 // distributed run is invariant to the partition, replaying the lost
@@ -421,31 +415,31 @@ func (r *rankRun) recoverFromFailure(survivors []int) error {
 	}
 	r.recomputed += r.t.Steps() - slot.steps
 
-	contrib := [][]byte{slot.own}
+	// The sets concatenate back to back into a fresh contribution: the
+	// gather hands it to peers uncopied, and slot storage is rewritten by
+	// later generations.
+	contrib := append([]float64(nil), slot.own...)
 	for _, d := range r.active {
 		if !contains(survivors, d) && d == slot.buddyRank {
-			contrib = append(contrib, slot.buddy)
+			contrib = append(contrib, slot.buddy...)
 		}
 	}
-	parts, alive, err := r.comm.FTAllGather(packBlobs(contrib), survivors)
+	parts, alive, err := r.comm.FTAllGather(contrib, survivors)
 	if err != nil {
 		return err
 	}
-	var blobs [][]byte
+	var sets [][]float64
 	total := 0
 	for _, part := range parts {
-		if part == nil {
-			continue
-		}
-		for _, b := range unpackBlobs(part) {
-			blobs = append(blobs, b)
-			total += len(b)
+		if len(part) > 0 {
+			sets = append(sets, part)
+			total += 8 * len(part)
 		}
 	}
 	// Coarse gather-and-rebroadcast charge, as in regridPhase.
 	r.clock += 2 * r.opts.Net.Cost(total)
 
-	t, err := amr.TreeFromLeafBlobs(r.p, r.nbx, r.cfg, blobs, slot.time, slot.steps, slot.zu)
+	t, err := amr.TreeFromLeafBlobs(r.p, r.nbx, r.cfg, sets, slot.time, slot.steps, slot.zu)
 	if err != nil {
 		return err
 	}
@@ -672,15 +666,10 @@ func (r *rankRun) regridPhase() error {
 		}
 	}
 	for dst, idx := range sendPlan {
-		r.encBuf.Reset()
-		if err := t.EncodeLeavesInto(idx, &r.encBuf); err != nil {
-			return fmt.Errorf("damr: encode migration to rank %d: %w", dst, err)
-		}
-		blob := r.encBuf.Bytes()
-		// One pooled pack buffer per destination: several sends can be
+		// One pooled record buffer per destination: several sends can be
 		// in flight within this phase, so they must not share storage.
-		r.migPack[dst] = packBytesInto(blob, r.migPack[dst])
-		r.migBytes += int64(len(blob))
+		r.migPack[dst] = t.AppendLeafRecords(r.migPack[dst][:0], idx)
+		r.migBytes += int64(8 * len(r.migPack[dst]))
 		r.comm.Send(dst, tagMigrate, r.migPack[dst], r.clock)
 	}
 	for _, src := range sortedKeys(recvPlan) {
@@ -688,7 +677,7 @@ func (r *rankRun) regridPhase() error {
 		if err != nil {
 			return err
 		}
-		if _, err := t.DecodeLeaves(unpackBytes(payload)); err != nil {
+		if _, err := t.InstallLeafRecords(payload); err != nil {
 			return fmt.Errorf("damr: decode migration from rank %d: %w", src, err)
 		}
 	}
@@ -719,51 +708,6 @@ func sortedKeys(m map[int][]int) []int {
 	}
 	sort.Ints(out)
 	return out
-}
-
-// packBytes reinterprets a byte blob as the []float64 payload the
-// channel transport carries (8 bytes per element, zero-padded tail,
-// length prefix so the exact byte count survives).
-func packBytes(b []byte) []float64 { return packBytesInto(b, nil) }
-
-// packBytesInto is packBytes filling a caller-owned buffer, grown only
-// when too small; it returns the filled slice for reassignment.
-func packBytesInto(b []byte, dst []float64) []float64 {
-	n := len(b)
-	if need := 1 + (n+7)/8; cap(dst) < need {
-		dst = make([]float64, 0, need)
-	}
-	dst = append(dst[:0], float64(n))
-	for off := 0; off < n; off += 8 {
-		var word uint64
-		for k := 0; k < 8 && off+k < n; k++ {
-			word |= uint64(b[off+k]) << (8 * k)
-		}
-		dst = append(dst, math.Float64frombits(word))
-	}
-	return dst
-}
-
-// unpackBytes inverts packBytes.
-func unpackBytes(payload []float64) []byte { return unpackBytesInto(payload, nil) }
-
-// unpackBytesInto is unpackBytes filling a caller-owned buffer, grown
-// only when too small; every byte of the result is overwritten.
-func unpackBytesInto(payload []float64, dst []byte) []byte {
-	n := int(payload[0])
-	if cap(dst) < n {
-		dst = make([]byte, 0, n)
-	}
-	dst = dst[:n]
-	for w, word := range payload[1:] {
-		bits := math.Float64bits(word)
-		for k := 0; k < 8; k++ {
-			if i := w*8 + k; i < n {
-				dst[i] = byte(bits >> (8 * k))
-			}
-		}
-	}
-	return dst
 }
 
 // appendMaskWords packs a troubled-cell mask into the transport payload,
@@ -798,29 +742,6 @@ func unpackMaskWords(payload []float64, m []uint8) bool {
 		}
 	}
 	return dirty
-}
-
-// packBlobs concatenates several byte blobs into one transport payload:
-// a count word followed by each blob in packBytes form.
-func packBlobs(blobs [][]byte) []float64 {
-	out := []float64{float64(len(blobs))}
-	for _, b := range blobs {
-		out = append(out, packBytes(b)...)
-	}
-	return out
-}
-
-// unpackBlobs inverts packBlobs.
-func unpackBlobs(payload []float64) [][]byte {
-	n := int(payload[0])
-	out := make([][]byte, 0, n)
-	off := 1
-	for i := 0; i < n; i++ {
-		words := (int(payload[off]) + 7) / 8
-		out = append(out, unpackBytes(payload[off:off+1+words]))
-		off += 1 + words
-	}
-	return out
 }
 
 // errKilled marks the expected exit of a rank killed by fault
@@ -1101,11 +1022,7 @@ func (r *rankRun) finalize(real time.Duration) (*Result, error) {
 	// a re-sync, which would apply one recover more than the reference.
 	root := r.active[0]
 	if r.rank != root {
-		blob, err := t.EncodeLeaves(r.ep.mine)
-		if err != nil {
-			return nil, err
-		}
-		comm.Send(root, tagGather, packBytes(blob), 0)
+		comm.Send(root, tagGather, t.AppendLeafRecords(nil, r.ep.mine), 0)
 		return &Result{}, nil
 	}
 	for _, src := range r.active[1:] {
@@ -1113,7 +1030,7 @@ func (r *rankRun) finalize(real time.Duration) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		if _, err := t.DecodeLeaves(unpackBytes(payload)); err != nil {
+		if _, err := t.InstallLeafRecords(payload); err != nil {
 			return nil, err
 		}
 	}
@@ -1131,8 +1048,8 @@ func (r *rankRun) finalize(real time.Duration) (*Result, error) {
 		Regrids:     r.regrids, Rebalances: r.rebalances,
 		MigratedBlocks: int(fold(3, true)), MigratedBytes: int64(fold(4, true)),
 		RebalanceTime: r.rebalReal, RebalanceVirtual: fold(1, false),
-		Imbalance:   imb,
-		Checkpoints: r.checkpoints,
+		Imbalance:         imb,
+		Checkpoints:       r.checkpoints,
 		CheckpointBytes:   int64(fold(5, true)),
 		CheckpointVirtual: fold(6, false),
 		Recoveries:        r.recoveries,

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
+	"unsafe"
 )
 
 // The frame layout (all integers little-endian):
@@ -27,9 +29,6 @@ const (
 	// Version is the current frame format version.
 	Version = 1
 
-	// MagicLen is how many leading bytes IsFramed needs to decide.
-	MagicLen = len(frameMagic)
-
 	// DefaultChunkSize is the writer's flush granularity.
 	DefaultChunkSize = 64 << 10
 
@@ -43,11 +42,27 @@ const (
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// IsFramed reports whether head (>= MagicLen bytes of a stream's
-// start) begins a durable frame. Shorter slices report false.
-func IsFramed(head []byte) bool {
-	return len(head) >= MagicLen && string(head[:MagicLen]) == frameMagic
+// CRCWords is the CRC32C of the words' IEEE-754 bit patterns, little
+// endian. The reliable transport checks every frame with it, and it closes
+// every leaf record set (package amr). On a little-endian host those bytes
+// are the words' own memory, so the checksum runs over it in place: no
+// staging copy and no allocation.
+func CRCWords(data []float64) uint32 {
+	if !littleEndian {
+		var b [8]byte
+		crc := uint32(0)
+		for _, v := range data {
+			binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+			crc = crc32.Update(crc, castagnoli, b[:])
+		}
+		return crc
+	}
+	return crc32.Checksum(unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(data))), 8*len(data)), castagnoli)
 }
+
+// littleEndian reports whether the host stores words as their
+// little-endian bytes.
+var littleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
 
 // Writer frames a stream onto an underlying io.Writer. Write buffers
 // payload into chunks; Seal flushes the tail chunk and writes the
@@ -326,113 +341,6 @@ func (fr *Reader) Verify() error {
 // PayloadBytes reports how many payload bytes have been verified so
 // far (after Verify: the whole payload).
 func (fr *Reader) PayloadBytes() uint64 { return fr.total }
-
-// --- in-memory blob helpers --------------------------------------------
-
-// AppendBlob appends a complete sealed frame of payload onto dst and
-// returns the extended slice. It is the allocation-friendly path for
-// in-memory consumers (the damr buddy-checkpoint exchange reuses its
-// pooled pack buffers): one header, one chunk, one footer.
-func AppendBlob(dst, payload []byte) []byte {
-	var hdr [headerLen]byte
-	copy(hdr[:8], frameMagic)
-	binary.LittleEndian.PutUint32(hdr[8:12], Version)
-	binary.LittleEndian.PutUint32(hdr[12:16], crc32.Checksum(hdr[:12], castagnoli))
-	dst = append(dst, hdr[:]...)
-
-	// A zero-length chunk would collide with the footer sentinel, so an
-	// empty payload writes no chunk at all — header + footer only.
-	var chunks uint64
-	var stream uint32
-	if len(payload) > 0 {
-		crc := crc32.Checksum(payload, castagnoli)
-		var b [4]byte
-		binary.LittleEndian.PutUint32(b[:], uint32(len(payload)))
-		dst = append(dst, b[:]...)
-		dst = append(dst, payload...)
-		binary.LittleEndian.PutUint32(b[:], crc)
-		dst = append(dst, b[:]...)
-		chunks, stream = 1, crc
-	}
-
-	var ftr [footerLen]byte
-	binary.LittleEndian.PutUint32(ftr[0:4], 0)
-	binary.LittleEndian.PutUint64(ftr[4:12], uint64(len(payload)))
-	binary.LittleEndian.PutUint64(ftr[12:20], chunks)
-	binary.LittleEndian.PutUint32(ftr[20:24], stream)
-	copy(ftr[24:32], endMagic)
-	return append(dst, ftr[:]...)
-}
-
-// ExtractBlob verifies a complete in-memory frame and returns its
-// payload. Single-chunk frames (everything AppendBlob writes) return a
-// sub-slice of b without copying; multi-chunk frames are joined.
-func ExtractBlob(b []byte) ([]byte, error) {
-	if len(b) < headerLen+footerLen {
-		return nil, corruptf("durable: blob", "frame of %d bytes is shorter than header+footer", len(b))
-	}
-	if !IsFramed(b) {
-		return nil, corruptf("durable: blob", "bad magic %q", b[:MagicLen])
-	}
-	if got, want := binary.LittleEndian.Uint32(b[12:16]), crc32.Checksum(b[:12], castagnoli); got != want {
-		return nil, corruptf("durable: blob", "header crc %08x, want %08x", got, want)
-	}
-	if v := binary.LittleEndian.Uint32(b[8:12]); v != Version {
-		return nil, corruptf("durable: blob", "format version %d, reader speaks %d", v, Version)
-	}
-	rest := b[headerLen:]
-	var first []byte
-	var joined []byte
-	var chunks, total uint64
-	var stream uint32
-	for {
-		if len(rest) < 4 {
-			return nil, corruptf("durable: blob", "truncated at chunk length")
-		}
-		n := binary.LittleEndian.Uint32(rest[:4])
-		rest = rest[4:]
-		if n == 0 {
-			break
-		}
-		if n > maxChunkSize || uint64(len(rest)) < uint64(n)+4 {
-			return nil, corruptf("durable: blob", "truncated chunk of declared %d bytes", n)
-		}
-		payload := rest[:n]
-		crc := binary.LittleEndian.Uint32(rest[n : n+4])
-		if want := crc32.Checksum(payload, castagnoli); crc != want {
-			return nil, corruptf("durable: blob", "chunk %d crc %08x, want %08x", chunks, crc, want)
-		}
-		rest = rest[n+4:]
-		if chunks == 0 {
-			first = payload
-		} else {
-			if joined == nil {
-				joined = append(joined, first...)
-			}
-			joined = append(joined, payload...)
-		}
-		stream = crc32.Update(stream, castagnoli, payload)
-		total += uint64(n)
-		chunks++
-	}
-	if len(rest) != footerLen-4 {
-		return nil, corruptf("durable: blob", "footer is %d bytes, want %d", len(rest), footerLen-4)
-	}
-	if string(rest[20:28]) != endMagic {
-		return nil, corruptf("durable: blob", "bad end magic %q", rest[20:28])
-	}
-	if binary.LittleEndian.Uint64(rest[0:8]) != total ||
-		binary.LittleEndian.Uint64(rest[8:16]) != chunks {
-		return nil, corruptf("durable: blob", "footer totals disagree with stream")
-	}
-	if binary.LittleEndian.Uint32(rest[16:20]) != stream {
-		return nil, corruptf("durable: blob", "stream crc mismatch")
-	}
-	if joined != nil {
-		return joined, nil
-	}
-	return first, nil
-}
 
 // --- length-prefixed sections ------------------------------------------
 

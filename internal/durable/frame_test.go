@@ -2,9 +2,14 @@ package durable
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"io"
+	"math"
+	"math/rand"
 	"testing"
+	"testing/quick"
 )
 
 // seal frames payload into a fresh buffer.
@@ -47,9 +52,6 @@ func TestFrameRoundTrip(t *testing.T) {
 		DefaultChunkSize + 1, 3*DefaultChunkSize + 17} {
 		payload := patterned(n)
 		framed := seal(t, payload)
-		if !IsFramed(framed) {
-			t.Fatalf("n=%d: IsFramed false on own output", n)
-		}
 		got, err := unseal(framed)
 		if err != nil {
 			t.Fatalf("n=%d: unseal: %v", n, err)
@@ -168,50 +170,6 @@ func TestWriterResetReuses(t *testing.T) {
 	}
 }
 
-func TestAppendExtractBlob(t *testing.T) {
-	for _, n := range []int{0, 1, 500, DefaultChunkSize * 2} {
-		payload := patterned(n)
-		blob := AppendBlob(nil, payload)
-		// The blob is a plain frame too: both readers must agree.
-		if got, err := unseal(blob); err != nil || !bytes.Equal(got, payload) {
-			t.Fatalf("n=%d: streamed read of blob: %v", n, err)
-		}
-		got, err := ExtractBlob(blob)
-		if err != nil {
-			t.Fatalf("n=%d: extract: %v", n, err)
-		}
-		if !bytes.Equal(got, payload) {
-			t.Fatalf("n=%d: extract payload mismatch", n)
-		}
-	}
-	// Multi-chunk frames extract too (writer-produced).
-	payload := patterned(3*DefaultChunkSize + 5)
-	got, err := ExtractBlob(seal(t, payload))
-	if err != nil || !bytes.Equal(got, payload) {
-		t.Fatalf("multi-chunk extract: %v", err)
-	}
-}
-
-func TestExtractBlobEveryBitFlipDetected(t *testing.T) {
-	payload := patterned(97)
-	pristine := AppendBlob(nil, payload)
-	blob := append([]byte(nil), pristine...)
-	for off := 0; off < len(blob); off++ {
-		for bit := 0; bit < 8; bit++ {
-			blob[off] ^= 1 << bit
-			if _, err := ExtractBlob(blob); !errors.Is(err, ErrCorrupt) {
-				t.Fatalf("blob flip at byte %d bit %d: %v, want ErrCorrupt", off, bit, err)
-			}
-			blob[off] ^= 1 << bit
-		}
-	}
-	for cut := 0; cut < len(blob); cut++ {
-		if _, err := ExtractBlob(blob[:cut]); !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("blob truncation to %d: %v, want ErrCorrupt", cut, err)
-		}
-	}
-}
-
 func TestSections(t *testing.T) {
 	var buf bytes.Buffer
 	fw := NewWriter(&buf)
@@ -240,5 +198,40 @@ func TestSections(t *testing.T) {
 	}
 	if err := fr.Verify(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// crcWordsPerWord is the frame checksum as it was first written, one
+// crc32.Update per float64 — the reference CRCWords's in-place checksum
+// must reproduce.
+func crcWordsPerWord(data []float64) uint32 {
+	var b [8]byte
+	crc := uint32(0)
+	for _, v := range data {
+		binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+		crc = crc32.Update(crc, castagnoli, b[:])
+	}
+	return crc
+}
+
+// TestCRCWordsMatchesPerWord pins CRCWords to the per-word CRC32C on
+// short and long lengths and on random lengths, with raw bit patterns
+// (NaNs, infinities, denormals) as payload.
+func TestCRCWordsMatchesPerWord(t *testing.T) {
+	check := func(n uint16, seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		data := make([]float64, int(n)%2100)
+		for i := range data {
+			data[i] = math.Float64frombits(rng.Uint64())
+		}
+		return CRCWords(data) == crcWordsPerWord(data)
+	}
+	for _, n := range []uint16{0, 1, 511, 512, 513, 1024, 1025} {
+		if !check(n, int64(n)) {
+			t.Errorf("length %d: chunked CRC differs from the per-word CRC", n)
+		}
+	}
+	if err := quick.Check(check, nil); err != nil {
+		t.Error(err)
 	}
 }

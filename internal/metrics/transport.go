@@ -28,8 +28,8 @@ type TransportCounters struct {
 	ChaosDelayed    atomic.Int64 // frames held in limbo behind later traffic
 	ChaosCorrupted  atomic.Int64 // frames with a payload bit flipped in transit
 
-	CrcRejected    atomic.Int64 // received frames failing the CRC32C check
-	DupDiscarded   atomic.Int64 // already-delivered sequence numbers dropped
+	CrcRejected     atomic.Int64 // received frames failing the CRC32C check
+	DupDiscarded    atomic.Int64 // already-delivered sequence numbers dropped
 	StaleEraDropped atomic.Int64 // frames from before the last recovery dropped
 	MailboxOverflow atomic.Int64 // deliveries dropped on a full mailbox (repaired by retransmit)
 

@@ -273,11 +273,11 @@ type job struct {
 	preemptions int
 	fault       rhsc.FaultSnapshot
 	fingerprint uint64
-	snapshot    []byte // exact checkpoint while parked (or spooled)
-	stepBase    int    // committed steps before the current segment (serial)
-	zuBase      int64  // zone updates of earlier segments (serial; AMR persists its own)
+	snapshot    []byte        // exact checkpoint while parked (or spooled)
+	stepBase    int           // committed steps before the current segment (serial)
+	zuBase      int64         // zone updates of earlier segments (serial; AMR persists its own)
 	ran         time.Duration // running wall-clock of finished segments (watchdog)
-	result      []byte // final deliverable (CSV)
+	result      []byte        // final deliverable (CSV)
 	submitted   time.Time
 	started     time.Time
 	finished    time.Time

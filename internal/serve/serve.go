@@ -13,10 +13,10 @@
 //     FIFO-within-class queue.
 //   - Checkpoint-based preemption. When a higher-priority job arrives
 //     and every worker is busy, the lowest-priority running job is
-//     checkpointed through the exact (conserved + primitive) gob
-//     machinery, parked back into the queue, and later resumed
-//     round-off-exactly from its snapshot: preemption is invisible in
-//     the final state, bit for bit.
+//     checkpointed through the exact (conserved + primitive)
+//     checkpoint of its solver or tree, parked back into the queue, and
+//     later resumed round-off-exactly from its snapshot: preemption is
+//     invisible in the final state, bit for bit.
 //   - Fault isolation. Worker panics and unrecoverable numerical
 //     failures are absorbed per job: the job fails, the daemon and
 //     every other job keep running. Serial jobs run under the
@@ -497,7 +497,7 @@ func (s *Server) runJob(j *job) {
 		if s.cfg.JobTimeout > 0 && ranBase+time.Since(segStart) > s.cfg.JobTimeout {
 			s.C.TimedOut.Add(1)
 			s.fail(j, fmt.Sprintf("%v (ran %v of allowed %v)",
-				ErrJobTimeout, (ranBase + time.Since(segStart)).Round(time.Millisecond), s.cfg.JobTimeout))
+				ErrJobTimeout, (ranBase+time.Since(segStart)).Round(time.Millisecond), s.cfg.JobTimeout))
 			return
 		}
 		if j.preempt.Load() {
