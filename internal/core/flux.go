@@ -1,14 +1,18 @@
 package core
 
-// The face-flux kernel. One loop serves every reconstruction × Riemann
+// The face-flux kernel. One kernel serves every reconstruction × Riemann
 // solver × equation of state — the tile engine's sweeps, the fail-safe's
 // high-order recompute and its first-order repair all run it — in place of
 // the per-device kernels the paper generates from one numerical source.
-// What is specialised is resolved once per method, not per face: the
-// Γ-law gas has its enthalpy and sound speed inlined, and the Riemann
-// combiner is a switch over riemann.Kind on face states evaluated here.
-// What stays behind an interface is the reconstruction (one call per row
-// per component) and, for every other gas, two EOS calls per face state.
+// It works a row at a time, as uniform loops over contiguous slabs: after
+// the reconstruction, an admissibility pass writes the first-order
+// fallback in place, riemann.EvalRow evaluates each side into
+// struct-of-arrays face slabs, and Kind.FluxRow runs the LLF, HLL or HLLC
+// combiner over the row. What is specialised is resolved once per row, not
+// per face: the combiner, the sweep direction, and whether the gas is the
+// Γ-law one, whose enthalpy and sound speed are inlined. What stays behind
+// an interface is the reconstruction (one call per row per component) and,
+// for every other gas, two EOS calls per face state in a pre-pass.
 
 import (
 	"rhsc/internal/eos"
@@ -17,7 +21,7 @@ import (
 	"rhsc/internal/state"
 )
 
-// method is a numerical method resolved into what the per-face and
+// method is a numerical method resolved into what the row passes and the
 // per-cell loops branch on.
 type method struct {
 	recon recon.Scheme
@@ -40,51 +44,37 @@ func (s *Solver) resolveMethod() {
 
 // fillFlux reconstructs the gathered row (or tile segment) u of n cells
 // and writes the Riemann fluxes of faces [cBeg, cEnd] into sc.fx (cell i
-// owns faces i and i+1). Every caller goes through this one loop, so a
-// flux recomputed anywhere is bitwise the sweep's.
+// owns faces i and i+1). Every caller goes through this one kernel, so a
+// flux recomputed anywhere is bitwise the sweep's. Past the
+// reconstruction it runs three passes over the row: admissibility, one
+// evaluation per side into SoA face slabs, and one Riemann combine.
 func (m *method) fillFlux(d state.Direction, u [state.NComp][]float64, n, cBeg, cEnd int,
 	sc *rowScratch) {
 
 	for c := 0; c < state.NComp; c++ {
 		m.recon.Reconstruct(u[c], sc.fl[c][:n+1], sc.fr[c][:n+1])
 	}
+	lo, hi := cBeg, cEnd+1
+	admit(&sc.fl, &u, lo, hi, -1)
+	admit(&sc.fr, &u, lo, hi, 0)
+	riemann.EvalRow(&sc.l, &sc.fl, m.eos, d, lo, hi)
+	riemann.EvalRow(&sc.r, &sc.fr, m.eos, d, lo, hi)
+	m.kind.FluxRow(&sc.l, &sc.r, &sc.fx, d, lo, hi)
+}
 
-	var l, r riemann.Face
-	for f := cBeg; f <= cEnd; f++ {
-		pl := state.Prim{
-			Rho: sc.fl[state.IRho][f], Vx: sc.fl[state.IVx][f],
-			Vy: sc.fl[state.IVy][f], Vz: sc.fl[state.IVz][f], P: sc.fl[state.IP][f],
+// admit falls back to first-order states where high-order reconstruction
+// produced an inadmissible face state (possible near strong shocks and
+// vacuum): face f of q in [lo, hi) takes the primitives of cell f+off of
+// u. The test is state.Prim.IsPhysical's, NaN failing every comparison.
+func admit(q, u *[state.NComp][]float64, lo, hi, off int) {
+	rho, vx, vy, vz, p := q[state.IRho][lo:hi], q[state.IVx][lo:hi], q[state.IVy][lo:hi],
+		q[state.IVz][lo:hi], q[state.IP][lo:hi]
+	uRho, uVx, uVy, uVz, uP := u[state.IRho][lo+off:hi+off], u[state.IVx][lo+off:hi+off],
+		u[state.IVy][lo+off:hi+off], u[state.IVz][lo+off:hi+off], u[state.IP][lo+off:hi+off]
+	for i := range rho {
+		if rho[i] > 0 && p[i] > 0 && vx[i]*vx[i]+vy[i]*vy[i]+vz[i]*vz[i] < 1 {
+			continue
 		}
-		pr := state.Prim{
-			Rho: sc.fr[state.IRho][f], Vx: sc.fr[state.IVx][f],
-			Vy: sc.fr[state.IVy][f], Vz: sc.fr[state.IVz][f], P: sc.fr[state.IP][f],
-		}
-		// Fall back to first-order states when high-order reconstruction
-		// produced an inadmissible face state (possible near strong shocks
-		// and vacuum).
-		if !pl.IsPhysical() {
-			pl = state.Prim{
-				Rho: u[state.IRho][f-1], Vx: u[state.IVx][f-1],
-				Vy: u[state.IVy][f-1], Vz: u[state.IVz][f-1], P: u[state.IP][f-1],
-			}
-		}
-		if !pr.IsPhysical() {
-			pr = state.Prim{
-				Rho: u[state.IRho][f], Vx: u[state.IVx][f],
-				Vy: u[state.IVy][f], Vz: u[state.IVz][f], P: u[state.IP][f],
-			}
-		}
-		var hl, cl, hr, cr float64
-		if m.ideal {
-			hl, cl = m.gas.Enthalpy(pl.Rho, pl.P), m.gas.SoundSpeed2(pl.Rho, pl.P)
-			hr, cr = m.gas.Enthalpy(pr.Rho, pr.P), m.gas.SoundSpeed2(pr.Rho, pr.P)
-		} else {
-			hl, cl = m.eos.Enthalpy(pl.Rho, pl.P), m.eos.SoundSpeed2(pl.Rho, pl.P)
-			hr, cr = m.eos.Enthalpy(pr.Rho, pr.P), m.eos.SoundSpeed2(pr.Rho, pr.P)
-		}
-		l.Eval(hl, cl, pl, d)
-		r.Eval(hr, cr, pr, d)
-		sc.fx[state.ID][f], sc.fx[state.ISx][f], sc.fx[state.ISy][f], sc.fx[state.ISz][f],
-			sc.fx[state.ITau][f] = m.kind.Flux(&l, &r, d)
+		rho[i], vx[i], vy[i], vz[i], p[i] = uRho[i], uVx[i], uVy[i], uVz[i], uP[i]
 	}
 }

@@ -236,6 +236,8 @@ type rowScratch struct {
 	fr [state.NComp][]float64 // reconstructed right face states
 	fx [state.NComp][]float64 // face fluxes
 	pu [state.NComp][]float64 // panel-transposed primitives, panelW rows
+	l  riemann.Faces          // evaluated left face states
+	r  riemann.Faces          // evaluated right face states
 }
 
 // New constructs a solver for grid g. The grid's ghost width must cover
@@ -299,6 +301,9 @@ func New(g *grid.Grid, cfg Config) (*Solver, error) {
 			rs.fx[c] = make([]float64, maxRow+1)
 			rs.pu[c] = make([]float64, panelW*maxRow)
 		}
+		faces := make([]float64, 2*riemann.NSlab*(maxRow+1))
+		rs.l = riemann.NewFaces(faces[:riemann.NSlab*(maxRow+1)], maxRow+1)
+		rs.r = riemann.NewFaces(faces[riemann.NSlab*(maxRow+1):], maxRow+1)
 		return rs
 	}
 	s.cflRows = make([]float64, (g.JEnd()-g.JBeg())*(g.KEnd()-g.KBeg()))
@@ -497,8 +502,10 @@ func (s *Solver) combineCFL() float64 {
 // reduction unit shared by the in-pass accumulation and the fallback
 // traversal, so the two are bitwise identical by construction. c_s² is
 // direction-independent, so it is evaluated once per cell (inlined for the
-// Γ-law gas, one EOS call otherwise) — bitwise what state.MaxAbsSpeed
-// recomputes per direction.
+// Γ-law gas, one EOS call otherwise), and so are the parts of
+// state.SignalSpeeds that do not involve v_d — 1 − v², 1 − v²c_s²,
+// 1 − c_s² and c_s — which speed combines per direction with the same
+// operations: bitwise what state.MaxAbsSpeed recomputes per direction.
 func (s *Solver) rowCFL(row int) float64 {
 	g := s.G
 	m := &s.m
@@ -517,24 +524,27 @@ func (s *Solver) rowCFL(row int) float64 {
 		} else {
 			cs2 = m.eos.SoundSpeed2(rho, p)
 		}
-		sum := maxAbsSpeed(cs2, v2, vx) / g.Dx
+		omv2, den, omc, cs := 1-v2, 1-v2*cs2, 1-cs2, math.Sqrt(cs2)
+		speed := func(vd float64) float64 {
+			disc := omv2 * (den - vd*vd*omc)
+			if disc < 0 {
+				disc = 0
+			}
+			root := math.Sqrt(disc) * cs
+			return max(math.Abs((vd*omc-root)/den), math.Abs((vd*omc+root)/den))
+		}
+		sum := speed(vx) / g.Dx
 		if hasY {
-			sum += maxAbsSpeed(cs2, v2, vy) / g.Dy
+			sum += speed(vy) / g.Dy
 		}
 		if hasZ {
-			sum += maxAbsSpeed(cs2, v2, vz) / g.Dz
+			sum += speed(vz) / g.Dz
 		}
 		if sum > rowMax {
 			rowMax = sum
 		}
 	}
 	return rowMax
-}
-
-// maxAbsSpeed is state.MaxAbsSpeed on a precomputed sound speed.
-func maxAbsSpeed(cs2, v2, vd float64) float64 {
-	lm, lp := state.SignalSpeeds(cs2, v2, vd)
-	return max(math.Abs(lm), math.Abs(lp))
 }
 
 // gatherRow views one strip of the primitive field as per-component

@@ -155,32 +155,21 @@ func (p PLM) Reconstruct(u, uL, uR []float64) {
 // mcSlope is mathutil.MC(dm, dp) = minmod3(2dm, 2dp, (dm+dp)/2) with the
 // sign analysis folded into two comparisons. Bitwise identity with the
 // mathutil form (TestMCSlopeBitwise): when dm and dp are both strictly
-// positive so are all three candidates — their sum cannot cancel — and a
-// running minimum over positive non-NaN operands matches the nested
+// positive so are all three candidates — their sum cannot cancel — and
+// the builtin min over positive non-NaN operands matches the nested
 // math.Min exactly (ties are the same value, hence the same bits);
 // negating a float and multiplying by ±1 are exact, so the negative
 // branch mirrors sa = −1; NaN and mixed or zero signs fall through to
-// the same positive zero Minmod3 returns.
+// the same positive zero Minmod3 returns. The sign branches stay: on
+// quiescent data they predict perfectly, where a branch-free form pays
+// every min on every face. The builtin keeps the body inside the
+// inliner's budget, so Reconstruct makes no call per face.
 func mcSlope(dm, dp float64) float64 {
 	if dm > 0 && dp > 0 {
-		m := 2 * dm
-		if v := 2 * dp; v < m {
-			m = v
-		}
-		if v := 0.5 * (dm + dp); v < m {
-			m = v
-		}
-		return m
+		return min(2*dm, 2*dp, 0.5*(dm+dp))
 	}
 	if dm < 0 && dp < 0 {
-		m := -(2 * dm)
-		if v := -(2 * dp); v < m {
-			m = v
-		}
-		if v := -(0.5 * (dm + dp)); v < m {
-			m = v
-		}
-		return -m
+		return -min(-(2 * dm), -(2 * dp), -(0.5 * (dm + dp)))
 	}
 	return 0
 }

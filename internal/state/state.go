@@ -109,10 +109,10 @@ func (p Prim) V(d Direction) float64 {
 }
 
 // IsPhysical reports whether the primitive state is admissible: positive
-// density and pressure and subluminal velocity.
+// density and pressure and subluminal velocity. A NaN fails every
+// comparison, so it is never admissible.
 func (p Prim) IsPhysical() bool {
-	return p.Rho > 0 && p.P > 0 && p.VSq() < 1 &&
-		!math.IsNaN(p.Rho) && !math.IsNaN(p.P)
+	return p.Rho > 0 && p.P > 0 && p.VSq() < 1
 }
 
 // ToCons converts the primitive state to conserved variables under the

@@ -278,18 +278,41 @@ func TestFieldsSizeMismatchPanics(t *testing.T) {
 }
 
 func TestIsPhysical(t *testing.T) {
-	if !(Prim{Rho: 1, P: 1}).IsPhysical() {
-		t.Error("valid state reported unphysical")
+	nan, inf, negZero := math.NaN(), math.Inf(1), math.Copysign(0, -1)
+	cases := []struct {
+		p    Prim
+		want bool
+	}{
+		{Prim{Rho: 1, P: 1}, true},
+		{Prim{Rho: 1e-300, P: 1e-300, Vx: 0.6, Vy: 0.6, Vz: 0.5}, true},
+		{Prim{Rho: inf, P: 1}, true},
+		{Prim{Rho: 1, P: inf}, true},
+		{Prim{Rho: -1, P: 1}, false},
+		{Prim{Rho: 1, P: -1}, false},
+		{Prim{Rho: 0, P: 1}, false},
+		{Prim{Rho: negZero, P: 1}, false},
+		{Prim{Rho: 1, P: negZero}, false},
+		{Prim{Rho: -inf, P: 1}, false},
+		{Prim{Rho: 1, P: -inf}, false},
+		{Prim{Rho: 1, P: 1, Vx: 1.2}, false},
+		{Prim{Rho: 1, P: 1, Vx: 1}, false},            // v² = 1 exactly
+		{Prim{Rho: 1, P: 1, Vx: 0.6, Vy: 0.8}, false}, // v² rounds to 1
+		{Prim{Rho: 1, P: 1, Vz: inf}, false},
+		{Prim{Rho: 1, P: 1, Vy: -inf}, false},
+		{Prim{Rho: nan, P: 1}, false},
+		{Prim{Rho: 1, P: nan}, false},
+		{Prim{Rho: 1, P: 1, Vx: nan}, false},
+		{Prim{Rho: 1, P: 1, Vz: nan}, false},
 	}
-	bad := []Prim{
-		{Rho: -1, P: 1},
-		{Rho: 1, P: -1},
-		{Rho: 1, P: 1, Vx: 1.2},
-		{Rho: math.NaN(), P: 1},
-	}
-	for _, b := range bad {
-		if b.IsPhysical() {
-			t.Errorf("unphysical state %+v accepted", b)
+	for _, c := range cases {
+		if got := c.p.IsPhysical(); got != c.want {
+			t.Errorf("%+v: IsPhysical = %v, want %v", c.p, got, c.want)
+		}
+		// The verdict the explicit NaN tests gave before they were folded
+		// into the comparisons.
+		old := c.p.Rho > 0 && c.p.P > 0 && c.p.VSq() < 1 && !math.IsNaN(c.p.Rho) && !math.IsNaN(c.p.P)
+		if old != c.want {
+			t.Errorf("%+v: explicit-NaN form = %v, want %v", c.p, old, c.want)
 		}
 	}
 }
