@@ -163,7 +163,7 @@ func TestRouterFlapQuarantine(t *testing.T) {
 		MustDevice(Spec{Name: "b", ZoneRate: 1e6, Workers: 1}),
 		MustDevice(Spec{Name: "flappy", ZoneRate: 1e6, Workers: 1}),
 	}
-	r := NewRouter(HealthConfig{ProbeAfter: 2, FlapWindow: 100, FlapLimit: 3}, devs...)
+	r := NewRouter(devs...)
 	perZone := func(slow float64) float64 { return slow / 1e6 }
 	obs := func(flapSlow float64) []Obs {
 		return []Obs{
@@ -297,6 +297,46 @@ func TestConcurrentReadsDuringChaosRun(t *testing.T) {
 	}
 	if ex.Router().C.Deaths.Load() != 1 {
 		t.Error("chaos death lost")
+	}
+}
+
+// Two solvers attached to one executor may step at once: each phase
+// plans in its own scratch (the second builds one when the idle one is
+// taken) and reads the affinity memory only under the lock, so both runs
+// stay bitwise equal to the plain solver. Run with -race.
+func TestConcurrentPhasesShareExecutor(t *testing.T) {
+	const n, steps = 32, 4
+	plain := runBlast(t, n, steps, nil)
+	for _, pol := range []Policy{Static, Dynamic, Routed} {
+		ex := MustExecutor(pol, MustDevice(SpecHostCPU(2)), MustDevice(SpecK20GPUStaged()))
+		var sols [2]*core.Solver
+		for k := range sols {
+			g := testprob.Blast2D.NewGrid(n, 2)
+			s, err := core.New(g, core.DefaultConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			ex.Attach(s)
+			s.InitFromPrim(testprob.Blast2D.Init)
+			sols[k] = s
+		}
+		var wg sync.WaitGroup
+		for _, s := range sols {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < steps; i++ {
+					if err := s.Step(s.MaxDt()); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		for _, s := range sols {
+			wantBitwise(t, pol.String(), plain, s.G.U.Comp[state.ID][:s.G.NCells()])
+		}
 	}
 }
 
@@ -538,7 +578,7 @@ func TestRouterLeaseRelease(t *testing.T) {
 		MustDevice(Spec{Name: "a", ZoneRate: 4e6, Workers: 1}),
 		MustDevice(Spec{Name: "b", ZoneRate: 1e6, Workers: 1}),
 	}
-	r := NewRouter(HealthConfig{ProbeAfter: 2}, devs...)
+	r := NewRouter(devs...)
 	// The 4x faster device should win the first leases.
 	i, ok := r.Lease(1000)
 	if !ok || i != 0 {
@@ -588,7 +628,7 @@ func TestRouterMarkDeadAndCapacity(t *testing.T) {
 		MustDevice(Spec{Name: "a", ZoneRate: refCoreRate, Workers: 1}),
 		MustDevice(Spec{Name: "b", ZoneRate: refCoreRate, Workers: 1}),
 	}
-	r := NewRouter(HealthConfig{}, devs...)
+	r := NewRouter(devs...)
 	if c := r.EquivalentCapacity(); math.Abs(c-2) > 1e-9 {
 		t.Errorf("capacity = %v, want 2", c)
 	}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -14,18 +15,19 @@ import (
 	"rhsc/internal/par"
 )
 
-// Policy selects how tiles are scheduled across devices.
+// Policy selects how tiles are scheduled across devices. Each policy is
+// one row of the placement loop (planRows, Executor.place).
 type Policy int
 
 // Scheduling policies.
 const (
-	// Static partitions each phase proportionally to raw ZoneRate, one
-	// kernel per device per phase. Minimal launch overhead, but blind to
+	// Static gives every healthy device one kernel sized by its share of
+	// the fleet's raw ZoneRate. Minimal launch overhead, but blind to
 	// transfer costs, so mismatched devices imbalance.
 	Static Policy = iota
 	// Dynamic feeds fixed-size chunks to whichever device would finish
-	// earliest (deterministic list scheduling of a work queue), adapting
-	// to effective — not nominal — device speed.
+	// earliest at its nominal marginal cost (deterministic list scheduling
+	// of a work queue), so transfer costs steer the split.
 	Dynamic
 	// Routed plans through the health-scored router: placements score
 	// affinity (working-set residency and interconnect locality),
@@ -47,11 +49,44 @@ func (p Policy) String() string {
 	}
 }
 
-// routedKernelsPerDevice is the routed planner's target kernel count per
-// device per phase: chunks scale with capacity share so fast devices get
-// few large contiguous kernels (low fragmentation) and slow ones small
-// top-ups.
-const routedKernelsPerDevice = 4
+// pricing is how a plan row scores a device for the next kernel in the
+// placement loop.
+type pricing int
+
+const (
+	// frozen scores every device at 1 and only counts the kernels it
+	// already holds, so devices take their chunks in device order.
+	frozen pricing = iota
+	// nominal scores the virtual seconds the device would finish at: what
+	// it holds this phase plus the kernel's Device.MarginalCost.
+	nominal
+	// observed is nominal with the router's observed per-zone latency for
+	// the compute term, affinity for the transfer term (price), and one
+	// launch latency per kernel already held (fragmentation).
+	observed
+)
+
+// planRow is one policy's setting of the placement loop.
+type planRow struct {
+	// price scores candidates; observed rows also take their weights from
+	// the router (observed rate × health, zero out of rotation) and give
+	// probing devices a probe kernel. Other rows weight every device not
+	// fail-stopped by its spec ZoneRate.
+	price pricing
+	// kernels sizes the chunks from the weights. Zero gives every device
+	// the work queue's chunk, max(1, nTiles/(8·ndev)); one splits the tiles
+	// into one contiguous chunk per device by cumulative weight share;
+	// more gives a device its weight share over kernels, so fast devices
+	// get few large contiguous kernels.
+	kernels int
+}
+
+// planRows holds the policies' rows of the placement loop.
+var planRows = [...]planRow{
+	Static:  {price: frozen, kernels: 1},
+	Dynamic: {price: nominal},
+	Routed:  {price: observed, kernels: 4},
+}
 
 // assignment is a tile range given to one device: one kernel.
 type assignment struct {
@@ -101,8 +136,9 @@ type Executor struct {
 	own    metrics.FaultCounters
 
 	// mu guards every field below — the virtual makespan, phase counter,
-	// trace, backoff bookkeeping, and affinity memory — so TraceEvents,
-	// Report, and the other read paths are safe while phases run.
+	// trace, backoff bookkeeping, affinity memory and idle scratch — so
+	// TraceEvents, Report, and the other read paths are safe while phases
+	// run.
 	mu        sync.Mutex
 	virtual   float64 // accumulated virtual makespan
 	phase     int64
@@ -110,6 +146,33 @@ type Executor struct {
 	backoff   float64 // accumulated virtual retry-backoff seconds
 	pending   float64 // backoff charged to the current phase's makespan
 	lastOwner []int   // previous phase's tile owners (affinity)
+	idle      *phaseScratch
+}
+
+// phaseScratch is one phase's planning and accounting storage. A phase
+// takes the executor's idle scratch and returns it, so phases after the
+// first allocate nothing; a phase that finds it taken (a second attached
+// solver mid-phase) builds its own.
+type phaseScratch struct {
+	plan    []assignment
+	prev    []int            // the previous phase's tile owners, or nil
+	tiles   func(lo, hi int) // the attached solver's tile runner
+	kernels func(lo, hi int) // runKernels, bound once so dispatch allocates nothing
+
+	// Per device, indexed like Executor.Devices.
+	weight  []float64 // placement weight; 0 = not a candidate
+	perZone []float64 // observed per-zone latency (observed rows)
+	chunk   []int     // kernel size in tiles this plan
+	eta     []float64 // virtual seconds already placed this phase
+	kerns   []int     // kernels already placed this phase
+	probes  []int
+	dead    []bool // fail-stopped this phase
+
+	start []float64 // phase-start clock readings
+	zones []int64
+	ks    []int64
+	bytes []int64
+	obs   []Obs
 }
 
 // TraceEvent is one kernel on a device's virtual timeline.
@@ -127,6 +190,9 @@ func NewExecutor(policy Policy, devices ...*Device) (*Executor, error) {
 	if len(devices) == 0 {
 		return nil, errors.New("hetero: executor needs at least one device")
 	}
+	if policy < 0 || int(policy) >= len(planRows) {
+		return nil, fmt.Errorf("hetero: unknown policy %d", policy)
+	}
 	workers := 0
 	for _, d := range devices {
 		if d == nil {
@@ -138,10 +204,24 @@ func NewExecutor(policy Policy, devices ...*Device) (*Executor, error) {
 		Devices: devices,
 		Policy:  policy,
 		pool:    par.NewPool(workers),
-		router:  NewRouter(HealthConfig{}, devices...),
+		router:  NewRouter(devices...),
+		idle:    newPhaseScratch(len(devices)),
 	}
 	ex.Stats = &ex.own
 	return ex, nil
+}
+
+// newPhaseScratch sizes a phase's storage for n devices.
+func newPhaseScratch(n int) *phaseScratch {
+	p := &phaseScratch{
+		weight: make([]float64, n), perZone: make([]float64, n),
+		chunk: make([]int, n), eta: make([]float64, n), kerns: make([]int, n),
+		dead: make([]bool, n), start: make([]float64, n),
+		zones: make([]int64, n), ks: make([]int64, n), bytes: make([]int64, n),
+		obs: make([]Obs, 0, n), probes: make([]int, 0, n),
+	}
+	p.kernels = p.runKernels
+	return p
 }
 
 // MustExecutor is NewExecutor for statically known-good device sets;
@@ -155,17 +235,8 @@ func MustExecutor(policy Policy, devices ...*Device) *Executor {
 }
 
 // Router returns the executor's health-scored router (shared with every
-// solver the executor is attached to). Tune its config through
-// SetHealthConfig before stepping.
+// solver the executor is attached to).
 func (ex *Executor) Router() *Router { return ex.router }
-
-// SetHealthConfig rebuilds the router with the given health model (zero
-// fields take defaults). Call before stepping; it resets health state.
-func (ex *Executor) SetHealthConfig(cfg HealthConfig) {
-	c := ex.router.C
-	ex.router = NewRouter(cfg, ex.Devices...)
-	ex.router.C = c
-}
 
 // Attach hooks the executor into the solver's tile execution. It must
 // be called before stepping; it also routes the solver's generic pool
@@ -198,7 +269,7 @@ func (ex *Executor) ResetClocks() {
 	ex.events = nil
 	ex.backoff = 0
 	ex.pending = 0
-	ex.lastOwner = nil
+	ex.lastOwner = ex.lastOwner[:0]
 	ex.mu.Unlock()
 	for _, d := range ex.Devices {
 		d.Reset()
@@ -259,54 +330,40 @@ func (ex *Executor) exec(tc tileCost, nTiles int, run func(lo, hi int)) {
 	if nTiles <= 0 {
 		return
 	}
-
 	ex.mu.Lock()
 	phase := ex.phase
 	ex.phase++
+	p := ex.idle
+	ex.idle = nil
 	ex.mu.Unlock()
+	if p == nil {
+		p = newPhaseScratch(len(ex.Devices))
+	}
 
 	// Chaos first: latency multipliers for this phase, and the devices
 	// whose fail-stop death fires now (they still appear in the plan —
 	// the planner learns from the failed launch, below).
 	dying := ex.applyChaosPhase(phase)
 
-	var plan []assignment
-	switch ex.Policy {
-	case Static:
-		plan = ex.staticPlan(nTiles)
-	case Dynamic:
-		plan = ex.dynamicPlan(nil, 0, nTiles, tc)
-	case Routed:
-		plan = ex.routedPlan(nTiles, tc)
-	}
+	ex.plan(p, nTiles, tc)
 	if len(dying) > 0 {
-		plan = ex.rerouteDead(plan, dying, tc)
+		ex.rerouteDead(p, dying, tc)
 	}
-	ex.rememberOwners(nTiles, plan)
+	ex.rememberOwners(p.plan, nTiles)
 
 	// Execute: kernels run for real on the pool, then each is charged to
 	// its device's virtual clock — in plan order, after the join, because a
 	// clock is a float sum and completion order would make its last digit
 	// depend on the scheduler.
-	phaseStart := make([]float64, len(ex.Devices))
-	phaseZones := make([]int64, len(ex.Devices))
-	phaseKerns := make([]int64, len(ex.Devices))
 	for i, dev := range ex.Devices {
-		phaseStart[i] = dev.Busy()
-		phaseZones[i] = dev.Zones()
-		phaseKerns[i] = dev.Kernels()
+		p.start[i] = dev.Busy()
+		p.zones[i] = dev.Zones()
+		p.ks[i] = dev.Kernels()
 	}
-	var wg sync.WaitGroup
-	for _, a := range plan {
-		a := a
-		wg.Add(1)
-		ex.pool.Go(func() {
-			defer wg.Done()
-			run(a.lo, a.hi)
-		})
-	}
-	wg.Wait()
-	for _, a := range plan {
+	p.tiles = run
+	ex.pool.ParallelFor(0, len(p.plan), 1, p.kernels)
+	p.tiles = nil // an idle scratch must not keep the solver alive
+	for _, a := range p.plan {
 		zones := tc.zones(a.lo, a.hi) * tc.ndim
 		dev := ex.Devices[a.dev]
 		_, start, end := dev.chargeInterval(zones)
@@ -323,29 +380,29 @@ func (ex *Executor) exec(tc tileCost, nTiles int, run func(lo, hi int)) {
 
 	// Staged devices pay one streamed transfer of the phase working set:
 	// the zones they own cross the link once for all directions.
-	phaseBytes := make([]int64, len(ex.Devices))
 	for i, dev := range ex.Devices {
-		if z := dev.Zones() - phaseZones[i]; z > 0 && dev.Staged() {
-			phaseBytes[i] = int64(tileBytes(int(z) / tc.ndim))
-			dev.ChargeTransfer(int(phaseBytes[i]))
+		p.bytes[i] = 0
+		if z := dev.Zones() - p.zones[i]; z > 0 && dev.Staged() {
+			p.bytes[i] = int64(tileBytes(int(z) / tc.ndim))
+			dev.ChargeTransfer(int(p.bytes[i]))
 		}
 	}
 
 	// Feed the phase's observed latencies into the health model — the
 	// router sees effective (chaos-inflated, transfer-inclusive) speed,
 	// priced against the launch/transfer-aware nominal cost.
-	obs := make([]Obs, 0, len(ex.Devices))
+	p.obs = p.obs[:0]
 	for i, dev := range ex.Devices {
-		if z := dev.Zones() - phaseZones[i]; z > 0 {
-			obs = append(obs, Obs{
+		if z := dev.Zones() - p.zones[i]; z > 0 {
+			p.obs = append(p.obs, Obs{
 				Dev: i, Zones: z,
-				Busy:  dev.Busy() - phaseStart[i],
-				Kerns: dev.Kernels() - phaseKerns[i],
-				Bytes: phaseBytes[i],
+				Busy:  dev.Busy() - p.start[i],
+				Kerns: dev.Kernels() - p.ks[i],
+				Bytes: p.bytes[i],
 			})
 		}
 	}
-	ex.router.ObservePhase(obs)
+	ex.router.ObservePhase(p.obs)
 
 	// Makespan of this phase: the slowest device's accumulated charge,
 	// plus any retry backoff a device death cost this phase.
@@ -355,28 +412,179 @@ func (ex *Executor) exec(tc tileCost, nTiles int, run func(lo, hi int)) {
 	ex.pending = 0
 	ex.mu.Unlock()
 	for i, dev := range ex.Devices {
-		if b := dev.Busy() - phaseStart[i]; b > span {
+		if b := dev.Busy() - p.start[i]; b > span {
 			span = b
 		}
 	}
 	ex.mu.Lock()
 	ex.virtual += span
+	ex.idle = p
 	ex.mu.Unlock()
+}
+
+// runKernels runs the kernels plan[lo:hi] on the attached solver's tiles;
+// exec hands it to the pool, one kernel per task.
+func (p *phaseScratch) runKernels(lo, hi int) {
+	for _, a := range p.plan[lo:hi] {
+		p.tiles(a.lo, a.hi)
+	}
+}
+
+// plan builds the phase's plan in p.plan from the policy's row: probe
+// kernels first (observed rows), then the placement loop over the rest.
+func (ex *Executor) plan(p *phaseScratch, nTiles int, tc tileCost) {
+	row := planRows[ex.Policy]
+	p.plan = p.plan[:0]
+	clear(p.eta)
+	clear(p.kerns)
+	lo := 0
+	var prev []int
+	if row.price == observed {
+		p.probes = ex.router.planWeights(p.weight, p.perZone, p.probes[:0])
+		for _, i := range p.probes {
+			if lo >= nTiles {
+				break
+			}
+			hi := min(lo+probeTiles, nTiles)
+			p.plan = append(p.plan, assignment{dev: i, lo: lo, hi: hi})
+			lo = hi
+		}
+		if lo >= nTiles {
+			return
+		}
+		prev = ex.prevOwners(p, nTiles)
+		if !slices.ContainsFunc(p.weight, func(w float64) bool { return w > 0 }) {
+			// Last-healthy-device demotion: no routed capacity remains, so
+			// the remainder runs degraded on the work queue.
+			ex.Stats.Degraded.Store(true)
+			row = planRows[Dynamic]
+		}
+	}
+	if row.price != observed {
+		ex.nominalWeights(p.weight)
+	}
+
+	ndev, total := 0, 0.0
+	for _, w := range p.weight {
+		if w > 0 {
+			ndev++
+			total += w
+		}
+	}
+	acc, end := 0.0, 0
+	for i, w := range p.weight {
+		switch {
+		case w <= 0:
+			p.chunk[i] = 0
+		case row.kernels == 0:
+			p.chunk[i] = max(1, nTiles/(8*ndev))
+		case row.kernels == 1:
+			acc += w
+			hi := int(math.Round(float64(nTiles) * acc / total))
+			p.chunk[i], end = hi-end, hi
+		default:
+			p.chunk[i] = max(1, int(float64(nTiles)*w/total/float64(row.kernels)+0.5))
+		}
+	}
+	p.plan = ex.place(p, p.plan, row, prev, lo, nTiles, tc)
+}
+
+// nominalWeights weights every device not fail-stopped by its spec
+// ZoneRate — all of them if none survives, since the correctness path
+// must still run the tiles somewhere (degraded host execution).
+func (ex *Executor) nominalWeights(weight []float64) {
+	live := false
+	for i := range ex.Devices {
+		live = live || !ex.router.Dead(i)
+	}
+	for i, d := range ex.Devices {
+		weight[i] = 0
+		if !live || !ex.router.Dead(i) {
+			weight[i] = d.Spec.ZoneRate
+		}
+	}
+}
+
+// place is the placement loop every policy runs. It appends tiles
+// [lo, hi) to plan one kernel at a time, each on the candidate the row
+// scores lowest, ties to the lower device index. A device's kernel is its
+// chunk of tiles; devices with a zero chunk are not candidates.
+func (ex *Executor) place(p *phaseScratch, plan []assignment, row planRow, prev []int, lo, hi int, tc tileCost) []assignment {
+	for lo < hi {
+		best, bestHi := -1, 0
+		bestScore, bestCost := math.Inf(1), 0.0
+		for i, c := range p.chunk {
+			if c == 0 {
+				continue
+			}
+			end := min(lo+c, hi)
+			var cost, score float64
+			switch row.price {
+			case frozen:
+				score = float64(p.kerns[i])
+			case nominal:
+				cost = tc.marginal(ex.Devices[i], lo, end)
+				score = p.eta[i] + cost
+			case observed:
+				cost = ex.price(p.perZone[i], prev, i, lo, end, tc)
+				score = p.eta[i] + cost + float64(p.kerns[i])*ex.Devices[i].Spec.LaunchLatency
+			}
+			if best < 0 || score < bestScore {
+				best, bestHi, bestScore, bestCost = i, end, score, cost
+			}
+		}
+		plan = append(plan, assignment{dev: best, lo: lo, hi: bestHi})
+		p.eta[best] += bestCost
+		p.kerns[best]++
+		lo = bestHi
+	}
+	return plan
+}
+
+// price is an observed row's cost of a kernel over tiles [lo, hi) on
+// device i: launch latency plus the router's observed per-zone latency
+// perZone, adjusted for affinity with the previous phase's owners prev (nil when
+// unknown):
+//
+//   - a staged device pays the transfer of the kernel's working set,
+//     nothing when it owned the tiles last phase (working set still
+//     resident), and half on a handoff inside its interconnect domain;
+//   - a host device re-owning its own tiles gets a 2 % cache-warm nudge.
+func (ex *Executor) price(perZone float64, prev []int, i, lo, hi int, tc tileCost) float64 {
+	dev := ex.Devices[i]
+	zones := tc.zones(lo, hi)
+	cost := dev.Spec.LaunchLatency + float64(zones*tc.ndim)*perZone
+	if dev.Staged() {
+		xfer := float64(tileBytes(zones)) / dev.Spec.TransferBW
+		switch {
+		case prev != nil && prev[lo] == i:
+			// Working set still resident from the last phase.
+		case prev != nil && prev[lo] >= 0 &&
+			ex.Devices[prev[lo]].Spec.Domain == dev.Spec.Domain:
+			cost += 0.5 * xfer // near handoff inside the domain
+		default:
+			cost += xfer
+		}
+	} else if prev != nil && prev[lo] == i {
+		cost *= 0.98 // cache-warm affinity nudge
+	}
+	return cost
 }
 
 // rerouteDead handles fail-stop deaths that fired this phase: each dying
 // device is charged its wasted launch and the bounded exponential-backoff
-// retry series, then every kernel still planned on it is list-scheduled
-// onto the survivors, on top of what they already hold. Deterministic: it
-// runs in the serial planning path, so a run with deaths is exactly
-// reproducible (pool execution order is not, plan order is).
-func (ex *Executor) rerouteDead(plan []assignment, dying []int, tc tileCost) []assignment {
-	dead := make([]bool, len(ex.Devices))
+// retry series, then every kernel still planned on it is placed whole by
+// the work queue's row onto the survivors, on top of what they already
+// hold. Deterministic: it runs in the serial planning path, so a run with
+// deaths is exactly reproducible (pool execution order is not, plan order
+// is).
+func (ex *Executor) rerouteDead(p *phaseScratch, dying []int, tc tileCost) {
+	clear(p.dead)
 	for _, i := range dying {
 		if ex.router.Dead(i) {
 			continue
 		}
-		dead[i] = true
+		p.dead[i] = true
 		ex.router.MarkDead(i)
 		ex.Stats.Injected.Add(1)
 		ex.Stats.Degraded.Store(true)
@@ -391,203 +599,51 @@ func (ex *Executor) rerouteDead(plan []assignment, dying []int, tc tileCost) []a
 		ex.mu.Unlock()
 	}
 
-	live := ex.healthy()
-	eta := make([]float64, len(ex.Devices))
-	out := make([]assignment, 0, len(plan))
-	for _, a := range plan {
-		if !dead[a.dev] {
+	ex.nominalWeights(p.weight)
+	clear(p.eta)
+	// Each kernel maps to exactly one kernel, so the plan is rewritten in
+	// place.
+	out := p.plan[:0]
+	for _, a := range p.plan {
+		if !p.dead[a.dev] {
 			out = append(out, a)
-			eta[a.dev] += tc.marginal(ex.Devices[a.dev], a.lo, a.hi)
+			p.eta[a.dev] += tc.marginal(ex.Devices[a.dev], a.lo, a.hi)
 			continue
 		}
 		ex.router.C.Reroutes.Add(1)
-		out = ex.listSchedule(out, eta, live, a.lo, a.hi, a.hi-a.lo, tc)
-	}
-	return out
-}
-
-// healthy returns the schedulable device indices: every device not
-// fail-stopped, or all of them if none survives (the correctness path
-// must still run the tiles somewhere — degraded host execution).
-func (ex *Executor) healthy() []int {
-	out := make([]int, 0, len(ex.Devices))
-	for i := range ex.Devices {
-		if !ex.router.Dead(i) {
-			out = append(out, i)
-		}
-	}
-	if len(out) == 0 {
-		for i := range ex.Devices {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// staticPlan splits [0, nTiles) proportionally to raw ZoneRate: one
-// kernel per healthy device.
-func (ex *Executor) staticPlan(nTiles int) []assignment {
-	devs := ex.healthy()
-	total := 0.0
-	for _, i := range devs {
-		total += ex.Devices[i].Spec.ZoneRate
-	}
-	plan := make([]assignment, 0, len(devs))
-	lo := 0
-	acc := 0.0
-	for n, i := range devs {
-		acc += ex.Devices[i].Spec.ZoneRate
-		hi := int(math.Round(float64(nTiles) * acc / total))
-		if n == len(devs)-1 {
-			hi = nTiles
-		}
-		if hi > lo {
-			plan = append(plan, assignment{dev: i, lo: lo, hi: hi})
-		}
-		lo = hi
-	}
-	return plan
-}
-
-// listSchedule is the one earliest-finish list scheduler: it appends
-// tiles [lo, hi) to plan in chunks, each placed on the device of devs
-// that would finish it earliest given eta — the virtual seconds every
-// device already holds this phase, which it advances.
-func (ex *Executor) listSchedule(plan []assignment, eta []float64, devs []int,
-	lo, hi, chunk int, tc tileCost) []assignment {
-
-	for ; lo < hi; lo += chunk {
-		end := min(lo+chunk, hi)
-		best, bestT := devs[0], math.Inf(1)
-		for _, i := range devs {
-			if t := eta[i] + tc.marginal(ex.Devices[i], lo, end); t < bestT {
-				best, bestT = i, t
+		for i, w := range p.weight {
+			p.chunk[i] = 0
+			if w > 0 {
+				p.chunk[i] = a.hi - a.lo
 			}
 		}
-		eta[best] = bestT
-		plan = append(plan, assignment{dev: best, lo: lo, hi: end})
+		out = ex.place(p, out, planRows[Dynamic], nil, a.lo, a.hi, tc)
 	}
-	return plan
+	p.plan = out
 }
 
-// dynamicPlan models a work queue: tiles [lo, nTiles) are list-scheduled
-// over the healthy devices in chunks of max(1, nTiles/(8·ndev)) and
-// appended to plan. It is the whole plan of the Dynamic policy and the
-// routed planner's fallback when nothing is in rotation.
-func (ex *Executor) dynamicPlan(plan []assignment, lo, nTiles int, tc tileCost) []assignment {
-	devs := ex.healthy()
-	chunk := max(1, nTiles/(8*len(devs)))
-	return ex.listSchedule(plan, make([]float64, len(ex.Devices)), devs, lo, nTiles, chunk, tc)
-}
-
-// routedPlan is the health-scored placement: probing devices get one
-// minimal probe kernel, then chunks sized by capacity share are placed
-// by minimising ETA + cost + affinity + fragmentation:
-//
-//   - cost uses the router's *observed* per-zone latency, so placements
-//     track effective, not nominal, speed;
-//   - affinity discounts a staged device re-owning tiles it held last
-//     phase (working set already resident) and half-discounts a handoff
-//     inside the same interconnect domain;
-//   - fragmentation adds one launch latency per kernel a device already
-//     holds, biasing toward few large contiguous kernels;
-//   - weights embody equivalent-capacity substitution: a drained fast
-//     device's share redistributes over the remaining fleet.
-//
-// When nothing is in rotation the executor demotes to the work queue over
-// whatever healthy() returns — the run always finishes.
-func (ex *Executor) routedPlan(nTiles int, tc tileCost) []assignment {
-	weights, probes := ex.router.planWeights()
-
-	var plan []assignment
-	lo := 0
-	probeTiles := ex.router.Config().ProbeStrips
-	for _, pi := range probes {
-		if lo >= nTiles {
-			break
-		}
-		hi := min(lo+probeTiles, nTiles)
-		plan = append(plan, assignment{dev: pi, lo: lo, hi: hi})
-		lo = hi
-	}
-
-	var elig []int
-	totalW := 0.0
-	for i, w := range weights {
-		if w > 0 {
-			elig = append(elig, i)
-			totalW += w
-		}
-	}
-	if lo >= nTiles {
-		return plan
-	}
-	if len(elig) == 0 {
-		// Last-healthy-device demotion: no routed capacity remains, so
-		// the remainder runs degraded on the fallback set.
-		ex.Stats.Degraded.Store(true)
-		return ex.dynamicPlan(plan, lo, nTiles, tc)
-	}
-
-	prev := ex.prevOwners(nTiles)
-	eta := make([]float64, len(ex.Devices))
-	kerns := make([]int, len(ex.Devices))
-	perZone := make([]float64, len(ex.Devices))
-	for _, i := range elig {
-		perZone[i] = ex.router.EffPerZone(i)
-	}
-	for lo < nTiles {
-		best, bestHi := -1, 0
-		bestScore, bestCost := math.Inf(1), 0.0
-		for _, i := range elig {
-			dev := ex.Devices[i]
-			chunk := max(1, int(float64(nTiles)*weights[i]/totalW/routedKernelsPerDevice+0.5))
-			hi := min(lo+chunk, nTiles)
-			zones := tc.zones(lo, hi)
-			cost := dev.Spec.LaunchLatency + float64(zones*tc.ndim)*perZone[i]
-			if dev.Staged() {
-				xfer := float64(tileBytes(zones)) / dev.Spec.TransferBW
-				switch {
-				case prev != nil && prev[lo] == i:
-					// Working set still resident from the last phase.
-				case prev != nil && prev[lo] >= 0 &&
-					ex.Devices[prev[lo]].Spec.Domain == dev.Spec.Domain:
-					cost += 0.5 * xfer // near handoff inside the domain
-				default:
-					cost += xfer
-				}
-			} else if prev != nil && prev[lo] == i {
-				cost *= 0.98 // cache-warm affinity nudge
-			}
-			score := eta[i] + cost + float64(kerns[i])*dev.Spec.LaunchLatency
-			if score < bestScore {
-				best, bestHi, bestScore, bestCost = i, hi, score, cost
-			}
-		}
-		plan = append(plan, assignment{dev: best, lo: lo, hi: bestHi})
-		eta[best] += bestCost
-		kerns[best]++
-		lo = bestHi
-	}
-	return plan
-}
-
-// prevOwners returns the previous phase's per-tile owner array, or nil
-// when unknown or the tile count changed (first phase, a differently
-// shaped AMR leaf).
-func (ex *Executor) prevOwners(nTiles int) []int {
+// prevOwners copies the previous phase's per-tile owners into p.prev and
+// returns them, or returns nil when they are unknown or the tile count
+// changed (first phase, a differently shaped AMR leaf).
+func (ex *Executor) prevOwners(p *phaseScratch, nTiles int) []int {
 	ex.mu.Lock()
 	defer ex.mu.Unlock()
 	if len(ex.lastOwner) != nTiles {
 		return nil
 	}
-	return ex.lastOwner
+	p.prev = append(p.prev[:0], ex.lastOwner...)
+	return p.prev
 }
 
 // rememberOwners records the plan's tile ownership for the next phase's
 // affinity scoring.
-func (ex *Executor) rememberOwners(nTiles int, plan []assignment) {
-	own := make([]int, nTiles)
+func (ex *Executor) rememberOwners(plan []assignment, nTiles int) {
+	ex.mu.Lock()
+	defer ex.mu.Unlock()
+	if cap(ex.lastOwner) < nTiles {
+		ex.lastOwner = make([]int, nTiles)
+	}
+	own := ex.lastOwner[:nTiles]
 	for i := range own {
 		own[i] = -1
 	}
@@ -596,9 +652,7 @@ func (ex *Executor) rememberOwners(nTiles int, plan []assignment) {
 			own[t] = a.dev
 		}
 	}
-	ex.mu.Lock()
 	ex.lastOwner = own
-	ex.mu.Unlock()
 }
 
 // LoadReport summarises per-device work after a run.

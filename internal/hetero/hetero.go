@@ -1,8 +1,9 @@
 // Package hetero models heterogeneous execution of the HRSC solver:
 // accelerator devices, host CPUs, kernel launch and PCIe-style transfer
 // costs, and the scheduling of the solver's pencil tiles across a mixed
-// device set — statically, dynamically, or through the health-scored
-// router (see router.go and docs/HETERO.md).
+// device set: one placement loop whose rows are the static split, the
+// work queue and the health-scored router (see executor.go, router.go
+// and docs/HETERO.md).
 //
 // Substitution note (see DESIGN.md): pure Go cannot drive real GPUs, so a
 // device executes its kernels on host goroutines for *correctness* while a
@@ -281,8 +282,8 @@ func (d *Device) TransferCost(bytes int) float64 {
 // device within one phase: launch + compute + (staged) the bandwidth
 // share of its working set, which crosses the link once for all
 // directions. The per-phase transfer latency is amortised and excluded.
-// The list scheduler plans with this estimate; the router replaces the
-// nominal compute term with the observed one (Router.EffPerZone).
+// Nominal plan rows price kernels with this estimate; the routed row
+// replaces the nominal compute term with the router's observed one.
 func (d *Device) MarginalCost(zones, ndim int) float64 {
 	c := d.KernelCost(zones * ndim)
 	if d.Staged() {

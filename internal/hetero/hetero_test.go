@@ -2,6 +2,7 @@ package hetero
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"strings"
 	"sync/atomic"
@@ -78,6 +79,13 @@ func TestDeviceCrossover(t *testing.T) {
 	}
 }
 
+// planOf returns a copy of the executor's plan of one nTiles phase.
+func planOf(ex *Executor, nTiles int, tc tileCost) []assignment {
+	p := newPhaseScratch(len(ex.Devices))
+	ex.plan(p, nTiles, tc)
+	return p.plan
+}
+
 func planCovers(t *testing.T, plan []assignment, n int) {
 	t.Helper()
 	covered := make([]bool, n)
@@ -100,7 +108,7 @@ func TestStaticPlanProportional(t *testing.T) {
 	fast := MustDevice(Spec{Name: "fast", ZoneRate: 9e6, Workers: 1})
 	slow := MustDevice(Spec{Name: "slow", ZoneRate: 1e6, Workers: 1})
 	ex := MustExecutor(Static, slow, fast)
-	plan := ex.staticPlan(100)
+	plan := planOf(ex, 100, tileCost{zones: func(lo, hi int) int { return (hi - lo) * 100 }, ndim: 2})
 	planCovers(t, plan, 100)
 	// slow gets ~10, fast ~90.
 	for _, a := range plan {
@@ -114,12 +122,144 @@ func TestStaticPlanProportional(t *testing.T) {
 	}
 }
 
+// Static, Dynamic and Routed are rows of one placement loop. Each row
+// must build exactly the plan its parent planner built (reference_test.go)
+// — over fleets with resident, staged and host devices, uniform and
+// ragged tile costs, tile counts that do not divide, every router state
+// (suspect, drained, probing, dead, all dead) and with and without an
+// affinity history — and the death reroute must place every orphaned
+// kernel where the parent's list scheduler did.
+func TestPlanRowsMatchReference(t *testing.T) {
+	slowLink := SpecK20GPUStaged()
+	slowLink.TransferBW = 3e9
+	fleets := [][]Spec{
+		{SpecHostCPU(8), SpecK20GPU()},
+		{SpecHostCPU(8), slowLink},
+		{SpecHostCPU(4), SpecHostCPU(4), SpecK20GPU()},
+		{SpecHostCPU(2), SpecK20GPU(), SpecXeonPhi(), SpecK20GPUStaged()},
+		{{Name: "slow", ZoneRate: 1e6, Workers: 1}, {Name: "fast", ZoneRate: 9e6, Workers: 1}},
+	}
+	costs := []tileCost{
+		{zones: func(lo, hi int) int { return (hi - lo) * 100 }, ndim: 2},
+		{zones: func(lo, hi int) int {
+			z := 0
+			for t := lo; t < hi; t++ {
+				z += 64 + t*37%23
+			}
+			return z
+		}, ndim: 3},
+	}
+	same := func(name string, got, want []assignment) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d kernels, reference %d\n got %v\nwant %v", name, len(got), len(want), got, want)
+		}
+		for k := range got {
+			if got[k] != want[k] {
+				t.Fatalf("%s: kernel %d = %v, reference %v\n got %v\nwant %v", name, k, got[k], want[k], got, want)
+			}
+		}
+	}
+	seen := map[DevState]bool{}
+	for f, specs := range fleets {
+		for c, tc := range costs {
+			for _, n := range []int{1, 2, 5, 13, 48, 100, 150} {
+				devs := make([]*Device, len(specs))
+				for i, sp := range specs {
+					devs[i] = MustDevice(sp)
+				}
+				ex := MustExecutor(Routed, devs...)
+				sick := len(devs) - 1
+				for tick := 0; tick < 40; tick++ {
+					name := func(pol Policy) string {
+						return fmt.Sprintf("fleet %d cost %d n=%d tick %d %v (%v)", f, c, n, tick, pol, ex.router.State(sick))
+					}
+					// An affinity history on odd ticks, none on even ones.
+					seen[ex.router.State(sick)] = true
+					ex.lastOwner = nil
+					if tick%2 == 1 {
+						ex.lastOwner = make([]int, n)
+						for i := range ex.lastOwner {
+							ex.lastOwner[i] = (i*7+tick)%(len(devs)+1) - 1
+						}
+					}
+					ex.Policy = Static
+					same(name(Static), planOf(ex, n, tc), refStaticPlan(ex, n))
+					ex.Policy = Dynamic
+					same(name(Dynamic), planOf(ex, n, tc), refDynamicPlan(ex, nil, 0, n, tc))
+					ex.Policy = Routed
+					same(name(Routed), planOf(ex, n, tc), refRoutedPlan(ex, n, tc, ex.prevOwners(newPhaseScratch(len(devs)), n)))
+
+					// The sick device observes 10× its nominal latency for
+					// the first 8 ticks, then runs clean: suspect, drained,
+					// probing, healthy again. Device 0 dies at tick 30 and
+					// every device at tick 36.
+					obs := make([]Obs, len(devs))
+					for i, d := range devs {
+						busy := 1000 / d.Spec.ZoneRate
+						if i == sick && tick < 8 {
+							busy *= 10
+						}
+						obs[i] = Obs{Dev: i, Zones: 1000, Busy: busy}
+					}
+					ex.router.ObservePhase(obs)
+					var dying []int
+					switch tick {
+					case 30:
+						dying = []int{0}
+					case 36:
+						for i := range devs {
+							dying = append(dying, i)
+						}
+					}
+					if len(dying) > 0 {
+						ex.Policy = Dynamic
+						p := newPhaseScratch(len(devs))
+						ex.plan(p, n, tc)
+						before := append([]assignment(nil), p.plan...)
+						ex.rerouteDead(p, dying, tc)
+						same(name(Dynamic)+" reroute", p.plan, refRerouteDead(ex, before, p.dead, tc))
+					}
+				}
+			}
+		}
+	}
+	for _, st := range []DevState{Healthy, Suspect, Drained, Probing, Dead} {
+		if !seen[st] {
+			t.Errorf("no plan compared with the sick device %v", st)
+		}
+	}
+}
+
+// A phase's planning and health bookkeeping reuse the executor's and the
+// router's storage: once warm, planning, remembering owners and observing
+// a phase allocate nothing under any policy.
+func TestPlanAllocatesNothing(t *testing.T) {
+	tc := tileCost{zones: func(lo, hi int) int { return (hi - lo) * 100 }, ndim: 3}
+	const n = 37
+	for _, pol := range []Policy{Static, Dynamic, Routed} {
+		ex := MustExecutor(pol, MustDevice(SpecHostCPU(2)), MustDevice(SpecK20GPUStaged()), MustDevice(SpecXeonPhi()))
+		obs := []Obs{{Dev: 0, Zones: 1000, Busy: 1e-3}, {Dev: 1, Zones: 1000, Busy: 1e-3}, {Dev: 2, Zones: 1000, Busy: 1e-3}}
+		p := newPhaseScratch(len(ex.Devices))
+		phase := func() {
+			ex.plan(p, n, tc)
+			ex.rememberOwners(p.plan, n)
+			ex.router.ObservePhase(obs)
+		}
+		phase()
+		phase()
+		if a := testing.AllocsPerRun(50, phase); a != 0 {
+			t.Errorf("%v: %v allocations per planned phase", pol, a)
+		}
+	}
+}
+
 func TestDynamicPlanCoverageAndAdaptivity(t *testing.T) {
 	fast := MustDevice(Spec{Name: "fast", ZoneRate: 8e6, Workers: 1})
 	slow := MustDevice(Spec{Name: "slow", ZoneRate: 1e6, Workers: 1})
 	ex := MustExecutor(Dynamic, fast, slow)
 	uniform := tileCost{zones: func(lo, hi int) int { return (hi - lo) * 100 }, ndim: 2}
-	plan := ex.dynamicPlan(nil, 0, 128, uniform)
+	plan := planOf(ex, 128, uniform)
 	planCovers(t, plan, 128)
 	counts := map[int]int{}
 	for _, a := range plan {
@@ -448,6 +588,9 @@ func TestExecutorValidation(t *testing.T) {
 	}
 	if _, err := NewExecutor(Static, nil); err == nil {
 		t.Error("nil device accepted")
+	}
+	if _, err := NewExecutor(Routed+1, MustDevice(SpecHostCPU(1))); err == nil {
+		t.Error("unknown policy accepted")
 	}
 	defer func() {
 		if recover() == nil {

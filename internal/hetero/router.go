@@ -60,100 +60,23 @@ func (s DevState) InRotation() bool {
 	return s == Healthy || s == Suspect || s == Probing
 }
 
-// HealthConfig tunes the router's health model and drain state machine.
-// The zero value selects the documented defaults (DefaultHealthConfig).
-type HealthConfig struct {
-	// Alpha is the EWMA weight of a new per-zone latency sample (0.4).
-	Alpha float64
-	// ScoreAlpha is the EWMA weight pulling the health score toward its
-	// target after each observation (0.5).
-	ScoreAlpha float64
-	// SuspectBelow demotes Healthy → Suspect (0.7); RecoverAbove promotes
-	// Suspect → Healthy (0.85); DrainBelow drains (0.35).
-	SuspectBelow float64
-	RecoverAbove float64
-	DrainBelow   float64
-	// StragglerFactor flags a device whose observed slowdown (per-zone
-	// latency over its fingerprint's nominal) exceeds this multiple of
-	// the fleet median slowdown (2.0).
-	StragglerFactor float64
-	// ProbeAfter is the hold, in router ticks, before a drained device is
-	// probed (6); each failed probe doubles the device's hold.
-	ProbeAfter int64
-	// ProbeStrips is the probe kernel size in tiles, the executor's work
-	// unit (1).
-	ProbeStrips int
-	// FlapWindow/FlapLimit: FlapLimit-th drain within FlapWindow ticks
-	// quarantines the device (window 32, limit 3).
-	FlapWindow int64
-	FlapLimit  int
-	// QuarantineHold is the base quarantine length in ticks (64); it
-	// doubles on every further quarantine of the same device.
-	QuarantineHold int64
-	// FaultPenalty multiplies the health score on an external fault
-	// report (0.25).
-	FaultPenalty float64
-}
-
-// DefaultHealthConfig returns the documented defaults.
-func DefaultHealthConfig() HealthConfig {
-	return HealthConfig{
-		Alpha:           0.4,
-		ScoreAlpha:      0.5,
-		SuspectBelow:    0.7,
-		RecoverAbove:    0.85,
-		DrainBelow:      0.35,
-		StragglerFactor: 2.0,
-		ProbeAfter:      6,
-		ProbeStrips:     1,
-		FlapWindow:      32,
-		FlapLimit:       3,
-		QuarantineHold:  64,
-		FaultPenalty:    0.25,
-	}
-}
-
-// withDefaults fills zero fields.
-func (c HealthConfig) withDefaults() HealthConfig {
-	d := DefaultHealthConfig()
-	if c.Alpha <= 0 {
-		c.Alpha = d.Alpha
-	}
-	if c.ScoreAlpha <= 0 {
-		c.ScoreAlpha = d.ScoreAlpha
-	}
-	if c.SuspectBelow <= 0 {
-		c.SuspectBelow = d.SuspectBelow
-	}
-	if c.RecoverAbove <= 0 {
-		c.RecoverAbove = d.RecoverAbove
-	}
-	if c.DrainBelow <= 0 {
-		c.DrainBelow = d.DrainBelow
-	}
-	if c.StragglerFactor <= 0 {
-		c.StragglerFactor = d.StragglerFactor
-	}
-	if c.ProbeAfter <= 0 {
-		c.ProbeAfter = d.ProbeAfter
-	}
-	if c.ProbeStrips <= 0 {
-		c.ProbeStrips = d.ProbeStrips
-	}
-	if c.FlapWindow <= 0 {
-		c.FlapWindow = d.FlapWindow
-	}
-	if c.FlapLimit <= 0 {
-		c.FlapLimit = d.FlapLimit
-	}
-	if c.QuarantineHold <= 0 {
-		c.QuarantineHold = d.QuarantineHold
-	}
-	if c.FaultPenalty <= 0 {
-		c.FaultPenalty = d.FaultPenalty
-	}
-	return c
-}
+// The health model's constants (docs/HETERO.md §2–3). Scores live in
+// [0, 1]; holds and windows count router ticks (one per observed phase or
+// lease).
+const (
+	latencyAlpha    = 0.4  // EWMA weight of a new per-zone latency sample
+	scoreAlpha      = 0.5  // EWMA pull of the health score toward its target
+	suspectBelow    = 0.7  // Healthy → Suspect
+	recoverAbove    = 0.85 // Suspect → Healthy
+	drainBelow      = 0.35 // → Drained
+	stragglerFactor = 2.0  // slowdown over the fleet median that marks a straggler
+	probeAfter      = 6    // first hold before a drained device is probed; doubles per failed probe
+	probeTiles      = 1    // probe kernel size in tiles, the executor's work unit
+	flapWindow      = 32   // the flapLimit-th drain within this many ticks quarantines
+	flapLimit       = 3
+	quarantineHold  = 64   // base quarantine hold; doubles per quarantine of the same device
+	faultPenalty    = 0.25 // score multiplier on a failed lease
+)
 
 // devHealth is one device's rolling health record.
 type devHealth struct {
@@ -168,6 +91,7 @@ type devHealth struct {
 	probeAt int64   // tick at which a drained/quarantined device is probed
 	hold    int64   // current hold length (doubles on failed probes)
 	qhold   int64   // current quarantine length (doubles per quarantine)
+	inst    float64 // this phase's instantaneous slowdown (ObservePhase)
 
 	outstanding int64 // lease mode: reserved cost currently placed
 }
@@ -211,26 +135,22 @@ type Router struct {
 	// storage, but callers may share one across routers.
 	C *metrics.RouterCounters
 
-	cfg  HealthConfig
-	mu   sync.Mutex
-	devs []*Device
-	h    []devHealth
-	tick int64
-	own  metrics.RouterCounters
+	mu    sync.Mutex
+	devs  []*Device
+	h     []devHealth
+	tick  int64
+	slows []float64 // medianSlowdownLocked scratch
+	own   metrics.RouterCounters
 }
 
-// NewRouter builds a router over the device set with the given config
-// (zero fields take defaults).
-func NewRouter(cfg HealthConfig, devices ...*Device) *Router {
-	r := &Router{cfg: cfg.withDefaults(), devs: devices}
+// NewRouter builds a router over the device set.
+func NewRouter(devices ...*Device) *Router {
+	r := &Router{devs: devices, slows: make([]float64, 0, len(devices))}
 	r.C = &r.own
 	r.h = make([]devHealth, len(devices))
 	r.reset()
 	return r
 }
-
-// Config returns the router's resolved health configuration.
-func (r *Router) Config() HealthConfig { return r.cfg }
 
 // reset reinitialises every device to Healthy/nominal. Caller holds no
 // lock (construction) or r.mu (Reset).
@@ -241,8 +161,8 @@ func (r *Router) reset() {
 			score:   1,
 			slow:    1,
 			perZone: 1 / r.devs[i].Spec.ZoneRate,
-			hold:    r.cfg.ProbeAfter,
-			qhold:   r.cfg.QuarantineHold,
+			hold:    probeAfter,
+			qhold:   quarantineHold,
 		}
 	}
 	r.tick = 0
@@ -283,30 +203,6 @@ func (r *Router) MarkDead(i int) {
 	r.C.Deaths.Add(1)
 }
 
-// Fault feeds an external fault report (a failed lease, a kernel launch
-// error) into device i's health: the score takes the fault penalty and
-// the state machine advances, possibly draining the device.
-func (r *Router) Fault(i int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	h := &r.h[i]
-	if h.state == Dead {
-		return
-	}
-	h.faults++
-	h.score *= r.cfg.FaultPenalty
-	r.advanceLocked(i)
-}
-
-// EffPerZone returns device i's effective per-zone latency: the observed
-// EWMA when samples exist, the fingerprint's nominal otherwise. Plans
-// built on it adapt to effective — not nominal — speed.
-func (r *Router) EffPerZone(i int) float64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.h[i].perZone
-}
-
 // ObservePhase folds one phase's per-device observations into the
 // health model and advances the drain state machine: EWMA latency
 // update, straggler detection against the fleet median slowdown, probe
@@ -318,7 +214,6 @@ func (r *Router) ObservePhase(obs []Obs) {
 
 	// Fold samples; remember this phase's instantaneous slowdowns for
 	// probe resolution (the EWMA still carries the sick history).
-	inst := make(map[int]float64, len(obs))
 	for _, o := range obs {
 		if o.Dev < 0 || o.Dev >= len(r.h) || o.Zones <= 0 {
 			continue
@@ -336,11 +231,11 @@ func (r *Router) ObservePhase(obs []Obs) {
 			h.perZone = perZone
 			h.slow = slow
 		} else {
-			h.perZone += r.cfg.Alpha * (perZone - h.perZone)
-			h.slow += r.cfg.Alpha * (slow - h.slow)
+			h.perZone += latencyAlpha * (perZone - h.perZone)
+			h.slow += latencyAlpha * (slow - h.slow)
 		}
 		h.samples++
-		inst[o.Dev] = slow // instantaneous slowdown vs fingerprint
+		h.inst = slow // instantaneous slowdown vs fingerprint
 	}
 
 	med := r.medianSlowdownLocked()
@@ -354,36 +249,32 @@ func (r *Router) ObservePhase(obs []Obs) {
 		if h.state == Dead {
 			continue
 		}
-		slow, ok := inst[o.Dev]
-		if !ok {
-			continue
-		}
+		slow := h.inst
 		rel := slow / med
 		if h.state == Probing {
 			// Probe verdict on the instantaneous sample alone.
-			if rel < r.cfg.StragglerFactor {
-				h.state = Healthy
-				h.score = 1
+			if rel < stragglerFactor {
+				r.undrainLocked(h)
 				h.slow = slow // adopt the clean rate
 				h.perZone = slow / r.devs[o.Dev].Spec.ZoneRate
-				h.hold = r.cfg.ProbeAfter
-				r.C.Undrains.Add(1)
 			} else {
-				h.hold *= 2
-				h.state = Drained
-				h.probeAt = r.tick + h.hold
+				r.redrainLocked(h)
 			}
 			continue
 		}
 		target := 1.0
-		if rel > r.cfg.StragglerFactor {
+		if rel > stragglerFactor {
 			target = 1 / rel
 		}
-		h.score += r.cfg.ScoreAlpha * (target - h.score)
+		h.score += scoreAlpha * (target - h.score)
 		r.advanceLocked(o.Dev)
 	}
+	r.expireHoldsLocked()
+}
 
-	// Hold expiry: drained/quarantined devices come up for a probe.
+// expireHoldsLocked turns every drained or quarantined device whose hold
+// has run out into a probing one. Caller holds r.mu.
+func (r *Router) expireHoldsLocked() {
 	for i := range r.h {
 		h := &r.h[i]
 		if (h.state == Drained || h.state == Quarantined) && r.tick >= h.probeAt {
@@ -393,11 +284,28 @@ func (r *Router) ObservePhase(obs []Obs) {
 	}
 }
 
+// undrainLocked returns a probing device that passed its probe to full
+// rotation. Caller holds r.mu.
+func (r *Router) undrainLocked(h *devHealth) {
+	h.state = Healthy
+	h.score = 1
+	h.hold = probeAfter
+	r.C.Undrains.Add(1)
+}
+
+// redrainLocked drains a probing device that failed its probe, with a
+// doubled hold. Caller holds r.mu.
+func (r *Router) redrainLocked(h *devHealth) {
+	h.hold *= 2
+	h.state = Drained
+	h.probeAt = r.tick + h.hold
+}
+
 // medianSlowdownLocked returns the fleet-median observed slowdown
 // (busy time over nominal expected cost) across live devices with
 // samples; 1 when nothing has been observed yet.
 func (r *Router) medianSlowdownLocked() float64 {
-	var slows []float64
+	slows := r.slows[:0]
 	for i := range r.h {
 		h := &r.h[i]
 		if h.state == Dead || h.samples == 0 {
@@ -405,6 +313,7 @@ func (r *Router) medianSlowdownLocked() float64 {
 		}
 		slows = append(slows, h.slow)
 	}
+	r.slows = slows
 	if len(slows) == 0 {
 		return 1
 	}
@@ -425,22 +334,22 @@ func (r *Router) advanceLocked(i int) {
 	h := &r.h[i]
 	switch h.state {
 	case Healthy:
-		if h.score < r.cfg.DrainBelow {
+		if h.score < drainBelow {
 			r.drainLocked(i)
-		} else if h.score < r.cfg.SuspectBelow {
+		} else if h.score < suspectBelow {
 			h.state = Suspect
 		}
 	case Suspect:
-		if h.score < r.cfg.DrainBelow {
+		if h.score < drainBelow {
 			r.drainLocked(i)
-		} else if h.score > r.cfg.RecoverAbove {
+		} else if h.score > recoverAbove {
 			h.state = Healthy
 		}
 	}
 }
 
 // drainLocked takes device i out of rotation and runs the flap detector:
-// the FlapLimit-th drain within FlapWindow ticks quarantines it with an
+// the flapLimit-th drain within flapWindow ticks quarantines it with an
 // exponentially growing hold. Caller holds r.mu.
 func (r *Router) drainLocked(i int) {
 	h := &r.h[i]
@@ -451,12 +360,12 @@ func (r *Router) drainLocked(i int) {
 	h.flaps = append(h.flaps, r.tick)
 	live := h.flaps[:0]
 	for _, t := range h.flaps {
-		if r.tick-t < r.cfg.FlapWindow {
+		if r.tick-t < flapWindow {
 			live = append(live, t)
 		}
 	}
 	h.flaps = live
-	if len(h.flaps) >= r.cfg.FlapLimit {
+	if len(h.flaps) >= flapLimit {
 		h.state = Quarantined
 		h.probeAt = r.tick + h.qhold
 		h.qhold *= 2
@@ -468,19 +377,20 @@ func (r *Router) drainLocked(i int) {
 	h.probeAt = r.tick + h.hold
 }
 
-// planWeights returns the routed planner's inputs: per-device capacity
-// weights (observed zone rate × health factor; zero for devices out of
-// rotation) and the devices due a probe kernel this plan. The weights
-// encode equivalent-capacity substitution — when a fast device drains,
-// its share redistributes across the remaining fleet in proportion to
-// effective capacity, so two half-speed devices absorb what one
-// full-speed device dropped.
-func (r *Router) planWeights() (weights []float64, probes []int) {
+// planWeights fills the routed planner's inputs for every device: the
+// capacity weight (observed zone rate × health factor; zero for devices
+// out of rotation) and the observed per-zone latency, and appends the
+// devices due a probe kernel this plan to probes. The weights encode
+// equivalent-capacity substitution — when a fast device drains, its share
+// redistributes across the remaining fleet in proportion to effective
+// capacity, so two half-speed devices absorb what one full-speed device
+// dropped.
+func (r *Router) planWeights(weights, perZone []float64, probes []int) []int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	weights = make([]float64, len(r.devs))
 	for i := range r.h {
 		h := &r.h[i]
+		weights[i], perZone[i] = 0, h.perZone
 		switch h.state {
 		case Healthy:
 			weights[i] = 1 / h.perZone
@@ -490,7 +400,7 @@ func (r *Router) planWeights() (weights []float64, probes []int) {
 			probes = append(probes, i)
 		}
 	}
-	return weights, probes
+	return probes
 }
 
 // --- lease mode (serve placement) ---------------------------------------
@@ -508,13 +418,7 @@ func (r *Router) Lease(cost int64) (int, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.tick++
-	for i := range r.h {
-		h := &r.h[i]
-		if (h.state == Drained || h.state == Quarantined) && r.tick >= h.probeAt {
-			h.state = Probing
-			r.C.Probes.Add(1)
-		}
-	}
+	r.expireHoldsLocked()
 	best, bestScore := -1, math.Inf(1)
 	for i := range r.h {
 		h := &r.h[i]
@@ -566,24 +470,19 @@ func (r *Router) Release(i int, cost int64, failed bool) {
 	if failed {
 		r.C.LeaseFaults.Add(1)
 		h.faults++
-		h.score *= r.cfg.FaultPenalty
+		h.score *= faultPenalty
 		if h.state == Probing {
-			h.hold *= 2
-			h.state = Drained
-			h.probeAt = r.tick + h.hold
+			r.redrainLocked(h)
 			return
 		}
 		r.advanceLocked(i)
 		return
 	}
 	if h.state == Probing {
-		h.state = Healthy
-		h.score = 1
-		h.hold = r.cfg.ProbeAfter
-		r.C.Undrains.Add(1)
+		r.undrainLocked(h)
 		return
 	}
-	h.score += r.cfg.ScoreAlpha * (1 - h.score) * 0.5
+	h.score += scoreAlpha * (1 - h.score) * 0.5
 	r.advanceLocked(i)
 }
 
@@ -598,7 +497,8 @@ func (r *Router) Devices() []*Device { return r.devs }
 // in-rotation device's observed rate × health factor. Drained capacity
 // is excluded — the substitution headroom reports track.
 func (r *Router) EquivalentCapacity() float64 {
-	weights, _ := r.planWeights()
+	weights := make([]float64, len(r.devs))
+	r.planWeights(weights, make([]float64, len(r.devs)), nil)
 	total := 0.0
 	for _, w := range weights {
 		total += w

@@ -42,7 +42,7 @@ type FleetPlacer struct {
 // NewFleetPlacer routes placements across the given devices with the
 // default health model.
 func NewFleetPlacer(devices ...*hetero.Device) *FleetPlacer {
-	return &FleetPlacer{R: hetero.NewRouter(hetero.HealthConfig{}, devices...)}
+	return &FleetPlacer{R: hetero.NewRouter(devices...)}
 }
 
 // Acquire implements Placer.
