@@ -19,6 +19,7 @@ import (
 	"rhsc/internal/cluster"
 	"rhsc/internal/core"
 	"rhsc/internal/eos"
+	"rhsc/internal/grid"
 	"rhsc/internal/hetero"
 	"rhsc/internal/par"
 	"rhsc/internal/recon"
@@ -219,22 +220,94 @@ func BenchmarkC2PRecover(b *testing.B) {
 	}
 }
 
-// BenchmarkReconRow measures one row reconstruction per scheme.
+// BenchmarkReconRow measures row reconstruction per scheme, in ns per
+// filled face, on three row sets: one 1024-cell i%17 sawtooth, and rows
+// gathered from a warmed 48³ blast3d state (every primitive component)
+// at the length the x sweep hands a scheme (48 + 2·Ghost cells) and at
+// the y/z tile-segment length (8 + 2·Ghost). The blast rows mix
+// quiescent plateaus, smooth flanks and the shock, so the limiters'
+// branches behave as in a step; the short segments expose the per-row
+// prologue the sawtooth hides.
 func BenchmarkReconRow(b *testing.B) {
-	u := make([]float64, 1024)
-	for i := range u {
-		u[i] = float64(i % 17)
+	saw := make([]float64, 1024)
+	for i := range saw {
+		saw[i] = float64(i % 17)
 	}
-	uL := make([]float64, len(u)+1)
-	uR := make([]float64, len(u)+1)
+	s := warmBlast3D(b)
 	for _, sch := range recon.All() {
-		b.Run(sch.Name(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				sch.Reconstruct(u, uL, uR)
+		g := sch.Ghost()
+		for _, set := range []struct {
+			name string
+			rows [][]float64
+		}{
+			{"sawtooth", [][]float64{saw}},
+			{"blast3d-x", blastRows(s.G, 48+2*g, state.X)},
+			{"blast3d-seg", blastRows(s.G, 8+2*g, state.Y)},
+		} {
+			faces := 0
+			for _, u := range set.rows {
+				faces += len(u) - 2*g + 1
 			}
-			b.ReportMetric(float64(len(u)), "zones/op")
-		})
+			uL := make([]float64, len(set.rows[0])+1)
+			uR := make([]float64, len(uL))
+			b.Run(sch.Name()+"/"+set.name, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					for _, u := range set.rows {
+						sch.Reconstruct(u, uL, uR)
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*faces), "ns/face")
+			})
+		}
 	}
+}
+
+// warmBlast3D returns a 48³ PPM+HLL blast3d solver with three ghost
+// layers, stepped until the blast wave has left its initial sphere.
+func warmBlast3D(b *testing.B) *core.Solver {
+	b.Helper()
+	cfg := core.DefaultConfig()
+	cfg.Recon, cfg.Riemann = recon.PPM{}, riemann.HLL{}
+	s := newSolver(b, testprob.Blast3D, 48, cfg)
+	s.RecoverPrimitives()
+	for i := 0; i < 8; i++ {
+		if err := s.Step(s.MaxDt()); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return s
+}
+
+// blastRows gathers rows of n cells of every primitive component of g.W
+// along d, centred on the interior: x rows at every interior j of the
+// mid-k plane, and, along y, one segment per 8-cell tile at every
+// interior i of that plane. A row's (n−48)/2 or (n−8)/2 ghost cells on
+// each side are the cells around it, as in the sweep.
+func blastRows(g *grid.Grid, n int, d state.Direction) [][]float64 {
+	k := g.Ng + g.Nz/2
+	var rows [][]float64
+	for c := 0; c < state.NComp; c++ {
+		w := g.W.Comp[c]
+		for a := g.Ng; a < g.Ng+g.Nx; a++ {
+			switch d {
+			case state.X:
+				u := make([]float64, n)
+				for i := range u {
+					u[i] = w[g.Idx(g.Ng+g.Nx/2-n/2+i, a, k)]
+				}
+				rows = append(rows, u)
+			default:
+				for j0 := g.Ng; j0 < g.Ng+g.Ny; j0 += 8 {
+					u := make([]float64, n)
+					for j := range u {
+						u[j] = w[g.Idx(a, j0-(n-8)/2+j, k)]
+					}
+					rows = append(rows, u)
+				}
+			}
+		}
+	}
+	return rows
 }
 
 // BenchmarkRiemannFlux measures a single face flux per solver.

@@ -1,7 +1,8 @@
 // Package mathutil provides small numerical helpers shared across the
-// solver: slope limiters, safe floating-point guards, norms, and a
-// bracketing root finder used as the fallback path of the
-// conservative-to-primitive solver.
+// solver: safe floating-point guards, norms, and a bracketing root finder
+// used as the fallback path of the conservative-to-primitive solver. The
+// slope limiters live with the reconstructions that inline them
+// (internal/recon).
 package mathutil
 
 import (
@@ -9,22 +10,10 @@ import (
 	"math"
 )
 
-// Tiny is the smallest magnitude treated as nonzero by the limiters and by
-// denominator guards. It is far above the subnormal range so that dividing
+// Tiny is the smallest magnitude treated as nonzero by denominator
+// guards. It is far above the subnormal range so that dividing
 // by a guarded value can never overflow.
 const Tiny = 1e-300
-
-// Sign returns -1, 0 or +1 according to the sign of x.
-func Sign(x float64) float64 {
-	switch {
-	case x > 0:
-		return 1
-	case x < 0:
-		return -1
-	default:
-		return 0
-	}
-}
 
 // Clamp limits x to the closed interval [lo, hi].
 func Clamp(x, lo, hi float64) float64 {
@@ -35,54 +24,6 @@ func Clamp(x, lo, hi float64) float64 {
 		return hi
 	}
 	return x
-}
-
-// Minmod returns the minmod of two slopes: zero when they differ in sign,
-// otherwise the one of smaller magnitude. It is the classical TVD limiter.
-func Minmod(a, b float64) float64 {
-	if a*b <= 0 {
-		return 0
-	}
-	if math.Abs(a) < math.Abs(b) {
-		return a
-	}
-	return b
-}
-
-// Minmod3 returns the three-argument minmod: zero unless all arguments share
-// a sign, otherwise the smallest magnitude with that sign.
-func Minmod3(a, b, c float64) float64 {
-	sa, sb, sc := Sign(a), Sign(b), Sign(c)
-	if sa != sb || sb != sc || sa == 0 {
-		return 0
-	}
-	return sa * math.Min(math.Abs(a), math.Min(math.Abs(b), math.Abs(c)))
-}
-
-// MC returns the monotonized-central limiter of the left and right one-sided
-// slopes: minmod(2a, 2b, (a+b)/2).
-func MC(a, b float64) float64 {
-	return Minmod3(2*a, 2*b, 0.5*(a+b))
-}
-
-// VanLeer returns the harmonic-mean (van Leer) limiter of two slopes. The
-// harmonic form 2/(1/a + 1/b) is used so the limiter cannot overflow for
-// large slope magnitudes.
-func VanLeer(a, b float64) float64 {
-	if a == 0 || b == 0 || (a > 0) != (b > 0) {
-		return 0
-	}
-	return 2 / (1/a + 1/b)
-}
-
-// Max3 returns the maximum of three values.
-func Max3(a, b, c float64) float64 {
-	return math.Max(a, math.Max(b, c))
-}
-
-// Min3 returns the minimum of three values.
-func Min3(a, b, c float64) float64 {
-	return math.Min(a, math.Min(b, c))
 }
 
 // L1Norm returns the discrete L1 norm Σ|a_i − b_i| · w. The weight w is the

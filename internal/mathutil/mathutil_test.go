@@ -6,17 +6,6 @@ import (
 	"testing/quick"
 )
 
-func TestSign(t *testing.T) {
-	cases := []struct{ in, want float64 }{
-		{3.5, 1}, {-2, -1}, {0, 0}, {math.SmallestNonzeroFloat64, 1},
-	}
-	for _, c := range cases {
-		if got := Sign(c.in); got != c.want {
-			t.Errorf("Sign(%v) = %v, want %v", c.in, got, c.want)
-		}
-	}
-}
-
 func TestClamp(t *testing.T) {
 	if got := Clamp(5, 0, 1); got != 1 {
 		t.Errorf("Clamp(5,0,1) = %v", got)
@@ -26,111 +15,6 @@ func TestClamp(t *testing.T) {
 	}
 	if got := Clamp(0.5, 0, 1); got != 0.5 {
 		t.Errorf("Clamp(0.5,0,1) = %v", got)
-	}
-}
-
-func TestMinmodBasic(t *testing.T) {
-	if got := Minmod(1, 2); got != 1 {
-		t.Errorf("Minmod(1,2) = %v", got)
-	}
-	if got := Minmod(-3, -2); got != -2 {
-		t.Errorf("Minmod(-3,-2) = %v", got)
-	}
-	if got := Minmod(1, -1); got != 0 {
-		t.Errorf("Minmod(1,-1) = %v", got)
-	}
-	if got := Minmod(0, 4); got != 0 {
-		t.Errorf("Minmod(0,4) = %v", got)
-	}
-}
-
-// Minmod must be symmetric, bounded by both arguments in magnitude, and
-// share the sign of its arguments: the defining TVD-limiter properties.
-func TestMinmodProperties(t *testing.T) {
-	prop := func(a, b float64) bool {
-		if math.IsNaN(a) || math.IsNaN(b) || math.IsInf(a, 0) || math.IsInf(b, 0) {
-			return true
-		}
-		m := Minmod(a, b)
-		if m != Minmod(b, a) {
-			return false
-		}
-		if math.Abs(m) > math.Abs(a) && math.Abs(m) > math.Abs(b) {
-			return false
-		}
-		if a*b > 0 && Sign(m) != Sign(a) {
-			return false
-		}
-		if a*b <= 0 && m != 0 {
-			return false
-		}
-		return true
-	}
-	if err := quick.Check(prop, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestMinmod3Properties(t *testing.T) {
-	prop := func(a, b, c float64) bool {
-		if math.IsNaN(a) || math.IsNaN(b) || math.IsNaN(c) {
-			return true
-		}
-		m := Minmod3(a, b, c)
-		if math.Abs(m) > math.Abs(a)+1e-300 || math.Abs(m) > math.Abs(b)+1e-300 || math.Abs(m) > math.Abs(c)+1e-300 {
-			return false
-		}
-		if Sign(a) == Sign(b) && Sign(b) == Sign(c) && Sign(a) != 0 {
-			return Sign(m) == Sign(a)
-		}
-		return m == 0
-	}
-	if err := quick.Check(prop, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-// MC limiter must reduce to the centered slope on smooth monotone data and
-// vanish at extrema.
-func TestMCLimiter(t *testing.T) {
-	if got := MC(1, 1); got != 1 {
-		t.Errorf("MC(1,1) = %v, want 1", got)
-	}
-	if got := MC(1, -1); got != 0 {
-		t.Errorf("MC(1,-1) = %v, want 0", got)
-	}
-	// Steep one-sided gradient: limited to 2x the smaller slope.
-	if got := MC(1, 100); got != 2 {
-		t.Errorf("MC(1,100) = %v, want 2", got)
-	}
-}
-
-func TestVanLeer(t *testing.T) {
-	if got := VanLeer(1, 1); got != 1 {
-		t.Errorf("VanLeer(1,1) = %v", got)
-	}
-	if got := VanLeer(2, -3); got != 0 {
-		t.Errorf("VanLeer(2,-3) = %v", got)
-	}
-	// Harmonic mean of 1 and 3 slopes: 2*1*3/4 = 1.5.
-	if got := VanLeer(1, 3); math.Abs(got-1.5) > 1e-15 {
-		t.Errorf("VanLeer(1,3) = %v, want 1.5", got)
-	}
-}
-
-func TestVanLeerBoundedByMC(t *testing.T) {
-	prop := func(a, b float64) bool {
-		if math.IsNaN(a) || math.IsNaN(b) || math.IsInf(a, 0) || math.IsInf(b, 0) {
-			return true
-		}
-		// Both limiters are TVD: |phi| <= |MC| is not a theorem, but both
-		// must be bounded by 2*min(|a|,|b|) on same-sign input.
-		vl := math.Abs(VanLeer(a, b))
-		bound := 2 * math.Min(math.Abs(a), math.Abs(b))
-		return vl <= bound*(1+1e-12)
-	}
-	if err := quick.Check(prop, nil); err != nil {
-		t.Error(err)
 	}
 }
 
@@ -271,11 +155,5 @@ func TestIsFiniteAll(t *testing.T) {
 	}
 	if IsFiniteAll([]float64{math.Inf(1)}) {
 		t.Error("Inf not detected")
-	}
-}
-
-func TestMax3Min3(t *testing.T) {
-	if Max3(1, 5, 3) != 5 || Min3(1, 5, 3) != 1 {
-		t.Error("Max3/Min3 wrong")
 	}
 }

@@ -19,8 +19,6 @@ package recon
 import (
 	"fmt"
 	"math"
-
-	"rhsc/internal/mathutil"
 )
 
 // Scheme is a one-dimensional face reconstruction.
@@ -37,15 +35,21 @@ type Scheme interface {
 }
 
 // checkSizes panics when the face arrays cannot hold the reconstruction.
+// It inlines, so a row pays three compares and no call.
 func checkSizes(u, uL, uR []float64, ghost int) int {
 	n := len(u)
-	if n < 2*ghost+1 {
-		panic(fmt.Sprintf("recon: row of %d cells too short for ghost=%d", n, ghost))
-	}
-	if len(uL) < n+1 || len(uR) < n+1 {
-		panic("recon: face arrays shorter than n+1")
+	if n < 2*ghost+1 || len(uL) < n+1 || len(uR) < n+1 {
+		panic(sizeError{n, min(len(uL), len(uR)), ghost})
 	}
 	return n
+}
+
+// sizeError is checkSizes's panic value.
+type sizeError struct{ n, faces, ghost int }
+
+func (e sizeError) Error() string {
+	return fmt.Sprintf("recon: row of %d cells with %d face slots; ghost=%d needs ≥ %d cells and n+1 slots",
+		e.n, e.faces, e.ghost, 2*e.ghost+1)
 }
 
 // PCM is the first-order piecewise-constant (Godunov) reconstruction.
@@ -106,64 +110,66 @@ func (PLM) Ghost() int { return 2 }
 // Order implements Scheme.
 func (PLM) Order() int { return 2 }
 
-func (p PLM) slope(dm, dp float64) float64 {
-	switch p.Lim {
-	case Minmod:
-		return mathutil.Minmod(dm, dp)
-	case MonotonizedCentral:
-		return mathutil.MC(dm, dp)
-	case VanLeer:
-		return mathutil.VanLeer(dm, dp)
-	}
-	panic("recon: unknown limiter")
-}
-
 // Reconstruct implements Scheme. Face i needs the limited slopes of
-// cells i−1 and i; the loop carries each cell's slope (and its right
-// difference, which is the next cell's left difference) across to the
-// next face instead of recomputing it, halving the limiter evaluations
-// of the naive two-slopes-per-face form. The MC limiter additionally
-// uses the branch-reduced mcSlope. Both transformations are
-// bitwise-neutral; TestPLMMatchesReference locks that in.
+// cells i−1 and i; the loop carries each cell's slope, its right
+// difference (the next cell's left difference) and the two cell values
+// across to the next face, so a face loads one cell and evaluates one
+// limiter. The limiter is resolved once per row: each has its own loop
+// around an inlined slope (mcSlope, minmodSlope, vanLeerSlope), so a
+// face makes no call. Bitwise identical to the two-slopes-per-face form
+// (TestPLMMatchesReference).
 func (p PLM) Reconstruct(u, uL, uR []float64) {
 	n := checkSizes(u, uL, uR, 2)
-	if p.Lim == MonotonizedCentral {
-		dp := u[2] - u[1]
-		sPrev := mcSlope(u[1]-u[0], dp)
-		for i := 2; i <= n-2; i++ {
+	// Faces 2…n−2; w holds cell i+1 of face i.
+	w := u[3:n]
+	l, r := uL[2:][:len(w)], uR[2:][:len(w)]
+	um1, u0 := u[1], u[2]
+	dp := u0 - um1
+	switch p.Lim {
+	case MonotonizedCentral:
+		sPrev := mcSlope(um1-u[0], dp)
+		for k, up1 := range w {
 			dm := dp
-			dp = u[i+1] - u[i]
+			dp = up1 - u0
 			s := mcSlope(dm, dp)
-			uL[i] = u[i-1] + 0.5*sPrev
-			uR[i] = u[i] - 0.5*s
-			sPrev = s
+			l[k], r[k] = um1+0.5*sPrev, u0-0.5*s
+			sPrev, um1, u0 = s, u0, up1
 		}
-		return
-	}
-	dp := u[2] - u[1]
-	sPrev := p.slope(u[1]-u[0], dp)
-	for i := 2; i <= n-2; i++ {
-		dm := dp
-		dp = u[i+1] - u[i]
-		s := p.slope(dm, dp)
-		uL[i] = u[i-1] + 0.5*sPrev
-		uR[i] = u[i] - 0.5*s
-		sPrev = s
+	case Minmod:
+		sPrev := minmodSlope(um1-u[0], dp)
+		for k, up1 := range w {
+			dm := dp
+			dp = up1 - u0
+			s := minmodSlope(dm, dp)
+			l[k], r[k] = um1+0.5*sPrev, u0-0.5*s
+			sPrev, um1, u0 = s, u0, up1
+		}
+	case VanLeer:
+		sPrev := vanLeerSlope(um1-u[0], dp)
+		for k, up1 := range w {
+			dm := dp
+			dp = up1 - u0
+			s := vanLeerSlope(dm, dp)
+			l[k], r[k] = um1+0.5*sPrev, u0-0.5*s
+			sPrev, um1, u0 = s, u0, up1
+		}
+	default:
+		panic("recon: unknown limiter")
 	}
 }
 
-// mcSlope is mathutil.MC(dm, dp) = minmod3(2dm, 2dp, (dm+dp)/2) with the
-// sign analysis folded into two comparisons. Bitwise identity with the
-// mathutil form (TestMCSlopeBitwise): when dm and dp are both strictly
-// positive so are all three candidates — their sum cannot cancel — and
-// the builtin min over positive non-NaN operands matches the nested
-// math.Min exactly (ties are the same value, hence the same bits);
-// negating a float and multiplying by ±1 are exact, so the negative
-// branch mirrors sa = −1; NaN and mixed or zero signs fall through to
-// the same positive zero Minmod3 returns. The sign branches stay: on
-// quiescent data they predict perfectly, where a branch-free form pays
-// every min on every face. The builtin keeps the body inside the
-// inliner's budget, so Reconstruct makes no call per face.
+// mcSlope is the monotonized-central limiter minmod(2dm, 2dp, (dm+dp)/2)
+// with the sign analysis folded into two comparisons. When dm and dp are
+// both strictly positive so are all three candidates — their sum cannot
+// cancel — and the builtin min over positive non-NaN operands is the
+// nested math.Min of the three-argument minmod exactly (ties are the
+// same value, hence the same bits); negating a float and multiplying by
+// ±1 are exact, so the negative branch mirrors it; NaN and mixed or zero
+// signs fall through to the positive zero the minmod returns
+// (TestMCSlopeBitwise). The sign branches stay: on quiescent data they
+// predict perfectly, where a branch-free form pays every min on every
+// face. The builtin keeps the body inside the inliner's budget
+// (scripts/inline.sh).
 func mcSlope(dm, dp float64) float64 {
 	if dm > 0 && dp > 0 {
 		return min(2*dm, 2*dp, 0.5*(dm+dp))
@@ -172,6 +178,27 @@ func mcSlope(dm, dp float64) float64 {
 		return -min(-(2 * dm), -(2 * dp), -(0.5 * (dm + dp)))
 	}
 	return 0
+}
+
+// minmodSlope is the classical minmod limiter: zero when the one-sided
+// differences differ in sign, otherwise the one of smaller magnitude.
+func minmodSlope(dm, dp float64) float64 {
+	if dm*dp <= 0 {
+		return 0
+	}
+	if math.Abs(dm) < math.Abs(dp) {
+		return dm
+	}
+	return dp
+}
+
+// vanLeerSlope is the harmonic-mean (van Leer) limiter, in the form
+// 2/(1/dm + 1/dp) that cannot overflow for large slope magnitudes.
+func vanLeerSlope(dm, dp float64) float64 {
+	if dm == 0 || dp == 0 || (dm > 0) != (dp > 0) {
+		return 0
+	}
+	return 2 / (1/dm + 1/dp)
 }
 
 // PPM is the piecewise-parabolic method of Colella & Woodward (1984) with
@@ -188,62 +215,87 @@ func (PPM) Ghost() int { return 3 }
 // Order implements Scheme.
 func (PPM) Order() int { return 3 }
 
-// Reconstruct implements Scheme. One pass over cells 2…n−3: cell j's
-// monotonised parabola gives the right state of face j (its left edge) and
-// the left state of face j+1 (its right edge), so each limited slope, each
-// fourth-order interface value and each parabola is computed once and
-// carried to the next cell, with no scratch buffer. Bitwise identical to
-// the slopes → interface values → per-face-side parabola passes it
-// replaced (TestPPMMatchesReference).
+// Reconstruct implements Scheme. One pass over faces 3…n−3: cell i's
+// monotonised parabola gives the right state of face i (its left edge)
+// and, one face later, the left state of face i+1 (its right edge). Each
+// limited slope, fourth-order interface value, right edge and the last
+// cell values are carried to the next face, so a face loads one cell and
+// makes no call. Cell 2, which gives only face 3's left state, is peeled
+// into the prologue; the last cell's right edge (face n−2) is dropped.
+// Bitwise identical to the slopes → interface values → per-face-side
+// parabola passes (TestPPMMatchesReference).
 func (PPM) Reconstruct(u, uL, uR []float64) {
 	n := checkSizes(u, uL, uR, 3)
 
-	// Limited slopes (CW84 eq. 1.8) of cells 1 and 2, and the fourth-order
-	// interface value (CW84 eq. 1.6) at face 2:
-	// u_{j+1/2} = (u_j + u_{j+1})/2 − (δ_{j+1} − δ_j)/6.
-	dp := u[2] - u[1]
-	sPrev := ppmSlope(u[1]-u[0], dp, u[2]-u[0])
-	dm := dp
-	dp = u[3] - u[2]
-	s := ppmSlope(dm, dp, u[3]-u[1])
-	fL := 0.5*(u[1]+u[2]) - (s-sPrev)/6
+	// Limited slopes (CW84 eq. 1.8) of cells 1…3, the fourth-order
+	// interface values (CW84 eq. 1.6)
+	// u_{j+1/2} = (u_j + u_{j+1})/2 − (δ_{j+1} − δ_j)/6 at faces 2 and 3,
+	// and cell 2's right edge.
+	d1, d2, dp := u[2]-u[1], u[3]-u[2], u[4]-u[3]
+	s1 := ppmSlope(u[1]-u[0], d1, u[2]-u[0])
+	s2 := ppmSlope(d1, d2, u[3]-u[1])
+	s := ppmSlope(d2, dp, u[4]-u[2])
+	fL := 0.5*(u[2]+u[3]) - (s-s2)/6
+	_, aR := ppmEdges(0.5*(u[1]+u[2])-(s2-s1)/6, fL, u[2])
 
-	for j := 2; j <= n-3; j++ {
-		dm = dp
-		dp = u[j+2] - u[j+1]
-		sNext := ppmSlope(dm, dp, u[j+2]-u[j])
-		fR := 0.5*(u[j]+u[j+1]) - (sNext-s)/6
-
-		// Parabola edges of cell j with monotonization (CW84 eq. 1.10).
-		aL, aR, u0 := fL, fR, u[j]
-		switch {
-		case (aR-u0)*(u0-aL) <= 0:
-			aL, aR = u0, u0
-		case (aR-aL)*(u0-0.5*(aL+aR)) > (aR-aL)*(aR-aL)/6:
-			aL = 3*u0 - 2*aR
-		case (aR-aL)*(u0-0.5*(aL+aR)) < -(aR-aL)*(aR-aL)/6:
-			aR = 3*u0 - 2*aL
-		}
-		// Faces 3…n−3 are filled: cell 2 has no face-2 right state to give,
-		// cell n−3 no face-(n−2) left state.
-		if j >= 3 {
-			uR[j] = aL
-		}
-		if j <= n-4 {
-			uL[j+1] = aR
-		}
-		s, fL = sNext, fR
+	// Face i = k+3 reads cell i+2 = w[k].
+	u0, up1 := u[3], u[4]
+	w := u[5:n]
+	l, r := uL[3:][:len(w)], uR[3:][:len(w)]
+	for k, up2 := range w {
+		dm := dp
+		dp = up2 - up1
+		sNext := ppmSlope(dm, dp, up2-u0)
+		fR := 0.5*(u0+up1) - (sNext-s)/6
+		l[k] = aR
+		r[k], aR = ppmEdges(fL, fR, u0)
+		s, fL, u0, up1 = sNext, fR, up1, up2
 	}
 }
 
 // ppmSlope is the limited slope of a cell with left difference dm, right
-// difference dp and centred difference dc = u_{j+1} − u_{j−1}.
+// difference dp and centred difference dc = u_{j+1} − u_{j−1}:
+// sign(d)·min(2|dm|, 2|dp|, |d|) with d = dc/2, zero at an extremum. The
+// sign is applied by branch — m, −m, or 0·m, which keeps a NaN or
+// infinite m a NaN and a −0 a −0 as sign(d)·m does — and the builtin min
+// is the nested math.Min up to NaN payload, so the body fits the
+// inliner's budget 3 units under it (scripts/inline.sh): one more
+// operation puts a call back into every cell.
 func ppmSlope(dm, dp, dc float64) float64 {
 	if dm*dp <= 0 {
 		return 0
 	}
 	d := 0.5 * dc
-	return mathutil.Sign(d) * mathutil.Min3(2*absf(dm), 2*absf(dp), absf(d))
+	m := min(2*absf(dm), 2*absf(dp), absf(d))
+	if d > 0 {
+		return m
+	}
+	if d < 0 {
+		return -m
+	}
+	return 0 * m
+}
+
+// ppmEdges returns the edges of a cell's parabola with average u0 and
+// interface values aL, aR after the monotonisation of CW84 eq. 1.10:
+// flat at an extremum, and the far edge pulled in where the parabola
+// would overshoot. Δa = aR − aL, its product with the average's offset
+// from the midpoint and Δa²/6 are formed once, after the extremum test;
+// negation is exact, so q < −t is the reference's q < −Δa·Δa/6.
+func ppmEdges(aL, aR, u0 float64) (float64, float64) {
+	if (aR-u0)*(u0-aL) <= 0 {
+		return u0, u0
+	}
+	da := aR - aL
+	q := da * (u0 - 0.5*(aL+aR))
+	t := da * da / 6
+	if q > t {
+		return 3*u0 - 2*aR, aR
+	}
+	if q < -t {
+		return aL, 3*u0 - 2*aL
+	}
+	return aL, aR
 }
 
 func absf(x float64) float64 {

@@ -6,8 +6,6 @@ import (
 	"reflect"
 	"testing"
 	"testing/quick"
-
-	"rhsc/internal/mathutil"
 )
 
 // allSchemes returns every scheme under test.
@@ -406,14 +404,81 @@ func TestPLMPPMMirrorSymmetry(t *testing.T) {
 	}
 }
 
+// The limiter forms the per-row loops replaced, kept as their oracles.
+
+// sign returns -1, 0 or +1 according to the sign of x.
+func sign(x float64) float64 {
+	switch {
+	case x > 0:
+		return 1
+	case x < 0:
+		return -1
+	default:
+		return 0
+	}
+}
+
+// minmod returns zero when a and b differ in sign, otherwise the one of
+// smaller magnitude.
+func minmod(a, b float64) float64 {
+	if a*b <= 0 {
+		return 0
+	}
+	if math.Abs(a) < math.Abs(b) {
+		return a
+	}
+	return b
+}
+
+// minmod3 returns zero unless all arguments share a sign, otherwise the
+// smallest magnitude with that sign.
+func minmod3(a, b, c float64) float64 {
+	sa, sb, sc := sign(a), sign(b), sign(c)
+	if sa != sb || sb != sc || sa == 0 {
+		return 0
+	}
+	return sa * math.Min(math.Abs(a), math.Min(math.Abs(b), math.Abs(c)))
+}
+
+// mc returns the monotonized-central limiter minmod(2a, 2b, (a+b)/2).
+func mc(a, b float64) float64 {
+	return minmod3(2*a, 2*b, 0.5*(a+b))
+}
+
+// vanLeer returns the harmonic-mean limiter 2/(1/a + 1/b).
+func vanLeer(a, b float64) float64 {
+	if a == 0 || b == 0 || (a > 0) != (b > 0) {
+		return 0
+	}
+	return 2 / (1/a + 1/b)
+}
+
+// min3 returns the minimum of three values.
+func min3(a, b, c float64) float64 {
+	return math.Min(a, math.Min(b, c))
+}
+
+// refSlope is the per-face limiter switch the per-row loops replaced.
+func refSlope(lim Limiter, dm, dp float64) float64 {
+	switch lim {
+	case Minmod:
+		return minmod(dm, dp)
+	case MonotonizedCentral:
+		return mc(dm, dp)
+	case VanLeer:
+		return vanLeer(dm, dp)
+	}
+	panic("recon: unknown limiter")
+}
+
 // plmReference is the naive two-slopes-per-face PLM loop the slope-carrying
 // Reconstruct replaced; the rewrite must be bitwise identical to it.
 func plmReference(p PLM, u, uL, uR []float64) {
 	n := len(u)
 	for i := 2; i <= n-2; i++ {
 		jm := i - 1
-		sL := p.slope(u[jm]-u[jm-1], u[jm+1]-u[jm])
-		sR := p.slope(u[i]-u[i-1], u[i+1]-u[i])
+		sL := refSlope(p.Lim, u[jm]-u[jm-1], u[jm+1]-u[jm])
+		sR := refSlope(p.Lim, u[i]-u[i-1], u[i+1]-u[i])
 		uL[i] = u[jm] + 0.5*sL
 		uR[i] = u[i] - 0.5*sR
 	}
@@ -448,6 +513,24 @@ func TestPLMMatchesReference(t *testing.T) {
 				}
 			}
 		}
+		// The ppmRow rows, IEEE edge cells included; every face slot.
+		prop := func(u ppmRow) bool {
+			gotL, gotR := reconstruct(p, u)
+			wantL := make([]float64, len(u)+1)
+			wantR := make([]float64, len(u)+1)
+			plmReference(p, u, wantL, wantR)
+			for i := range gotL {
+				if !sameFace(gotL[i], wantL[i]) || !sameFace(gotR[i], wantR[i]) {
+					t.Errorf("%s n=%d face %d: got (%v,%v) want (%v,%v)",
+						p.Name(), len(u), i, gotL[i], gotR[i], wantL[i], wantR[i])
+					return false
+				}
+			}
+			return true
+		}
+		if err := quick.Check(prop, &quick.Config{MaxCount: 5000, Rand: rand.New(rand.NewSource(17))}); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -462,7 +545,7 @@ func ppmReference(u, uL, uR []float64) {
 			return 0
 		}
 		d := 0.5 * (u[j+1] - u[j-1])
-		return mathutil.Sign(d) * mathutil.Min3(2*absf(dm), 2*absf(dp), absf(d))
+		return sign(d) * min3(2*absf(dm), 2*absf(dp), absf(d))
 	}
 	iface := make([]float64, n+1)
 	for i := 2; i <= n-2; i++ {
@@ -492,8 +575,9 @@ func ppmReference(u, uL, uR []float64) {
 }
 
 // ppmRow draws rows that hit every branch of the slope limiter and the
-// monotonization: noise, exact zeros, plateaus with ties, smooth ramps, and
-// magnitudes from 1e-40 to 1e40.
+// monotonization: noise, exact zeros, plateaus with ties, smooth ramps,
+// magnitudes from 1e-40 to 1e40, rows of subnormals, and NaN, ±Inf, ±0
+// and subnormal cells dropped into otherwise ordinary rows.
 type ppmRow []float64
 
 // Generate implements quick.Generator; rows run from the minimum n = 7.
@@ -517,7 +601,27 @@ func (ppmRow) Generate(rng *rand.Rand, _ int) reflect.Value {
 		}
 		u[j] *= scale
 	}
+	switch rng.Intn(8) {
+	case 0: // a row of subnormals, where halving a difference can underflow
+		for j := range u {
+			u[j] = math.Trunc(4*rng.NormFloat64()) * math.SmallestNonzeroFloat64
+		}
+	case 1, 2:
+		for range 1 + rng.Intn(3) {
+			u[rng.Intn(len(u))] = specialCells[rng.Intn(len(specialCells))]
+		}
+	}
 	return reflect.ValueOf(u)
+}
+
+// specialCells are the IEEE edge values a row can carry into a kernel.
+var specialCells = []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1),
+	math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 2.5e-310, -1e-310}
+
+// sameFace reports whether two face values agree bit for bit, or are both
+// NaN: the builtin min and math.Min may return different NaN payloads.
+func sameFace(a, b float64) bool {
+	return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
 }
 
 func TestPPMMatchesReference(t *testing.T) {
@@ -529,9 +633,15 @@ func TestPPMMatchesReference(t *testing.T) {
 		}
 		return v
 	}
+	// Filled faces compare as sameFace; the rest must keep the sentinel's
+	// exact bits.
 	same := func(a, b []float64) int {
 		for i := range a {
-			if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			if i >= 3 && i <= len(a)-4 {
+				if !sameFace(a[i], b[i]) {
+					return i
+				}
+			} else if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
 				return i
 			}
 		}
@@ -564,7 +674,7 @@ func TestPPMMatchesReference(t *testing.T) {
 func TestMCSlopeBitwise(t *testing.T) {
 	check := func(dm, dp float64) bool {
 		got := mcSlope(dm, dp)
-		want := mathutil.MC(dm, dp)
+		want := mc(dm, dp)
 		// NaN inputs must give the exact zero the reference gives.
 		return got == want && math.Signbit(got) == math.Signbit(want)
 	}
@@ -575,7 +685,7 @@ func TestMCSlopeBitwise(t *testing.T) {
 		math.MaxFloat64, -math.MaxFloat64, math.Inf(1), math.Inf(-1), math.NaN()}
 	for _, a := range edges {
 		for _, b := range edges {
-			got, want := mcSlope(a, b), mathutil.MC(a, b)
+			got, want := mcSlope(a, b), mc(a, b)
 			if got != want && !(math.IsNaN(got) && math.IsNaN(want)) {
 				t.Fatalf("mcSlope(%v,%v) = %v, want %v", a, b, got, want)
 			}
@@ -583,5 +693,138 @@ func TestMCSlopeBitwise(t *testing.T) {
 				t.Fatalf("mcSlope(%v,%v) sign of zero differs", a, b)
 			}
 		}
+	}
+}
+
+// The inlined minmod and van Leer limiters must be their reference forms
+// bit for bit, NaN and signed zeros included.
+func TestLimiterSlopesBitwise(t *testing.T) {
+	for _, c := range []struct {
+		name      string
+		got, want func(dm, dp float64) float64
+	}{
+		{"minmod", minmodSlope, minmod},
+		{"vanleer", vanLeerSlope, vanLeer},
+	} {
+		check := func(dm, dp float64) bool {
+			return sameFace(c.got(dm, dp), c.want(dm, dp))
+		}
+		if err := quick.Check(check, &quick.Config{MaxCount: 20000}); err != nil {
+			t.Errorf("%s: %v", c.name, err)
+		}
+		edges := append([]float64{1, -1, 1e-300, -1e-300, math.MaxFloat64, -math.MaxFloat64}, specialCells...)
+		for _, a := range edges {
+			for _, b := range edges {
+				if got, want := c.got(a, b), c.want(a, b); !sameFace(got, want) {
+					t.Fatalf("%s(%v,%v) = %v, want %v", c.name, a, b, got, want)
+				}
+			}
+		}
+	}
+}
+
+func TestMinmodBasic(t *testing.T) {
+	for _, c := range []struct{ a, b, want float64 }{
+		{1, 2, 1}, {-3, -2, -2}, {1, -1, 0}, {0, 4, 0},
+	} {
+		if got := minmodSlope(c.a, c.b); got != c.want {
+			t.Errorf("minmodSlope(%v,%v) = %v, want %v", c.a, c.b, got, c.want)
+		}
+	}
+}
+
+// minmodSlope must be symmetric, bounded by both arguments in magnitude,
+// and share the sign of its arguments: the defining TVD-limiter
+// properties.
+func TestMinmodProperties(t *testing.T) {
+	prop := func(a, b float64) bool {
+		if math.IsNaN(a) || math.IsNaN(b) || math.IsInf(a, 0) || math.IsInf(b, 0) {
+			return true
+		}
+		m := minmodSlope(a, b)
+		if m != minmodSlope(b, a) {
+			return false
+		}
+		if math.Abs(m) > math.Abs(a) && math.Abs(m) > math.Abs(b) {
+			return false
+		}
+		if a*b > 0 && sign(m) != sign(a) {
+			return false
+		}
+		if a*b <= 0 && m != 0 {
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(prop, nil); err != nil {
+		t.Error(err)
+	}
+}
+
+// mcSlope must reduce to the centred slope on smooth monotone data and
+// vanish at extrema.
+func TestMCLimiter(t *testing.T) {
+	if got := mcSlope(1, 1); got != 1 {
+		t.Errorf("mcSlope(1,1) = %v, want 1", got)
+	}
+	if got := mcSlope(1, -1); got != 0 {
+		t.Errorf("mcSlope(1,-1) = %v, want 0", got)
+	}
+	// Steep one-sided gradient: limited to 2x the smaller slope.
+	if got := mcSlope(1, 100); got != 2 {
+		t.Errorf("mcSlope(1,100) = %v, want 2", got)
+	}
+}
+
+// mcSlope is the three-argument minmod of 2a, 2b and (a+b)/2: zero unless
+// a and b share a sign, otherwise that sign and no larger in magnitude
+// than any of the three.
+func TestMCProperties(t *testing.T) {
+	prop := func(a, b float64) bool {
+		if math.IsNaN(a) || math.IsNaN(b) {
+			return true
+		}
+		m := mcSlope(a, b)
+		for _, c := range []float64{2 * a, 2 * b, 0.5 * (a + b)} {
+			if math.Abs(m) > math.Abs(c)+1e-300 {
+				return false
+			}
+		}
+		if sign(a) == sign(b) && sign(a) != 0 {
+			return sign(m) == sign(a)
+		}
+		return m == 0
+	}
+	if err := quick.Check(prop, nil); err != nil {
+		t.Error(err)
+	}
+}
+
+func TestVanLeer(t *testing.T) {
+	if got := vanLeerSlope(1, 1); got != 1 {
+		t.Errorf("vanLeerSlope(1,1) = %v", got)
+	}
+	if got := vanLeerSlope(2, -3); got != 0 {
+		t.Errorf("vanLeerSlope(2,-3) = %v", got)
+	}
+	// Harmonic mean of 1 and 3 slopes: 2*1*3/4 = 1.5.
+	if got := vanLeerSlope(1, 3); math.Abs(got-1.5) > 1e-15 {
+		t.Errorf("vanLeerSlope(1,3) = %v, want 1.5", got)
+	}
+}
+
+func TestVanLeerBoundedByMC(t *testing.T) {
+	prop := func(a, b float64) bool {
+		if math.IsNaN(a) || math.IsNaN(b) || math.IsInf(a, 0) || math.IsInf(b, 0) {
+			return true
+		}
+		// Both limiters are TVD: |phi| <= |MC| is not a theorem, but both
+		// must be bounded by 2*min(|a|,|b|) on same-sign input.
+		vl := math.Abs(vanLeerSlope(a, b))
+		bound := 2 * math.Min(math.Abs(a), math.Abs(b))
+		return vl <= bound*(1+1e-12)
+	}
+	if err := quick.Check(prop, nil); err != nil {
+		t.Error(err)
 	}
 }
