@@ -344,15 +344,6 @@ func (t *Tree) TotalMass() float64 {
 	return m
 }
 
-// TotalEnergy sums the conserved energy over all leaves.
-func (t *Tree) TotalEnergy() float64 {
-	e := 0.0
-	for _, n := range t.leaves {
-		e += n.sol.G.TotalEnergy()
-	}
-	return e
-}
-
 // wrap maps a coordinate into the periodic domain.
 func wrap(x, lo, hi float64) float64 {
 	w := hi - lo

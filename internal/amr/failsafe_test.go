@@ -156,3 +156,12 @@ func TestFailSafeTreeMaxFracDemotes(t *testing.T) {
 		t.Fatalf("demoted stage repaired cells: %d", tr.RepairedCells())
 	}
 }
+
+// TotalEnergy sums the conserved energy over all leaves.
+func (t *Tree) TotalEnergy() float64 {
+	e := 0.0
+	for _, n := range t.leaves {
+		e += n.sol.G.TotalEnergy()
+	}
+	return e
+}

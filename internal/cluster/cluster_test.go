@@ -261,15 +261,6 @@ func TestRunRejectsFailSafe(t *testing.T) {
 	})
 }
 
-func TestPerfectSpeedup(t *testing.T) {
-	if PerfectSpeedup(8, 4) != 2 {
-		t.Error("PerfectSpeedup wrong")
-	}
-	if !math.IsNaN(PerfectSpeedup(8, 0)) {
-		t.Error("degenerate input not NaN")
-	}
-}
-
 func TestWorldValidation(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -173,9 +173,6 @@ func (c *Comm) Rank() int { return c.rank }
 // Size returns the world size.
 func (c *Comm) Size() int { return c.w.size }
 
-// Era returns this communicator's recovery era.
-func (c *Comm) Era() uint64 { return c.era }
-
 // SetEra moves this rank into recovery era e (no-op unless e > era):
 // frames it sends from now on carry the new era, frames from before it
 // (in flight, stashed, or retransmitted later) are acknowledged and
@@ -200,7 +197,7 @@ func (c *Comm) SetEra(e uint64) {
 	}
 }
 
-// AdvanceEra is SetEra(Era()+1).
+// AdvanceEra moves this rank into the next recovery era (SetEra(era+1)).
 func (c *Comm) AdvanceEra() { c.SetEra(c.era + 1) }
 
 // Send posts data to dst with a tag and the sender's virtual timestamp.
@@ -463,9 +460,6 @@ func (c *Comm) allReduce(x float64, op func(a, b float64) float64) float64 {
 	return v[0]
 }
 
-// Barrier synchronises all ranks (an AllReduce of zero).
-func (c *Comm) Barrier() { c.allReduce(0, math.Min) }
-
 // Gather collects each rank's slice on rank 0 in rank order; other ranks
 // receive nil.
 func (c *Comm) Gather(data []float64) [][]float64 {
@@ -481,47 +475,6 @@ func (c *Comm) Gather(data []float64) [][]float64 {
 		out[src] = v
 	}
 	return out
-}
-
-// AllGather collects every rank's slice on every rank, in rank order.
-// Slices may have different lengths (including zero). Every rank must
-// call it. The returned slices alias the transported buffers; callers
-// must not mutate them.
-func (c *Comm) AllGather(data []float64) [][]float64 {
-	n := c.Size()
-	if n == 1 {
-		return [][]float64{data}
-	}
-	if c.rank == 0 {
-		parts := make([][]float64, n)
-		parts[0] = data
-		for src := 1; src < n; src++ {
-			v, _ := mustRecv(c.Recv(src, tagReduce))
-			parts[src] = v
-		}
-		// Rebroadcast as one flat message: [len_0 … len_{n-1}, payload…].
-		flat := make([]float64, n)
-		for r, p := range parts {
-			flat[r] = float64(len(p))
-		}
-		for _, p := range parts {
-			flat = append(flat, p...)
-		}
-		for dst := 1; dst < n; dst++ {
-			c.Send(dst, tagBcast, flat, 0)
-		}
-		return parts
-	}
-	c.Send(0, tagReduce, data, 0)
-	flat, _ := mustRecv(c.Recv(0, tagBcast))
-	parts := make([][]float64, n)
-	off := n
-	for r := 0; r < n; r++ {
-		l := int(flat[r])
-		parts[r] = flat[off : off+l]
-		off += l
-	}
-	return parts
 }
 
 // NetModel charges virtual time to messages: Latency seconds per message

@@ -71,47 +71,3 @@ func TestPerTagOrder(t *testing.T) {
 	}()
 	wg.Wait()
 }
-
-// TestAllGather checks the variable-length allgather every rank of the
-// distributed-AMR driver uses to publish refinement indicators.
-func TestAllGather(t *testing.T) {
-	const n = 4
-	w := NewWorld(n)
-	var wg sync.WaitGroup
-	wg.Add(n)
-	errs := make([]string, n)
-	for rank := 0; rank < n; rank++ {
-		go func(rank int) {
-			defer wg.Done()
-			c := w.Comm(rank)
-			// Rank r contributes r values (rank 0 contributes none).
-			data := make([]float64, rank)
-			for i := range data {
-				data[i] = float64(rank*100 + i)
-			}
-			parts := c.AllGather(data)
-			if len(parts) != n {
-				errs[rank] = "wrong part count"
-				return
-			}
-			for src, part := range parts {
-				if len(part) != src {
-					errs[rank] = "wrong part length"
-					return
-				}
-				for i, v := range part {
-					if v != float64(src*100+i) {
-						errs[rank] = "wrong payload"
-						return
-					}
-				}
-			}
-		}(rank)
-	}
-	wg.Wait()
-	for rank, e := range errs {
-		if e != "" {
-			t.Errorf("rank %d: %s", rank, e)
-		}
-	}
-}

@@ -35,29 +35,12 @@ func (w *World) Kill(r int) {
 // Failed reports whether rank r has been killed.
 func (w *World) Failed(r int) bool { return w.failed[r].Load() }
 
-// AliveRanks returns the ranks not (yet) killed, ascending. Note the
-// caveat in the package comment: concurrent with a Kill this is only
-// eventually consistent — protocols needing agreement must derive the
-// survivor set from a fault-tolerant collective instead.
-func (w *World) AliveRanks() []int {
-	alive := make([]int, 0, w.size)
-	for r := 0; r < w.size; r++ {
-		if !w.Failed(r) {
-			alive = append(alive, r)
-		}
-	}
-	return alive
-}
-
 // Kill marks this communicator's own rank failed (the injection entry
 // point: a rank kills itself and stops participating).
 func (c *Comm) Kill() { c.w.Kill(c.rank) }
 
 // Failed reports whether rank r has been killed.
 func (c *Comm) Failed(r int) bool { return c.w.Failed(r) }
-
-// AliveRanks returns the ranks not yet killed, ascending.
-func (c *Comm) AliveRanks() []int { return c.w.AliveRanks() }
 
 // AckAlarm reads the world's alarm generation and records it as processed
 // by this rank — the snapshot a rank takes at its recovery point. It

@@ -521,12 +521,3 @@ func runRank(comm *Comm, p *testprob.Problem, nGlob int, starts []int, nyGlob, n
 		Rho: rho, TotalMass: mass,
 	}, nil
 }
-
-// PerfectSpeedup is a helper for the scaling tables: ideal virtual time at
-// p ranks given the 1-rank time.
-func PerfectSpeedup(t1 float64, p int) float64 {
-	if p < 1 {
-		return math.NaN()
-	}
-	return t1 / float64(p)
-}

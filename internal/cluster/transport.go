@@ -142,9 +142,6 @@ func (w *World) NetCounters() *metrics.TransportCounters {
 	return w.tc.Counters
 }
 
-// Reliable reports whether the world runs the reliable framing layer.
-func (w *World) Reliable() bool { return w.rel != nil }
-
 // RecvDeadline returns the configured base receive deadline (0 for a
 // default world).
 func (w *World) RecvDeadline() time.Duration {
@@ -191,10 +188,3 @@ func (a *alarm) raise() {
 // (Comm.AckAlarm). The detector must Kill the suspect *before* raising
 // the alarm so every woken rank computes the same survivor set.
 func (w *World) Alarm() { w.alarms.raise() }
-
-// AlarmGen returns the current alarm generation (ranks acknowledge it
-// through Comm.AckAlarm).
-func (w *World) AlarmGen() uint64 {
-	_, gen := w.alarms.state()
-	return gen
-}

@@ -243,8 +243,8 @@ func TestChaosSilenceSuspect(t *testing.T) {
 	if !w.Failed(0) {
 		t.Error("suspected rank not excluded")
 	}
-	if w.AlarmGen() != 1 {
-		t.Errorf("AlarmGen = %d, want 1", w.AlarmGen())
+	if _, gen := w.alarms.state(); gen != 1 {
+		t.Errorf("alarm generation = %d, want 1", gen)
 	}
 }
 

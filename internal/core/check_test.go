@@ -78,20 +78,24 @@ func TestCheckStateIgnoresGhosts(t *testing.T) {
 }
 
 // TestFaultStrictChecksAbortStage pins the per-stage validation path: a
-// source term that returns NaN from a chosen step on poisons the first RK
-// stage. The stage's primitive recovery resets the poisoned cells to
-// atmosphere (rewriting the conserved state), so the violation must
-// surface through the stage's c2p reset count, before the step completes.
+// fault hook armed from a chosen step on writes a finite conserved state
+// with positive D and τ that no primitive state maps to (superluminal,
+// S² > (τ+D)²) into one cell after the first RK stage. Every whole-state
+// scan passes such a cell; the stage's primitive recovery cannot invert
+// it and resets it to atmosphere (rewriting the conserved state), so the
+// violation must surface through the stage's c2p reset count, before the
+// step completes, with the state the inversion rejected.
 func TestFaultStrictChecksAbortStage(t *testing.T) {
 	g := grid1D(32, 2)
 	cfg := DefaultConfig()
 	cfg.StrictChecks = true
 	armed := false
-	cfg.Source = func(x, _, _ float64, w state.Prim) state.Cons {
-		if armed {
-			return state.Cons{Tau: math.NaN()}
+	bad := state.Cons{D: 1, Sx: 5, Tau: 1}
+	i := g.IBeg() + 7
+	cfg.FaultHook = func(stage int, u *state.Fields) {
+		if armed && stage == 1 {
+			u.SetCons(g.Idx(i, 0, 0), bad)
 		}
-		return state.Cons{}
 	}
 	s, err := New(g, cfg)
 	if err != nil {
@@ -113,8 +117,17 @@ func TestFaultStrictChecksAbortStage(t *testing.T) {
 	if se.Stage != 1 {
 		t.Fatalf("violation reported at stage %d, want 1", se.Stage)
 	}
-	if se.C2PResets == 0 {
-		t.Fatalf("expected c2p resets in %v", se)
+	if se.C2PResets != 1 {
+		t.Fatalf("expected one c2p reset in %v", se)
+	}
+	if se.NonFinite != 0 || se.NegDens != 0 || se.NegEnergy != 0 {
+		t.Fatalf("the scans fired instead of the reset count: %v", se)
+	}
+	if se.First != [3]int{i, 0, 0} || se.FirstCons != bad {
+		t.Fatalf("first violation %v %+v, want %v %+v", se.First, se.FirstCons, [3]int{i, 0, 0}, bad)
+	}
+	if errors.Is(err, ErrNonFinite) {
+		t.Fatalf("a finite violation matched ErrNonFinite: %v", err)
 	}
 }
 

@@ -267,22 +267,12 @@ func (s *Solver) FSRepair(stage int, dt, a, b float64) error {
 	}
 
 	// Flagged cells: re-update from the clean pre-stage snapshot with the
-	// accumulated first-order divergence (plus the source term, evaluated
-	// from the same pre-stage primitives the original RHS used).
+	// accumulated first-order divergence.
 	mask, touched := s.fsMask, s.fsTouched
-	src := s.Cfg.Source
 	u, u0, fu, rhs := g.U, s.u0, s.fsU, s.rhs
-	g.ForEachInterior(func(idx, i, j, k int) {
+	g.ForEachInterior(func(idx, _, _, _ int) {
 		if mask[idx] == 0 {
 			return
-		}
-		if src != nil {
-			c := src(g.X(i), g.Y(j), g.Z(k), s.fsW.GetPrim(idx))
-			rhs.Comp[state.ID][idx] += c.D
-			rhs.Comp[state.ISx][idx] += c.Sx
-			rhs.Comp[state.ISy][idx] += c.Sy
-			rhs.Comp[state.ISz][idx] += c.Sz
-			rhs.Comp[state.ITau][idx] += c.Tau
 		}
 		for c := 0; c < state.NComp; c++ {
 			u.Comp[c][idx] = a*u0.Comp[c][idx] + b*(fu.Comp[c][idx]+dt*rhs.Comp[c][idx])

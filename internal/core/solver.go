@@ -18,8 +18,8 @@
 // scheduling unit: the shared-memory path dispatches tile ranges onto the
 // par.Pool, the heterogeneous path (package hetero) dispatches them onto
 // devices through Config.TileExec, and the distributed path (package
-// cluster) runs the same solver per rank on its subdomain. NumTiles and
-// TileZones expose exactly this decomposition.
+// cluster) runs the same solver per rank on its subdomain. TileZones
+// exposes exactly this decomposition.
 package core
 
 import (
@@ -80,13 +80,6 @@ type Config struct {
 	// kernel (flux.go). The field remains only because bench/, which a
 	// kernel change may not edit, still sets it.
 	Fused bool
-	// C2POpts overrides the conservative-to-primitive options; zero value
-	// selects c2p.DefaultOptions.
-	C2POpts c2p.Options
-	// Source, when non-nil, adds the source term Source(x,y,z,w) to the
-	// right-hand side of the cell at physical position (x,y,z) with
-	// primitive state w.
-	Source func(x, y, z float64, w state.Prim) state.Cons
 	// TileJ and TileK set the pencil-tile extents (in cells along y and z)
 	// of the cache-blocked fused-direction traversal; zero selects the
 	// default. Tile sizes need not divide the grid — edge tiles shrink.
@@ -260,9 +253,6 @@ func New(g *grid.Grid, cfg Config) (*Solver, error) {
 		return nil, fmt.Errorf("core: negative tile size %dx%d", cfg.TileJ, cfg.TileK)
 	}
 	cs := c2p.NewSolver(cfg.EOS)
-	if cfg.C2POpts != (c2p.Options{}) {
-		cs.Opts = cfg.C2POpts
-	}
 	maxRow := g.TotalX
 	if g.TotalY > maxRow {
 		maxRow = g.TotalY
@@ -505,7 +495,7 @@ func (s *Solver) combineCFL() float64 {
 // Γ-law gas, one EOS call otherwise), and so are the parts of
 // state.SignalSpeeds that do not involve v_d — 1 − v², 1 − v²c_s²,
 // 1 − c_s² and c_s — which speed combines per direction with the same
-// operations: bitwise what state.MaxAbsSpeed recomputes per direction.
+// operations: bitwise what state.SignalSpeeds recomputes per direction.
 func (s *Solver) rowCFL(row int) float64 {
 	g := s.G
 	m := &s.m
@@ -660,17 +650,6 @@ func (s *Solver) ComputeRHS(rhs *state.Fields) {
 	} else {
 		s.parallelFor(len(s.tiles), s.tileChunk)
 	}
-	if src := s.Cfg.Source; src != nil {
-		g := s.G
-		g.ForEachInterior(func(idx, i, j, k int) {
-			c := src(g.X(i), g.Y(j), g.Z(k), g.W.GetPrim(idx))
-			rhs.Comp[state.ID][idx] += c.D
-			rhs.Comp[state.ISx][idx] += c.Sx
-			rhs.Comp[state.ISy][idx] += c.Sy
-			rhs.Comp[state.ISz][idx] += c.Sz
-			rhs.Comp[state.ITau][idx] += c.Tau
-		})
-	}
 	s.St.RHSEvals.Add(1)
 	s.St.ZoneUpdates.Add(int64(s.G.Nx * s.G.Ny * s.G.Nz))
 }
@@ -692,32 +671,6 @@ func (s *Solver) MaxDt() float64 {
 		maxSum = 1 / s.G.Dx
 	}
 	return s.Cfg.CFL / maxSum
-}
-
-// GeometricSource returns the source term that converts the 1-D planar
-// solver into curvilinear radial symmetry, treating x as the radius r:
-// alpha = 1 gives cylindrical symmetry, alpha = 2 spherical. The radial
-// part of the divergence 1/r^α ∂_r(r^α F) − ∂_r F contributes
-//
-//	S(D)   = −α/r · D v_r
-//	S(S_r) = −α/r · S_r v_r     (the pressure term is not geometric)
-//	S(τ)   = −α/r · (S_r − D v_r)
-//
-// Use with a Reflect boundary at r = 0 (or a grid starting at r > 0).
-func GeometricSource(e eos.EOS, alpha int) func(x, y, z float64, w state.Prim) state.Cons {
-	a := float64(alpha)
-	return func(x, _, _ float64, w state.Prim) state.Cons {
-		if x <= 0 {
-			return state.Cons{}
-		}
-		u := w.ToCons(e)
-		f := a / x * w.Vx
-		return state.Cons{
-			D:   -f * u.D,
-			Sx:  -a / x * u.Sx * w.Vx,
-			Tau: -a / x * (u.Sx - u.D*w.Vx),
-		}
-	}
 }
 
 // ErrNonFinite is returned by Step when the update produced NaN or Inf.

@@ -367,34 +367,6 @@ func TestBlast2DQuadrantSymmetry(t *testing.T) {
 	}
 }
 
-// Source terms: a uniform mass-injection source must grow the total mass
-// linearly at the injected rate.
-func TestSourceTerm(t *testing.T) {
-	g := grid.New(grid.Geometry{Nx: 32, Ny: 1, Nz: 1, Ng: 2, X0: 0, X1: 1})
-	g.SetAllBCs(grid.Periodic)
-	cfg := DefaultConfig()
-	const rate = 0.1
-	cfg.Source = func(x, y, z float64, w state.Prim) state.Cons {
-		return state.Cons{D: rate}
-	}
-	s, err := New(g, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.InitFromPrim(func(x, _, _ float64) state.Prim {
-		return state.Prim{Rho: 1, P: 1}
-	})
-	m0 := g.TotalMass()
-	const tEnd = 0.25
-	if _, err := s.Advance(tEnd); err != nil {
-		t.Fatal(err)
-	}
-	want := m0 + rate*tEnd // volume is 1
-	if got := g.TotalMass(); math.Abs(got-want) > 1e-10 {
-		t.Errorf("mass = %v, want %v", got, want)
-	}
-}
-
 func TestStatsCounting(t *testing.T) {
 	g := grid1D(32, 2)
 	cfg := DefaultConfig()

@@ -77,10 +77,6 @@ func (s *Solver) initTiles() {
 	s.tileChunk = func(lo, hi int) { s.sweepTiles(lo, hi, s.curRHS) }
 }
 
-// NumTiles returns the number of pencil tiles of the cache-blocked
-// traversal — the parallel work unit count.
-func (s *Solver) NumTiles() int { return len(s.tiles) }
-
 // TileZones returns the number of interior zones tiles [lo, hi) own (the
 // work unit for device cost models; edge tiles are smaller).
 func (s *Solver) TileZones(lo, hi int) int {

@@ -175,7 +175,7 @@ func TestTileDecompositionCovers(t *testing.T) {
 					t.Fatalf("%s tj=%d tk=%d: %d owned pencils, want %d",
 						sh.name, tj, tk, want, ny*nz)
 				}
-				if got, want := s.TileZones(0, s.NumTiles()), sh.nx*sh.ny*sh.nz; got != want {
+				if got, want := s.TileZones(0, len(s.tiles)), sh.nx*sh.ny*sh.nz; got != want {
 					t.Fatalf("%s tj=%d tk=%d: TileZones = %d, want %d", sh.name, tj, tk, got, want)
 				}
 			}

@@ -63,18 +63,6 @@ func (s *Solver) Tracer(idx int) float64 {
 	return s.trc.prim[idx]
 }
 
-// TracerTotal returns Σ D_X dV — conserved alongside the rest mass.
-func (s *Solver) TracerTotal() float64 {
-	if s.trc == nil {
-		return 0
-	}
-	sum := 0.0
-	s.G.ForEachInterior(func(idx, _, _, _ int) {
-		sum += s.trc.cons[idx]
-	})
-	return sum * s.G.CellVolume()
-}
-
 // tracerGhosts fills the tracer ghost zones. The scalar is wrapped in a
 // throwaway Fields (component 0) so the grid's boundary machinery —
 // including Custom inflow hooks, which see component 0 as density-like —

@@ -53,10 +53,11 @@ func TestCrashAtEveryWritePoint(t *testing.T) {
 			dir := t.TempDir()
 			ffs := NewFaultFS(OS, Plan{CrashAtOp: op, TornBytes: torn})
 			err := crashScript(ffs, dir)
-			if op <= total && !ffs.Crashed() {
+			if op <= total && ffs.Ops() < op {
 				// Later ops may legitimately not be reached when the
 				// crash consumed earlier ones; but op <= total means
-				// the crash must have fired.
+				// the crash must have fired, and the op count reaches
+				// CrashAtOp exactly when it does.
 				t.Fatalf("op %d torn %d: crash never fired (err %v)", op, torn, err)
 			}
 

@@ -83,13 +83,6 @@ func (f *FaultFS) Ops() int {
 	return f.ops
 }
 
-// Crashed reports whether the injected crash has fired.
-func (f *FaultFS) Crashed() bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.crashed
-}
-
 // op gates one mutating operation: it returns (deadErr, failErr,
 // torn). deadErr non-nil means the op must not apply (crashed before
 // or at this op, with torn>=0 telling a Write how many bytes still

@@ -86,16 +86,6 @@ func NewWriter(w io.Writer) *Writer {
 	return &Writer{w: w, pending: make([]byte, 0, DefaultChunkSize)}
 }
 
-// Reset rearms the writer onto a new underlying stream, reusing its
-// chunk buffer (pooled-buffer callers re-frame without allocating).
-func (fw *Writer) Reset(w io.Writer) {
-	fw.w = w
-	fw.pending = fw.pending[:0]
-	fw.headerDone = false
-	fw.chunks, fw.total, fw.stream = 0, 0, 0
-	fw.sealed = false
-}
-
 // Write buffers p, flushing DefaultChunkSize chunks as they fill.
 func (fw *Writer) Write(p []byte) (int, error) {
 	if fw.sealed {

@@ -154,22 +154,6 @@ func TestFrameRejectsWrongVersion(t *testing.T) {
 	}
 }
 
-func TestWriterResetReuses(t *testing.T) {
-	var a, b bytes.Buffer
-	fw := NewWriter(&a)
-	fw.Write(patterned(100))
-	fw.Seal()
-	fw.Reset(&b)
-	fw.Write(patterned(50))
-	if err := fw.Seal(); err != nil {
-		t.Fatal(err)
-	}
-	got, err := unseal(b.Bytes())
-	if err != nil || !bytes.Equal(got, patterned(50)) {
-		t.Fatalf("reset writer: %v", err)
-	}
-}
-
 func TestSections(t *testing.T) {
 	var buf bytes.Buffer
 	fw := NewWriter(&buf)

@@ -75,12 +75,6 @@ func Open(fsys FS, dir string, counters *metrics.DurableCounters) (*Store, error
 	return s, nil
 }
 
-// Counters exposes the store's counter set (shared if Open got one).
-func (s *Store) Counters() *metrics.DurableCounters { return s.c }
-
-// Dir returns the store's directory.
-func (s *Store) Dir() string { return s.dir }
-
 // genFile formats the on-disk name of one generation.
 func genFile(name string, gen uint64) string {
 	return fmt.Sprintf("%s.g%08d%s", name, gen, genSuffix)
@@ -361,16 +355,6 @@ func (s *Store) loadOne(file string, read func(r io.Reader) error) error {
 		return err
 	}
 	return fr.Verify()
-}
-
-// Latest reports name's newest generation number by filename, without
-// verifying it (use Load for a verified answer).
-func (s *Store) Latest(name string) (uint64, bool) {
-	gens, err := s.generations(name)
-	if err != nil || len(gens) == 0 {
-		return 0, false
-	}
-	return gens[len(gens)-1], true
 }
 
 // Remove deletes every generation of name (spool consumption after a

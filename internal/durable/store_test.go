@@ -50,7 +50,7 @@ func TestStoreCommitLoadRoundTrip(t *testing.T) {
 	if err != nil || gen != 2 || string(got) != "beta" {
 		t.Fatalf("load: %q g%d %v", got, gen, err)
 	}
-	if c := s.Counters().Snapshot(); c.Commits != 2 || c.Recoveries != 0 {
+	if c := s.c.Snapshot(); c.Commits != 2 || c.Recoveries != 0 {
 		t.Fatalf("counters %+v", c)
 	}
 }

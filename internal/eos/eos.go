@@ -7,17 +7,15 @@
 // the relativistic sound speed satisfies c_s² = (∂p/∂e)_s evaluated for the
 // particular closure.
 //
-// Four closures are provided:
+// Three closures are provided:
 //
 //   - IdealGas: the Γ-law gas p = (Γ−1)ρε, the workhorse of HRSC test
 //     problems (Sod tubes, blast waves).
-//   - Polytrope: the barotropic p = Kρ^Γ used for isentropic initial data.
 //   - TaubMathews: the analytic approximation to the Synge relativistic
 //     perfect gas with a variable effective adiabatic index between 5/3
 //     (cold) and 4/3 (ultra-relativistic).
-//   - Table: a tabulated EOS with bilinear log-space interpolation,
-//     standing in for the microphysical tables production codes read from
-//     stellarcollapse.org-style data (built synthetically here).
+//   - Hybrid: a cold polytrope p_c = Kρ^Γc plus a thermal Γ-law part, the
+//     compact-object closure.
 package eos
 
 import (
@@ -61,9 +59,6 @@ func NewIdealGas(gamma float64) IdealGas {
 // Name implements EOS.
 func (g IdealGas) Name() string { return fmt.Sprintf("ideal-gamma-%.3g", g.GammaAd) }
 
-// Gamma returns the adiabatic index.
-func (g IdealGas) Gamma() float64 { return g.GammaAd }
-
 // Pressure implements EOS: p = (Γ−1) ρ ε.
 func (g IdealGas) Pressure(rho, eps float64) float64 {
 	return (g.GammaAd - 1) * rho * eps
@@ -83,52 +78,6 @@ func (g IdealGas) Enthalpy(rho, p float64) float64 {
 func (g IdealGas) SoundSpeed2(rho, p float64) float64 {
 	h := g.Enthalpy(rho, p)
 	return g.GammaAd * p / (rho * h)
-}
-
-// Polytrope is the barotropic equation of state p = K ρ^Γ. The internal
-// energy follows the isentropic relation ε = K ρ^{Γ−1}/(Γ−1), so a
-// Polytrope is thermodynamically the isentrope of the corresponding ideal
-// gas. Pressure ignores ε by construction.
-type Polytrope struct {
-	K       float64 // polytropic constant
-	GammaAd float64 // polytropic exponent
-}
-
-// NewPolytrope returns a polytropic EOS, panicking on non-physical inputs.
-func NewPolytrope(k, gamma float64) Polytrope {
-	if k <= 0 {
-		panic("eos: polytropic constant must be positive")
-	}
-	if gamma <= 1 {
-		panic("eos: polytropic exponent must exceed 1")
-	}
-	return Polytrope{K: k, GammaAd: gamma}
-}
-
-// Name implements EOS.
-func (pt Polytrope) Name() string {
-	return fmt.Sprintf("polytrope-K%.3g-gamma%.3g", pt.K, pt.GammaAd)
-}
-
-// Pressure implements EOS. The ε argument is ignored: the closure is
-// barotropic.
-func (pt Polytrope) Pressure(rho, _ float64) float64 {
-	return pt.K * math.Pow(rho, pt.GammaAd)
-}
-
-// Eps implements EOS using the isentropic internal energy ε = p/((Γ−1)ρ).
-func (pt Polytrope) Eps(rho, p float64) float64 {
-	return p / ((pt.GammaAd - 1) * rho)
-}
-
-// Enthalpy implements EOS: h = 1 + Γ/(Γ−1) · p/ρ along the isentrope.
-func (pt Polytrope) Enthalpy(rho, p float64) float64 {
-	return 1 + pt.GammaAd/(pt.GammaAd-1)*p/rho
-}
-
-// SoundSpeed2 implements EOS: c_s² = Γ p / (ρ h).
-func (pt Polytrope) SoundSpeed2(rho, p float64) float64 {
-	return pt.GammaAd * p / (rho * pt.Enthalpy(rho, p))
 }
 
 // TaubMathews is the analytic approximation to the Synge relativistic
@@ -259,16 +208,4 @@ func (h Hybrid) SoundSpeed2(rho, p float64) float64 {
 		return 1 - 1e-12
 	}
 	return c
-}
-
-// EffectiveGamma returns the local effective adiabatic index
-// Γ_eff = (h − 1) / (h − 1 − θ) · θ/ε ... reported as the standard
-// diagnostic Γ_eff = 1 + p/(ρ ε h_th) where h_th = ε + θ is the thermal
-// enthalpy. It interpolates between 5/3 and 4/3.
-func (tm TaubMathews) EffectiveGamma(rho, p float64) float64 {
-	eps := tm.Eps(rho, p)
-	if eps <= 0 {
-		return 5.0 / 3.0
-	}
-	return 1 + (p/rho)/eps
 }

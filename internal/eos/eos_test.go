@@ -53,7 +53,6 @@ func TestSoundSpeedCausality(t *testing.T) {
 		NewIdealGas(5.0 / 3.0),
 		NewIdealGas(2.0),
 		TaubMathews{},
-		NewPolytrope(1, 4.0/3.0),
 	}
 	rng := rand.New(rand.NewSource(7))
 	for _, c := range closures {
@@ -71,7 +70,7 @@ func TestSoundSpeedCausality(t *testing.T) {
 // Thermodynamic consistency: h = 1 + eps + p/rho must hold for Pressure/Eps
 // round trips of every closure.
 func TestEnthalpyConsistency(t *testing.T) {
-	closures := []EOS{NewIdealGas(5.0 / 3.0), TaubMathews{}, NewPolytrope(0.8, 5.0/3.0)}
+	closures := []EOS{NewIdealGas(5.0 / 3.0), TaubMathews{}}
 	rng := rand.New(rand.NewSource(11))
 	for _, c := range closures {
 		for i := 0; i < 500; i++ {
@@ -105,9 +104,11 @@ func TestTaubMathewsRoundTrip(t *testing.T) {
 
 func TestTaubMathewsLimits(t *testing.T) {
 	tm := TaubMathews{}
+	// The effective adiabatic index Γ_eff = 1 + p/(ρε).
+	effectiveGamma := func(rho, p float64) float64 { return 1 + (p/rho)/tm.Eps(rho, p) }
 	// Cold limit: Gamma_eff -> 5/3, cs2 -> (5/3) p/rho.
 	rho, p := 1.0, 1e-8
-	if g := tm.EffectiveGamma(rho, p); math.Abs(g-5.0/3.0) > 1e-3 {
+	if g := effectiveGamma(rho, p); math.Abs(g-5.0/3.0) > 1e-3 {
 		t.Errorf("cold EffectiveGamma = %v, want 5/3", g)
 	}
 	if c := tm.SoundSpeed2(rho, p); math.Abs(c-(5.0/3.0)*p/rho)/((5.0/3.0)*p/rho) > 1e-3 {
@@ -115,7 +116,7 @@ func TestTaubMathewsLimits(t *testing.T) {
 	}
 	// Hot limit: Gamma_eff -> 4/3, cs2 -> 1/3.
 	p = 1e8
-	if g := tm.EffectiveGamma(rho, p); math.Abs(g-4.0/3.0) > 1e-3 {
+	if g := effectiveGamma(rho, p); math.Abs(g-4.0/3.0) > 1e-3 {
 		t.Errorf("hot EffectiveGamma = %v, want 4/3", g)
 	}
 	if c := tm.SoundSpeed2(rho, p); math.Abs(c-1.0/3.0) > 1e-3 {
@@ -140,109 +141,6 @@ func TestTaubMathewsIdentity(t *testing.T) {
 		if math.Abs(lhs-1) > 1e-9*(1+h*h) {
 			t.Fatalf("TM identity violated: (h-θ)(h-4θ) = %v at θ=%v", lhs, theta)
 		}
-	}
-}
-
-func TestPolytropePressureIgnoresEps(t *testing.T) {
-	pt := NewPolytrope(2, 1.5)
-	if p1, p2 := pt.Pressure(1.7, 0.1), pt.Pressure(1.7, 99); p1 != p2 {
-		t.Errorf("barotropic pressure depends on eps: %v vs %v", p1, p2)
-	}
-	if p := pt.Pressure(4, 0); math.Abs(p-2*8) > 1e-12 {
-		t.Errorf("Pressure(4) = %v, want 16", p)
-	}
-}
-
-func TestPolytropePanics(t *testing.T) {
-	for _, f := range []func(){
-		func() { NewPolytrope(0, 2) },
-		func() { NewPolytrope(1, 1) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("expected panic")
-				}
-			}()
-			f()
-		}()
-	}
-}
-
-func TestBuildTableValidation(t *testing.T) {
-	g := NewIdealGas(5.0 / 3.0)
-	if _, err := BuildTable(g, 1e-3, 1e3, 1e-3, 1e3, 3, 10); err == nil {
-		t.Error("too few samples accepted")
-	}
-	if _, err := BuildTable(g, -1, 1e3, 1e-3, 1e3, 10, 10); err == nil {
-		t.Error("negative bound accepted")
-	}
-	if _, err := BuildTable(g, 1e3, 1e-3, 1e-3, 1e3, 10, 10); err == nil {
-		t.Error("decreasing bounds accepted")
-	}
-}
-
-// The table built from an ideal gas must reproduce the ideal gas to
-// interpolation accuracy, both on and off grid points.
-func TestTableMatchesBase(t *testing.T) {
-	g := NewIdealGas(5.0 / 3.0)
-	tab, err := BuildTable(g, 1e-4, 1e4, 1e-4, 1e4, 128, 128)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(5))
-	for i := 0; i < 500; i++ {
-		rho := math.Exp(rng.Float64()*12 - 6)
-		eps := math.Exp(rng.Float64()*12 - 6)
-		pw := g.Pressure(rho, eps)
-		pg := tab.Pressure(rho, eps)
-		if math.Abs(pg-pw)/pw > 5e-3 {
-			t.Fatalf("table pressure %v vs base %v at rho=%v eps=%v", pg, pw, rho, eps)
-		}
-		cw := g.SoundSpeed2(rho, pw)
-		cg := tab.SoundSpeed2(rho, pg)
-		if math.Abs(cg-cw) > 5e-3 {
-			t.Fatalf("table cs2 %v vs base %v", cg, cw)
-		}
-	}
-}
-
-func TestTableEpsInversion(t *testing.T) {
-	g := NewIdealGas(4.0 / 3.0)
-	tab, err := BuildTable(g, 1e-3, 1e3, 1e-3, 1e3, 96, 96)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(9))
-	for i := 0; i < 200; i++ {
-		rho := math.Exp(rng.Float64()*8 - 4)
-		eps := math.Exp(rng.Float64()*8 - 4)
-		p := tab.Pressure(rho, eps)
-		got := tab.Eps(rho, p)
-		if math.Abs(got-eps)/eps > 1e-2 {
-			t.Fatalf("Eps inversion: got %v want %v (rho=%v)", got, eps, rho)
-		}
-	}
-}
-
-func TestTableClampsOutOfRange(t *testing.T) {
-	g := NewIdealGas(5.0 / 3.0)
-	tab, err := BuildTable(g, 1e-2, 1e2, 1e-2, 1e2, 16, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Far outside the table: must return finite, positive, causal values.
-	p := tab.Pressure(1e-10, 1e-10)
-	if !(p > 0) || math.IsInf(p, 0) {
-		t.Errorf("out-of-range pressure = %v", p)
-	}
-	c := tab.SoundSpeed2(1e10, 1e10)
-	if c < 0 || c >= 1 {
-		t.Errorf("out-of-range cs2 = %v", c)
-	}
-	rmin, rmax, emin, emax := tab.Bounds()
-	if rmin != 1e-2 || rmax != 1e2 || emin != 1e-2 || emax != 1e2 {
-		t.Errorf("Bounds = %v %v %v %v", rmin, rmax, emin, emax)
 	}
 }
 
@@ -323,8 +221,7 @@ func TestEOSNames(t *testing.T) {
 	if NewIdealGas(5.0/3.0).Name() == "" || (TaubMathews{}).Name() == "" {
 		t.Error("empty EOS name")
 	}
-	tab, _ := BuildTable(NewIdealGas(2.0), 1e-2, 1, 1e-2, 1, 8, 8)
-	if tab.Name() == "" {
-		t.Error("empty table name")
+	if NewHybrid(1, 2, 5.0/3.0).Name() == "" {
+		t.Error("empty hybrid name")
 	}
 }

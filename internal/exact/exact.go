@@ -15,8 +15,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-
-	"rhsc/internal/mathutil"
 )
 
 // State is a 1-D primitive hydrodynamic state.
@@ -253,7 +251,7 @@ func Solve(l, r State, gamma float64) (*Solution, error) {
 			return nil, errors.New("exact: failed to bracket star pressure")
 		}
 	}
-	pstar, err := mathutil.Brent(func(p float64) float64 {
+	pstar, err := brent(func(p float64) float64 {
 		v, e := f(p)
 		if e != nil {
 			// Brent cannot propagate errors; an inadmissible evaluation in
@@ -387,22 +385,4 @@ func (s *Solution) Sample(xi float64) State {
 		return State{Rho: s.RhoStarL, V: s.Vstar, P: s.Pstar}
 	}
 	return State{Rho: s.RhoStarR, V: s.Vstar, P: s.Pstar}
-}
-
-// SampleProfile evaluates the solution at time t on the cell centers xs
-// with the initial discontinuity at x0.
-func (s *Solution) SampleProfile(xs []float64, x0, t float64) []State {
-	out := make([]State, len(xs))
-	for i, x := range xs {
-		if t <= 0 {
-			if x < x0 {
-				out[i] = s.L
-			} else {
-				out[i] = s.R
-			}
-			continue
-		}
-		out[i] = s.Sample((x - x0) / t)
-	}
-	return out
 }

@@ -18,8 +18,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-
-	"rhsc/internal/mathutil"
 )
 
 // State2 is a 1-D state with transverse velocity.
@@ -234,7 +232,7 @@ func SolveVt(l, r State2, gamma float64) (*SolutionVt, error) {
 			return nil, errors.New("exact: failed to bracket star pressure")
 		}
 	}
-	pstar, err := mathutil.Brent(func(p float64) float64 {
+	pstar, err := brent(func(p float64) float64 {
 		v, e := f(p)
 		if e != nil {
 			panic(e)

@@ -1,10 +1,8 @@
 package hetero
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"slices"
 	"sort"
@@ -118,8 +116,8 @@ type Executor struct {
 	Devices []*Device
 	Policy  Policy
 
-	// Trace, when true, records one event per kernel for timeline
-	// (Gantt) export via TraceEvents / WriteTraceCSV.
+	// Trace, when true, records one TraceEvent per kernel: the device
+	// timeline the placement and chaos tests check.
 	Trace bool
 
 	// Chaos, when non-nil, is the deterministic chaos schedule: device
@@ -137,8 +135,7 @@ type Executor struct {
 
 	// mu guards every field below — the virtual makespan, phase counter,
 	// trace, backoff bookkeeping, affinity memory and idle scratch — so
-	// TraceEvents, Report, and the other read paths are safe while phases
-	// run.
+	// Report and the other read paths are safe while phases run.
 	mu        sync.Mutex
 	virtual   float64 // accumulated virtual makespan
 	phase     int64
@@ -224,16 +221,6 @@ func newPhaseScratch(n int) *phaseScratch {
 	return p
 }
 
-// MustExecutor is NewExecutor for statically known-good device sets;
-// it panics on input NewExecutor rejects.
-func MustExecutor(policy Policy, devices ...*Device) *Executor {
-	ex, err := NewExecutor(policy, devices...)
-	if err != nil {
-		panic(err)
-	}
-	return ex
-}
-
 // Router returns the executor's health-scored router (shared with every
 // solver the executor is attached to).
 func (ex *Executor) Router() *Router { return ex.router }
@@ -284,44 +271,6 @@ func (ex *Executor) BackoffVirtual() float64 {
 	ex.mu.Lock()
 	defer ex.mu.Unlock()
 	return ex.backoff
-}
-
-// Degraded reports whether a device has been lost and the executor is
-// running on the reduced set.
-func (ex *Executor) Degraded() bool { return ex.Stats.Degraded.Load() }
-
-// TraceEvents returns a copy of the recorded kernel timeline (Trace must
-// have been enabled), sorted by phase then device-local start time. Safe
-// to call while phases are executing.
-func (ex *Executor) TraceEvents() []TraceEvent {
-	ex.mu.Lock()
-	out := append([]TraceEvent(nil), ex.events...)
-	ex.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Phase != out[j].Phase {
-			return out[i].Phase < out[j].Phase
-		}
-		if out[i].Device != out[j].Device {
-			return out[i].Device < out[j].Device
-		}
-		return out[i].Start < out[j].Start
-	})
-	return out
-}
-
-// WriteTraceCSV dumps the kernel timeline for external Gantt plotting.
-func (ex *Executor) WriteTraceCSV(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintln(bw, "phase,device,tiles,zones,start,end"); err != nil {
-		return err
-	}
-	for _, e := range ex.TraceEvents() {
-		if _, err := fmt.Fprintf(bw, "%d,%s,%d,%d,%.9g,%.9g\n",
-			e.Phase, e.Device, e.Tiles, e.Zones, e.Start, e.End); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
 }
 
 // exec implements core.Config.TileExec for one attached solver: it plans,

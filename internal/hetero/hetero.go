@@ -244,16 +244,6 @@ func NewDevice(s Spec) (*Device, error) {
 	return &Device{Spec: s, slow: 1}, nil
 }
 
-// MustDevice is NewDevice for statically known-good specs (tests,
-// benchmark tables); it panics on a spec NewDevice rejects.
-func MustDevice(s Spec) *Device {
-	d, err := NewDevice(s)
-	if err != nil {
-		panic(err)
-	}
-	return d
-}
-
 // Staged reports whether the device copies its working set over the link
 // (a non-resident accelerator).
 func (d *Device) Staged() bool { return d.Spec.Kind == GPU && !d.Spec.Resident }

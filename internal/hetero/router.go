@@ -184,13 +184,6 @@ func (r *Router) Dead(i int) bool {
 	return r.h[i].state == Dead
 }
 
-// State returns device i's drain state.
-func (r *Router) State(i int) DevState {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.h[i].state
-}
-
 // MarkDead fail-stops device i: it leaves rotation permanently.
 func (r *Router) MarkDead(i int) {
 	r.mu.Lock()
@@ -488,9 +481,6 @@ func (r *Router) Release(i int, cost int64, failed bool) {
 
 // DeviceName returns device i's spec name.
 func (r *Router) DeviceName(i int) string { return r.devs[i].Spec.Name }
-
-// Devices returns the routed device set (shared slice; do not mutate).
-func (r *Router) Devices() []*Device { return r.devs }
 
 // EquivalentCapacity returns the fleet's current effective capacity in
 // reference-core units (see Fingerprint.ThroughputX): the sum of each

@@ -58,16 +58,3 @@ func (c *DurableCounters) Snapshot() DurableSnapshot {
 		ScrubFailures:       c.ScrubFailures.Load(),
 	}
 }
-
-// Reset zeroes every counter.
-func (c *DurableCounters) Reset() {
-	c.Commits.Store(0)
-	c.CommitBytes.Store(0)
-	c.Fsyncs.Store(0)
-	c.Renames.Store(0)
-	c.Recoveries.Store(0)
-	c.SkippedGenerations.Store(0)
-	c.DetectedCorruptions.Store(0)
-	c.Quarantined.Store(0)
-	c.ScrubFailures.Store(0)
-}

@@ -42,8 +42,8 @@ func TestTableRendering(t *testing.T) {
 			t.Errorf("table missing %q:\n%s", want, s)
 		}
 	}
-	if tb.NumRows() != 2 {
-		t.Errorf("NumRows = %d", tb.NumRows())
+	if len(tb.rows) != 2 {
+		t.Errorf("rows = %d", len(tb.rows))
 	}
 }
 

@@ -59,17 +59,3 @@ func (c *ServeCounters) Snapshot() ServeSnapshot {
 		BusyWorkers: c.BusyWorkers.Load(),
 	}
 }
-
-// Reset zeroes every counter and gauge.
-func (c *ServeCounters) Reset() {
-	c.Accepted.Store(0)
-	c.Rejected.Store(0)
-	c.Preempted.Store(0)
-	c.Resumed.Store(0)
-	c.Completed.Store(0)
-	c.Failed.Store(0)
-	c.TimedOut.Store(0)
-	c.QueueDepth.Store(0)
-	c.Parked.Store(0)
-	c.BusyWorkers.Store(0)
-}

@@ -88,24 +88,3 @@ func (c *TransportCounters) Snapshot() TransportSnapshot {
 		Interrupts:      c.Interrupts.Load(),
 	}
 }
-
-// Reset zeroes every counter.
-func (c *TransportCounters) Reset() {
-	c.Sent.Store(0)
-	c.SentBytes.Store(0)
-	c.Delivered.Store(0)
-	c.Acks.Store(0)
-	c.Retransmits.Store(0)
-	c.Abandoned.Store(0)
-	c.ChaosDropped.Store(0)
-	c.ChaosDuplicated.Store(0)
-	c.ChaosDelayed.Store(0)
-	c.ChaosCorrupted.Store(0)
-	c.CrcRejected.Store(0)
-	c.DupDiscarded.Store(0)
-	c.StaleEraDropped.Store(0)
-	c.MailboxOverflow.Store(0)
-	c.Timeouts.Store(0)
-	c.PeerDeaths.Store(0)
-	c.Interrupts.Store(0)
-}

@@ -101,9 +101,6 @@ type rowScratch struct {
 	fx [state.NComp][]float64
 }
 
-// Time returns the solution time.
-func (s *Solver) Time() float64 { return s.t }
-
 // primToCons converts (ρ, v, p) to (ρ, ρv, E).
 func (s *Solver) primToCons(w state.Prim) state.Cons {
 	v2 := w.Vx*w.Vx + w.Vy*w.Vy + w.Vz*w.Vz

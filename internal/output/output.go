@@ -13,7 +13,6 @@ import (
 
 	"rhsc/internal/durable"
 	"rhsc/internal/grid"
-	"rhsc/internal/state"
 )
 
 // Checkpoint failure classes. Callers that resume jobs (the serving
@@ -209,18 +208,9 @@ func sealCheckpoint(w io.Writer, cp *checkpoint) error {
 	return fw.Seal()
 }
 
-// LoadCheckpoint reconstructs the grid and returns it with the stored
-// solution time. The primitive field is left zeroed unless the
-// checkpoint was written by SaveCheckpointExact; callers that need to
-// know should use LoadCheckpointFull.
-func LoadCheckpoint(r io.Reader) (*grid.Grid, float64, error) {
-	g, t, _, err := LoadCheckpointFull(r)
-	return g, t, err
-}
-
-// LoadCheckpointFull is LoadCheckpoint, additionally reporting whether
-// the checkpoint carried primitives (SaveCheckpointExact): when prims
-// is true the grid's W field is filled bit-exactly and the caller must
+// LoadCheckpointFull reconstructs the grid and returns it with the
+// stored solution time, reporting whether the checkpoint carried
+// primitives (SaveCheckpointExact): when prims is true the grid's W field is filled bit-exactly and the caller must
 // NOT re-run primitive recovery if it wants exact continuation; when
 // false the caller must run its solver's RecoverPrimitives.
 //
@@ -267,26 +257,4 @@ func LoadCheckpointFull(r io.Reader) (*grid.Grid, float64, bool, error) {
 		copy(g.W.Raw(), cp.W)
 	}
 	return g, cp.Time, prims, nil
-}
-
-// WriteGnuplotHeatmap writes the density of the first interior k-slab in
-// gnuplot's nonuniform-matrix text format: rows of "x y value", with blank
-// lines between scanlines so `plot ... with image` works directly.
-func WriteGnuplotHeatmap(w io.Writer, g *grid.Grid, comp int) error {
-	if comp < 0 || comp >= state.NComp {
-		return fmt.Errorf("output: component %d out of range", comp)
-	}
-	k := g.KBeg()
-	for j := g.JBeg(); j < g.JEnd(); j++ {
-		for i := g.IBeg(); i < g.IEnd(); i++ {
-			v := g.W.Comp[comp][g.Idx(i, j, k)]
-			if _, err := fmt.Fprintf(w, "%g %g %g\n", g.X(i), g.Y(j), v); err != nil {
-				return err
-			}
-		}
-		if _, err := fmt.Fprintln(w); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -92,9 +92,12 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if err := SaveCheckpoint(&buf, g, 1.25); err != nil {
 		t.Fatal(err)
 	}
-	g2, tt, err := LoadCheckpoint(&buf)
+	g2, tt, prims, err := LoadCheckpointFull(&buf)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if prims {
+		t.Error("a checkpoint without primitives reported them")
 	}
 	if tt != 1.25 {
 		t.Errorf("time = %v", tt)
@@ -111,34 +114,8 @@ func TestCheckpointRoundTrip(t *testing.T) {
 }
 
 func TestLoadCheckpointGarbage(t *testing.T) {
-	if _, _, err := LoadCheckpoint(strings.NewReader("not a checkpoint")); err == nil {
+	if _, _, _, err := LoadCheckpointFull(strings.NewReader("not a checkpoint")); err == nil {
 		t.Error("garbage accepted")
-	}
-}
-
-func TestGnuplotHeatmap(t *testing.T) {
-	g := grid.New(grid.Geometry{Nx: 3, Ny: 2, Nz: 1, Ng: 2, X0: 0, X1: 1, Y0: 0, Y1: 1})
-	g.ForEachInterior(func(idx, i, j, _ int) {
-		g.W.SetPrim(idx, state.Prim{Rho: 1, P: 1})
-	})
-	var buf bytes.Buffer
-	if err := WriteGnuplotHeatmap(&buf, g, state.IRho); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")
-	// 2 scanlines of 3 points + 1 separator line between them (trailing
-	// blank trimmed).
-	nonEmpty := 0
-	for _, l := range lines {
-		if strings.TrimSpace(l) != "" {
-			nonEmpty++
-		}
-	}
-	if nonEmpty != 6 {
-		t.Errorf("heatmap has %d data lines, want 6:\n%s", nonEmpty, buf.String())
-	}
-	if err := WriteGnuplotHeatmap(&buf, g, 99); err == nil {
-		t.Error("bad component accepted")
 	}
 }
 

@@ -1,13 +1,11 @@
-// Package par is the task-parallel runtime beneath the solver: futures,
-// a bounded task pool, and strip-mined parallel loops.
+// Package par is the bounded worker pool beneath the solver: one
+// strip-mined parallel loop, ParallelFor, whose grain is the scheduling
+// unit. The solver's tile sweeps and recoveries and the kernels of a hetero
+// device phase all run through it.
 //
-// The design mirrors the futurization model the heterogeneous-computing
-// HPC runtimes of the CLUSTER 2015 era (HPX-style) used: work is expressed
-// as tasks returning futures, and bulk operations (the RHS sweeps) are
-// strip-mined parallel loops whose grain is the scheduling unit. The pool
-// is a counting semaphore rather than a fixed worker set, so nested
-// parallelism (a task spawning a parallel loop) can never deadlock — inner
-// loops simply borrow slots as they free up.
+// The pool is a counting semaphore rather than a fixed worker set, so a
+// parallel loop started from inside a chunk can never deadlock: a chunk
+// that finds no free slot runs on its caller.
 package par
 
 import (
@@ -16,63 +14,10 @@ import (
 	"sync"
 )
 
-// Future is a write-once container for a value of type T produced
-// asynchronously. The zero value is not usable; obtain one from NewFuture
-// or Async.
-type Future[T any] struct {
-	done chan struct{}
-	val  T
-	once sync.Once
-}
-
-// NewFuture returns an unresolved future and its resolver. Resolving more
-// than once is a no-op (first writer wins), matching promise semantics.
-func NewFuture[T any]() (*Future[T], func(T)) {
-	f := &Future[T]{done: make(chan struct{})}
-	resolve := func(v T) {
-		f.once.Do(func() {
-			f.val = v
-			close(f.done)
-		})
-	}
-	return f, resolve
-}
-
-// Ready returns an already-resolved future, useful for uniform APIs.
-func Ready[T any](v T) *Future[T] {
-	f, resolve := NewFuture[T]()
-	resolve(v)
-	return f
-}
-
-// Get blocks until the future resolves and returns its value.
-func (f *Future[T]) Get() T {
-	<-f.done
-	return f.val
-}
-
-// Done returns a channel closed when the future resolves, for select use.
-func (f *Future[T]) Done() <-chan struct{} { return f.done }
-
-// TryGet returns the value and true if the future has resolved, without
-// blocking.
-func (f *Future[T]) TryGet() (T, bool) {
-	select {
-	case <-f.done:
-		return f.val, true
-	default:
-		var zero T
-		return zero, false
-	}
-}
-
-// Pool bounds the number of concurrently running tasks. It is implemented
-// as a counting semaphore over fresh goroutines: submissions beyond the
-// bound block until a slot frees, which provides natural backpressure
-// while keeping nested parallel loops deadlock-free.
+// Pool bounds the number of concurrently running chunks. It is a
+// counting semaphore over fresh goroutines.
 type Pool struct {
 	slots chan struct{}
-	wg    sync.WaitGroup
 }
 
 // NewPool returns a pool allowing n concurrent tasks. n <= 0 selects
@@ -86,29 +31,6 @@ func NewPool(n int) *Pool {
 
 // Size returns the concurrency bound.
 func (p *Pool) Size() int { return cap(p.slots) }
-
-// Go runs fn as a pooled task, blocking until a slot is available.
-func (p *Pool) Go(fn func()) {
-	p.slots <- struct{}{}
-	p.wg.Add(1)
-	go func() {
-		defer func() {
-			<-p.slots
-			p.wg.Done()
-		}()
-		fn()
-	}()
-}
-
-// Wait blocks until every task submitted so far has finished.
-func (p *Pool) Wait() { p.wg.Wait() }
-
-// Async runs fn on the pool and returns a future for its result.
-func Async[T any](p *Pool, fn func() T) *Future[T] {
-	f, resolve := NewFuture[T]()
-	p.Go(func() { resolve(fn()) })
-	return f
-}
 
 // ParallelFor executes fn over [lo, hi) split into chunks of at most grain
 // iterations, running chunks concurrently on the pool and returning when
@@ -158,31 +80,6 @@ func (p *Pool) ParallelFor(lo, hi, grain int, fn func(lo, hi int)) {
 		}
 	}
 	wg.Wait()
-}
-
-// Map applies fn to every index in [0, n) concurrently and collects the
-// results in order.
-func Map[T any](p *Pool, n int, fn func(i int) T) []T {
-	out := make([]T, n)
-	p.ParallelFor(0, n, 1, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out[i] = fn(i)
-		}
-	})
-	return out
-}
-
-// WhenAll returns a future that resolves (to the count) when all the given
-// futures have resolved.
-func WhenAll[T any](fs ...*Future[T]) *Future[int] {
-	out, resolve := NewFuture[int]()
-	go func() {
-		for _, f := range fs {
-			<-f.Done()
-		}
-		resolve(len(fs))
-	}()
-	return out
 }
 
 // String implements fmt.Stringer for diagnostics.

@@ -1,98 +1,30 @@
 package par
 
 import (
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 )
 
-func TestFutureResolveOnce(t *testing.T) {
-	f, resolve := NewFuture[int]()
-	resolve(42)
-	resolve(7) // ignored: first writer wins
-	if got := f.Get(); got != 42 {
-		t.Errorf("Get = %d, want 42", got)
-	}
-}
-
-func TestFutureTryGet(t *testing.T) {
-	f, resolve := NewFuture[string]()
-	if _, ok := f.TryGet(); ok {
-		t.Error("unresolved future reported ready")
-	}
-	resolve("x")
-	if v, ok := f.TryGet(); !ok || v != "x" {
-		t.Errorf("TryGet = %q, %v", v, ok)
-	}
-}
-
-func TestReady(t *testing.T) {
-	f := Ready(3.14)
-	if v, ok := f.TryGet(); !ok || v != 3.14 {
-		t.Errorf("Ready future = %v, %v", v, ok)
-	}
-}
-
-func TestFutureBlocksUntilResolved(t *testing.T) {
-	f, resolve := NewFuture[int]()
-	go func() {
-		time.Sleep(10 * time.Millisecond)
-		resolve(9)
-	}()
-	if got := f.Get(); got != 9 {
-		t.Errorf("Get = %d", got)
-	}
-}
-
-func TestAsync(t *testing.T) {
-	p := NewPool(4)
-	f := Async(p, func() int { return 11 })
-	if got := f.Get(); got != 11 {
-		t.Errorf("Async = %d", got)
-	}
-}
-
+// At most Size chunks run on pool goroutines at once; the caller runs
+// the chunks that find every slot taken, so a loop never has more than
+// Size+1 bodies in flight.
 func TestPoolConcurrencyBound(t *testing.T) {
 	p := NewPool(3)
 	var cur, peak atomic.Int64
-	var wg sync.WaitGroup
-	for i := 0; i < 50; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			p.Go(func() {
-				n := cur.Add(1)
-				for {
-					old := peak.Load()
-					if n <= old || peak.CompareAndSwap(old, n) {
-						break
-					}
-				}
-				time.Sleep(time.Millisecond)
-				cur.Add(-1)
-			})
-		}()
-	}
-	wg.Wait()
-	p.Wait()
-	if peak.Load() > 3 {
-		t.Errorf("peak concurrency %d exceeds bound 3", peak.Load())
-	}
-}
-
-func TestPoolWait(t *testing.T) {
-	p := NewPool(2)
-	var done atomic.Int64
-	for i := 0; i < 10; i++ {
-		p.Go(func() {
-			time.Sleep(time.Millisecond)
-			done.Add(1)
-		})
-	}
-	p.Wait()
-	if done.Load() != 10 {
-		t.Errorf("Wait returned with %d/10 tasks done", done.Load())
+	p.ParallelFor(0, 50, 1, func(lo, hi int) {
+		n := cur.Add(1)
+		for {
+			old := peak.Load()
+			if n <= old || peak.CompareAndSwap(old, n) {
+				break
+			}
+		}
+		time.Sleep(time.Millisecond)
+		cur.Add(-1)
+	})
+	if peak.Load() > int64(p.Size()+1) {
+		t.Errorf("peak concurrency %d exceeds bound %d + the caller", peak.Load(), p.Size())
 	}
 }
 
@@ -153,64 +85,27 @@ func TestParallelForAutoGrain(t *testing.T) {
 	}
 }
 
-// Nested parallelism must not deadlock: a pooled task launching its own
+// Nested parallelism must not deadlock: a chunk launching its own
 // ParallelFor on the same pool.
 func TestNestedParallelForNoDeadlock(t *testing.T) {
 	p := NewPool(2)
 	doneCh := make(chan struct{})
 	go func() {
-		var outer sync.WaitGroup
-		for i := 0; i < 4; i++ {
-			outer.Add(1)
-			p.Go(func() {
-				defer outer.Done()
-				var sum atomic.Int64
-				p.ParallelFor(0, 100, 10, func(lo, hi int) {
-					sum.Add(int64(hi - lo))
-				})
-				if sum.Load() != 100 {
-					t.Errorf("inner loop covered %d", sum.Load())
-				}
+		p.ParallelFor(0, 4, 1, func(lo, hi int) {
+			var sum atomic.Int64
+			p.ParallelFor(0, 100, 10, func(lo, hi int) {
+				sum.Add(int64(hi - lo))
 			})
-		}
-		outer.Wait()
+			if sum.Load() != 100 {
+				t.Errorf("inner loop covered %d", sum.Load())
+			}
+		})
 		close(doneCh)
 	}()
 	select {
 	case <-doneCh:
 	case <-time.After(10 * time.Second):
 		t.Fatal("nested ParallelFor deadlocked")
-	}
-}
-
-func TestMapOrdered(t *testing.T) {
-	p := NewPool(8)
-	out := Map(p, 100, func(i int) int { return i * i })
-	for i, v := range out {
-		if v != i*i {
-			t.Fatalf("out[%d] = %d", i, v)
-		}
-	}
-}
-
-func TestWhenAll(t *testing.T) {
-	p := NewPool(4)
-	fs := make([]*Future[int], 5)
-	for i := range fs {
-		i := i
-		fs[i] = Async(p, func() int {
-			time.Sleep(time.Duration(i) * time.Millisecond)
-			return i
-		})
-	}
-	all := WhenAll(fs...)
-	if n := all.Get(); n != 5 {
-		t.Errorf("WhenAll = %d", n)
-	}
-	for i, f := range fs {
-		if v, ok := f.TryGet(); !ok || v != i {
-			t.Errorf("future %d = %v, %v", i, v, ok)
-		}
 	}
 }
 

@@ -418,16 +418,3 @@ func ByName(name string) (Scheme, error) {
 	}
 	return nil, fmt.Errorf("recon: unknown scheme %q", name)
 }
-
-// All returns every scheme, for sweep-style benchmarks.
-func All() []Scheme {
-	return []Scheme{
-		PCM{},
-		PLM{Lim: Minmod},
-		PLM{Lim: MonotonizedCentral},
-		PLM{Lim: VanLeer},
-		PPM{},
-		WENO5{},
-		WENOZ{},
-	}
-}

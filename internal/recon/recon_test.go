@@ -9,7 +9,17 @@ import (
 )
 
 // allSchemes returns every scheme under test.
-func allSchemes() []Scheme { return All() }
+func allSchemes() []Scheme {
+	return []Scheme{
+		PCM{},
+		PLM{Lim: Minmod},
+		PLM{Lim: MonotonizedCentral},
+		PLM{Lim: VanLeer},
+		PPM{},
+		WENO5{},
+		WENOZ{},
+	}
+}
 
 // evalOn fills a row with f(x_j) for cells j = 0..n−1 on a unit spacing.
 func evalOn(n int, f func(float64) float64) []float64 {

@@ -20,8 +20,6 @@ type DurableCheckpointer struct {
 	Name string
 	// Every is the step interval between commits (<=0 disables Tick).
 	Every int
-
-	committed int
 }
 
 // Tick commits a checkpoint when step has crossed the interval since
@@ -35,12 +33,8 @@ func (d *DurableCheckpointer) Tick(step int, save func(w io.Writer) error) (bool
 	if _, err := d.Store.Commit(d.Name, save); err != nil {
 		return false, fmt.Errorf("resilience: durable checkpoint at step %d: %w", step, err)
 	}
-	d.committed++
 	return true, nil
 }
-
-// Committed reports how many checkpoints Tick has committed.
-func (d *DurableCheckpointer) Committed() int { return d.committed }
 
 // RecoverLatest loads the newest fully-valid generation of name from a
 // store in dir, handing the verified payload to restore. Corrupt

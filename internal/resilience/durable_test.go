@@ -56,12 +56,10 @@ func TestDurableCheckpointerTicksOnInterval(t *testing.T) {
 		})
 		return err
 	})
-	if want := steps / 5; d.Committed() != want {
-		t.Fatalf("committed %d checkpoints over %d steps, want %d", d.Committed(), steps, want)
-	}
-	gen, ok := st.Latest("sod")
-	if !ok || gen != uint64(d.Committed()) {
-		t.Fatalf("latest generation %d (ok %v), want %d", gen, ok, d.Committed())
+	// Generations number the commits from 1, so the newest is the count.
+	gen, err := st.Load("sod", func(io.Reader) error { return nil })
+	if want := uint64(steps / 5); err != nil || gen != want {
+		t.Fatalf("newest generation %d (err %v) after %d steps, want %d commits", gen, err, steps, want)
 	}
 }
 
@@ -137,7 +135,7 @@ func TestDurableCrashMatrixBitExactResume(t *testing.T) {
 		dir := t.TempDir()
 		ffs := durable.NewFaultFS(durable.OS, durable.Plan{CrashAtOp: op, TornBytes: 5})
 		err := crashRun(ffs, dir)
-		if !ffs.Crashed() {
+		if ffs.Ops() < op {
 			t.Fatalf("op %d: crash never fired (err %v)", op, err)
 		}
 

@@ -12,9 +12,54 @@ import (
 )
 
 // Reference oracles: the scalar solver bodies as they stood before the
-// solvers moved onto evaluated face states — state.Prim.ToCons, state.Flux
-// and state.WaveSpeeds through the EOS interface, 40-byte structs
-// throughout. The production code must reproduce them bit for bit.
+// solvers moved onto evaluated face states — state.Prim.ToCons, stateFlux
+// and waveSpeeds through the EOS interface, 40-byte structs throughout.
+// The production code must reproduce them bit for bit.
+
+// stateFlux returns the flux vector along direction d for a cell whose primitive
+// and conserved states are (p, c):
+//
+//	F(D)   = D v_d
+//	F(S_i) = S_i v_d + p δ_{id}
+//	F(τ)   = S_d − D v_d
+func stateFlux(p state.Prim, c state.Cons, d state.Direction) state.Cons {
+	vd := p.V(d)
+	f := state.Cons{
+		D:   c.D * vd,
+		Sx:  c.Sx * vd,
+		Sy:  c.Sy * vd,
+		Sz:  c.Sz * vd,
+		Tau: c.S(d) - c.D*vd,
+	}
+	switch d {
+	case state.X:
+		f.Sx += p.P
+	case state.Y:
+		f.Sy += p.P
+	default:
+		f.Sz += p.P
+	}
+	return f
+}
+
+// waveSpeeds returns the smallest and largest characteristic speeds (λ−, λ+)
+// of the SRHD system along direction d:
+//
+//	λ± = [ v_d (1−c_s²) ± c_s sqrt( (1−v²)(1 − v²c_s² − v_d²(1−c_s²)) ) ]
+//	     / (1 − v² c_s²)
+//
+// Both are guaranteed to lie in (−1, 1) for admissible states.
+func waveSpeeds(e eos.EOS, p state.Prim, d state.Direction) (lm, lp float64) {
+	return state.SignalSpeeds(e.SoundSpeed2(p.Rho, p.P), p.VSq(), p.V(d))
+}
+
+// maxAbsSpeed returns max(|λ−|, |λ+|) along direction d — the CFL speed.
+// The builtin max inlines (math.Max is a call) and differs from it only on
+// an (±Inf, NaN) pair, which finite wave speeds never form.
+func maxAbsSpeed(e eos.EOS, p state.Prim, d state.Direction) float64 {
+	lm, lp := waveSpeeds(e, p, d)
+	return max(math.Abs(lm), math.Abs(lp))
+}
 
 func consSub(a, b state.Cons) state.Cons {
 	return state.Cons{
@@ -33,10 +78,10 @@ func consAXPY(a state.Cons, s float64, b state.Cons) state.Cons {
 func refLLF(e eos.EOS, pl, pr state.Prim, d state.Direction) state.Cons {
 	ul := pl.ToCons(e)
 	ur := pr.ToCons(e)
-	fl := state.Flux(pl, ul, d)
-	fr := state.Flux(pr, ur, d)
-	al := state.MaxAbsSpeed(e, pl, d)
-	ar := state.MaxAbsSpeed(e, pr, d)
+	fl := stateFlux(pl, ul, d)
+	fr := stateFlux(pr, ur, d)
+	al := maxAbsSpeed(e, pl, d)
+	ar := maxAbsSpeed(e, pr, d)
 	alpha := math.Max(al, ar)
 	du := consSub(ur, ul)
 	return state.Cons{
@@ -49,8 +94,8 @@ func refLLF(e eos.EOS, pl, pr state.Prim, d state.Direction) state.Cons {
 }
 
 func refOuterSpeeds(e eos.EOS, pl, pr state.Prim, d state.Direction) (sl, sr float64) {
-	lmL, lpL := state.WaveSpeeds(e, pl, d)
-	lmR, lpR := state.WaveSpeeds(e, pr, d)
+	lmL, lpL := waveSpeeds(e, pl, d)
+	lmR, lpR := waveSpeeds(e, pr, d)
 	return math.Min(lmL, lmR), math.Max(lpL, lpR)
 }
 
@@ -60,12 +105,12 @@ func refHLL(e eos.EOS, pl, pr state.Prim, d state.Direction) state.Cons {
 	ur := pr.ToCons(e)
 	switch {
 	case sl >= 0:
-		return state.Flux(pl, ul, d)
+		return stateFlux(pl, ul, d)
 	case sr <= 0:
-		return state.Flux(pr, ur, d)
+		return stateFlux(pr, ur, d)
 	}
-	fl := state.Flux(pl, ul, d)
-	fr := state.Flux(pr, ur, d)
+	fl := stateFlux(pl, ul, d)
+	fr := stateFlux(pr, ur, d)
 	inv := 1 / (sr - sl)
 	hll := func(flc, frc, ulc, urc float64) float64 {
 		return (sr*flc - sl*frc + sl*sr*(urc-ulc)) * inv
@@ -92,13 +137,13 @@ func refHLLC(e eos.EOS, pl, pr state.Prim, d state.Direction, br *hllcBranches) 
 	switch {
 	case sl >= 0:
 		br.upwindL++
-		return state.Flux(pl, ul, d)
+		return stateFlux(pl, ul, d)
 	case sr <= 0:
 		br.upwindR++
-		return state.Flux(pr, ur, d)
+		return stateFlux(pr, ur, d)
 	}
-	fl := state.Flux(pl, ul, d)
-	fr := state.Flux(pr, ur, d)
+	fl := stateFlux(pl, ul, d)
+	fr := stateFlux(pr, ur, d)
 
 	inv := 1 / (sr - sl)
 	hllU := func(ulc, urc, flc, frc float64) float64 {
@@ -309,8 +354,8 @@ type faceRef struct {
 }
 
 // Eval fills f from the primitive state q, its specific enthalpy h and
-// squared sound speed cs2. The arithmetic is state.Prim.ToCons, state.Flux
-// and state.WaveSpeeds operation for operation with h and cs2 hoisted out,
+// squared sound speed cs2. The arithmetic is state.Prim.ToCons, stateFlux
+// and waveSpeeds operation for operation with h and cs2 hoisted out,
 // so a sweep that inlines its equation of state reproduces the
 // interface-dispatched results bitwise. It fills in place: returning the
 // 112-byte struct by value puts a duffcopy on the per-face hot path.

@@ -87,9 +87,9 @@ func EvalRow(f *Faces, q *[state.NComp][]float64, e eos.EOS, d state.Direction, 
 
 // evalRow is EvalRow after the EOS dispatch: gamma > 0 is the Γ-law gas,
 // whose h and c_s² it computes as eos.IdealGas does; otherwise they are
-// staged in f.Lm and f.Lp. The arithmetic is state.Prim.ToCons,
-// state.Flux and state.WaveSpeeds operation for operation with h and c_s²
-// hoisted out, so the row reproduces the interface-dispatched results
+// staged in f.Lm and f.Lp. The arithmetic is state.Prim.ToCons, the
+// physical flux and state.SignalSpeeds operation for operation with h and
+// c_s² hoisted out, so the row reproduces the interface-dispatched results
 // bitwise.
 func evalRow(f *Faces, q *[state.NComp][]float64, gamma float64, d state.Direction, lo, hi int) {
 	n := hi - lo
@@ -424,6 +424,3 @@ func ByName(name string) (Solver, error) {
 	}
 	return nil, fmt.Errorf("riemann: unknown solver %q", name)
 }
-
-// All returns every solver, for sweep-style benchmarks.
-func All() []Solver { return []Solver{LLF{}, HLL{}, HLLC{}} }

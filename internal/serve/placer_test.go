@@ -8,21 +8,42 @@ import (
 
 func twoDeviceFleet(t *testing.T) *FleetPlacer {
 	t.Helper()
-	return NewFleetPlacer(
-		hetero.MustDevice(hetero.SpecHostCPU(4)),
-		hetero.MustDevice(hetero.SpecHostCPU(2)),
-	)
+	var devs []*hetero.Device
+	for _, sp := range []hetero.Spec{hetero.SpecHostCPU(4), hetero.SpecHostCPU(2)} {
+		d, err := hetero.NewDevice(sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		devs = append(devs, d)
+	}
+	return NewFleetPlacer(devs...)
 }
 
+// deviceIndex returns the router index of the fleet device called name
+// (the health report lists the devices in the order they were given).
 func deviceIndex(t *testing.T, p *FleetPlacer, name string) int {
 	t.Helper()
-	for i, d := range p.R.Devices() {
-		if d.Spec.Name == name {
+	for i, h := range p.R.HealthReport() {
+		if h.Name == name {
 			return i
 		}
 	}
 	t.Fatalf("unknown device %q", name)
 	return -1
+}
+
+// inRotation reports whether the fleet device called name receives
+// placements, read from the router's health report.
+func inRotation(t *testing.T, p *FleetPlacer, name string) bool {
+	t.Helper()
+	h := p.R.HealthReport()[deviceIndex(t, p, name)]
+	for st := hetero.Healthy; st <= hetero.Dead; st++ {
+		if st.String() == h.State {
+			return st.InRotation()
+		}
+	}
+	t.Fatalf("device %q in unknown state %q", name, h.State)
+	return false
 }
 
 // Jobs must land on routed capacity — Status.Device names the fleet
@@ -77,14 +98,14 @@ func TestPlacerFaultsDrainDevice(t *testing.T) {
 		if sick == "" {
 			sick = final.Device
 		}
-		if !p.R.State(deviceIndex(t, p, sick)).InRotation() {
+		if !inRotation(t, p, sick) {
 			break
 		}
 	}
 	if sick == "" {
 		t.Fatal("no device hosted the failing jobs")
 	}
-	if p.R.State(deviceIndex(t, p, sick)).InRotation() {
+	if inRotation(t, p, sick) {
 		t.Fatalf("device %q still in rotation after repeated faults", sick)
 	}
 	if p.R.C.LeaseFaults.Load() == 0 || p.R.C.Drains.Load() == 0 {

@@ -168,9 +168,6 @@ func New(cfg Config) *Server {
 	return s
 }
 
-// Workers returns the pool size.
-func (s *Server) Workers() int { return s.cfg.Workers }
-
 // Metrics snapshots the serving counters.
 func (s *Server) Metrics() metrics.ServeSnapshot { return s.C.Snapshot() }
 
@@ -181,16 +178,6 @@ func (s *Server) DurableMetrics() metrics.DurableSnapshot { return s.D.Snapshot(
 // NetMetrics snapshots the transport counters (reliable-fabric traffic,
 // injected chaos faults, repairs, typed failures).
 func (s *Server) NetMetrics() metrics.TransportSnapshot { return s.N.Snapshot() }
-
-// TenantUsage reports a tenant's quota consumption.
-func (s *Server) TenantUsage(name string) (active int, reserved, used int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if t, ok := s.tenants[name]; ok {
-		return t.active, t.reserved, t.used
-	}
-	return 0, 0, 0
-}
 
 // tenantLocked returns (creating if needed) the accounting bucket.
 func (s *Server) tenantLocked(name string) *tenantAcct {

@@ -440,3 +440,13 @@ func TestSubmitAfterDrainRejected(t *testing.T) {
 		t.Fatalf("post-drain submit %q (%s), want draining rejection", st.State, st.Reason)
 	}
 }
+
+// TenantUsage reports a tenant's quota consumption.
+func (s *Server) TenantUsage(name string) (active int, reserved, used int64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if t, ok := s.tenants[name]; ok {
+		return t.active, t.reserved, t.used
+	}
+	return 0, 0, 0
+}

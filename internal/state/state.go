@@ -148,47 +148,16 @@ func (c Cons) SSq() float64 {
 	return c.Sx*c.Sx + c.Sy*c.Sy + c.Sz*c.Sz
 }
 
-// Flux returns the flux vector along direction d for a cell whose primitive
-// and conserved states are (p, c):
-//
-//	F(D)   = D v_d
-//	F(S_i) = S_i v_d + p δ_{id}
-//	F(τ)   = S_d − D v_d
-func Flux(p Prim, c Cons, d Direction) Cons {
-	vd := p.V(d)
-	f := Cons{
-		D:   c.D * vd,
-		Sx:  c.Sx * vd,
-		Sy:  c.Sy * vd,
-		Sz:  c.Sz * vd,
-		Tau: c.S(d) - c.D*vd,
-	}
-	switch d {
-	case X:
-		f.Sx += p.P
-	case Y:
-		f.Sy += p.P
-	default:
-		f.Sz += p.P
-	}
-	return f
-}
-
-// WaveSpeeds returns the smallest and largest characteristic speeds (λ−, λ+)
-// of the SRHD system along direction d:
+// SignalSpeeds returns the smallest and largest characteristic speeds
+// (λ−, λ+) of the SRHD system along a direction, from the squared sound
+// speed cs2, v² and the velocity vd along the direction:
 //
 //	λ± = [ v_d (1−c_s²) ± c_s sqrt( (1−v²)(1 − v²c_s² − v_d²(1−c_s²)) ) ]
 //	     / (1 − v² c_s²)
 //
-// Both are guaranteed to lie in (−1, 1) for admissible states.
-func WaveSpeeds(e eos.EOS, p Prim, d Direction) (lm, lp float64) {
-	return SignalSpeeds(e.SoundSpeed2(p.Rho, p.P), p.VSq(), p.V(d))
-}
-
-// SignalSpeeds is WaveSpeeds on precomputed inputs — the squared sound
-// speed cs2, v² and the velocity vd along the direction — for kernels that
-// evaluate the equation of state once per state rather than once per
-// direction. The results are unnamed to fit the compiler's inlining budget.
+// Both lie in (−1, 1) for admissible states. Kernels evaluate the equation
+// of state once per state rather than once per direction and pass c_s² in.
+// The results are unnamed to fit the compiler's inlining budget.
 func SignalSpeeds(cs2, v2, vd float64) (float64, float64) {
 	den := 1 - v2*cs2
 	disc := (1 - v2) * (1 - v2*cs2 - vd*vd*(1-cs2))
@@ -197,14 +166,6 @@ func SignalSpeeds(cs2, v2, vd float64) (float64, float64) {
 	}
 	root := math.Sqrt(disc) * math.Sqrt(cs2)
 	return (vd*(1-cs2) - root) / den, (vd*(1-cs2) + root) / den
-}
-
-// MaxAbsSpeed returns max(|λ−|, |λ+|) along direction d — the CFL speed.
-// The builtin max inlines (math.Max is a call) and differs from it only on
-// an (±Inf, NaN) pair, which finite wave speeds never form.
-func MaxAbsSpeed(e eos.EOS, p Prim, d Direction) float64 {
-	lm, lp := WaveSpeeds(e, p, d)
-	return max(math.Abs(lm), math.Abs(lp))
 }
 
 // Fields is a struct-of-arrays container for NComp evolved components over

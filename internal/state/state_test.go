@@ -11,6 +11,54 @@ import (
 
 var gamma53 = eos.NewIdealGas(5.0 / 3.0)
 
+// The per-state flux and wave-speed formulas the row kernels inline
+// (internal/riemann, internal/core) — the oracles of the tests below.
+
+// Flux returns the flux vector along direction d for a cell whose primitive
+// and conserved states are (p, c):
+//
+//	F(D)   = D v_d
+//	F(S_i) = S_i v_d + p δ_{id}
+//	F(τ)   = S_d − D v_d
+func Flux(p Prim, c Cons, d Direction) Cons {
+	vd := p.V(d)
+	f := Cons{
+		D:   c.D * vd,
+		Sx:  c.Sx * vd,
+		Sy:  c.Sy * vd,
+		Sz:  c.Sz * vd,
+		Tau: c.S(d) - c.D*vd,
+	}
+	switch d {
+	case X:
+		f.Sx += p.P
+	case Y:
+		f.Sy += p.P
+	default:
+		f.Sz += p.P
+	}
+	return f
+}
+
+// WaveSpeeds returns the smallest and largest characteristic speeds (λ−, λ+)
+// of the SRHD system along direction d:
+//
+//	λ± = [ v_d (1−c_s²) ± c_s sqrt( (1−v²)(1 − v²c_s² − v_d²(1−c_s²)) ) ]
+//	     / (1 − v² c_s²)
+//
+// Both are guaranteed to lie in (−1, 1) for admissible states.
+func WaveSpeeds(e eos.EOS, p Prim, d Direction) (lm, lp float64) {
+	return SignalSpeeds(e.SoundSpeed2(p.Rho, p.P), p.VSq(), p.V(d))
+}
+
+// MaxAbsSpeed returns max(|λ−|, |λ+|) along direction d — the CFL speed.
+// The builtin max inlines (math.Max is a call) and differs from it only on
+// an (±Inf, NaN) pair, which finite wave speeds never form.
+func MaxAbsSpeed(e eos.EOS, p Prim, d Direction) float64 {
+	lm, lp := WaveSpeeds(e, p, d)
+	return max(math.Abs(lm), math.Abs(lp))
+}
+
 func randomPrim(rng *rand.Rand) Prim {
 	// Log-uniform density/pressure, velocity up to W ~ 22.
 	v := 0.999 * rng.Float64()

@@ -173,13 +173,6 @@ var ShockHeating = register(&Problem{
 	},
 })
 
-// ShockHeatingSigma returns the exact post-shock compression ratio of the
-// shock-heating problem for inflow Lorentz factor w and adiabatic index
-// gamma: σ = ρ̄/ρ = (Γ+1)/(Γ−1) + Γ/(Γ−1)·(W−1).
-func ShockHeatingSigma(w, gamma float64) float64 {
-	return (gamma+1)/(gamma-1) + gamma/(gamma-1)*(w-1)
-}
-
 // Blast2D is the cylindrical relativistic blast wave in a square box.
 var Blast2D = register(&Problem{
 	Name:  "blast2d",
@@ -368,12 +361,3 @@ var Rotor2D = register(&Problem{
 		return state.Prim{Rho: 1, P: 1}
 	},
 })
-
-// All returns every registered problem sorted by name.
-func All() []*Problem {
-	out := make([]*Problem, 0, len(registry))
-	for _, n := range Names() {
-		out = append(out, registry[n])
-	}
-	return out
-}

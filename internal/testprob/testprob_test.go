@@ -8,6 +8,15 @@ import (
 	"rhsc/internal/state"
 )
 
+// All returns every registered problem sorted by name.
+func All() []*Problem {
+	out := make([]*Problem, 0, len(registry))
+	for _, n := range Names() {
+		out = append(out, registry[n])
+	}
+	return out
+}
+
 func TestRegistryComplete(t *testing.T) {
 	want := []string{"blast", "blast2d", "blast3d", "implosion2d", "jet2d", "kh2d", "rotor2d", "shock-heating", "smooth-wave", "sod"}
 	got := Names()
@@ -112,6 +121,13 @@ func TestSmoothWaveExactSolution(t *testing.T) {
 	if r := SmoothWaveRho(0, 1); math.IsNaN(r) || r <= 0 {
 		t.Errorf("wrap failure: %v", r)
 	}
+}
+
+// ShockHeatingSigma returns the exact post-shock compression ratio of the
+// shock-heating problem for inflow Lorentz factor w and adiabatic index
+// gamma: σ = ρ̄/ρ = (Γ+1)/(Γ−1) + Γ/(Γ−1)·(W−1).
+func ShockHeatingSigma(w, gamma float64) float64 {
+	return (gamma+1)/(gamma-1) + gamma/(gamma-1)*(w-1)
 }
 
 func TestShockHeatingSigma(t *testing.T) {
