@@ -76,7 +76,7 @@ func (s *suite) failsafe() error {
 		if err := sol.InitFromPrim(p.Init); err != nil {
 			return failsafeRow{}, err
 		}
-		guard := resilience.NewGuard(sol, resilience.Policy{})
+		guard := resilience.NewGuard(sol)
 		guard.Inject = inj
 		mode := "global-retry"
 		if failSafe {

@@ -189,7 +189,7 @@ func (s *suite) resilience() error {
 		if err := sol.InitFromPrim(sp.Init); err != nil {
 			return err
 		}
-		g := resilience.NewGuard(sol, resilience.Policy{})
+		g := resilience.NewGuard(sol)
 		g.Inject = gc.inj
 		n, err := g.Advance(sp.TEnd)
 		snap := g.Stats.Snapshot()

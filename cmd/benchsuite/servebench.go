@@ -87,8 +87,7 @@ func (s *suite) serveBench() error {
 	}
 
 	// --- scenario 1: priority-skewed saturation -------------------------
-	counters := &metrics.ServeCounters{}
-	srv := serve.New(serve.Config{Workers: 2, MaxQueue: 4 * jobs, Counters: counters})
+	srv := serve.New(serve.Config{Workers: 2, MaxQueue: 4 * jobs})
 	base := serve.JobSpec{Problem: "sod", N: 256, MaxSteps: steps, TEnd: 10, ReportEvery: 8}
 
 	ids := make([]string, 0, jobs)
@@ -128,7 +127,7 @@ func (s *suite) serveBench() error {
 		InterarrivalMs: float64(interarrival) / 1e6,
 		WallMs:         float64(wall) / 1e6,
 		ThroughputJobs: float64(jobs) / wall.Seconds(),
-		Counters:       counters.Snapshot(),
+		Counters:       srv.Metrics(),
 	}
 	tb := metrics.NewTable(
 		fmt.Sprintf("E16: open-loop serving, %d jobs @ %.0f ms interarrival, 2 workers", jobs, skew.InterarrivalMs),
@@ -155,8 +154,7 @@ func (s *suite) serveBench() error {
 	}
 
 	// --- scenario 2: faulty workload ------------------------------------
-	counters = &metrics.ServeCounters{}
-	srv = serve.New(serve.Config{Workers: 2, Counters: counters})
+	srv = serve.New(serve.Config{Workers: 2})
 	n := 10
 	if s.quick {
 		n = 6
@@ -186,12 +184,13 @@ func (s *suite) serveBench() error {
 		}
 		injected += final.Injected
 	}
+	counters := srv.Metrics()
 	faulty := serveFaultyResult{
 		Jobs:      n,
-		Completed: counters.Completed.Load(),
-		Failed:    counters.Failed.Load(),
+		Completed: counters.Completed,
+		Failed:    counters.Failed,
 		Injected:  injected,
-		Counters:  counters.Snapshot(),
+		Counters:  counters,
 	}
 	srv.Close()
 	fmt.Printf("  faulty workload: %d jobs, %d completed, %d failed (want %d panics), %d fault(s) absorbed\n",
@@ -202,11 +201,9 @@ func (s *suite) serveBench() error {
 	}
 
 	// --- scenario 3: capped-tenant admission ----------------------------
-	counters = &metrics.ServeCounters{}
 	srv = serve.New(serve.Config{
-		Workers:  2,
-		Counters: counters,
-		Quotas:   map[string]serve.Quota{"capped": {MaxActive: 2}},
+		Workers: 2,
+		Quotas:  map[string]serve.Quota{"capped": {MaxActive: 2}},
 	})
 	burst := 8
 	if s.quick {
@@ -238,7 +235,7 @@ func (s *suite) serveBench() error {
 			return err
 		}
 	}
-	adm.Counters = counters.Snapshot()
+	adm.Counters = srv.Metrics()
 	srv.Close()
 	fmt.Printf("  admission: burst %d/tenant, capped tenant rejected %d, free tenant rejected %d\n",
 		burst, adm.CappedRejected, adm.FreeRejected)

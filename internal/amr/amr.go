@@ -1,8 +1,9 @@
 // Package amr implements block-structured adaptive mesh refinement on top
 // of the core HRSC solver: a quadtree (binary tree in 1-D) of fixed-size
 // blocks, gradient-based refinement flags, conservative prolongation and
-// restriction, 2:1 level balance, and a stage-synchronous SSP-RK2 driver
-// that advances every leaf with a single global time step.
+// restriction, 2:1 level balance, and a stage-synchronous driver that
+// advances every leaf with a single global time step, one sweep, update
+// and ghost fill per stage of the configured SSP integrator.
 //
 // Design choices (see DESIGN.md §5):
 //
@@ -96,9 +97,11 @@ type Tree struct {
 	roots  []*node
 	nodes  map[key]*node
 	leaves []*node
-	// all is 0..len(leaves)-1: the leaf subset Step hands to StepLeaves
-	// and the whole-tree ghost fills walk, rebuilt with the leaf cache.
-	all []int
+	// all is 0..len(leaves)-1, the leaf subset the whole-tree ghost fills
+	// walk, and sols their solvers, the set Step hands to StepLeaves; both
+	// are rebuilt with the leaf cache.
+	all  []int
+	sols []*core.Solver
 	// plans[i] is the ghost plan of leaves[i] (ghostplan.go).
 	plans []ghostPlan
 
@@ -192,7 +195,7 @@ func (t *Tree) blockExtent(level, bi, bj int) (x0, x1, y0, y1 float64) {
 }
 
 // attachSolver allocates the grid and solver of a leaf; the solver's own
-// stage buffers (core.Solver.StageBuffers) are the leaf's stage storage.
+// stage buffers are the leaf's stage storage.
 func (t *Tree) attachSolver(n *node) error {
 	x0, x1, y0, y1 := t.blockExtent(n.level, n.bi, n.bj)
 	geom := grid.Geometry{
@@ -286,9 +289,10 @@ func (t *Tree) rebuildLeaves() {
 	if same && len(t.leaves) == len(old) {
 		return
 	}
-	t.all = t.all[:0]
-	for i := range t.leaves {
+	t.all, t.sols = t.all[:0], t.sols[:0]
+	for i, n := range t.leaves {
 		t.all = append(t.all, i)
+		t.sols = append(t.sols, n.sol)
 	}
 	// Dropped plans keep their storage for whichever leaf lands on the
 	// index next.
@@ -461,80 +465,31 @@ func (t *Tree) MaxDt() float64 {
 	return dt
 }
 
-// StepHooks are the two points at which StepLeaves hands control to the
-// driver that knows where the neighbours of the stepped leaves live: in
-// this tree (Step) or on other ranks (package damr). stage is 1 or 2.
-type StepHooks struct {
-	// Masks runs only under core.Config.FailSafe, once per stage, between
-	// detection and repair; troubled is the number of cells the detector
-	// flagged on the stepped leaves. On return the troubled-cell mask
-	// (LeafFSMask) of every leaf adjacent to a stepped one must be
-	// current. repair reports whether any of those masks, stepped or
-	// adjacent, carries a flag; when none does the stage skips the repair
-	// and its mask ghost fill.
-	Masks func(stage, troubled int) (repair bool, err error)
-	// Halos runs at the end of each stage. On return every stepped leaf
-	// and every leaf adjacent to one must hold primitives recovered
-	// exactly once from its new conserved state, and the External ghosts
-	// of the stepped leaves must be refilled (SyncSubset). recovered
-	// reports that the stepped leaves are already recovered — a fail-safe
-	// stage, whose detection and repair recover as they go — and must not
-	// be recovered again: a cell whose stored primitives were clamped
-	// (pressure floor, velocity cap) would re-enter Newton from the
-	// clamped guess and land on a marginally different root than the
-	// plain path's single recovery.
-	Halos func(stage int, recovered bool) error
+// LeafSolvers returns the solvers of the leaves idx, in order: the set
+// StepLeaves advances. A regrid replaces leaves and their solvers, so a
+// driver rebuilds the set whenever its leaf list changes.
+func (t *Tree) LeafSolvers(idx []int) []*core.Solver {
+	sols := make([]*core.Solver, len(idx))
+	for k, i := range idx {
+		sols[k] = t.leaves[i].sol
+	}
+	return sols
 }
 
-// StepLeaves advances the leaves own by dt with stage-synchronous SSP-RK2
-// and moves the solution clock — the one stage sequence of the serial
-// and the distributed driver, and per leaf operation for operation
-// core.Solver.Step's: snapshot u⁰, the Euler stage u ← u + dt·L(u), then
-// the Euler update fused with the SSP combine, u ← ½u⁰ + ½(u + dt·L(u)).
-// Each stage ends, under core.Config.FailSafe, with detect → Masks →
-// repair (failsafe.go) and then with Halos: two RHS sweeps, two recoveries
-// and two ghost fills a step. Ghosts of the stepped leaves must be current
-// on entry. Stage 2's recovery is the one MaxDt will be asked about, so it
-// is armed to fold the CFL reduction in. A hook error aborts the step and
-// leaves the stepped leaves mid-stage.
-func (t *Tree) StepLeaves(own []int, dt float64, h StepHooks) error {
-	fs := t.cfg.Core.FailSafe
-	for stage := 1; stage <= 2; stage++ {
-		// The stage's candidate is a·u⁰ + b·(u + dt·L(u)).
-		a, b := 0.0, 1.0
-		if stage == 2 {
-			a, b = 0.5, 0.5
-			t.ArmCFL(own)
-		}
-		// All sweeps, then all updates: interleaving the streaming update
-		// with the next leaf's sweep measured 2–5 % slower on the serial tree.
-		for _, i := range own {
-			sol := t.leaves[i].sol
-			_, rhs := sol.StageBuffers()
-			sol.ComputeRHS(rhs)
-			t.zoneUpdates += int64(sol.G.Nx * sol.G.Ny)
-		}
-		for _, i := range own {
-			sol := t.leaves[i].sol
-			u0, rhs := sol.StageBuffers()
-			if fs {
-				sol.FSBegin()
-			}
-			if stage == 1 {
-				u0.CopyFrom(sol.G.U)
-				sol.G.U.AXPY(dt, rhs)
-			} else {
-				sol.G.U.LinComb2AXPY(a, u0, b, dt, rhs)
-			}
-		}
-		if fs {
-			if err := t.detectRepair(own, stage, dt, a, b, h.Masks); err != nil {
-				return err
-			}
-		}
-		if err := h.Halos(stage, fs); err != nil {
-			return err
-		}
+// StepLeaves advances the leaves whose solvers are sols by dt and moves
+// the solution clock: core.StepSolvers, the stage sequence of the uniform
+// solver, with the tree's integrator — one sweep, one candidate update,
+// and under core.Config.FailSafe one detect → Masks → repair, then one
+// Halos call per SSP stage. Ghosts of the stepped leaves must be current
+// on entry. A hook error aborts the step and leaves the stepped leaves
+// mid-stage.
+func (t *Tree) StepLeaves(sols []*core.Solver, dt float64, h core.StepHooks) error {
+	tally, err := core.StepSolvers(&t.cfg.Core, sols, dt, h)
+	t.zoneUpdates += tally.Swept
+	t.troubledCells += tally.Troubled
+	t.repairedCells += tally.Repaired
+	if err != nil {
+		return err
 	}
 	t.t += dt
 	t.steps++
@@ -542,19 +497,20 @@ func (t *Tree) StepLeaves(own []int, dt float64, h StepHooks) error {
 }
 
 // Step advances every leaf by dt, then regrids on the configured cadence.
-// With every leaf stepped here the neighbours' masks are already current
-// when Masks runs, which leaves it the global demotion check
-// (core.Config.FailSafeMaxFrac), and Halos is the whole-tree sync.
+// With every leaf stepped here, Masks is the fail-safe fraction demotion
+// (core.Config.FailSafeDemotion) over the whole tree plus the mask ghost
+// fill, and Halos is the whole-tree sync.
 func (t *Tree) Step(dt float64) error {
 	if dt <= 0 {
 		return fmt.Errorf("amr: non-positive dt %v", dt)
 	}
-	err := t.StepLeaves(t.all, dt, StepHooks{
+	err := t.StepLeaves(t.sols, dt, core.StepHooks{
 		Masks: func(stage, troubled int) (bool, error) {
-			if f := t.cfg.Core.FailSafeMaxFrac; f > 0 && float64(troubled) > f*float64(t.TotalZones()) {
-				return false, &core.StateError{Stage: stage, Troubled: troubled}
+			if err := t.cfg.Core.FailSafeDemotion(stage, troubled, t.TotalZones()); err != nil || troubled == 0 {
+				return false, err
 			}
-			return troubled > 0, nil
+			t.FillMaskGhostsOf(t.all)
+			return true, nil
 		},
 		Halos: func(_ int, recovered bool) error {
 			if recovered {

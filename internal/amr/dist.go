@@ -10,7 +10,7 @@ import (
 
 // This file is the distribution interface of the tree: the minimal set of
 // exported, leaf-indexed operations package damr needs, beside StepLeaves
-// and its two hooks (amr.go), to run one Tree replica per rank in
+// and the two core.StepHooks (amr.go), to run one Tree replica per rank in
 // lockstep. Leaves are addressed by their index into
 // the current leaf ordering (deterministic depth-first traversal); the
 // ordering — and therefore every index — is invalidated by a regrid, so
@@ -229,8 +229,8 @@ func (t *Tree) SyncSubset(recover, ghosts []int) {
 // ArmCFL arms the next primitive recovery of the given leaves to fold the
 // CFL reduction into its pass (core.Solver.AccumulateCFLNext), so the
 // following MaxDtOf is a cheap per-leaf combine. Arm only a recovery whose
-// state is the one MaxDt will be asked about: StepLeaves arms stage 2's,
-// drivers the post-regrid one.
+// state is the one MaxDt will be asked about: core.StepSolvers arms the
+// last stage's, drivers the post-regrid one.
 func (t *Tree) ArmCFL(idx []int) {
 	for _, i := range idx {
 		t.leaves[i].sol.AccumulateCFLNext()

@@ -137,12 +137,13 @@ func (t *Tree) fillGhostsOf(idx []int) {
 	}
 }
 
-// fillMaskGhostsOf fills External-face mask ghosts of the given leaves
+// FillMaskGhostsOf fills External-face mask ghosts of the given leaves
 // from neighbour interiors, over the plan fillGhostsOf replays: a ghost
 // cell is dirty if any covering fine cell (or the one covering coarse
 // cell) is flagged, so a flag next to a block face is visible from both
 // sides before repair. The masks of face-adjacent leaves must be current.
-func (t *Tree) fillMaskGhostsOf(idx []int) {
+// Tree.Step's and package damr's Masks hooks end with it.
+func (t *Tree) FillMaskGhostsOf(idx []int) {
 	ns := 2 << t.dim // int32s per ghost cell: 2^dim (leaf, cell) pairs
 	for _, li := range idx {
 		p := t.ghostPlanOf(li)

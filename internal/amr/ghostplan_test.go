@@ -103,7 +103,7 @@ func checkGhostFill(t *testing.T, tr *Tree, what string, rng *rand.Rand) (coarse
 		})
 	}
 	tr.fillGhosts()
-	tr.fillMaskGhostsOf(tr.all)
+	tr.FillMaskGhostsOf(tr.all)
 	for li, n := range tr.leaves {
 		got, want := n.sol.G.W.Raw(), wantW[li].Raw()
 		for k := range want {

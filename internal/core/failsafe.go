@@ -34,9 +34,6 @@ import (
 	"rhsc/internal/state"
 )
 
-// fsOn reports whether the fail-safe pipeline is active.
-func (s *Solver) fsOn() bool { return s.Cfg.FailSafe }
-
 // initFS allocates the fail-safe buffers and binds the detector chunks.
 // Called lazily so Config.FailSafe may be toggled after New.
 func (s *Solver) initFS() {
@@ -145,10 +142,10 @@ func fsDMPViolates(ref []float64, v float64, idx int, strides []int, relax float
 	return v < mn-delta || v > mx+delta
 }
 
-// FSBegin snapshots the pre-stage state (U and W, ghosts included) the
-// detector and repair reference. Call after ComputeRHS and before the
-// stage's conserved update; the AMR drivers call it per leaf.
-func (s *Solver) FSBegin() {
+// fsBegin snapshots the pre-stage state (U and W, ghosts included) the
+// detector and repair reference, after ComputeRHS and before the stage's
+// conserved update.
+func (s *Solver) fsBegin() {
 	if s.fsMask == nil {
 		s.initFS()
 	}
@@ -156,14 +153,14 @@ func (s *Solver) FSBegin() {
 	s.fsW.CopyFrom(s.G.W)
 }
 
-// FSDetect runs the troubled-cell detector on the candidate stage: a
+// fsDetect runs the troubled-cell detector on the candidate stage: a
 // conserved-state scan (NaN/Inf, D<=0, tau<=0), the stage's primitive
 // recovery in flagging mode (failed inversions mark the mask and leave U
 // untouched), and the relaxed-DMP rho/P admissibility check against the
 // pre-stage neighbourhood. It returns the number of flagged interior
 // cells; with zero the solver state is exactly what the plain stage
 // recovery produces — bitwise — and nothing was allocated.
-func (s *Solver) FSDetect() int {
+func (s *Solver) fsDetect() int {
 	g := s.G
 	clear(s.fsMask)
 	s.fsCount.Store(0)
@@ -178,9 +175,9 @@ func (s *Solver) FSDetect() int {
 // FSMask exposes the troubled-cell mask (full grid layout, ghosts
 // included), allocating the fail-safe buffers on first use — halo
 // replicas in a distributed run install neighbour masks without ever
-// running the detector themselves. The AMR drivers read interior flags
-// and write ghost-band entries of faces marked grid.External before
-// FSRepair, mirroring the primitive halo exchange.
+// running the detector themselves. The tree drivers' Masks hooks read
+// interior flags and write ghost-band entries of faces marked
+// grid.External before fsRepair, mirroring the primitive halo exchange.
 func (s *Solver) FSMask() []uint8 {
 	if s.fsMask == nil {
 		s.initFS()
@@ -188,46 +185,15 @@ func (s *Solver) FSMask() []uint8 {
 	return s.fsMask
 }
 
-// fsStagePost validates a candidate stage through the fail-safe
-// pipeline: detect, optionally demote on the troubled fraction, repair.
-// (a, b) are the stage's SSP combination coefficients — the candidate
-// was U = a·u0 + b·(U_pre + dt·L).
-func (s *Solver) fsStagePost(stage int, dt, a, b float64) error {
-	troubled := s.FSDetect()
-	if troubled == 0 {
-		if s.Cfg.StrictChecks {
-			return s.checkState(stage)
-		}
-		return nil
-	}
-	s.St.Troubled.Add(int64(troubled))
-	if maxFrac := s.Cfg.FailSafeMaxFrac; maxFrac > 0 {
-		if frac := float64(troubled) / float64(s.G.Nx*s.G.Ny*s.G.Nz); frac > maxFrac {
-			return &StateError{Stage: stage, Troubled: troubled}
-		}
-	}
-	if err := s.FSRepair(stage, dt, a, b); err != nil {
-		if se, ok := err.(*StateError); ok {
-			se.Troubled = troubled
-		}
-		return err
-	}
-	s.St.Repaired.Add(int64(troubled))
-	if s.Cfg.StrictChecks {
-		return s.checkState(stage)
-	}
-	return nil
-}
-
-// FSRepair re-updates the flagged cells of the candidate stage with
+// fsRepair re-updates the flagged cells of the candidate stage with
 // first-order PCM+HLL fluxes and applies the matching flux differences
 // to their unflagged neighbours, then re-recovers every touched cell.
-// The mask must be current (FSDetect, plus any external ghost-band fill
-// by an AMR/distributed driver); (a, b) are the stage's SSP combination
+// The mask must be current (fsDetect, plus any external ghost-band fill
+// by the Masks hook); (a, b) are the stage's SSP combination
 // coefficients and dt its step. The repair runs serially — it is the
 // rare path, and strict determinism makes repaired runs reproducible and
 // partition invariant.
-func (s *Solver) FSRepair(stage int, dt, a, b float64) error {
+func (s *Solver) fsRepair(stage int, dt, a, b float64) error {
 	g := s.G
 	s.fsFillMaskBCs()
 	clear(s.fsTouched)

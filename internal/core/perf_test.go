@@ -38,8 +38,8 @@ func newSteppedSolver(t testing.TB, p *testprob.Problem, n, warm int, mut func(*
 // TestStepZeroAllocs pins the central pooling invariant of the step
 // pipeline: after warmup, a serial MaxDt+Step cycle performs zero heap
 // allocations — the CFL reduction rides the final recovery sweep, row
-// scratch comes from the solver's free list, and the RK combinations
-// run through pre-bound stage closures. (Pool-backed runs additionally
+// scratch comes from the solver's free list, and the stage loop's hooks
+// are bound once at construction. (Pool-backed runs additionally
 // pay par.ParallelFor's single hoisted closure per traversal; the
 // serial configuration is the one with a zero bound to enforce.)
 //
@@ -72,6 +72,11 @@ func TestStepZeroAllocs(t *testing.T) {
 			c.Fused = true
 			c.FailSafe = true
 		}},
+		// Every integrator walks the one stage loop; RK3's third row must
+		// add no allocation either. (Under FailSafe this blast trips the
+		// detector within a few RK3 steps, and the repair is the rare path
+		// the zero bound does not cover.)
+		{"rk3-2d", testprob.Blast2D, 48, func(c *Config) { c.Integrator = RK3 }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

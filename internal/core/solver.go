@@ -98,17 +98,14 @@ type Config struct {
 	HaloExchange func(w *state.Fields)
 	// StrictChecks validates every RK stage: a full-interior NaN/Inf and
 	// D/tau positivity scan of the conserved field, plus the stage's
-	// count of c2p atmosphere resets (the recovery rewrites failed cells,
-	// so the count is the only trace of a failed inversion). A violation
-	// aborts the step with a *StateError, leaving the state mid-update;
-	// callers that enable it must be prepared to restore a snapshot on
-	// error — package resilience does exactly that. Off by default: the
-	// unguarded path keeps the cheap strided probe.
+	// count of c2p atmosphere resets, any of which is a fault (the
+	// recovery rewrites failed cells, so the count is the only trace of a
+	// failed inversion). A violation aborts the step with a *StateError,
+	// leaving the state mid-update; callers that enable it must be
+	// prepared to restore a snapshot on error — package resilience does
+	// exactly that. Off by default: the unguarded path keeps the cheap
+	// strided probe.
 	StrictChecks bool
-	// StrictC2PLimit is the number of atmosphere resets a single RK stage
-	// tolerates under StrictChecks before the step is declared violated.
-	// The default 0 treats any failed inversion as a fault.
-	StrictC2PLimit int
 	// FailSafe enables the a posteriori subcell fail-safe pipeline: after
 	// every candidate RK stage a detector flags troubled cells (NaN/Inf,
 	// D<=0, tau<=0, failed c2p inversion, relaxed-admissibility rho/P
@@ -167,6 +164,8 @@ type Solver struct {
 	t          float64
 	rhs        *state.Fields
 	u0         *state.Fields    // RK stage-zero storage
+	self       []*Solver        // the one-solver set Step hands to StepSolvers
+	hooks      StepHooks        // demote and recoverStage, bound once
 	scratch    chan *rowScratch // free list of row scratch buffers
 	newScratch func() *rowScratch
 	mon        *Monitor
@@ -343,6 +342,8 @@ func New(g *grid.Grid, cfg Config) (*Solver, error) {
 			s.cflRows[r] = s.rowCFL((k*gr.TotalY + j) * gr.TotalX)
 		}
 	}
+	s.self = []*Solver{s}
+	s.hooks = StepHooks{Masks: s.demote, Halos: s.recoverStage}
 	s.initTiles()
 	s.resolveMethod()
 	return s, nil
@@ -455,12 +456,6 @@ func (s *Solver) recoverPrims(flagging bool) int {
 	}
 	return r
 }
-
-// StageBuffers returns the solver's RK stage storage — the stage-zero
-// snapshot and the RHS that FSRepair reads — for drivers that run the
-// stage sequence themselves (the AMR trees), so a leaf's stage data has
-// one owner.
-func (s *Solver) StageBuffers() (u0, rhs *state.Fields) { return s.u0, s.rhs }
 
 // AccumulateCFLNext arms the next RecoverPrimitives call to fuse the CFL
 // reduction into its recovery pass. Drivers that manage recovery
@@ -676,7 +671,9 @@ func (s *Solver) MaxDt() float64 {
 // ErrNonFinite is returned by Step when the update produced NaN or Inf.
 var ErrNonFinite = errors.New("core: non-finite state after step")
 
-// Step advances the solution by dt with the configured SSP-RK integrator.
+// Step advances the solution by dt with the configured SSP-RK integrator:
+// StepSolvers over the one solver, whose hooks are the fail-safe fraction
+// demotion and the stage's recovery.
 //
 // Invariant: on entry and on return the primitive field s.G.W (including
 // ghosts) is consistent with the conserved field s.G.U. InitFromPrim
@@ -691,65 +688,21 @@ func (s *Solver) Step(dt float64) error {
 	if dt <= 0 {
 		return fmt.Errorf("core: non-positive dt %v", dt)
 	}
-	if s.Cfg.FailSafe {
-		if s.trc != nil {
-			return errors.New("core: FailSafe does not support the passive tracer")
-		}
-		if s.fsMask == nil {
-			s.initFS()
-		}
+	if s.Cfg.FailSafe && s.trc != nil {
+		return errors.New("core: FailSafe does not support the passive tracer")
 	}
-	u := s.G.U
-
-	// The final stage's recovery reads exactly the primitives the next
-	// MaxDt needs, so it carries the CFL reduction (see RecoverPrimitives).
-	// Each combineStage fuses AXPY + LinComb2 into one traversal; the
-	// per-element arithmetic of the split operations is preserved bitwise.
-	switch s.Cfg.Integrator {
-	case RK1:
-		if s.trc != nil {
-			copy(s.trc.u0, s.trc.cons)
-		}
-		s.cflAccum = true
-		if err := s.eulerStage(dt); err != nil {
-			return err
-		}
-
-	case RK2: // SSP RK2: u^{n+1} = ½u⁰ + ½(u⁰ + dtL)(twice)
-		s.u0.CopyFrom(u)
-		if s.trc != nil {
-			copy(s.trc.u0, s.trc.cons)
-		}
-		if err := s.eulerStage(dt); err != nil {
-			return err
-		}
-		s.cflAccum = true
-		if err := s.combineStage(2, dt, 0.5, 0.5); err != nil {
-			return err
-		}
-
-	case RK3: // Shu–Osher SSP RK3
-		s.u0.CopyFrom(u)
-		if s.trc != nil {
-			copy(s.trc.u0, s.trc.cons)
-		}
-		if err := s.eulerStage(dt); err != nil {
-			return err
-		}
-		if err := s.combineStage(2, dt, 0.75, 0.25); err != nil {
-			return err
-		}
-		s.cflAccum = true
-		if err := s.combineStage(3, dt, 1.0/3.0, 2.0/3.0); err != nil {
-			return err
-		}
+	tally, err := StepSolvers(&s.Cfg, s.self, dt, s.hooks)
+	s.St.Troubled.Add(tally.Troubled)
+	s.St.Repaired.Add(tally.Repaired)
+	if err != nil {
+		return err
 	}
 
 	// Cheap finiteness probe on a stride through the data; a full scan
 	// every step would cost a noticeable fraction of the RHS. Strict
 	// checks already scanned every cell above.
 	if !s.Cfg.StrictChecks {
-		raw := u.Raw()
+		raw := s.G.U.Raw()
 		for i := 0; i < len(raw); i += 97 {
 			if math.IsNaN(raw[i]) || math.IsInf(raw[i], 0) {
 				return ErrNonFinite
@@ -765,66 +718,22 @@ func (s *Solver) Step(dt float64) error {
 	return nil
 }
 
-// eulerStage performs u ← u + dt·L(u) and refreshes primitives — the
-// first stage of every SSP integrator.
-func (s *Solver) eulerStage(dt float64) error {
-	s.ComputeRHS(s.rhs)
-	fs := s.fsOn()
-	if fs {
-		s.FSBegin()
+// demote is the single solver's Masks hook: the fail-safe's fraction
+// demotion, with nothing else to make current.
+func (s *Solver) demote(stage, troubled int) (bool, error) {
+	if err := s.Cfg.FailSafeDemotion(stage, troubled, s.G.Nx*s.G.Ny*s.G.Nz); err != nil {
+		return false, err
 	}
-	s.G.U.AXPY(dt, s.rhs)
-	if s.trc != nil {
-		axpyScalar(s.trc.cons, dt, s.trc.rhs)
-	}
-	if hook := s.Cfg.FaultHook; hook != nil {
-		hook(1, s.G.U)
-	}
-	if fs {
-		return s.fsStagePost(1, dt, 0, 1)
-	}
-	return s.stageCheck(1, s.RecoverPrimitives())
+	return troubled > 0, nil
 }
 
-// combineStage performs u ← a·u⁰ + b·(u + dt·L(u)) — an SSP convex
-// combination with the Euler substep fused into the same traversal — and
-// refreshes primitives.
-func (s *Solver) combineStage(stage int, dt, a, b float64) error {
-	s.ComputeRHS(s.rhs)
-	fs := s.fsOn()
-	if fs {
-		s.FSBegin()
+// recoverStage is the single solver's Halos hook: the stage's one
+// recovery, unless the fail-safe detection already ran it.
+func (s *Solver) recoverStage(_ int, recovered bool) error {
+	if !recovered {
+		s.RecoverPrimitives()
 	}
-	s.G.U.LinComb2AXPY(a, s.u0, b, dt, s.rhs)
-	if s.trc != nil {
-		lincomb2AXPYScalar(s.trc.cons, a, s.trc.u0, b, dt, s.trc.rhs)
-	}
-	if hook := s.Cfg.FaultHook; hook != nil {
-		hook(stage, s.G.U)
-	}
-	if fs {
-		return s.fsStagePost(stage, dt, a, b)
-	}
-	return s.stageCheck(stage, s.RecoverPrimitives())
-}
-
-// stageCheck validates the whole interior after an RK stage when strict
-// checks are on; a violation aborts the step mid-update. resets is the
-// stage's atmosphere-reset count from c2p.
-func (s *Solver) stageCheck(stage, resets int) error {
-	if !s.Cfg.StrictChecks {
-		return nil
-	}
-	if resets > s.Cfg.StrictC2PLimit {
-		e := &StateError{Stage: stage, C2PResets: resets}
-		if idx := s.recFirstIdx; idx >= 0 {
-			g := s.G
-			e.First = [3]int{idx % g.TotalX, (idx / g.TotalX) % g.TotalY, idx / (g.TotalX * g.TotalY)}
-			e.FirstCons = s.recFirstCons
-		}
-		return e
-	}
-	return s.checkState(stage)
+	return nil
 }
 
 // Advance integrates until time tEnd, choosing CFL-limited steps and

@@ -6,6 +6,7 @@ import (
 
 	"rhsc/internal/amr"
 	"rhsc/internal/cluster"
+	"rhsc/internal/core"
 	"rhsc/internal/testprob"
 )
 
@@ -90,7 +91,7 @@ func measureAllocs(t *testing.T, cfg amr.Config, op func(r *rankRun, dt float64)
 // are outside this scope: they run at most once per step or per epoch
 // and inherently build survivor-set payloads.
 func TestStepZeroAllocs(t *testing.T) {
-	step := func(r *rankRun, dt float64) error { return r.t.StepLeaves(r.ep.mine, dt, r.hooks) }
+	step := func(r *rankRun, dt float64) error { return r.t.StepLeaves(r.ep.sols, dt, r.hooks) }
 	t.Run("plain", func(t *testing.T) {
 		if allocs := measureAllocs(t, blastConfig(), step); allocs != 0 {
 			t.Errorf("steady-state distributed step allocates %.1f times, want 0", allocs)
@@ -101,6 +102,13 @@ func TestStepZeroAllocs(t *testing.T) {
 		cfg.Core.FailSafe = true
 		if allocs := measureAllocs(t, cfg, step); allocs != 0 {
 			t.Errorf("steady-state fail-safe step allocates %.1f times, want 0", allocs)
+		}
+	})
+	t.Run("rk3", func(t *testing.T) {
+		cfg := blastConfig()
+		cfg.Core.Integrator = core.RK3
+		if allocs := measureAllocs(t, cfg, step); allocs != 0 {
+			t.Errorf("steady-state SSP-RK3 distributed step allocates %.1f times, want 0", allocs)
 		}
 	})
 }

@@ -11,17 +11,18 @@
 //	owned leaves ∪ halo ring (all face+corner neighbours of owned
 //	leaves) carry bit-identical data to a single-rank amr run.
 //
-// Two halo exchanges per SSP-RK2 step — one per RHS stage, the second
-// stage being fused with the SSP combination as on a uniform grid — keep
-// the ring fresh; a third, heavier exchange after each regrid migrates
-// blocks whose Morton-curve owner changed and refreshes newly adjacent
-// rings. Each rank runs the serial
-// tree's own stage sequence (amr.Tree.StepLeaves) on its owned leaves,
-// with its mask and halo exchanges as the two hooks, so every leaf sees
-// exactly the per-leaf operation sequence of the serial tree — including
-// the con2prim Newton guess, which travels with migrated blocks — and
-// the distributed run reproduces the single-rank run to the last bit at
-// any rank count, which TestRankCountInvariance pins down.
+// One halo exchange per stage of the SSP integrator — every stage after
+// the first being fused with the SSP combination as on a uniform grid,
+// so SSP-RK2 exchanges twice a step — keeps the ring fresh; a heavier
+// exchange after each regrid migrates blocks whose Morton-curve owner
+// changed and refreshes newly adjacent rings. Each rank runs the serial
+// tree's own stage sequence (amr.Tree.StepLeaves, core.StepSolvers) on
+// its owned leaves, with its mask and halo exchanges as the two hooks,
+// so every leaf sees exactly the per-leaf operation sequence of the
+// serial tree — including the con2prim Newton guess, which travels with
+// migrated blocks — and the distributed run reproduces the single-rank
+// run to the last bit at any rank count, which TestRankCountInvariance
+// pins down.
 //
 // Communication rides on the channel transport of package cluster and is
 // charged to the same virtual clock / NetModel accounting, so the

@@ -57,44 +57,49 @@ func sampleL1(a, b *amr.Tree, p *testprob.Problem, n int) (linf, l1 float64) {
 // TestRankCountInvariance is the acceptance test of the subsystem: the
 // 2-D blast on 1, 2, and 4 ranks must reproduce the single-rank amr run
 // — total conserved mass and the density field — within 1e-12 (the
-// design argues bit-exactness; the tolerance is the acceptance bar).
+// design argues bit-exactness; the tolerance is the acceptance bar),
+// under the default SSP-RK2 and under SSP-RK3.
 func TestRankCountInvariance(t *testing.T) {
 	p := testprob.Blast2D
-	cfg := blastConfig()
 	const nbx, steps = 4, 10
+	for _, rk := range []core.Integrator{core.RK2, core.RK3} {
+		t.Run(rk.String(), func(t *testing.T) {
+			cfg := blastConfig()
+			cfg.Core.Integrator = rk
+			ref := referenceRun(t, p, nbx, steps, cfg)
 
-	ref := referenceRun(t, p, nbx, steps, cfg)
-
-	for _, ranks := range []int{1, 2, 4} {
-		res, err := Run(p, nbx, cfg, Options{
-			Ranks: ranks,
-			Mode:  cluster.Async,
-			Net:   cluster.Infiniband(),
-			Steps: steps,
+			for _, ranks := range []int{1, 2, 4} {
+				res, err := Run(p, nbx, cfg, Options{
+					Ranks: ranks,
+					Mode:  cluster.Async,
+					Net:   cluster.Infiniband(),
+					Steps: steps,
+				})
+				if err != nil {
+					t.Fatalf("ranks=%d: %v", ranks, err)
+				}
+				if res.Steps != steps {
+					t.Errorf("ranks=%d: took %d steps, want %d", ranks, res.Steps, steps)
+				}
+				if res.Leaves != ref.NumLeaves() {
+					t.Errorf("ranks=%d: %d leaves, reference %d", ranks, res.Leaves, ref.NumLeaves())
+				}
+				if res.MaxLevel != ref.MaxLevelInUse() {
+					t.Errorf("ranks=%d: max level %d, reference %d", ranks, res.MaxLevel, ref.MaxLevelInUse())
+				}
+				if res.Tree.Steps() != ref.Steps() {
+					t.Errorf("ranks=%d: tree steps %d, reference %d", ranks, res.Tree.Steps(), ref.Steps())
+				}
+				refMass := ref.TotalMass()
+				if rel := math.Abs(res.TotalMass-refMass) / refMass; rel > 1e-12 {
+					t.Errorf("ranks=%d: mass %v vs reference %v (rel %.3e)", ranks, res.TotalMass, refMass, rel)
+				}
+				linf, l1 := sampleL1(res.Tree, ref, p, 64)
+				if linf > 1e-12 || l1 > 1e-12 {
+					t.Errorf("ranks=%d: density mismatch Linf=%.3e L1=%.3e", ranks, linf, l1)
+				}
+			}
 		})
-		if err != nil {
-			t.Fatalf("ranks=%d: %v", ranks, err)
-		}
-		if res.Steps != steps {
-			t.Errorf("ranks=%d: took %d steps, want %d", ranks, res.Steps, steps)
-		}
-		if res.Leaves != ref.NumLeaves() {
-			t.Errorf("ranks=%d: %d leaves, reference %d", ranks, res.Leaves, ref.NumLeaves())
-		}
-		if res.MaxLevel != ref.MaxLevelInUse() {
-			t.Errorf("ranks=%d: max level %d, reference %d", ranks, res.MaxLevel, ref.MaxLevelInUse())
-		}
-		if res.Tree.Steps() != ref.Steps() {
-			t.Errorf("ranks=%d: tree steps %d, reference %d", ranks, res.Tree.Steps(), ref.Steps())
-		}
-		refMass := ref.TotalMass()
-		if rel := math.Abs(res.TotalMass-refMass) / refMass; rel > 1e-12 {
-			t.Errorf("ranks=%d: mass %v vs reference %v (rel %.3e)", ranks, res.TotalMass, refMass, rel)
-		}
-		linf, l1 := sampleL1(res.Tree, ref, p, 64)
-		if linf > 1e-12 || l1 > 1e-12 {
-			t.Errorf("ranks=%d: density mismatch Linf=%.3e L1=%.3e", ranks, linf, l1)
-		}
 	}
 }
 
@@ -132,67 +137,76 @@ func TestHalosRecoverOrderBitwise(t *testing.T) {
 	}
 }
 
-// TestTwoHaloExchangesPerStep counts the step's traffic on the reliable
-// transport: with checkpoints off and no regrid inside the window, doubling
-// the step count must add, per step, exactly two halo frames per directed
-// peer pair beside the dt collective, and two halo payloads' worth of bytes
-// — the quantity bench reports as damr.halo_bytes_per_step. A third
-// exchange (the combine sync StepLeaves no longer has) would add a frame
-// per pair and half as many bytes again.
-func TestTwoHaloExchangesPerStep(t *testing.T) {
+// TestOneHaloExchangePerStage counts the step's traffic on the reliable
+// transport, per integrator: with checkpoints off and no regrid inside the
+// window, doubling the step count must add, per step, exactly one halo
+// frame per directed peer pair and stage (Integrator.Stages) beside the
+// dt collective, and that many halo payloads' worth of bytes — for SSP-RK2
+// the two exchanges bench reports as damr.halo_bytes_per_step. An extra
+// exchange (the combine sync the stage loop does not have) would add a
+// frame per pair and a payload of bytes; a tree that ran RK2 whatever its
+// integrator would send two.
+func TestOneHaloExchangePerStage(t *testing.T) {
 	p := testprob.Blast2D
-	cfg := blastConfig()
-	cfg.RegridEvery = 1 << 30
 	const nbx, steps = 4, 6
-	opts := Options{Ranks: 2, Net: cluster.Infiniband()}
-	run := func(n int) *Result {
-		o := opts
-		o.Steps = n
-		o.Transport = &cluster.TransportConfig{Reliable: true, RTO: 50 * time.Millisecond}
-		res, err := runWithin(t, time.Minute, func() (*Result, error) { return Run(p, nbx, cfg, o) })
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Regrids != 0 || res.Checkpoints != 0 || res.Net.Timeouts != 0 {
-			t.Fatalf("window not clean: %d regrids, %d checkpoints, %d timeouts",
-				res.Regrids, res.Checkpoints, res.Net.Timeouts)
-		}
-		return res
-	}
-	short, long := run(steps), run(2*steps)
-
-	// One exchange's payload and frame count, from the exchange plan both
-	// runs keep from the first step to the last.
-	if err := opts.validate(); err != nil {
-		t.Fatal(err)
-	}
-	var haloBytes, pairs int64
-	for rank := 0; rank < opts.Ranks; rank++ {
-		ep := buildEpoch(long.Tree, &opts, cfg.MaxLevel, rank, []int{0, 1})
-		for _, dst := range ep.peersOut {
-			pairs++
-			for _, i := range ep.sendTo[dst] {
-				haloBytes += int64(8 * len(long.Tree.LeafRawU(i)))
+	for _, rk := range []core.Integrator{core.RK1, core.RK2, core.RK3} {
+		t.Run(rk.String(), func(t *testing.T) {
+			cfg := blastConfig()
+			cfg.RegridEvery = 1 << 30
+			cfg.Core.Integrator = rk
+			opts := Options{Ranks: 2, Net: cluster.Infiniband()}
+			run := func(n int) *Result {
+				o := opts
+				o.Steps = n
+				o.Transport = &cluster.TransportConfig{Reliable: true, RTO: 50 * time.Millisecond}
+				res, err := runWithin(t, time.Minute, func() (*Result, error) { return Run(p, nbx, cfg, o) })
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Regrids != 0 || res.Checkpoints != 0 || res.Net.Timeouts != 0 {
+					t.Fatalf("window not clean: %d regrids, %d checkpoints, %d timeouts",
+						res.Regrids, res.Checkpoints, res.Net.Timeouts)
+				}
+				return res
 			}
-		}
-	}
-	if pairs != 2 || haloBytes == 0 {
-		t.Fatalf("exchange plan has %d directed pairs carrying %d B, want 2 and > 0", pairs, haloBytes)
-	}
+			short, long := run(steps), run(2*steps)
 
-	// The dt collective is one contribution to the root and one rebroadcast
-	// at two ranks; the end-of-run gathers are the same frames in both runs.
-	const collectiveFrames = 2
-	if got, want := long.Net.Sent-short.Net.Sent, int64(steps)*(2*pairs+collectiveFrames); got != want {
-		t.Errorf("%d more steps sent %d more frames, want %d (two exchanges a step)", steps, got, want)
-	}
-	// Bytes, exactly: the collective is a one-word contribution and a
-	// rebroadcast of [count, 2 ranks, 2 lengths, 2 values]; the final
-	// gather's record set has the same size in both runs, since its size
-	// depends only on the leaves, not on their values.
-	const collectiveBytes = 8 * (1 + 7)
-	if got, want := long.Net.SentBytes-short.Net.SentBytes, int64(steps)*(2*haloBytes+collectiveBytes); got != want {
-		t.Errorf("%d more steps sent %d more B, want %d (two exchanges of %d B a step)", steps, got, want, haloBytes)
+			// One exchange's payload and frame count, from the exchange plan both
+			// runs keep from the first step to the last.
+			if err := opts.validate(); err != nil {
+				t.Fatal(err)
+			}
+			var haloBytes, pairs int64
+			for rank := 0; rank < opts.Ranks; rank++ {
+				ep := buildEpoch(long.Tree, &opts, cfg.MaxLevel, rank, []int{0, 1})
+				for _, dst := range ep.peersOut {
+					pairs++
+					for _, i := range ep.sendTo[dst] {
+						haloBytes += int64(8 * len(long.Tree.LeafRawU(i)))
+					}
+				}
+			}
+			if pairs != 2 || haloBytes == 0 {
+				t.Fatalf("exchange plan has %d directed pairs carrying %d B, want 2 and > 0", pairs, haloBytes)
+			}
+
+			// The dt collective is one contribution to the root and one
+			// rebroadcast at two ranks; the end-of-run gathers are the same
+			// frames in both runs.
+			const collectiveFrames = 2
+			stages := int64(rk.Stages())
+			if got, want := long.Net.Sent-short.Net.Sent, int64(steps)*(stages*pairs+collectiveFrames); got != want {
+				t.Errorf("%d more steps sent %d more frames, want %d (%d exchanges a step)", steps, got, want, stages)
+			}
+			// Bytes, exactly: the collective is a one-word contribution and a
+			// rebroadcast of [count, 2 ranks, 2 lengths, 2 values]; the final
+			// gather's record set has the same size in both runs, since its
+			// size depends only on the leaves, not on their values.
+			const collectiveBytes = 8 * (1 + 7)
+			if got, want := long.Net.SentBytes-short.Net.SentBytes, int64(steps)*(stages*haloBytes+collectiveBytes); got != want {
+				t.Errorf("%d more steps sent %d more B, want %d (%d exchanges of %d B a step)", steps, got, want, stages, haloBytes)
+			}
+		})
 	}
 }
 

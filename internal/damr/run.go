@@ -10,6 +10,7 @@ import (
 
 	"rhsc/internal/amr"
 	"rhsc/internal/cluster"
+	"rhsc/internal/core"
 	"rhsc/internal/metrics"
 	"rhsc/internal/testprob"
 )
@@ -35,11 +36,12 @@ const (
 type epoch struct {
 	refs  []amr.BlockRef
 	index map[amr.BlockRef]int
-	owner []int   // by leaf index
-	mines [][]int // per rank: owned leaf indices, ascending
-	mine  []int   // mines[rank]
-	halo  []int   // fresh but not owned, ascending
-	fresh []int   // mine ∪ halo, ascending
+	owner []int          // by leaf index
+	mines [][]int        // per rank: owned leaf indices, ascending
+	mine  []int          // mines[rank]
+	sols  []*core.Solver // mine's solvers, the set amr.Tree.StepLeaves steps
+	halo  []int          // fresh but not owned, ascending
+	fresh []int          // mine ∪ halo, ascending
 
 	// neigh[i] is the face+corner leaf neighbourhood of leaf i.
 	neigh [][]int
@@ -105,6 +107,7 @@ func buildEpoch(t *amr.Tree, opts *Options, maxLevel, rank int, active []int) *e
 		ep.mines[r] = append(ep.mines[r], i)
 	}
 	ep.mine = ep.mines[rank]
+	ep.sols = t.LeafSolvers(ep.mine)
 
 	// Neighbourhoods, halo, and the symmetric exchange plan. Geometric
 	// adjacency is symmetric, so "L ∈ mine, M ∈ neigh(L), owner(M) = s"
@@ -266,7 +269,7 @@ type rankRun struct {
 	// hooks hands exchangeMasks and exchangeHalos to amr.Tree.StepLeaves;
 	// bound once per rank (they reach the tree and the epoch through r),
 	// so the step loop does not allocate them.
-	hooks amr.StepHooks
+	hooks core.StepHooks
 
 	// Pooled exchange buffers. The channel transport does not copy
 	// payloads, so a buffer may only be repacked once its previous
@@ -477,9 +480,9 @@ func (r *rankRun) recv(src, tag int) ([]float64, error) {
 // installed, then refill the owned ghosts. Recovery is leaf-local and an
 // owned leaf's needs nothing remote, so running it inside the wait changes
 // no value; the virtual clock does not see it either — the charges below
-// keep their place around the receives. Every call ends a stage (two a
-// step), so each charges its stage's compute to the virtual clock, split
-// around the halo wait by the overlap mode.
+// keep their place around the receives. Every call ends a stage (one per
+// stage of the integrator), so each charges its stage's compute to the
+// virtual clock, split around the halo wait by the overlap mode.
 func (r *rankRun) exchangeHalos(_ int, recovered bool) error {
 	t, ep := r.t, r.ep
 	before, after := r.opts.Mode.Overlap(ep.interiorZones+ep.boundaryZones, ep.boundaryZones, float64(t.Dim()), r.rate)
@@ -522,9 +525,11 @@ func (r *rankRun) exchangeHalos(_ int, recovered bool) error {
 // troubled-cell masks of boundary leaves with every halo peer —
 // unconditionally, so a replica's mask can never go stale and no
 // collective is needed to agree on skipping a clean stage's repair — and
-// reports whether any local or received mask carries a flag. The payload
-// packs 8 mask bytes per float64 word into the parity send buffers sized
-// by setEpoch, so a clean steady-state stage allocates nothing.
+// reports whether any local or received mask carries a flag; if one does,
+// it fills the owned leaves' mask ghosts from the masks now current
+// (amr.Tree.FillMaskGhostsOf). The payload packs 8 mask bytes per float64
+// word into the parity send buffers sized by setEpoch, so a clean
+// steady-state stage allocates nothing.
 func (r *rankRun) exchangeMasks(_, localTroubled int) (bool, error) {
 	t, ep := r.t, r.ep
 	par := r.maskPhase & 1
@@ -553,6 +558,9 @@ func (r *rankRun) exchangeMasks(_, localTroubled int) (bool, error) {
 			}
 			off += (len(m) + 7) / 8
 		}
+	}
+	if dirty {
+		t.FillMaskGhostsOf(ep.mine)
 	}
 	return dirty, nil
 }
@@ -827,7 +835,7 @@ func newRankRun(comm *cluster.Comm, p *testprob.Problem, nbx int, cfg amr.Config
 		active:  active,
 		migPack: map[int][]float64{},
 	}
-	r.hooks = amr.StepHooks{Masks: r.exchangeMasks, Halos: r.exchangeHalos}
+	r.hooks = core.StepHooks{Masks: r.exchangeMasks, Halos: r.exchangeHalos}
 	r.ckCur.buddyRank = -1
 	r.ckPrev.buddyRank = -1
 	if len(opts.RankRates) > 0 {
@@ -964,7 +972,7 @@ func (r *rankRun) iterate(tEnd float64, start time.Time) (*Result, error) {
 	}
 	// One global CFL step: every fresh leaf follows the operation sequence
 	// of the serial tree, with this rank's exchanges as the two hooks.
-	if err := r.t.StepLeaves(r.ep.mine, dt, r.hooks); err != nil {
+	if err := r.t.StepLeaves(r.ep.sols, dt, r.hooks); err != nil {
 		return nil, err
 	}
 	r.imbAccum += r.ep.imbalance

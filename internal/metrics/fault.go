@@ -24,7 +24,7 @@ type FaultCounters struct {
 	Troubled atomic.Int64
 	Repaired atomic.Int64
 	// Demotions counts fail-safe steps demoted to the global retry path —
-	// the troubled fraction exceeded Policy.MaxTroubledFrac, or the local
+	// the troubled fraction exceeded core.Config.FailSafeMaxFrac, or the local
 	// repair itself failed.
 	Demotions atomic.Int64
 	// FallbackZones counts zone updates computed at the dissipative

@@ -15,8 +15,8 @@ import (
 // reduction of the last corrupted attempt.
 func TestFaultRetryInvalidatesCFLCache(t *testing.T) {
 	s := sodSolver(t)
-	g := NewGuard(s, Policy{MaxRetries: 2})
-	g.Inject = &Injector{AtStep: 2, Cell: -1, Count: 10} // outlasts the budget
+	g := NewGuard(s)
+	g.Inject = &Injector{AtStep: 2, Cell: -1, Count: 10} // outlasts the budget of maxRetries+1 attempts
 	s.RecoverPrimitives()
 
 	var ferr error
@@ -43,7 +43,7 @@ func TestFaultRetryInvalidatesCFLCache(t *testing.T) {
 // committed step must leave the CFL cache coherent with the state.
 func TestFaultRecoveredRunCFLCoherent(t *testing.T) {
 	s := sodSolver(t)
-	g := NewGuard(s, Policy{})
+	g := NewGuard(s)
 	g.Inject = &Injector{AtStep: 3, Cell: -1, Count: 2} // forces the fallback
 	s.RecoverPrimitives()
 
@@ -68,7 +68,7 @@ func TestFaultRecoveredRunCFLCoherent(t *testing.T) {
 // would otherwise leak a full state copy per step).
 func TestFaultSnapshotBuffersReused(t *testing.T) {
 	s := sodSolver(t)
-	g := NewGuard(s, Policy{})
+	g := NewGuard(s)
 	g.Inject = &Injector{AtStep: 2, Cell: -1, Count: 2}
 	s.RecoverPrimitives()
 

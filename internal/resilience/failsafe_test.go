@@ -37,7 +37,7 @@ func TestFaultLocalRepairBeatsGlobalRetry(t *testing.T) {
 	// Global path: guarded solver without the fail-safe. In-stage faults
 	// surface at stage validation; Count=2 outlasts the dt-halving retry
 	// so the PCM+HLL fallback engages.
-	global := NewGuard(blastSolver(t, nil), Policy{})
+	global := NewGuard(blastSolver(t, nil))
 	global.Inject = &Injector{AtStep: 3, Count: 2, Cell: -1, InStage: true}
 	if _, err := global.Advance(tEnd); err != nil {
 		t.Fatalf("global-retry run did not complete: %v", err)
@@ -54,7 +54,7 @@ func TestFaultLocalRepairBeatsGlobalRetry(t *testing.T) {
 	// caught by the detector mid-step and patched with first-order fluxes
 	// on the troubled faces only — the step commits on the first attempt
 	// at the configured scheme order.
-	local := NewGuard(blastSolver(t, func(c *core.Config) { c.FailSafe = true }), Policy{})
+	local := NewGuard(blastSolver(t, func(c *core.Config) { c.FailSafe = true }))
 	local.Inject = &Injector{AtStep: 3, Count: 2, Cell: -1, InStage: true}
 	if _, err := local.Advance(tEnd); err != nil {
 		t.Fatalf("fail-safe run did not complete: %v", err)
@@ -82,14 +82,14 @@ func TestFaultLocalRepairBeatsGlobalRetry(t *testing.T) {
 }
 
 // TestFaultFailSafeDemotionFallsThrough: when the troubled fraction
-// exceeds the policy bound, the fail-safe guard must demote to the
+// exceeds Config.FailSafeMaxFrac, the fail-safe guard must demote to the
 // global retry machinery — and still complete the run.
 func TestFaultFailSafeDemotionFallsThrough(t *testing.T) {
-	s := blastSolver(t, func(c *core.Config) { c.FailSafe = true })
-	g := NewGuard(s, Policy{MaxTroubledFrac: 1.0 / (48.0 * 48.0 * 2.0)})
-	if s.Cfg.FailSafeMaxFrac == 0 {
-		t.Fatal("NewGuard did not install MaxTroubledFrac")
-	}
+	s := blastSolver(t, func(c *core.Config) {
+		c.FailSafe = true
+		c.FailSafeMaxFrac = 1.0 / (48.0 * 48.0 * 2.0)
+	})
+	g := NewGuard(s)
 	// Two poisoned cells exceed the ~half-cell fraction; one attempt only,
 	// so the (fail-safe-disabled) retry runs clean.
 	idx := s.G.Idx(s.G.TotalX/2, s.G.TotalY/2, 0)

@@ -33,7 +33,7 @@ func TestFaultGuardCleanRunBitIdentical(t *testing.T) {
 	}
 
 	guarded := sodSolver(t)
-	g := NewGuard(guarded, Policy{})
+	g := NewGuard(guarded)
 	if _, err := g.Advance(testprob.Sod.TEnd); err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestFaultGuardCleanRunBitIdentical(t *testing.T) {
 // injected NaN triggers the dt-halving retry and the run completes.
 func TestFaultInjectedNaNRecovered(t *testing.T) {
 	s := sodSolver(t)
-	g := NewGuard(s, Policy{})
+	g := NewGuard(s)
 	g.Inject = &Injector{AtStep: 3, Cell: -1}
 	if _, err := g.Advance(testprob.Sod.TEnd); err != nil {
 		t.Fatalf("run did not complete: %v", err)
@@ -79,7 +79,7 @@ func TestFaultInjectedNaNRecovered(t *testing.T) {
 func TestFaultPersistentFaultEngagesFallback(t *testing.T) {
 	s := sodSolver(t)
 	hiRec, hiRS := s.Method()
-	g := NewGuard(s, Policy{})
+	g := NewGuard(s)
 	g.Inject = &Injector{AtStep: 2, Count: 2, Cell: -1}
 	if _, err := g.Advance(testprob.Sod.TEnd); err != nil {
 		t.Fatalf("run did not complete: %v", err)
@@ -101,7 +101,7 @@ func TestFaultPersistentFaultEngagesFallback(t *testing.T) {
 // tau < 0 cell must be caught and repaired exactly like a NaN.
 func TestFaultUnphysicalInjection(t *testing.T) {
 	s := sodSolver(t)
-	g := NewGuard(s, Policy{})
+	g := NewGuard(s)
 	g.Inject = &Injector{AtStep: 1, Cell: -1, Unphysical: true}
 	if _, err := g.Advance(testprob.Sod.TEnd); err != nil {
 		t.Fatalf("run did not complete: %v", err)
@@ -115,7 +115,7 @@ func TestFaultUnphysicalInjection(t *testing.T) {
 // a typed *StepFailure and leaves the state on the pre-step snapshot.
 func TestFaultRetryBudgetExhausted(t *testing.T) {
 	s := sodSolver(t)
-	g := NewGuard(s, Policy{MaxRetries: 3})
+	g := NewGuard(s)
 	g.Inject = &Injector{AtStep: 2, Count: 100, Cell: -1}
 
 	s.RecoverPrimitives()
@@ -134,8 +134,8 @@ func TestFaultRetryBudgetExhausted(t *testing.T) {
 			if !errors.As(err, &sf) {
 				t.Fatalf("expected *StepFailure, got %v", err)
 			}
-			if sf.Retries != 3 {
-				t.Fatalf("Retries = %d, want 3", sf.Retries)
+			if sf.Retries != maxRetries {
+				t.Fatalf("Retries = %d, want %d", sf.Retries, maxRetries)
 			}
 			if sf.Last == nil {
 				t.Fatal("StepFailure carries no cause")

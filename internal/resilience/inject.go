@@ -20,9 +20,9 @@ type Injector struct {
 	// gets corrupted.
 	AtStep int
 	// Count is how many consecutive attempts of that step to poison
-	// (default 1). Values above the guard's FirstOrderAfter force the
-	// first-order fallback to engage; values above MaxRetries+1 exhaust
-	// the budget and surface a *StepFailure.
+	// (default 1). Values above the guard's firstOrderAfter (2) force the
+	// first-order fallback to engage; values above maxRetries+1 (5)
+	// exhaust the budget and surface a *StepFailure.
 	Count int
 	// Cell is the flat grid index to poison; negative selects the domain
 	// centre.

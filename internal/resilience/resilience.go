@@ -39,36 +39,14 @@ import (
 	"rhsc/internal/state"
 )
 
-// Policy bounds the retry machinery.
-type Policy struct {
-	// MaxRetries is the number of retries per step before the guard gives
-	// up (default 4, i.e. dt can shrink 16-fold).
-	MaxRetries int
-	// FirstOrderAfter is the 1-based retry index from which the fallback
-	// scheme (PCM + HLL) replaces the configured method (default 2: the
-	// first retry only halves dt, preserving accuracy for transients).
-	FirstOrderAfter int
-	// C2PFailureLimit is the number of atmosphere resets a single RK
-	// stage may take before the step counts as violated (default 0).
-	C2PFailureLimit int
-	// MaxTroubledFrac bounds the fail-safe local repair when the wrapped
-	// solver runs with core.Config.FailSafe: a stage whose troubled-cell
-	// fraction exceeds it is demoted to this guard's global retry path
-	// (the damage is not local). Zero keeps the solver's configured value.
-	// Ignored when the solver does not use the fail-safe pipeline.
-	MaxTroubledFrac float64
-}
-
-// withDefaults fills zero fields.
-func (p Policy) withDefaults() Policy {
-	if p.MaxRetries == 0 {
-		p.MaxRetries = 4
-	}
-	if p.FirstOrderAfter == 0 {
-		p.FirstOrderAfter = 2
-	}
-	return p
-}
+// The retry budget. maxRetries bounds the retries per step before the
+// guard gives up (dt can shrink 16-fold); from retry firstOrderAfter on
+// the fallback scheme (PCM + HLL) replaces the configured method, so the
+// first retry only halves dt, preserving accuracy for transients.
+const (
+	maxRetries      = 4
+	firstOrderAfter = 2
+)
 
 // StepFailure reports a step whose retry budget is exhausted. The
 // guard's solver state is restored to the pre-step snapshot, so the
@@ -92,8 +70,7 @@ func (e *StepFailure) Unwrap() error { return e.Last }
 // Guard wraps a core.Solver with snapshot/validate/retry stepping. Use
 // from one goroutine; create with NewGuard. Do not copy.
 type Guard struct {
-	S      *core.Solver
-	Policy Policy
+	S *core.Solver
 	// Inject, when non-nil, deterministically corrupts the state after
 	// chosen steps (see Injector) to exercise the recovery path.
 	Inject *Injector
@@ -107,22 +84,17 @@ type Guard struct {
 }
 
 // NewGuard wraps s. It enables per-stage strict validation on the
-// solver (core.Config.StrictChecks) with the policy's c2p failure limit.
-// When the solver runs the fail-safe pipeline (core.Config.FailSafe),
-// the policy's MaxTroubledFrac is installed as its demotion threshold:
-// a stage the local repair cannot or should not handle surfaces as a
+// solver (core.Config.StrictChecks), under which any failed c2p
+// inversion violates the stage. When the solver runs the fail-safe
+// pipeline (core.Config.FailSafe), a stage the local repair cannot or
+// should not handle (core.Config.FailSafeMaxFrac) surfaces as a
 // *core.StateError, which this guard's retry path treats like any other
 // violation (restore, halve dt, eventually the global first-order
 // fallback) — with the fail-safe disabled for the remaining attempts of
 // that step, so the demotion really is global.
-func NewGuard(s *core.Solver, pol Policy) *Guard {
-	pol = pol.withDefaults()
+func NewGuard(s *core.Solver) *Guard {
 	s.Cfg.StrictChecks = true
-	s.Cfg.StrictC2PLimit = pol.C2PFailureLimit
-	if s.Cfg.FailSafe && pol.MaxTroubledFrac > 0 {
-		s.Cfg.FailSafeMaxFrac = pol.MaxTroubledFrac
-	}
-	g := &Guard{S: s, Policy: pol}
+	g := &Guard{S: s}
 	g.Stats = &g.own
 	return g
 }
@@ -162,17 +134,17 @@ func (g *Guard) Step(dt float64) (float64, error) {
 			// The raw W restore bypasses recovery, so any CFL reduction
 			// cached by the failed attempt's final recovery is stale.
 			s.InvalidateCFL()
-			if attempt > g.Policy.MaxRetries {
+			if attempt > maxRetries {
 				if fallback {
 					if err := s.SetMethod(hiRec, hiRS); err != nil {
 						return 0, err
 					}
 				}
-				return 0, &StepFailure{T: t0, Dt: dt, Retries: g.Policy.MaxRetries, Last: lastErr}
+				return 0, &StepFailure{T: t0, Dt: dt, Retries: maxRetries, Last: lastErr}
 			}
 			g.Stats.Retries.Add(1)
 			cur /= 2
-			if attempt >= g.Policy.FirstOrderAfter && !fallback {
+			if attempt >= firstOrderAfter && !fallback {
 				if err := s.SetMethod(recon.PCM{}, riemann.HLL{}); err != nil {
 					return 0, err
 				}

@@ -7,14 +7,13 @@ import (
 	"testing"
 
 	"rhsc/internal/durable"
-	"rhsc/internal/metrics"
 )
 
 // drainTwo stands up a server with one running (parked-with-snapshot)
 // and one queued job, then drains it into dir through fsys.
-func drainTwo(t *testing.T, fsys durable.FS, c *metrics.DurableCounters, dir string) error {
+func drainTwo(t *testing.T, fsys durable.FS, dir string) error {
 	t.Helper()
-	s := New(Config{Workers: 1, SpoolFS: fsys, DurableCounters: c})
+	s := New(Config{Workers: 1, SpoolFS: fsys})
 	running, err := s.Submit(longSpec())
 	if err != nil {
 		t.Fatal(err)
@@ -35,7 +34,7 @@ func drainTwo(t *testing.T, fsys durable.FS, c *metrics.DurableCounters, dir str
 // reason note, and the counters say so.
 func TestLoadSpoolSkipsAndQuarantinesCorruptRecord(t *testing.T) {
 	dir := t.TempDir()
-	if err := drainTwo(t, durable.OS, nil, dir); err != nil {
+	if err := drainTwo(t, durable.OS, dir); err != nil {
 		t.Fatalf("drain: %v", err)
 	}
 	recs, _ := filepath.Glob(filepath.Join(dir, "*.dur"))
@@ -53,8 +52,7 @@ func TestLoadSpoolSkipsAndQuarantinesCorruptRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var c metrics.DurableCounters
-	s2 := New(Config{Workers: 1, DurableCounters: &c})
+	s2 := New(Config{Workers: 1})
 	defer s2.Close()
 	n, err := s2.LoadSpool(dir)
 	if n != 1 {
@@ -70,7 +68,7 @@ func TestLoadSpoolSkipsAndQuarantinesCorruptRecord(t *testing.T) {
 	if _, err := os.Stat(q[0] + ".reason"); err != nil {
 		t.Fatalf("quarantined record has no reason note: %v", err)
 	}
-	snap := c.Snapshot()
+	snap := s2.DurableMetrics()
 	if snap.DetectedCorruptions < 1 || snap.Quarantined < 1 {
 		t.Fatalf("counters %+v", snap)
 	}
@@ -127,7 +125,7 @@ func TestDrainCrashMatrix(t *testing.T) {
 		t.Skip("crash matrix is a long test")
 	}
 	probe := durable.NewFaultFS(durable.OS, durable.Plan{})
-	if err := drainTwo(t, probe, nil, t.TempDir()); err != nil {
+	if err := drainTwo(t, probe, t.TempDir()); err != nil {
 		t.Fatalf("clean drain: %v", err)
 	}
 	total := probe.Ops()
@@ -138,7 +136,7 @@ func TestDrainCrashMatrix(t *testing.T) {
 	for op := 1; op <= total; op++ {
 		dir := t.TempDir()
 		ffs := durable.NewFaultFS(durable.OS, durable.Plan{CrashAtOp: op, TornBytes: 3})
-		drainErr := drainTwo(t, ffs, nil, dir)
+		drainErr := drainTwo(t, ffs, dir)
 		if ffs.Ops() < op {
 			t.Fatalf("op %d: crash never fired (drain err %v)", op, drainErr)
 		}

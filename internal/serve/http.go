@@ -19,6 +19,7 @@ import (
 //	                         terminal event
 //	GET  /v1/jobs/{id}/result the finished job's CSV deliverable
 //	GET  /v1/metrics         serving counters (metrics.ServeSnapshot)
+//	                         and the spool's durable_* counters
 //	GET  /v1/fleet           routed-fleet health (per-device scores and
 //	                         drain states, equivalent capacity, router
 //	                         counters); 404 without a -fleet
@@ -97,14 +98,12 @@ func NewMux(s *Server) *http.ServeMux {
 	})
 
 	mux.HandleFunc("GET /v1/metrics", func(w http.ResponseWriter, r *http.Request) {
-		// One flat JSON object: serving counters plus durable_*- and
-		// net_*-prefixed counters, so map[string]int64 consumers keep
-		// working.
+		// One flat JSON object: serving counters plus durable_*-prefixed
+		// counters, so map[string]int64 consumers keep working.
 		writeJSON(w, http.StatusOK, struct {
 			metrics.ServeSnapshot
 			metrics.DurableSnapshot
-			metrics.TransportSnapshot
-		}{s.Metrics(), s.DurableMetrics(), s.NetMetrics()})
+		}{s.Metrics(), s.DurableMetrics()})
 	})
 
 	mux.HandleFunc("GET /v1/fleet", func(w http.ResponseWriter, r *http.Request) {

@@ -121,6 +121,12 @@ func TestHTTPSubmitWatchResult(t *testing.T) {
 	if _, ok := m["durable_commits"]; !ok {
 		t.Fatalf("metrics missing durable counters: %+v", m)
 	}
+	// A job server drives no transport, so it reports no net_* counters.
+	for k := range m {
+		if strings.HasPrefix(k, "net_") {
+			t.Fatalf("metrics carry transport counter %q: %+v", k, m)
+		}
+	}
 }
 
 func TestHTTPErrorPaths(t *testing.T) {

@@ -79,14 +79,23 @@ func TestPreemptedSerialJobBitwiseIdentical(t *testing.T) {
 // TestPreemptedAMRJobBitwiseIdentical forces the preemption across
 // regrid boundaries (RegridEvery defaults to 4, the job runs 24 steps)
 // and requires the resumed hierarchy to match the uncontested one bit
-// for bit — structure, conserved and primitive fields alike.
+// for bit — structure, conserved and primitive fields alike — for the
+// default rk2 job and for an rk3 one, whose tree must honour its
+// integrator: the two end on different fingerprints.
 func TestPreemptedAMRJobBitwiseIdentical(t *testing.T) {
-	spec := JobSpec{Problem: "sod", N: 128, MaxSteps: 120, TEnd: 10, ReportEvery: 1,
-		AMR: true, MaxLevel: 2, RootBlocks: 16}
-	quiet := runQuiet(t, spec)
-	contested := runContested(t, spec)
-	if quiet.Fingerprint == "" || quiet.Fingerprint != contested.Fingerprint {
-		t.Fatalf("preempted AMR run fingerprint %s != quiet %s",
-			contested.Fingerprint, quiet.Fingerprint)
+	fps := map[string]string{}
+	for _, rk := range []string{"rk2", "rk3"} {
+		spec := JobSpec{Problem: "sod", N: 128, MaxSteps: 120, TEnd: 10, ReportEvery: 1,
+			AMR: true, MaxLevel: 2, RootBlocks: 16, Integrator: rk}
+		quiet := runQuiet(t, spec)
+		contested := runContested(t, spec)
+		if quiet.Fingerprint == "" || quiet.Fingerprint != contested.Fingerprint {
+			t.Fatalf("%s: preempted AMR run fingerprint %s != quiet %s",
+				rk, contested.Fingerprint, quiet.Fingerprint)
+		}
+		fps[rk] = quiet.Fingerprint
+	}
+	if fps["rk2"] == fps["rk3"] {
+		t.Fatalf("rk2 and rk3 AMR jobs both end on fingerprint %s", fps["rk2"])
 	}
 }

@@ -68,10 +68,6 @@ type Config struct {
 	DefaultQuota Quota
 	// Quotas maps tenant names to their quota.
 	Quotas map[string]Quota
-	// Counters, when non-nil, shares serving counters with the caller
-	// (benchmark harness, metrics endpoint); otherwise the server owns
-	// a private set.
-	Counters *metrics.ServeCounters
 	// Placer, when non-nil, routes each job segment onto fleet capacity
 	// (FleetPlacer over the hetero router) instead of the flat worker
 	// pool; when it refuses — every device drained or dead — the segment
@@ -80,19 +76,11 @@ type Config struct {
 	// SpoolFS is the filesystem the spool's durable store commits
 	// through (default the real OS; tests inject durable.FaultFS).
 	SpoolFS durable.FS
-	// DurableCounters, when non-nil, shares durability counters
-	// (commits, recoveries, quarantines) with the caller; otherwise the
-	// server owns a private set.
-	DurableCounters *metrics.DurableCounters
 	// JobTimeout caps each job's cumulative *running* wall-clock time
 	// (time parked or queued does not count). A job past the cap is
 	// cancelled between steps with ErrJobTimeout and counted in the
 	// TimedOut metric. 0 disables the watchdog.
 	JobTimeout time.Duration
-	// NetCounters, when non-nil, shares transport counters (reliable
-	// fabric traffic, chaos faults, repairs) with the caller so they
-	// surface on /v1/metrics; otherwise the server owns a private set.
-	NetCounters *metrics.TransportCounters
 }
 
 // ErrJobTimeout is the typed cancellation cause of the per-job
@@ -111,12 +99,10 @@ type tenantAcct struct {
 // methods are safe for concurrent use.
 type Server struct {
 	cfg Config
-	// C is the serving counter set (shared or owned).
+	// C is the serving counter set.
 	C *metrics.ServeCounters
-	// D is the durability counter set (shared or owned).
+	// D is the durability counter set of the spool.
 	D *metrics.DurableCounters
-	// N is the transport counter set (shared or owned).
-	N *metrics.TransportCounters
 
 	mu        sync.Mutex
 	cond      *sync.Cond
@@ -144,21 +130,11 @@ func New(cfg Config) *Server {
 	}
 	s := &Server{
 		cfg:     cfg,
-		C:       cfg.Counters,
-		D:       cfg.DurableCounters,
-		N:       cfg.NetCounters,
+		C:       &metrics.ServeCounters{},
+		D:       &metrics.DurableCounters{},
 		jobs:    make(map[string]*job),
 		running: make(map[*job]struct{}),
 		tenants: make(map[string]*tenantAcct),
-	}
-	if s.C == nil {
-		s.C = &metrics.ServeCounters{}
-	}
-	if s.D == nil {
-		s.D = &metrics.DurableCounters{}
-	}
-	if s.N == nil {
-		s.N = &metrics.TransportCounters{}
 	}
 	s.cond = sync.NewCond(&s.mu)
 	for i := 0; i < cfg.Workers; i++ {
@@ -174,10 +150,6 @@ func (s *Server) Metrics() metrics.ServeSnapshot { return s.C.Snapshot() }
 // DurableMetrics snapshots the durability counters (spool commits,
 // recovered generations, detected corruptions, quarantined entries).
 func (s *Server) DurableMetrics() metrics.DurableSnapshot { return s.D.Snapshot() }
-
-// NetMetrics snapshots the transport counters (reliable-fabric traffic,
-// injected chaos faults, repairs, typed failures).
-func (s *Server) NetMetrics() metrics.TransportSnapshot { return s.N.Snapshot() }
 
 // tenantLocked returns (creating if needed) the accounting bucket.
 func (s *Server) tenantLocked(name string) *tenantAcct {

@@ -723,7 +723,7 @@ func newSimRunner(sim *Sim, tEnd float64) *simRunner {
 	}
 	return &simRunner{
 		sim:   sim,
-		guard: resilience.NewGuard(sim.Solver, resilience.Policy{}),
+		guard: resilience.NewGuard(sim.Solver),
 		tEnd:  tEnd,
 	}
 }

@@ -241,6 +241,29 @@ func TestAMRSim(t *testing.T) {
 	}
 }
 
+// TestAMRSimHonoursIntegrator: a tree runs the integrator it is given —
+// ten steps of the same Sod tube at rk1, rk2 and rk3 end on three
+// different states.
+func TestAMRSimHonoursIntegrator(t *testing.T) {
+	seen := map[uint64]string{}
+	for _, rk := range []string{"rk1", "rk2", "rk3"} {
+		a, err := NewAMRSim(Options{Problem: "sod", N: 64, Integrator: rk}, AMROptions{RootBlocks: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 10; i++ {
+			if err := a.Tree.Step(a.Tree.MaxDt()); err != nil {
+				t.Fatalf("%s step %d: %v", rk, i, err)
+			}
+		}
+		fp := a.Tree.Fingerprint()
+		if prev, ok := seen[fp]; ok {
+			t.Errorf("%s reaches fingerprint %016x, as %s does", rk, fp, prev)
+		}
+		seen[fp] = rk
+	}
+}
+
 func TestAMRCheckpointRestore(t *testing.T) {
 	o := Options{Problem: "sod"}
 	a, err := NewAMRSim(o, AMROptions{MaxLevel: 1})
