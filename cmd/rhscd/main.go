@@ -19,6 +19,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"net/http"
 	"os"
 	"os/signal"
@@ -115,7 +116,10 @@ func main() {
 		d.Commits, d.CommitBytes)
 }
 
-// parseQuotas decodes 'tenant=maxactive:budget' pairs.
+// parseQuotas decodes 'tenant=maxactive:budget' pairs. The tenant must be
+// named, maxactive must be a non-negative integer, and budget a
+// non-negative whole number of zone updates (1e9 form allowed) that fits
+// an int64.
 func parseQuotas(s string) (map[string]serve.Quota, error) {
 	if s == "" {
 		return nil, nil
@@ -123,7 +127,7 @@ func parseQuotas(s string) (map[string]serve.Quota, error) {
 	out := make(map[string]serve.Quota)
 	for _, pair := range strings.Split(s, ",") {
 		name, val, ok := strings.Cut(strings.TrimSpace(pair), "=")
-		if !ok {
+		if !ok || strings.TrimSpace(name) == "" {
 			return nil, fmt.Errorf("rhscd: bad quota %q (want tenant=maxactive:budget)", pair)
 		}
 		ma, bu, ok := strings.Cut(val, ":")
@@ -135,9 +139,16 @@ func parseQuotas(s string) (map[string]serve.Quota, error) {
 		if q.MaxActive, err = strconv.Atoi(ma); err != nil {
 			return nil, fmt.Errorf("rhscd: bad maxactive in %q: %v", pair, err)
 		}
+		if q.MaxActive < 0 {
+			return nil, fmt.Errorf("rhscd: bad maxactive in %q: negative", pair)
+		}
 		b, err := strconv.ParseFloat(bu, 64)
 		if err != nil {
 			return nil, fmt.Errorf("rhscd: bad budget in %q: %v", pair, err)
+		}
+		// 0x1p63 is MaxInt64+1: the first float64 int64() cannot hold.
+		if !(b >= 0 && b < 0x1p63) || b != math.Trunc(b) {
+			return nil, fmt.Errorf("rhscd: bad budget in %q: want a whole number in [0, 2^63)", pair)
 		}
 		q.Budget = int64(b)
 		out[name] = q

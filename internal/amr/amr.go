@@ -11,14 +11,18 @@
 //   - A uniform global Δt (the minimum CFL step over all leaves) is used
 //     instead of level subcycling — simpler, unconditionally consistent,
 //     and adequate for the efficiency experiment E9.
-//   - Ghost zones of a leaf are filled by conservative point sampling of
-//     the neighbouring leaves: same-level neighbours copy exactly, coarse
-//     neighbours prolongate piecewise-constantly, fine neighbours are
-//     averaged (restriction). The sample points are resolved to source
-//     cells once per hierarchy and replayed (ghostplan.go). Coarse-fine
-//     interfaces are not refluxed; the conservation drift this causes is
-//     measured by the tests and stays far below the scheme's
-//     discretisation error.
+//   - A leaf's grid comes from the problem's BlockGrid, the face rule
+//     the uniform grid and cluster ranks share: domain faces carry the
+//     problem's BC and SetupGrid (an inflow nozzle included), and faces
+//     shared with another block are External.
+//   - External ghost zones of a leaf are filled by conservative point
+//     sampling of the neighbouring leaves: same-level neighbours copy
+//     exactly, coarse neighbours prolongate piecewise-constantly, fine
+//     neighbours are averaged (restriction). The sample points are
+//     resolved to source cells once per hierarchy and replayed
+//     (ghostplan.go). Coarse-fine interfaces are not refluxed; the
+//     conservation drift this causes is measured by the tests and stays
+//     far below the scheme's discretisation error.
 package amr
 
 import (
@@ -194,8 +198,9 @@ func (t *Tree) blockExtent(level, bi, bj int) (x0, x1, y0, y1 float64) {
 	return
 }
 
-// attachSolver allocates the grid and solver of a leaf; the solver's own
-// stage buffers are the leaf's stage storage.
+// attachSolver allocates the grid and solver of a leaf, its faces by the
+// problem's block rule; the solver's own stage buffers are the leaf's
+// stage storage.
 func (t *Tree) attachSolver(n *node) error {
 	x0, x1, y0, y1 := t.blockExtent(n.level, n.bi, n.bj)
 	geom := grid.Geometry{
@@ -205,8 +210,7 @@ func (t *Tree) attachSolver(n *node) error {
 	if t.dim >= 2 {
 		geom.Ny = t.cfg.BlockN
 	}
-	g := grid.New(geom)
-	t.setLeafBCs(n, g)
+	g := t.prob.BlockGrid(geom, [3]int{n.bi, n.bj}, [3]int{t.nbx << n.level, t.nby << n.level, 1})
 	sol, err := core.New(g, t.cfg.Core)
 	if err != nil {
 		return err
@@ -216,38 +220,6 @@ func (t *Tree) attachSolver(n *node) error {
 		t.cfg.Attach(sol)
 	}
 	return nil
-}
-
-// setLeafBCs marks faces shared with other blocks External and domain
-// faces with the problem BC (periodic domain faces are also External:
-// they wrap to another block).
-func (t *Tree) setLeafBCs(n *node, g *grid.Grid) {
-	periodic := t.prob.BC == grid.Periodic
-	nbxL := t.nbx << n.level
-	nbyL := t.nby << n.level
-	// x faces
-	if n.bi > 0 || (periodic && nbxL > 1) {
-		g.BCs[0][0] = grid.External
-	} else {
-		g.BCs[0][0] = t.prob.BC
-	}
-	if n.bi < nbxL-1 || (periodic && nbxL > 1) {
-		g.BCs[0][1] = grid.External
-	} else {
-		g.BCs[0][1] = t.prob.BC
-	}
-	if t.dim >= 2 {
-		if n.bj > 0 || (periodic && nbyL > 1) {
-			g.BCs[1][0] = grid.External
-		} else {
-			g.BCs[1][0] = t.prob.BC
-		}
-		if n.bj < nbyL-1 || (periodic && nbyL > 1) {
-			g.BCs[1][1] = grid.External
-		} else {
-			g.BCs[1][1] = t.prob.BC
-		}
-	}
 }
 
 // initLeaves imposes the problem's initial condition on the given leaves.

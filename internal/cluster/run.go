@@ -422,8 +422,7 @@ func runRank(comm *Comm, p *testprob.Problem, nGlob int, starts []int, nyGlob, n
 		geom.GlobalDy = dy
 		geom.JOffset = ry * nyLoc
 	}
-	g := grid.New(geom)
-	g.SetAllBCs(p.BC)
+	g := p.BlockGrid(geom, [3]int{rx, ry}, [3]int{opts.Px, opts.Py, 1})
 
 	rs := &rankState{
 		comm: comm, g: g, opts: opts,
@@ -434,27 +433,19 @@ func runRank(comm *Comm, p *testprob.Problem, nGlob int, starts []int, nyGlob, n
 	if len(opts.RankRates) > 0 {
 		rs.rate = opts.RankRates[rank]
 	}
-	periodic := p.BC == grid.Periodic
+	// The neighbours behind the External faces BlockGrid marked.
 	at := func(x, y int) int { return y*opts.Px + x }
-	if opts.Px > 1 {
-		if rx > 0 || periodic {
-			rs.left = at((rx-1+opts.Px)%opts.Px, ry)
-			g.BCs[0][0] = grid.External
-		}
-		if rx < opts.Px-1 || periodic {
-			rs.right = at((rx+1)%opts.Px, ry)
-			g.BCs[0][1] = grid.External
-		}
+	if g.BCs[0][0] == grid.External {
+		rs.left = at((rx-1+opts.Px)%opts.Px, ry)
 	}
-	if opts.Py > 1 {
-		if ry > 0 || periodic {
-			rs.down = at(rx, (ry-1+opts.Py)%opts.Py)
-			g.BCs[1][0] = grid.External
-		}
-		if ry < opts.Py-1 || periodic {
-			rs.up = at(rx, (ry+1)%opts.Py)
-			g.BCs[1][1] = grid.External
-		}
+	if g.BCs[0][1] == grid.External {
+		rs.right = at((rx+1)%opts.Px, ry)
+	}
+	if g.BCs[1][0] == grid.External {
+		rs.down = at(rx, (ry-1+opts.Py)%opts.Py)
+	}
+	if g.BCs[1][1] == grid.External {
+		rs.up = at(rx, (ry+1)%opts.Py)
 	}
 
 	cfg.HaloExchange = rs.exchange

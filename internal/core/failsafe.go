@@ -195,7 +195,9 @@ func (s *Solver) FSMask() []uint8 {
 // partition invariant.
 func (s *Solver) fsRepair(stage int, dt, a, b float64) error {
 	g := s.G
-	s.fsFillMaskBCs()
+	// The grid's own faces, as for the primitives; External (and Custom)
+	// mask ghosts are the driver's, filled by the Masks hook.
+	grid.FillGhosts(g, s.fsMask, grid.Scalar)
 	clear(s.fsTouched)
 
 	scO := s.getScratch()
@@ -369,124 +371,6 @@ func (s *Solver) fsRepairRow(d state.Direction, base, stride, n, cBeg, cEnd int,
 				rhs.Comp[c][idx] = div
 			} else {
 				rhs.Comp[c][idx] += div
-			}
-		}
-	}
-}
-
-// fsFillMaskBCs fills the ghost-band entries of the troubled-cell mask
-// for the grid's own boundary conditions, mirroring grid.ApplyBCs
-// (Outflow copies, Periodic wraps, Reflect mirrors — flags carry no
-// sign). Faces marked External (and Custom) are left untouched for the
-// driver's mask exchange, exactly like the primitive halo.
-func (s *Solver) fsFillMaskBCs() {
-	g := s.G
-	m := s.fsMask
-	ng := g.Ng
-	nx := g.Nx
-	for k := 0; k < g.TotalZ; k++ {
-		for j := 0; j < g.TotalY; j++ {
-			row := (k*g.TotalY + j) * g.TotalX
-			data := m[row : row+g.TotalX]
-			switch g.BCs[0][0] {
-			case grid.Outflow:
-				for i := 0; i < ng; i++ {
-					data[i] = data[ng]
-				}
-			case grid.Periodic:
-				for i := 0; i < ng; i++ {
-					data[i] = data[nx+i]
-				}
-			case grid.Reflect:
-				for i := 0; i < ng; i++ {
-					data[i] = data[2*ng-1-i]
-				}
-			}
-			switch g.BCs[0][1] {
-			case grid.Outflow:
-				for i := 0; i < ng; i++ {
-					data[ng+nx+i] = data[ng+nx-1]
-				}
-			case grid.Periodic:
-				for i := 0; i < ng; i++ {
-					data[ng+nx+i] = data[ng+i]
-				}
-			case grid.Reflect:
-				for i := 0; i < ng; i++ {
-					data[ng+nx+i] = data[ng+nx-1-i]
-				}
-			}
-		}
-	}
-	if g.Ny > 1 {
-		nyI := g.Ny
-		for k := 0; k < g.TotalZ; k++ {
-			for i := 0; i < g.TotalX; i++ {
-				at := func(j int) int { return (k*g.TotalY+j)*g.TotalX + i }
-				switch g.BCs[1][0] {
-				case grid.Outflow:
-					for j := 0; j < ng; j++ {
-						m[at(j)] = m[at(ng)]
-					}
-				case grid.Periodic:
-					for j := 0; j < ng; j++ {
-						m[at(j)] = m[at(nyI+j)]
-					}
-				case grid.Reflect:
-					for j := 0; j < ng; j++ {
-						m[at(j)] = m[at(2*ng-1-j)]
-					}
-				}
-				switch g.BCs[1][1] {
-				case grid.Outflow:
-					for j := 0; j < ng; j++ {
-						m[at(ng+nyI+j)] = m[at(ng+nyI-1)]
-					}
-				case grid.Periodic:
-					for j := 0; j < ng; j++ {
-						m[at(ng+nyI+j)] = m[at(ng+j)]
-					}
-				case grid.Reflect:
-					for j := 0; j < ng; j++ {
-						m[at(ng+nyI+j)] = m[at(ng+nyI-1-j)]
-					}
-				}
-			}
-		}
-	}
-	if g.Nz > 1 {
-		nzI := g.Nz
-		for j := 0; j < g.TotalY; j++ {
-			for i := 0; i < g.TotalX; i++ {
-				at := func(k int) int { return (k*g.TotalY+j)*g.TotalX + i }
-				switch g.BCs[2][0] {
-				case grid.Outflow:
-					for k := 0; k < ng; k++ {
-						m[at(k)] = m[at(ng)]
-					}
-				case grid.Periodic:
-					for k := 0; k < ng; k++ {
-						m[at(k)] = m[at(nzI+k)]
-					}
-				case grid.Reflect:
-					for k := 0; k < ng; k++ {
-						m[at(k)] = m[at(2*ng-1-k)]
-					}
-				}
-				switch g.BCs[2][1] {
-				case grid.Outflow:
-					for k := 0; k < ng; k++ {
-						m[at(ng+nzI+k)] = m[at(ng+nzI-1)]
-					}
-				case grid.Periodic:
-					for k := 0; k < ng; k++ {
-						m[at(ng+nzI+k)] = m[at(ng+k)]
-					}
-				case grid.Reflect:
-					for k := 0; k < ng; k++ {
-						m[at(ng+nzI+k)] = m[at(ng+nzI-1-k)]
-					}
-				}
 			}
 		}
 	}

@@ -78,23 +78,35 @@ func TestStepZeroAllocs(t *testing.T) {
 		// the zero bound does not cover.)
 		{"rk3-2d", testprob.Blast2D, 48, func(c *Config) { c.Integrator = RK3 }},
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			s := newSteppedSolver(t, tc.p, tc.n, 3, tc.mut)
-			var stepErr error
-			allocs := testing.AllocsPerRun(5, func() {
-				if err := s.Step(s.MaxDt()); err != nil {
-					stepErr = err
-				}
-			})
-			if stepErr != nil {
-				t.Fatal(stepErr)
-			}
-			if allocs != 0 {
-				t.Errorf("steady-state MaxDt+Step allocates %.1f times, want 0", allocs)
+	zeroAllocSteps := func(t *testing.T, s *Solver) {
+		var stepErr error
+		allocs := testing.AllocsPerRun(5, func() {
+			if err := s.Step(s.MaxDt()); err != nil {
+				stepErr = err
 			}
 		})
+		if stepErr != nil {
+			t.Fatal(stepErr)
+		}
+		if allocs != 0 {
+			t.Errorf("steady-state MaxDt+Step allocates %.1f times, want 0", allocs)
+		}
 	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			zeroAllocSteps(t, newSteppedSolver(t, tc.p, tc.n, 3, tc.mut))
+		})
+	}
+	// The tracer's ghost fill runs on its own slice after every recovery.
+	// It is enabled after the warm-up steps; AllocsPerRun's own warm-up
+	// step settles it.
+	t.Run("tracer-sod-1d", func(t *testing.T) {
+		s := newSteppedSolver(t, testprob.Sod, 400, 3, nil)
+		if err := s.EnableTracer(func(x, _, _ float64) float64 { return x }); err != nil {
+			t.Fatal(err)
+		}
+		zeroAllocSteps(t, s)
+	})
 }
 
 // TestMaxDtCachedMatchesTraversal: the in-sweep CFL reduction consumed

@@ -116,7 +116,7 @@ type Config struct {
 	FailSafe bool
 	// FailSafeRelax scales the relaxed discrete-maximum-principle bound of
 	// the detector: a candidate rho or P outside the pre-stage face
-	// neighbourhood's [min, max] widened by Relax*(max-min) plus a 1e-6
+	// neighbourhood's [min, max] widened by Relax*(max-min) plus a 1e-3
 	// relative cushion is troubled. Zero selects the default 1.0.
 	FailSafeRelax float64
 	// FailSafeMaxFrac, when positive, demotes the stage to a hard

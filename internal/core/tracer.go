@@ -7,14 +7,17 @@ package core
 // where D is conserved, so is D_X, and X remains in [min, max] of its
 // initial data (donor-cell upwinding is monotone).
 //
-// The tracer currently supports single-grid runs (no HaloExchange/AMR);
-// New rejects the combination.
+// The tracer supports single-grid runs whose faces the grid fills itself:
+// EnableTracer rejects a HaloExchange (distributed drivers own the
+// ghosts) and a Custom face (its hook fills state.Fields only). AMR
+// leaves never enable it.
 
 import (
 	"errors"
 	"fmt"
 	"math"
 
+	"rhsc/internal/grid"
 	"rhsc/internal/state"
 )
 
@@ -28,11 +31,22 @@ type tracerState struct {
 
 // EnableTracer activates the passive scalar and imposes its initial
 // profile X(x, y, z). Must be called after InitFromPrim (it needs the
-// conserved density) and before stepping. It returns an error when the
-// solver uses a halo exchange (distributed/AMR drivers own the ghosts).
+// conserved density) and before stepping. It returns an error, and
+// enables nothing, when
+//   - the solver has a HaloExchange: distributed drivers own the ghosts;
+//   - a grid face is Custom: its CustomFill hook writes state.Fields, not
+//     the tracer, so an inflow face would have no tracer value.
 func (s *Solver) EnableTracer(fn func(x, y, z float64) float64) error {
 	if s.Cfg.HaloExchange != nil {
 		return errors.New("core: tracer does not support HaloExchange drivers")
+	}
+	for d, sides := range s.G.BCs {
+		for side, bc := range sides {
+			if bc == grid.Custom {
+				return fmt.Errorf("core: tracer does not support the Custom face %s-%s",
+					state.Direction(d), [2]string{"lo", "hi"}[side])
+			}
+		}
 	}
 	n := s.G.NCells()
 	s.trc = &tracerState{
@@ -50,7 +64,7 @@ func (s *Solver) EnableTracer(fn func(x, y, z float64) float64) error {
 		s.trc.prim[idx] = x
 		s.trc.cons[idx] = g.U.Comp[state.ID][idx] * x
 	})
-	s.tracerGhosts()
+	grid.FillGhosts(s.G, s.trc.prim, grid.Scalar)
 	return nil
 }
 
@@ -61,19 +75,6 @@ func (s *Solver) Tracer(idx int) float64 {
 		return 0
 	}
 	return s.trc.prim[idx]
-}
-
-// tracerGhosts fills the tracer ghost zones. The scalar is wrapped in a
-// throwaway Fields (component 0) so the grid's boundary machinery —
-// including Custom inflow hooks, which see component 0 as density-like —
-// applies unchanged; reflections do not flip a scalar, and component 0
-// is never flipped.
-func (s *Solver) tracerGhosts() {
-	g := s.G
-	f := state.NewFields(g.NCells())
-	copy(f.Comp[0], s.trc.prim)
-	g.ApplyBCs(f)
-	copy(s.trc.prim, f.Comp[0])
 }
 
 // tracerRecover refreshes X = D_X / D in the interior (clipped to the
@@ -88,7 +89,7 @@ func (s *Solver) tracerRecover() {
 		}
 		s.trc.prim[idx] = s.trc.cons[idx] / d
 	})
-	s.tracerGhosts()
+	grid.FillGhosts(s.G, s.trc.prim, grid.Scalar)
 }
 
 // tracerSweepRow accumulates the tracer flux difference for one strip,

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"rhsc/internal/grid"
@@ -190,6 +191,26 @@ func TestTracerRejectsHaloExchange(t *testing.T) {
 	s.InitFromPrim(func(x, _, _ float64) state.Prim { return state.Prim{Rho: 1, P: 1} })
 	if err := s.EnableTracer(func(x, _, _ float64) float64 { return 1 }); err == nil {
 		t.Error("tracer accepted with HaloExchange")
+	}
+}
+
+// EnableTracer must reject a Custom face (an inflow hook fills Fields
+// only, never the tracer) and name it; jet2d's nozzle is one.
+func TestTracerRejectsCustomFace(t *testing.T) {
+	p := testprob.Jet2D
+	s, err := New(p.NewGrid(32, 2), DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.InitFromPrim(p.Init); err != nil {
+		t.Fatal(err)
+	}
+	err = s.EnableTracer(func(x, _, _ float64) float64 { return 1 })
+	if err == nil || !strings.Contains(err.Error(), "x-lo") {
+		t.Fatalf("EnableTracer on jet2d = %v, want an error naming the x-lo face", err)
+	}
+	if s.trc != nil {
+		t.Error("rejected tracer left enabled")
 	}
 }
 

@@ -94,10 +94,10 @@ type Grid struct {
 	BCs [3][2]BC
 
 	// CustomFill[d][side], required for faces marked Custom, fills that
-	// face's ghost zones of f. The hook receives the grid and the field
-	// being updated; compare f against g.W / g.U to know whether to write
-	// primitive or conserved values. Called after the standard passes, so
-	// it may overwrite edge ghosts its face owns.
+	// face's ghost zones of f, which is g.W or g.U: compare to know
+	// whether to write primitive or conserved values. Only ApplyBCs calls
+	// it, after the FillGhosts passes, so it may overwrite edge ghosts its
+	// face owns; other arrays (masks, tracers) see the face untouched.
 	CustomFill [3][2]func(g *Grid, f *state.Fields)
 
 	// dims caches ActiveDims: the active dimensions are fixed at
@@ -247,16 +247,10 @@ func (g *Grid) CellVolume() float64 {
 	return v
 }
 
-// SetBC sets the boundary condition on both faces of dimension d.
-func (g *Grid) SetBC(d state.Direction, bc BC) {
-	g.BCs[d][0] = bc
-	g.BCs[d][1] = bc
-}
-
 // SetAllBCs sets every face of every active dimension.
 func (g *Grid) SetAllBCs(bc BC) {
 	for _, d := range g.ActiveDims() {
-		g.SetBC(d, bc)
+		g.BCs[d] = [2]BC{bc, bc}
 	}
 }
 
@@ -274,20 +268,19 @@ func (g *Grid) ForEachInterior(fn func(idx, i, j, k int)) {
 }
 
 // ApplyBCs fills the ghost zones of f according to the grid's boundary
-// conditions. The vector components (indices 1..3 of both conserved and
-// primitive fields) have their normal component negated under Reflect.
-// Dimensions are processed x, then y, then z so that edge and corner
-// ghosts are filled consistently.
+// conditions: FillGhosts per component, the vector components (indices
+// 1..3 of both conserved and primitive fields) negated across their own
+// axis's Reflect faces, then the CustomFill hook of every Custom face.
 func (g *Grid) ApplyBCs(f *state.Fields) {
 	if f.N != g.NCells() {
 		panic("grid: ApplyBCs field size mismatch")
 	}
-	g.applyBCx(f)
-	if g.Ny > 1 {
-		g.applyBCy(f)
-	}
-	if g.Nz > 1 {
-		g.applyBCz(f)
+	for c := range f.Comp {
+		normal := Scalar
+		if c >= int(state.IVx) && c <= int(state.IVz) {
+			normal = c - int(state.IVx)
+		}
+		FillGhosts(g, f.Comp[c], normal)
 	}
 	for d := 0; d < 3; d++ {
 		for side := 0; side < 2; side++ {
@@ -302,156 +295,71 @@ func (g *Grid) ApplyBCs(f *state.Fields) {
 	}
 }
 
-func (g *Grid) applyBCx(f *state.Fields) {
-	ng, nx := g.Ng, g.Nx
-	for c := 0; c < state.NComp; c++ {
-		flip := 1.0
-		for k := 0; k < g.TotalZ; k++ {
-			for j := 0; j < g.TotalY; j++ {
-				row := (k*g.TotalY + j) * g.TotalX
-				data := f.Comp[c][row : row+g.TotalX]
-				// Lower face.
-				switch g.BCs[0][0] {
-				case Outflow:
-					for i := 0; i < ng; i++ {
-						data[i] = data[ng]
-					}
-				case Periodic:
-					for i := 0; i < ng; i++ {
-						data[i] = data[nx+i]
-					}
-				case Reflect:
-					flip = 1.0
-					if c == int(state.IVx) {
-						flip = -1.0
-					}
-					for i := 0; i < ng; i++ {
-						data[i] = flip * data[2*ng-1-i]
-					}
-				}
-				// Upper face.
-				switch g.BCs[0][1] {
-				case Outflow:
-					for i := 0; i < ng; i++ {
-						data[ng+nx+i] = data[ng+nx-1]
-					}
-				case Periodic:
-					for i := 0; i < ng; i++ {
-						data[ng+nx+i] = data[ng+i]
-					}
-				case Reflect:
-					flip = 1.0
-					if c == int(state.IVx) {
-						flip = -1.0
-					}
-					for i := 0; i < ng; i++ {
-						data[ng+nx+i] = flip * data[ng+nx-1-i]
-					}
-				}
-			}
-		}
-	}
-}
+// Scalar is FillGhosts' normal for a value that no Reflect face negates:
+// densities, pressures, fail-safe masks, tracers.
+const Scalar = -1
 
-func (g *Grid) applyBCy(f *state.Fields) {
-	ng, ny := g.Ng, g.Ny
-	for c := 0; c < state.NComp; c++ {
-		flip := 1.0
-		if c == int(state.IVy) {
-			flip = -1.0
-		}
-		for k := 0; k < g.TotalZ; k++ {
-			for i := 0; i < g.TotalX; i++ {
-				at := func(j int) int { return (k*g.TotalY+j)*g.TotalX + i }
-				switch g.BCs[1][0] {
-				case Outflow:
-					for j := 0; j < ng; j++ {
-						f.Comp[c][at(j)] = f.Comp[c][at(ng)]
-					}
-				case Periodic:
-					for j := 0; j < ng; j++ {
-						f.Comp[c][at(j)] = f.Comp[c][at(ny+j)]
-					}
-				case Reflect:
-					for j := 0; j < ng; j++ {
-						v := f.Comp[c][at(2*ng-1-j)]
-						if flip < 0 {
-							v = -v
-						}
-						f.Comp[c][at(j)] = v
-					}
-				}
-				switch g.BCs[1][1] {
-				case Outflow:
-					for j := 0; j < ng; j++ {
-						f.Comp[c][at(ng+ny+j)] = f.Comp[c][at(ng+ny-1)]
-					}
-				case Periodic:
-					for j := 0; j < ng; j++ {
-						f.Comp[c][at(ng+ny+j)] = f.Comp[c][at(ng+j)]
-					}
-				case Reflect:
-					for j := 0; j < ng; j++ {
-						v := f.Comp[c][at(ng+ny-1-j)]
-						if flip < 0 {
-							v = -v
-						}
-						f.Comp[c][at(ng+ny+j)] = v
-					}
-				}
-			}
-		}
+// FillGhosts fills the ghost zones of f, one value per cell of g, on the
+// Outflow, Periodic and Reflect faces: Outflow copies the nearest interior
+// layer, Periodic wraps, Reflect mirrors and negates when f is the vector
+// component along the face's axis (normal = 0, 1, 2 for x, y, z; Scalar
+// otherwise). Axes go x, then y, then z, and the lower face before the
+// upper, so edge and corner ghosts compose; External and Custom faces are
+// left untouched. Each face's offsets are worked out once: ghost layer t
+// reads layer src+step·t along the axis, copied a contiguous run at a
+// time. It allocates nothing.
+func FillGhosts[T ~float64 | ~uint8](g *Grid, f []T, normal int) {
+	if len(f) != g.NCells() {
+		panic("grid: FillGhosts field size mismatch")
 	}
-}
-
-func (g *Grid) applyBCz(f *state.Fields) {
-	ng, nz := g.Ng, g.Nz
-	for c := 0; c < state.NComp; c++ {
-		flip := 1.0
-		if c == int(state.IVz) {
-			flip = -1.0
+	ng := g.Ng
+	stride := 1 // distance between neighbouring layers along the axis
+	for d, total := range [3]int{g.TotalX, g.TotalY, g.TotalZ} {
+		n, plane := total-2*ng, stride*total
+		if d > 0 && total == 1 {
+			continue // inactive axis: no ghosts, and plane == stride
 		}
-		for j := 0; j < g.TotalY; j++ {
-			for i := 0; i < g.TotalX; i++ {
-				at := func(k int) int { return (k*g.TotalY+j)*g.TotalX + i }
-				switch g.BCs[2][0] {
-				case Outflow:
-					for k := 0; k < ng; k++ {
-						f.Comp[c][at(k)] = f.Comp[c][at(ng)]
-					}
-				case Periodic:
-					for k := 0; k < ng; k++ {
-						f.Comp[c][at(k)] = f.Comp[c][at(nz+k)]
-					}
-				case Reflect:
-					for k := 0; k < ng; k++ {
-						v := f.Comp[c][at(2*ng-1-k)]
-						if flip < 0 {
+		for side, dst := range [2]int{0, ng + n} {
+			var src, step int
+			switch g.BCs[d][side] {
+			case Outflow:
+				src, step = [2]int{ng, ng + n - 1}[side], 0
+			case Periodic:
+				src, step = [2]int{n, ng}[side], 1
+			case Reflect:
+				src, step = [2]int{2*ng - 1, ng + n - 1}[side], -1
+			default:
+				continue
+			}
+			neg := g.BCs[d][side] == Reflect && normal == d
+			if stride == 1 { // x: runs of one cell, copied without a call
+				for base := 0; base < len(f); base += plane {
+					row := f[base : base+plane]
+					for t := 0; t < ng; t++ {
+						v := row[src+step*t]
+						if neg {
 							v = -v
 						}
-						f.Comp[c][at(k)] = v
+						row[dst+t] = v
 					}
 				}
-				switch g.BCs[2][1] {
-				case Outflow:
-					for k := 0; k < ng; k++ {
-						f.Comp[c][at(ng+nz+k)] = f.Comp[c][at(ng+nz-1)]
-					}
-				case Periodic:
-					for k := 0; k < ng; k++ {
-						f.Comp[c][at(ng+nz+k)] = f.Comp[c][at(ng+k)]
-					}
-				case Reflect:
-					for k := 0; k < ng; k++ {
-						v := f.Comp[c][at(ng+nz-1-k)]
-						if flip < 0 {
-							v = -v
+				continue
+			}
+			for base := 0; base < len(f); base += plane {
+				for t := 0; t < ng; t++ {
+					to := f[base+(dst+t)*stride:][:stride]
+					from := f[base+(src+step*t)*stride:][:stride]
+					if neg {
+						for i, v := range from {
+							to[i] = -v
 						}
-						f.Comp[c][at(ng+nz+k)] = v
+					} else {
+						copy(to, from)
 					}
 				}
 			}
 		}
+		stride = plane
 	}
 }
 

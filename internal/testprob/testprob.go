@@ -34,6 +34,8 @@ type Problem struct {
 	Init func(x, y, z float64) state.Prim
 	// SetupGrid, when non-nil, customises the grid after the default
 	// boundary conditions are applied (e.g. installs an inflow nozzle).
+	// SetFaces runs it on every block of every driver; faces shared with
+	// another block then become External whatever it set.
 	SetupGrid func(g *grid.Grid)
 }
 
@@ -58,12 +60,38 @@ func (p *Problem) Geometry(n, ng int) grid.Geometry {
 
 // NewGrid builds the grid and applies the problem's boundary conditions.
 func (p *Problem) NewGrid(n, ng int) *grid.Grid {
-	g := grid.New(p.Geometry(n, ng))
+	return p.BlockGrid(p.Geometry(n, ng), [3]int{}, [3]int{1, 1, 1})
+}
+
+// BlockGrid builds the grid of one block of the domain, its faces set by
+// SetFaces.
+func (p *Problem) BlockGrid(geom grid.Geometry, pos, count [3]int) *grid.Grid {
+	g := grid.New(geom)
+	p.SetFaces(g, pos, count)
+	return g
+}
+
+// SetFaces sets the faces of g as block pos[d] of count[d] along each
+// axis d: a rank's subdomain, an AMR leaf, or (pos 0 of 1) the whole
+// domain. It applies the problem's BC and SetupGrid, so an inflow face is
+// the same on every driver, then marks External every face shared with
+// another block, to be filled by the driver: the lower face when pos > 0,
+// the upper when pos < count−1, and both when a periodic axis has more
+// than one block (its domain faces wrap to another block).
+func (p *Problem) SetFaces(g *grid.Grid, pos, count [3]int) {
 	g.SetAllBCs(p.BC)
 	if p.SetupGrid != nil {
 		p.SetupGrid(g)
 	}
-	return g
+	for _, d := range g.ActiveDims() {
+		wraps := p.BC == grid.Periodic && count[d] > 1
+		if pos[d] > 0 || wraps {
+			g.BCs[d][0] = grid.External
+		}
+		if pos[d] < count[d]-1 || wraps {
+			g.BCs[d][1] = grid.External
+		}
+	}
 }
 
 // registry holds all problems by name.

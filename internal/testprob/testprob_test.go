@@ -105,6 +105,38 @@ func TestNewGridAppliesBCs(t *testing.T) {
 	}
 }
 
+// TestBlockGridFaceRule: a block's faces are the problem's (SetupGrid
+// included) on the domain boundary and External where another block
+// lies behind them, periodic wraps included.
+func TestBlockGridFaceRule(t *testing.T) {
+	const (
+		E = grid.External
+		O = grid.Outflow
+		P = grid.Periodic
+		C = grid.Custom
+	)
+	cases := []struct {
+		p          *Problem
+		pos, count [3]int
+		want       [2][2]grid.BC // x then y faces, lower then upper
+	}{
+		{Jet2D, [3]int{0, 0}, [3]int{1, 1, 1}, [2][2]grid.BC{{C, O}, {O, O}}},
+		{Jet2D, [3]int{0, 1}, [3]int{2, 3, 1}, [2][2]grid.BC{{C, E}, {E, E}}},
+		{Jet2D, [3]int{1, 2}, [3]int{2, 3, 1}, [2][2]grid.BC{{E, O}, {E, O}}},
+		{KelvinHelmholtz2D, [3]int{0, 0}, [3]int{1, 1, 1}, [2][2]grid.BC{{P, P}, {P, P}}},
+		{KelvinHelmholtz2D, [3]int{0, 0}, [3]int{2, 1, 1}, [2][2]grid.BC{{E, E}, {P, P}}},
+	}
+	for _, tc := range cases {
+		g := tc.p.BlockGrid(tc.p.Geometry(16, 2), tc.pos, tc.count)
+		if got := [2][2]grid.BC{g.BCs[0], g.BCs[1]}; got != tc.want {
+			t.Errorf("%s block %v of %v: faces %v, want %v", tc.p.Name, tc.pos, tc.count, got, tc.want)
+		}
+	}
+	if g := Jet2D.NewGrid(16, 2); g.BCs[0][0] != C || g.CustomFill[0][0] == nil {
+		t.Errorf("jet2d NewGrid x-lo = %v, want its Custom nozzle", g.BCs[0][0])
+	}
+}
+
 func TestSmoothWaveExactSolution(t *testing.T) {
 	// The exact solution at t=0 matches Init.
 	for _, x := range []float64{0.1, 0.37, 0.92} {

@@ -267,6 +267,9 @@ func Restore(r io.Reader, o Options) (*Sim, error) {
 	if err != nil {
 		return nil, err
 	}
+	// A checkpoint keeps the face kinds but not a Custom face's hook: the
+	// faces come from the problem, as in NewSim.
+	p.SetFaces(g, [3]int{}, [3]int{1, 1, 1})
 	s, err := core.New(g, cfg)
 	if err != nil {
 		return nil, err
