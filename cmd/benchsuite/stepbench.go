@@ -44,6 +44,9 @@ type stepBenchReport struct {
 	// host so ns/zone numbers are comparable across runs.
 	GoMaxProcs int `json:"gomaxprocs"`
 	NumCPU     int `json:"numcpu"`
+	// RowKernels is the face-kernel path the host ran: "avx2" for the
+	// vector EvalRow and HLLC combine, "go" for the Go row loops.
+	RowKernels string `json:"row_kernels"`
 	// TileJ, TileK and PanelW record the cache-blocking geometry of the
 	// tiled sweep engine used for the run (see docs/PERFORMANCE.md).
 	TileJ   int          `json:"tile_j"`
@@ -123,6 +126,7 @@ func (s *suite) stepbench() error {
 		Host:       fmt.Sprintf("%s/%s, %d core(s)", runtime.GOOS, runtime.GOARCH, runtime.NumCPU()),
 		GoMaxProcs: runtime.GOMAXPROCS(0),
 		NumCPU:     runtime.NumCPU(),
+		RowKernels: riemann.RowKernels(),
 		PanelW:     core.PanelW,
 		N:          n,
 		Steps:      steps,

@@ -71,7 +71,10 @@ func rot(d state.Direction, x, y, z []float64) (n, t1, t2 []float64) {
 // state.IRho … state.IP) along direction d. The Γ-law gas has its
 // enthalpy and sound speed inlined; any other closure is evaluated
 // through the interface in a pre-pass that stages h and c_s² in the λ
-// slabs.
+// slabs. Where the CPU has AVX2, a row of four or more faces runs
+// through the vector kernel, which agrees with evalRow bit for bit;
+// evalRow takes shorter rows and, for a staged closure, the last
+// (hi−lo) mod 4 faces.
 func EvalRow(f *Faces, q *[state.NComp][]float64, e eos.EOS, d state.Direction, lo, hi int) {
 	gamma := 0.0
 	if g, ok := e.(eos.IdealGas); ok {
@@ -81,6 +84,9 @@ func EvalRow(f *Faces, q *[state.NComp][]float64, e eos.EOS, d state.Direction, 
 		for i := range rho {
 			h[i], cs2[i] = e.Enthalpy(rho[i], p[i]), e.SoundSpeed2(rho[i], p[i])
 		}
+	}
+	if haveAVX2 {
+		lo = evalRowVec(f, q, gamma, d, lo, hi)
 	}
 	evalRow(f, q, gamma, d, lo, hi)
 }
@@ -126,6 +132,15 @@ func evalRow(f *Faces, q *[state.NComp][]float64, gamma float64, d state.Directi
 	}
 }
 
+// RowKernels names the row kernels EvalRow and the HLLC FluxRow run on
+// this CPU: "avx2" when the vector kernels are selected, "go" otherwise.
+func RowKernels() string {
+	if haveAVX2 {
+		return "avx2"
+	}
+	return "go"
+}
+
 // Face is the evaluated state on one side of a single face: a one-face
 // Faces row, slab k at index k.
 type Face [NSlab]float64
@@ -161,7 +176,9 @@ const (
 
 // FluxRow writes the numerical fluxes of faces [lo, hi) along direction d
 // into fx (indexed by state.ID … state.ITau) from the evaluated rows l
-// and r. The combiner is resolved once per row.
+// and r. The combiner is resolved once per row. Where the CPU has AVX2,
+// an HLLC row of four or more faces runs through the vector kernel,
+// which agrees with hllcRow bit for bit.
 func (k Kind) FluxRow(l, r *Faces, fx *[state.NComp][]float64, d state.Direction, lo, hi int) {
 	if hi <= lo {
 		return
@@ -172,6 +189,9 @@ func (k Kind) FluxRow(l, r *Faces, fx *[state.NComp][]float64, d state.Direction
 	case KindHLL:
 		hllRow(l, r, fx, lo, hi)
 	default:
+		if haveAVX2 {
+			lo = hllcRowVec(l, r, fx, d, lo, hi)
+		}
 		hllcRow(l, r, fx, d, lo, hi)
 	}
 }
@@ -313,6 +333,9 @@ func (HLLC) Flux(e eos.EOS, pl, pr state.Prim, d state.Direction) state.Cons {
 
 func hllcRow(l, r *Faces, fx *[state.NComp][]float64, d state.Direction, lo, hi int) {
 	n := hi - lo
+	if n <= 0 {
+		return
+	}
 	lD, lTau, lFD, lFTau := l.D[lo:hi], l.Tau[lo:hi], l.FD[lo:hi], l.FTau[lo:hi]
 	rD, rTau, rFD, rFTau := r.D[lo:hi], r.Tau[lo:hi], r.FD[lo:hi], r.FTau[lo:hi]
 	lSn, lSt1, lSt2 := rot(d, l.Sx[lo:hi], l.Sy[lo:hi], l.Sz[lo:hi])

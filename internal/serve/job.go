@@ -109,6 +109,10 @@ func (sp *JobSpec) Validate() error {
 		if sp.MaxLevel < 0 || sp.MaxLevel > 6 {
 			return fmt.Errorf("serve: max_level %d out of range [0, 6]", sp.MaxLevel)
 		}
+		// The root grid is RootBlocks·BlockN cells a side, bounded as N is.
+		if nb, bn := sp.rootBlocks(), sp.blockN(); nb < 1 || bn < 1 || nb > 4096 || bn > 4096 || nb*bn > 4096 {
+			return fmt.Errorf("serve: root_blocks·block_n %d·%d out of range [1, 4096]", sp.RootBlocks, sp.BlockN)
+		}
 		if sp.Inject != nil {
 			return fmt.Errorf("serve: fault injection requires a serial job")
 		}
@@ -116,12 +120,16 @@ func (sp *JobSpec) Validate() error {
 	return nil
 }
 
-// Cost is the admission-control charge in zone-updates: a worst-case
-// bound on zones × steps × RK stages. Steps are bounded by the CFL
-// floor dt ≥ CFL·Δx/dim (relativistic signal speeds never exceed c = 1),
-// so tEnd/(CFL·Δx/dim) over-counts, never under-counts. AMR jobs charge
-// the root grid times 2^MaxLevel — the documented heuristic; actual
-// usage is reconciled against the tenant budget at completion.
+// Cost is the admission-control charge in zone-updates: zones × steps ×
+// RK stages. On a uniform grid it is a worst-case bound: steps are
+// bounded by the CFL floor dt ≥ CFL·Δx/dim (relativistic signal speeds
+// never exceed c = 1), so tEnd/(CFL·Δx/dim) over-counts, never
+// under-counts. AMR jobs charge the root grid times 2^MaxLevel with the
+// steps of Δx = (X1−X0)/N, a heuristic that can under-count, since the
+// refined levels step on a finer Δx; actual usage is reconciled against
+// the tenant budget at completion. A charge
+// too large for an int64 saturates at math.MaxInt64, which no budget
+// admits.
 func (sp *JobSpec) Cost() (int64, error) {
 	p, err := testprob.ByName(problemOrDefault(sp.Problem))
 	if err != nil {
@@ -138,21 +146,14 @@ func (sp *JobSpec) Cost() (int64, error) {
 		zones *= int64(math.Ceil(float64(n) * aspect))
 	}
 	if sp.AMR {
-		nb := sp.RootBlocks
-		if nb <= 0 {
-			nb = 8
-		}
-		bn := sp.BlockN
-		if bn <= 0 {
-			bn = 16
-		}
 		lvl := sp.MaxLevel
 		if lvl <= 0 {
 			lvl = 2
 		}
-		zones = int64(nb * bn)
+		side := sp.rootBlocks() * sp.blockN()
+		zones = int64(side)
 		if p.Dim >= 2 {
-			zones *= int64(math.Ceil(float64(nb*bn) * aspect))
+			zones *= int64(math.Ceil(float64(side) * aspect))
 		}
 		zones <<= uint(lvl)
 	}
@@ -165,12 +166,12 @@ func (sp *JobSpec) Cost() (int64, error) {
 		cfl = 0.4
 	}
 	dx := (p.X1 - p.X0) / float64(n)
-	steps := int64(math.Ceil(tEnd / (cfl * dx) * float64(p.Dim)))
-	if sp.MaxSteps > 0 && int64(sp.MaxSteps) < steps {
-		steps = int64(sp.MaxSteps)
+	steps := int64(math.MaxInt64)
+	if f := math.Ceil(tEnd / (cfl * dx) * float64(p.Dim)); f < math.MaxInt64 {
+		steps = max(int64(f), 1)
 	}
-	if steps < 1 {
-		steps = 1
+	if sp.MaxSteps > 0 {
+		steps = min(steps, int64(sp.MaxSteps))
 	}
 	stages := int64(2)
 	switch sp.Integrator {
@@ -179,7 +180,31 @@ func (sp *JobSpec) Cost() (int64, error) {
 	case "rk3":
 		stages = 3
 	}
-	return zones * steps * stages, nil
+	return satMul(satMul(zones, steps), stages), nil
+}
+
+// rootBlocks and blockN are the AMR root-block count and block side the
+// run will use (rhsc.NewAMRSim's defaults for 0).
+func (sp *JobSpec) rootBlocks() int {
+	if sp.RootBlocks == 0 {
+		return 8
+	}
+	return sp.RootBlocks
+}
+
+func (sp *JobSpec) blockN() int {
+	if sp.BlockN == 0 {
+		return 16
+	}
+	return sp.BlockN
+}
+
+// satMul returns a·b for a, b ≥ 0, or math.MaxInt64 when that overflows.
+func satMul(a, b int64) int64 {
+	if a != 0 && b > math.MaxInt64/a {
+		return math.MaxInt64
+	}
+	return a * b
 }
 
 func problemOrDefault(name string) string {

@@ -2,6 +2,7 @@ package rhsc
 
 import (
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -91,8 +92,11 @@ func loadModule(root string) (*module, error) {
 		if name := d.Name(); p != root && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
 			return filepath.SkipDir
 		}
+		// The files the build would compile: per-architecture files
+		// declare the same names under complementary constraints.
 		parsed, err := parser.ParseDir(m.fset, p, func(fi os.FileInfo) bool {
-			return !strings.HasSuffix(fi.Name(), "_test.go")
+			ok, err := build.Default.MatchFile(p, fi.Name())
+			return err == nil && ok && !strings.HasSuffix(fi.Name(), "_test.go")
 		}, parser.SkipObjectResolution)
 		if err != nil {
 			return err
