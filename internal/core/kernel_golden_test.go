@@ -93,15 +93,24 @@ func goldenCases() []goldenCase {
 		}
 		return append([]float64(nil), s.G.U.Raw()...), 0, 0
 	}})
-	// Three active directions through the panel sweeps.
-	cases = append(cases, goldenCase{"blast3d-ppm-hll", func(t *testing.T) ([]float64, int64, int64) {
-		g := grid.New(grid.Geometry{Nx: 12, Ny: 10, Nz: 8, Ng: 3,
-			X0: 0, X1: 1, Y0: 0, Y1: 1, Z0: 0, Z1: 1})
-		g.SetAllBCs(grid.Outflow)
-		cfg := DefaultConfig()
-		cfg.Recon, cfg.Riemann = recon.PPM{}, riemann.HLL{}
-		return goldenRun(t, g, cfg, blast3DInit, 3), 0, 0
-	}})
+	// Three active directions, so every scheme's z sweep too, on an
+	// Ng = 3 grid: plm-mc there has G < Ng.
+	blast3D := func(name string, rc recon.Scheme, rs riemann.Solver) {
+		cases = append(cases, goldenCase{name, func(t *testing.T) ([]float64, int64, int64) {
+			g := grid.New(grid.Geometry{Nx: 12, Ny: 10, Nz: 8, Ng: 3,
+				X0: 0, X1: 1, Y0: 0, Y1: 1, Z0: 0, Z1: 1})
+			g.SetAllBCs(grid.Outflow)
+			cfg := DefaultConfig()
+			cfg.Recon, cfg.Riemann = rc, rs
+			return goldenRun(t, g, cfg, blast3DInit, 3), 0, 0
+		}})
+	}
+	blast3D("blast3d-ppm-hll", recon.PPM{}, riemann.HLL{})
+	for _, rc := range []recon.Scheme{recon.PCM{}, recon.PLM{Lim: recon.Minmod},
+		recon.PLM{Lim: recon.VanLeer}, recon.WENO5{}, recon.WENOZ{}} {
+		blast3D("blast3d-"+rc.Name()+"-hllc", rc, riemann.HLLC{})
+	}
+	blast3D("blast3d-plm-mc-hllc-ng3", recon.PLM{Lim: recon.MonotonizedCentral}, riemann.HLLC{})
 	// Fail-safe repair on a non-Γ-law gas: the high-order recompute and
 	// the PCM+HLL repair flux both go through the EOS interface.
 	cases = append(cases, goldenCase{"failsafe-taub", func(t *testing.T) ([]float64, int64, int64) {
