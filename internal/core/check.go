@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sync/atomic"
 
 	"rhsc/internal/recon"
@@ -99,8 +98,8 @@ func (s *Solver) checkState(stage int) error {
 				idx := row + i
 				bad := false
 				for c := 0; c < state.NComp; c++ {
-					v := g.U.Comp[c][idx]
-					if math.IsNaN(v) || math.IsInf(v, 0) {
+					// v − v is 0 for every finite v and NaN for NaN and ±Inf.
+					if v := g.U.Comp[c][idx]; v-v != 0 {
 						nonFinite.Add(1)
 						bad = true
 						break

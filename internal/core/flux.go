@@ -1,18 +1,20 @@
 package core
 
 // The face-flux kernel. One kernel serves every reconstruction × Riemann
-// solver × equation of state — the tile engine's sweeps, the fail-safe's
-// high-order recompute and its first-order repair all run it — in place of
-// the per-device kernels the paper generates from one numerical source.
-// It works a row at a time, as uniform loops over contiguous slabs: after
-// the reconstruction, an admissibility pass writes the first-order
-// fallback in place, riemann.EvalRow evaluates each side into
-// struct-of-arrays face slabs, and Kind.FluxRow runs the LLF, HLL or HLLC
-// combiner over the row. What is specialised is resolved once per row, not
-// per face: the combiner, the sweep direction, and whether the gas is the
-// Γ-law one, whose enthalpy and sound speed are inlined. What stays behind
-// an interface is the reconstruction (one call per row per component) and,
-// for every other gas, two EOS calls per face state in a pre-pass.
+// solver × equation of state — the tile engine's x rows and y/z face
+// planes, the fail-safe's high-order recompute and its first-order repair
+// all run it — in place of the per-device kernels the paper generates
+// from one numerical source. It works on runs of contiguous faces, as
+// uniform loops over slabs: the scheme's edge kernel (recon.Scheme.Edges,
+// through Reconstruct on a row) writes the face states, an admissibility
+// pass writes the first-order fallback in place, riemann.EvalRow
+// evaluates each side into struct-of-arrays face slabs, and Kind.FluxRow
+// runs the LLF, HLL or HLLC combiner over the run. What is specialised is
+// resolved once per run, not per face: the combiner, the sweep direction,
+// and whether the gas is the Γ-law one, whose enthalpy and sound speed
+// are inlined. What stays behind an interface is the reconstruction (one
+// call per line per component) and, for every other gas, two EOS calls
+// per face state in a pre-pass.
 
 import (
 	"rhsc/internal/eos"
@@ -55,8 +57,8 @@ func (m *method) fillFlux(d state.Direction, u [state.NComp][]float64, n, cBeg, 
 		m.recon.Reconstruct(u[c], sc.fl[c][:n+1], sc.fr[c][:n+1])
 	}
 	lo, hi := cBeg, cEnd+1
-	admit(&sc.fl, &u, lo, hi, -1)
-	admit(&sc.fr, &u, lo, hi, 0)
+	admit(&sc.fl, lo, hi, &u, lo-1)
+	admit(&sc.fr, lo, hi, &u, lo)
 	riemann.EvalRow(&sc.l, &sc.fl, m.eos, d, lo, hi)
 	riemann.EvalRow(&sc.r, &sc.fr, m.eos, d, lo, hi)
 	m.kind.FluxRow(&sc.l, &sc.r, &sc.fx, d, lo, hi)
@@ -64,13 +66,15 @@ func (m *method) fillFlux(d state.Direction, u [state.NComp][]float64, n, cBeg, 
 
 // admit falls back to first-order states where high-order reconstruction
 // produced an inadmissible face state (possible near strong shocks and
-// vacuum): face f of q in [lo, hi) takes the primitives of cell f+off of
-// u. The test is state.Prim.IsPhysical's, NaN failing every comparison.
-func admit(q, u *[state.NComp][]float64, lo, hi, off int) {
+// vacuum): face f of q in [lo, hi) takes the primitives of cell
+// ulo+(f−lo) of u, the cell on that face's side. The test is
+// state.Prim.IsPhysical's, NaN failing every comparison.
+func admit(q *[state.NComp][]float64, lo, hi int, u *[state.NComp][]float64, ulo int) {
 	rho, vx, vy, vz, p := q[state.IRho][lo:hi], q[state.IVx][lo:hi], q[state.IVy][lo:hi],
 		q[state.IVz][lo:hi], q[state.IP][lo:hi]
-	uRho, uVx, uVy, uVz, uP := u[state.IRho][lo+off:hi+off], u[state.IVx][lo+off:hi+off],
-		u[state.IVy][lo+off:hi+off], u[state.IVz][lo+off:hi+off], u[state.IP][lo+off:hi+off]
+	n := hi - lo
+	uRho, uVx, uVy, uVz, uP := u[state.IRho][ulo:][:n], u[state.IVx][ulo:][:n],
+		u[state.IVy][ulo:][:n], u[state.IVz][ulo:][:n], u[state.IP][ulo:][:n]
 	for i := range rho {
 		if rho[i] > 0 && p[i] > 0 && vx[i]*vx[i]+vy[i]*vy[i]+vz[i]*vz[i] < 1 {
 			continue

@@ -92,27 +92,33 @@ func (s *Solver) tracerRecover() {
 	grid.FillGhosts(s.G, s.trc.prim, grid.Scalar)
 }
 
-// tracerSweepRow accumulates the tracer flux difference for one strip,
-// reusing the mass fluxes fx[ID] already computed by the sweep.
-func (s *Solver) tracerSweepRow(base, stride, cBeg, cEnd int, dx float64, sc *rowScratch) {
+// tracerSweep accumulates the tracer flux differences of lines × lanes
+// cells laid out as accumulate's, with the lines along the sweep (cell
+// (q, i) and cell (q+1, i) are neighbours), reusing the mass fluxes fx[ID]
+// the sweep just computed.
+func (s *Solver) tracerSweep(base, stride, f0, next, lines, lanes int, dx float64, sc *rowScratch) {
 	x := s.trc.prim
 	fd := sc.fx[state.ID]
 	out := s.trc.rhs
 	invDx := 1 / dx
-	// Face tracer fluxes: donor-cell upwinding on the mass flux.
-	// Reuse the (free) fl[0] slot as the face buffer.
+	// Face tracer fluxes: donor-cell upwinding on the mass flux, into the
+	// fl[0] slots the sweep no longer needs.
 	tf := sc.fl[0]
-	for f := cBeg; f <= cEnd; f++ {
-		up := base + (f-1)*stride
-		if fd[f] < 0 {
-			up = base + f*stride
+	for p := 0; p <= lines; p++ {
+		for i := 0; i < lanes; i++ {
+			f := f0 + p*next + i
+			up := base + (p-1)*stride + i
+			if fd[f] < 0 {
+				up += stride
+			}
+			tf[f] = fd[f] * x[up]
 		}
-		tf[f] = fd[f] * x[up]
 	}
-	idx := base + cBeg*stride
-	for i := cBeg; i < cEnd; i++ {
-		out[idx] -= (tf[i+1] - tf[i]) * invDx
-		idx += stride
+	for q := 0; q < lines; q++ {
+		for i := 0; i < lanes; i++ {
+			f := f0 + q*next + i
+			out[base+q*stride+i] -= (tf[f+next] - tf[f]) * invDx
+		}
 	}
 }
 

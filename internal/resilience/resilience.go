@@ -8,7 +8,8 @@
 //   - Numerical faults — NaN/Inf states, loss of D/tau positivity, c2p
 //     non-convergence behind strong shocks. Handled here: Guard snapshots
 //     the state before each step, validates after (per RK stage via
-//     core.Config.StrictChecks and whole-state via CheckState), and on
+//     core.Config.StrictChecks, whose last stage scans the final state,
+//     and whole-state via CheckState after a post-step injection), and on
 //     violation restores the snapshot and retries with dt/2; from the
 //     second retry it also drops to piecewise-constant reconstruction +
 //     HLL (the most dissipative, most robust method in the tree) and
@@ -186,10 +187,13 @@ func (g *Guard) Step(dt float64) (float64, error) {
 			// order (even if the attempt later fails validation).
 			g.Stats.FallbackZones.Add(s.St.ZoneUpdates.Load() - zu0)
 		}
-		if err == nil {
-			if g.Inject != nil && g.Inject.fire(s, g.steps) {
-				g.Stats.Injected.Add(1)
-			}
+		// Under StrictChecks the last stage's check has scanned the state
+		// the step left, so the whole-state scan runs only when a post-step
+		// injection has changed it since.
+		if err == nil && g.Inject != nil && g.Inject.fire(s, g.steps) {
+			g.Stats.Injected.Add(1)
+			err = s.CheckState()
+		} else if err == nil && !s.Cfg.StrictChecks {
 			err = s.CheckState()
 		}
 		if err == nil {

@@ -8,32 +8,6 @@ import "rhsc/internal/state"
 // and blends, so every lane is bitwise the scalar SSE2 code the compiler
 // emits for the Go loop.
 
-// haveAVX2 selects the AVX2 row kernels. It is set once, from CPUID.
-var haveAVX2 = cpuHasAVX2()
-
-// cpuHasAVX2 reports whether the CPU has AVX and AVX2 and the operating
-// system saves the YMM registers across context switches.
-func cpuHasAVX2() bool {
-	maxLeaf, _, _, _ := cpuid(0, 0)
-	if maxLeaf < 7 {
-		return false
-	}
-	_, _, ecx1, _ := cpuid(1, 0)
-	const osxsave, avx = 1 << 27, 1 << 28
-	if ecx1&osxsave == 0 || ecx1&avx == 0 {
-		return false
-	}
-	if xcr0, _ := xgetbv(); xcr0&6 != 6 { // XMM and YMM state enabled
-		return false
-	}
-	_, ebx7, _, _ := cpuid(7, 0)
-	return ebx7&(1<<5) != 0
-}
-
-func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
-
-func xgetbv() (eax, edx uint32)
-
 // evalRowAVX2 is evalRow on faces [lo, lo+n), n ≥ 4, four at a time. When
 // 4 does not divide n, the last four faces of the row are evaluated
 // again, so the staged h and c_s² (gamma ≤ 0) need n a multiple of 4.

@@ -4,8 +4,7 @@ package riemann
 
 import "rhsc/internal/state"
 
-// haveAVX2 is false off amd64: the Go row loops run every face.
-var haveAVX2 = false
+// Off amd64 there is no vector body: the Go row loops run every face.
 
 func evalRowVec(_ *Faces, _ *[state.NComp][]float64, _ float64, _ state.Direction, lo, _ int) int {
 	return lo

@@ -7,14 +7,15 @@ import (
 	"testing"
 
 	"rhsc/internal/eos"
+	"rhsc/internal/simd"
 	"rhsc/internal/state"
 )
 
 // setAVX2 switches the vector row kernels on or off and returns the
 // previous setting. Switching them on without AVX2 runs the Go loops.
 func setAVX2(on bool) bool {
-	old := haveAVX2
-	haveAVX2 = on
+	old := simd.AVX2
+	simd.AVX2 = on
 	return old
 }
 
@@ -109,7 +110,7 @@ func sameOrNaN(got, want float64) bool {
 // must keep their sentinel. Every HLLC branch must be taken in every
 // lane position of a vector.
 func TestVectorRowsMatchGoLoops(t *testing.T) {
-	if !haveAVX2 {
+	if !simd.AVX2 {
 		t.Skip("no AVX2: the Go row loops run every face")
 	}
 	defer setAVX2(setAVX2(true))
@@ -280,7 +281,7 @@ func BenchmarkEvalRow(b *testing.B) {
 		f := NewFaces(make([]float64, NSlab*n), n)
 		for _, path := range rowPaths {
 			b.Run(fmt.Sprintf("%s/n=%d", path.name, n), func(b *testing.B) {
-				if path.avx2 && !haveAVX2 {
+				if path.avx2 && !simd.AVX2 {
 					b.Skip("no AVX2")
 				}
 				defer setAVX2(setAVX2(path.avx2))
@@ -307,7 +308,7 @@ func BenchmarkHLLCRow(b *testing.B) {
 		}
 		for _, path := range rowPaths {
 			b.Run(fmt.Sprintf("%s/n=%d", path.name, n), func(b *testing.B) {
-				if path.avx2 && !haveAVX2 {
+				if path.avx2 && !simd.AVX2 {
 					b.Skip("no AVX2")
 				}
 				defer setAVX2(setAVX2(path.avx2))

@@ -121,15 +121,14 @@ func (sp *JobSpec) Validate() error {
 }
 
 // Cost is the admission-control charge in zone-updates: zones × steps ×
-// RK stages. On a uniform grid it is a worst-case bound: steps are
-// bounded by the CFL floor dt ≥ CFL·Δx/dim (relativistic signal speeds
-// never exceed c = 1), so tEnd/(CFL·Δx/dim) over-counts, never
-// under-counts. AMR jobs charge the root grid times 2^MaxLevel with the
-// steps of Δx = (X1−X0)/N, a heuristic that can under-count, since the
-// refined levels step on a finer Δx; actual usage is reconciled against
-// the tenant budget at completion. A charge
-// too large for an int64 saturates at math.MaxInt64, which no budget
-// admits.
+// RK stages. It is a worst-case bound: steps are bounded by the CFL floor
+// dt ≥ CFL/Σ_d(1/Δx_d) (relativistic signal speeds never exceed c = 1),
+// so tEnd·Σ_d(1/Δx_d)/CFL over-counts, never under-counts. An AMR job is
+// charged as its grid fully refined to MaxLevel — the root grid with
+// 2^MaxLevel times the cells along each axis, on the root layout the tree
+// builds — stepping on that finest spacing, which bounds every leaf set
+// the run can reach. A charge too large for an int64 saturates at
+// math.MaxInt64, which no budget admits.
 func (sp *JobSpec) Cost() (int64, error) {
 	p, err := testprob.ByName(problemOrDefault(sp.Problem))
 	if err != nil {
@@ -145,17 +144,22 @@ func (sp *JobSpec) Cost() (int64, error) {
 		aspect = (p.Y1 - p.Y0) / (p.X1 - p.X0)
 		zones *= int64(math.Ceil(float64(n) * aspect))
 	}
+	var rate float64 // Σ_d 1/Δx_d of the finest AMR grid
 	if sp.AMR {
 		lvl := sp.MaxLevel
 		if lvl <= 0 {
 			lvl = 2
 		}
-		side := sp.rootBlocks() * sp.blockN()
-		zones = int64(side)
+		nx := int64(sp.rootBlocks()*sp.blockN()) << uint(lvl)
+		zones = nx
+		rate = float64(nx) / (p.X1 - p.X0)
 		if p.Dim >= 2 {
-			zones *= int64(math.Ceil(float64(side) * aspect))
+			// amr.NewTree's root layout: round(root_blocks·aspect) blocks.
+			nby := max(1, int64(math.Round(float64(sp.rootBlocks())*aspect)))
+			ny := nby * int64(sp.blockN()) << uint(lvl)
+			zones = satMul(zones, ny)
+			rate += float64(ny) / (p.Y1 - p.Y0)
 		}
-		zones <<= uint(lvl)
 	}
 	tEnd := sp.TEnd
 	if tEnd <= 0 {
@@ -165,9 +169,14 @@ func (sp *JobSpec) Cost() (int64, error) {
 	if cfl <= 0 {
 		cfl = 0.4
 	}
+	// Steps at the CFL floor.
 	dx := (p.X1 - p.X0) / float64(n)
+	f := math.Ceil(tEnd / (cfl * dx) * float64(p.Dim))
+	if sp.AMR {
+		f = math.Ceil(tEnd * rate / cfl)
+	}
 	steps := int64(math.MaxInt64)
-	if f := math.Ceil(tEnd / (cfl * dx) * float64(p.Dim)); f < math.MaxInt64 {
+	if f < math.MaxInt64 {
 		steps = max(int64(f), 1)
 	}
 	if sp.MaxSteps > 0 {

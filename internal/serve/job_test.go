@@ -5,11 +5,14 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"rhsc"
 )
 
 // Admission must never under-charge: a run too long for an int64 costs
 // math.MaxInt64, not the one step an overflowed conversion clamped to,
-// and an AMR root grid is bounded as N is before it is charged.
+// an AMR root grid is bounded as N is before it is charged, and an AMR
+// charge covers the zone-updates the run makes.
 func TestJobSpecCostBounds(t *testing.T) {
 	sod := func(tEnd float64) JobSpec { return JobSpec{Problem: "sod", N: 128, TEnd: tEnd} }
 	for _, c := range []struct {
@@ -21,8 +24,10 @@ func TestJobSpecCostBounds(t *testing.T) {
 		{name: "sod tend 1", spec: sod(1), cost: 128 * 320 * 2},
 		{name: "sod tend 1e17 saturates", spec: sod(1e17), cost: math.MaxInt64},
 		{name: "sod tend 1e17 step cap", spec: JobSpec{Problem: "sod", N: 128, TEnd: 1e17, MaxSteps: 10}, cost: 128 * 10 * 2},
-		{name: "amr defaults", spec: JobSpec{Problem: "sod", AMR: true}, cost: 8 * 16 << 2 * 256 * 2},
-		{name: "amr 256·16", spec: JobSpec{Problem: "sod", AMR: true, RootBlocks: 256, BlockN: 16}, cost: 4096 << 2 * 256 * 2},
+		// AMR: the root grid refined to max_level (default 2) on every
+		// cell, stepping on the finest Δx.
+		{name: "amr defaults", spec: JobSpec{Problem: "sod", AMR: true}, cost: 512 * 512 * 2},
+		{name: "amr 256·16", spec: JobSpec{Problem: "sod", AMR: true, RootBlocks: 256, BlockN: 16}, cost: 16384 * 16384 * 2},
 		{name: "amr 2^31·2^31", spec: JobSpec{Problem: "sod", AMR: true, RootBlocks: 1 << 31, BlockN: 1 << 31}, invalid: "root_blocks"},
 		{name: "amr root_blocks 3e6", spec: JobSpec{Problem: "sod", AMR: true, RootBlocks: 3e6}, invalid: "root_blocks"},
 		{name: "amr 257·16", spec: JobSpec{Problem: "sod", AMR: true, RootBlocks: 257, BlockN: 16}, invalid: "root_blocks"},
@@ -41,6 +46,39 @@ func TestJobSpecCostBounds(t *testing.T) {
 		}
 		if got, err := c.spec.Cost(); err != nil || got != c.cost {
 			t.Errorf("%s: Cost = %d, %v; want %d", c.name, got, err, c.cost)
+		}
+	}
+	// An AMR charge must bound what the run uses, the zone-updates
+	// NewAMRSim and RunTo report: a 1-D tree refined three levels and a
+	// 2-D blast.
+	for _, sp := range []JobSpec{
+		{Problem: "sod", AMR: true, RootBlocks: 16, BlockN: 16, MaxLevel: 3},
+		{Problem: "blast2d", AMR: true, RootBlocks: 4, BlockN: 8, MaxLevel: 2, TEnd: 0.05},
+	} {
+		if err := sp.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		cost, err := sp.Cost()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sim, err := rhsc.NewAMRSim(sp.options(), *sp.amrOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		tEnd := sp.TEnd
+		if tEnd <= 0 {
+			tEnd = sim.Problem.TEnd
+		}
+		if err := sim.RunTo(tEnd); err != nil {
+			t.Fatal(err)
+		}
+		_, _, _, used := sim.Stats()
+		t.Logf("%s amr %d·%d level %d: charged %d, used %d", sp.Problem, sp.RootBlocks, sp.BlockN,
+			sp.MaxLevel, cost, used)
+		if cost < used {
+			t.Errorf("%s amr %d·%d level %d: charged %d zone-updates, the run used %d",
+				sp.Problem, sp.RootBlocks, sp.BlockN, sp.MaxLevel, cost, used)
 		}
 	}
 }

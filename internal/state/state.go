@@ -292,49 +292,3 @@ func (f *Fields) LinComb2AXPY(a float64, u *Fields, b, s float64, g *Fields) {
 // Raw returns the contiguous backing slice (all components). Intended for
 // checkpointing and message packing; mutating it mutates the fields.
 func (f *Fields) Raw() []float64 { return f.back }
-
-// PanelGather transposes a panel of nrows parallel strided rows into
-// contiguous row-major storage:
-//
-//	dst[r*n + j] = src[base + r*rstride + j*stride]
-//
-// The sweep engine uses it for y/z strips of adjacent x columns
-// (rstride = 1): the inner loop then copies a contiguous run of nrows
-// values per element index j instead of walking nrows separate strided
-// scalar loops, so every cache line fetched from the strided source is
-// consumed in full before eviction. nrows = 1 degrades to the plain
-// strided gather of a single row.
-func PanelGather(dst, src []float64, base, rstride, stride, nrows, n int) {
-	if nrows <= 0 || n <= 0 {
-		return
-	}
-	if nrows == 1 {
-		si := base
-		for j := 0; j < n; j++ {
-			dst[j] = src[si]
-			si += stride
-		}
-		return
-	}
-	if rstride == 1 {
-		for j := 0; j < n; j++ {
-			off := base + j*stride
-			run := src[off : off+nrows]
-			di := j
-			for _, v := range run {
-				dst[di] = v
-				di += n
-			}
-		}
-		return
-	}
-	for j := 0; j < n; j++ {
-		si := base + j*stride
-		di := j
-		for r := 0; r < nrows; r++ {
-			dst[di] = src[si]
-			di += n
-			si += rstride
-		}
-	}
-}

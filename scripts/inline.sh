@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
-# Fails unless the compiler inlines the per-face helpers of the row
-# kernels, and prints each one's inline cost against the budget (80).
-# ppmSlope sits 3 units under it: one added operation would silently put
-# a call back into every cell of every PPM row, with no test failing.
+# Fails unless the compiler inlines the per-cell helpers of the recon
+# edge kernels (the slope limiters and PPM's parabola, plus the row
+# adapter's size check) and the signal speeds of the Riemann row kernels,
+# and prints each one's inline cost against the budget (80). ppmSlope
+# sits 3 units under it: one added operation would silently put a call
+# back into every cell of every PPM line, with no test failing.
 # Usage: scripts/inline.sh [repo-root]
 set -euo pipefail
 cd "${1:-$(dirname "$0")/..}"
