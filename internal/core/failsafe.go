@@ -312,9 +312,9 @@ func (s *Solver) fsRepairRow(d state.Direction, base, stride, n, cBeg, cEnd int,
 	}
 
 	// Original high-order fluxes, recomputed from the pre-stage snapshot
-	// through the same fillFlux the tile kernels use (identical inputs,
-	// identical code path — bitwise the same values as the tile segments
-	// the stage ran).
+	// through fillFlux, which runs the edge kernel, admit, EvalRow and
+	// FluxRow the tile sweeps run (identical inputs, identical arithmetic
+	// — bitwise the values of the rows and face planes the stage ran).
 	uO := gatherRow(s.fsW, base, stride, n, scO)
 	s.m.fillFlux(d, uO, n, cBeg, cEnd, scO)
 
@@ -356,7 +356,7 @@ func (s *Solver) fsRepairRow(d state.Direction, base, stride, n, cBeg, cEnd int,
 	}
 
 	// First-order divergence of flagged cells into s.rhs, mirroring
-	// accumulateRow's overwrite/accumulate split so multi-dimensional
+	// accumulate's overwrite/accumulate split so multi-dimensional
 	// contributions compose exactly like a sweep.
 	invDx := 1 / dx
 	rhs := s.rhs
