@@ -6,12 +6,14 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"math/rand"
 	"os"
 	"runtime"
 	"testing"
 
 	"rhsc/internal/grid"
 	"rhsc/internal/par"
+	"rhsc/internal/recon"
 	"rhsc/internal/state"
 )
 
@@ -334,6 +336,164 @@ func TestTileConfigValidation(t *testing.T) {
 		cfg.TileJ, cfg.TileK = tc.tj, tc.tk
 		if _, err := New(g, cfg); err == nil {
 			t.Errorf("TileJ=%d TileK=%d accepted", tc.tj, tc.tk)
+		}
+	}
+}
+
+// mark overwrites one edge of every cell whose value is at: its right
+// edge (the left state of its upper face) when hi, else its left edge.
+type mark struct {
+	at float64
+	hi bool
+	v  float64
+}
+
+// markedRecon reconstructs with Scheme and then overwrites the edges of
+// marked cells, so the admissibility fallback fires at the same faces
+// whichever way the cells are laid out: on rows through Reconstruct and
+// on face planes through Edges.
+type markedRecon struct {
+	recon.Scheme
+	marks []mark
+}
+
+func (m markedRecon) Reconstruct(u, uL, uR []float64) {
+	m.Scheme.Reconstruct(u, uL, uR)
+	g, n := m.Ghost(), len(u)
+	for i := g - 1; i <= n-g; i++ {
+		for _, mk := range m.marks {
+			switch {
+			case u[i] != mk.at:
+			case mk.hi && i+1 <= n-g:
+				uL[i+1] = mk.v
+			case !mk.hi && i >= g:
+				uR[i] = mk.v
+			}
+		}
+	}
+}
+
+func (m markedRecon) Edges(u []float64, base, stride, lines int, lo, hi []float64) {
+	m.Scheme.Edges(u, base, stride, lines, lo, hi)
+	n := len(lo) / lines
+	for q := 0; q < lines; q++ {
+		for i := 0; i < n; i++ {
+			for _, mk := range m.marks {
+				switch {
+				case u[base+q*stride+i] != mk.at:
+				case mk.hi:
+					hi[q*n+i] = mk.v
+				default:
+					lo[q*n+i] = mk.v
+				}
+			}
+		}
+	}
+}
+
+// rowRHS is the RHS through the per-row path the fail-safe recomputes
+// with: every x row, then every y column, then every z column gathered
+// whole (gatherRow), fluxed by fillFlux and accumulated.
+func (s *Solver) rowRHS(rhs *state.Fields) {
+	g := s.G
+	sc := s.newScratch()
+	for k := g.KBeg(); k < g.KEnd(); k++ {
+		for j := g.JBeg(); j < g.JEnd(); j++ {
+			s.sweepRow(g.Idx(0, j, k), sc, rhs, true)
+		}
+	}
+	col := func(d state.Direction, base, stride, n, cBeg, cEnd int, dx float64) {
+		u := gatherRow(g.W, base, stride, n, sc)
+		s.m.fillFlux(d, u, n, cBeg, cEnd, sc)
+		accumulate(&sc.fx, rhs, base+cBeg*stride, stride, cBeg, 1, cEnd-cBeg, 1, dx, false)
+	}
+	for i := g.IBeg(); i < g.IEnd(); i++ {
+		for k := g.KBeg(); k < g.KEnd(); k++ {
+			col(state.Y, g.Idx(i, 0, k), g.TotalX, g.TotalY, g.JBeg(), g.JEnd(), g.Dy)
+		}
+		for j := g.JBeg(); j < g.JEnd(); j++ {
+			col(state.Z, g.Idx(i, j, 0), g.TotalX*g.TotalY, g.TotalZ, g.KBeg(), g.KEnd(), g.Dz)
+		}
+	}
+}
+
+// The face-plane sweeps against whole y and z columns through fillFlux,
+// bitwise, on a grid wide enough for two x chunks per plane (Nx = 70 >
+// planeLanes) with tiles that divide it, tiles that do not, and one tile
+// larger than the grid. About one cell in ten carries a mark whose edge
+// is inadmissible — NaN or −0 ρ, p < 0, v² ≥ 1, infinite v — so the
+// planes' admissibility fallback fires on every face line, both sides,
+// in both chunks; a fallback that read the wrong cell would change the
+// bits, and one that missed a face would leave a NaN or infinite RHS.
+func TestPlaneSweepsMatchRows(t *testing.T) {
+	const nx, ny, nz = 70, 10, 8
+	marks := []mark{
+		{at: 0.4375, hi: false, v: math.NaN()},          // ρ
+		{at: 0.5625, hi: true, v: math.Copysign(0, -1)}, // ρ
+		{at: 0.15625, hi: true, v: 1},                   // vx
+		{at: -0.09375, hi: false, v: math.Inf(-1)},      // vz
+		{at: 0.8125, hi: true, v: -1},                   // p
+	}
+	for _, rc := range allRecon() {
+		for _, rs := range allRiemann() {
+			for _, tiles := range [][2]int{{0, 0}, {3, 5}, {1 << 20, 1 << 20}} {
+				g := grid.New(grid.Geometry{Nx: nx, Ny: ny, Nz: nz, Ng: 3,
+					X0: 0, X1: 1, Y0: 0, Y1: 1, Z0: 0, Z1: 1})
+				cfg := DefaultConfig()
+				cfg.Recon, cfg.Riemann = markedRecon{Scheme: rc, marks: marks}, rs
+				cfg.TileJ, cfg.TileK = tiles[0], tiles[1]
+				s, err := New(g, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rng := rand.New(rand.NewSource(7))
+				for idx := 0; idx < g.NCells(); idx++ {
+					v := 0.3 * rng.Float64()
+					th, ph := math.Pi*rng.Float64(), 2*math.Pi*rng.Float64()
+					p := state.Prim{
+						Rho: 0.5 + rng.Float64(), P: 0.1 + rng.Float64(),
+						Vx: v * math.Sin(th) * math.Cos(ph), Vy: v * math.Sin(th) * math.Sin(ph), Vz: v * math.Cos(th),
+					}
+					if idx%8 == 3 {
+						p.Rho, p.P = 1e-3, 1e3
+					}
+					switch r := rng.Intn(20); {
+					case r < 2:
+						p.Rho = marks[r].at
+					case r == 2:
+						p.Vx = marks[2].at
+					case r == 3:
+						p.Vz = marks[3].at
+					case r == 4:
+						p.P = marks[4].at
+					}
+					g.W.SetPrim(idx, p)
+				}
+				planes, rows := state.NewFields(g.NCells()), state.NewFields(g.NCells())
+				s.ComputeRHS(planes)
+				s.rowRHS(rows)
+				name := fmt.Sprintf("%s/%s/tiles %dx%d", rc.Name(), rs.Name(), tiles[0], tiles[1])
+				for c := 0; c < state.NComp; c++ {
+					for k := g.KBeg(); k < g.KEnd(); k++ {
+						for j := g.JBeg(); j < g.JEnd(); j++ {
+							for i := g.IBeg(); i < g.IEnd(); i++ {
+								got, want := planes.Comp[c][g.Idx(i, j, k)], rows.Comp[c][g.Idx(i, j, k)]
+								if math.IsNaN(got) || math.IsInf(got, 0) {
+									t.Fatalf("%s: rhs[%d] at (%d,%d,%d) = %v", name, c, i, j, k, got)
+								}
+								if math.Float64bits(got) != math.Float64bits(want) {
+									t.Fatalf("%s: rhs[%d] at (%d,%d,%d) = %v, row path %v",
+										name, c, i, j, k, got, want)
+								}
+							}
+						}
+					}
+				}
+				// A tile extent past the grid sizes the plane slots by the grid.
+				if want := max(g.TotalX, g.TotalY, g.TotalZ) + 1; len(s.newScratch().fl[0]) > max(want, (max(ny, nz)+3)*planeLanes) {
+					t.Fatalf("%s: plane slots %d for a %dx%dx%d grid", name, len(s.newScratch().fl[0]), nx, ny, nz)
+				}
+			}
 		}
 	}
 }
