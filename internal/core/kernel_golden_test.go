@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"math"
 	"testing"
 
 	"rhsc/internal/eos"
@@ -143,7 +145,71 @@ func goldenCases() []goldenCase {
 		}
 		return append([]float64(nil), g.U.Raw()...), troubled, repaired
 	}})
+	// 3-D local repairs on a grid whose face planes run two x chunks
+	// (Nx = 70 > planeLanes), with 4×4 tiles: faults on a j and on a k
+	// tile boundary, on the first and the last interior cell of an x row
+	// (the last also on the grid's upper y and z faces), and on the first
+	// cell of the second x chunk.
+	for _, sc := range []struct {
+		rc recon.Scheme
+		rs riemann.Solver
+	}{{recon.PLM{Lim: recon.MonotonizedCentral}, riemann.HLLC{}}, {recon.PPM{}, riemann.HLL{}}} {
+		for _, in := range []Integrator{RK2, RK3} {
+			name := "failsafe3d-" + sc.rc.Name() + "-" + sc.rs.Name() + "-" + in.String()
+			cases = append(cases, goldenCase{name, func(t *testing.T) ([]float64, int64, int64) {
+				return failSafe3DRun(t, sc.rc, sc.rs, in, 4, 4)
+			}})
+		}
+	}
 	return cases
+}
+
+// failSafe3DRun advances the blast3d problem on a 70×10×8 grid (Ng = 3)
+// for three steps with faults injected into the first stage of step 1
+// and the second stage of step 2, and returns the conserved field and
+// the troubled and repaired counts.
+func failSafe3DRun(t *testing.T, rc recon.Scheme, rs riemann.Solver, in Integrator,
+	tileJ, tileK int) ([]float64, int64, int64) {
+
+	t.Helper()
+	g := grid.New(grid.Geometry{Nx: 70, Ny: 10, Nz: 8, Ng: 3,
+		X0: 0, X1: 1, Y0: 0, Y1: 1, Z0: 0, Z1: 1})
+	g.SetAllBCs(grid.Outflow)
+	cfg := DefaultConfig()
+	cfg.Recon, cfg.Riemann, cfg.Integrator = rc, rs, in
+	cfg.FailSafe = true
+	cfg.TileJ, cfg.TileK = tileJ, tileK
+	i0, j0, k0 := g.IBeg(), g.JBeg(), g.KBeg()
+	faults := map[[2]int][]int{
+		// The last cell of the first j tile and the first of the second k tile.
+		{1, 1}: {g.Idx(i0+17, j0+3, k0+2), g.Idx(i0+42, j0+6, k0+4)},
+		// The first and last interior cells of x rows, and the first cell
+		// of the second x chunk.
+		{2, 2}: {g.Idx(i0, j0+5, k0+1), g.Idx(g.IEnd()-1, g.JEnd()-1, g.KEnd()-1), g.Idx(i0+64, j0+1, k0+6)},
+	}
+	step := 0
+	cfg.FaultHook = func(stage int, u *state.Fields) {
+		for n, idx := range faults[[2]int{step, stage}] {
+			u.Comp[state.ITau][idx] = [2]float64{-1, math.NaN()}[n%2]
+		}
+	}
+	s, err := New(g, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.InitFromPrim(blast3DInit); err != nil {
+		t.Fatal(err)
+	}
+	for ; step < 3; step++ {
+		if err := s.Step(s.MaxDt()); err != nil {
+			t.Fatalf("step %d not repaired: %v", step, err)
+		}
+	}
+	troubled, repaired := s.St.Troubled.Load(), s.St.Repaired.Load()
+	if troubled < 5 || repaired != troubled {
+		t.Fatalf("faults not repaired: troubled=%d repaired=%d", troubled, repaired)
+	}
+	return append([]float64(nil), g.U.Raw()...), troubled, repaired
 }
 
 // TestKernelMatchesGenericGolden holds the one face-flux kernel to the
@@ -161,5 +227,26 @@ func TestKernelMatchesGenericGolden(t *testing.T) {
 					fp, troubled, repaired, want.FNV64, want.Troubled, want.Repaired)
 			}
 		})
+	}
+}
+
+// A 3-D repair does not depend on the tile extents: the golden rows' 4×4
+// tiles against the default tiles, tiles that do not divide the grid and
+// one tile larger than it.
+func TestFailSafe3DTileInvariance(t *testing.T) {
+	for _, sc := range []struct {
+		rc recon.Scheme
+		rs riemann.Solver
+		in Integrator
+	}{{recon.PLM{Lim: recon.MonotonizedCentral}, riemann.HLLC{}, RK2}, {recon.PPM{}, riemann.HLL{}, RK3}} {
+		want, wtr, wrep := failSafe3DRun(t, sc.rc, sc.rs, sc.in, 4, 4)
+		for _, tiles := range [][2]int{{0, 0}, {3, 5}, {1 << 20, 1 << 20}} {
+			name := fmt.Sprintf("%s/%s/%s tiles %dx%d", sc.rc.Name(), sc.rs.Name(), sc.in, tiles[0], tiles[1])
+			got, tr, rep := failSafe3DRun(t, sc.rc, sc.rs, sc.in, tiles[0], tiles[1])
+			if tr != wtr || rep != wrep {
+				t.Fatalf("%s: troubled=%d repaired=%d, 4x4 tiles %d/%d", name, tr, rep, wtr, wrep)
+			}
+			requireBitwiseEqual(t, name, want, got)
+		}
 	}
 }
