@@ -239,36 +239,37 @@ func BenchmarkC2PRecover(b *testing.B) {
 	}
 }
 
-// BenchmarkReconRow measures row reconstruction per scheme, in ns per
-// filled face, on three row sets: one 1024-cell i%17 sawtooth, and rows
-// gathered from a warmed 48³ blast3d state (every primitive component)
-// at the length the x sweep hands a scheme (48 + 2·Ghost cells) and at
-// the y/z tile-segment length (8 + 2·Ghost). The blast rows mix
+// BenchmarkReconRow measures reconstruction per scheme, in ns per
+// filled face, on three sets cut from a warmed 48³ blast3d state (every
+// primitive component) or made up: one 1024-cell i%17 sawtooth and the x
+// rows the sweep hands a scheme (48 + 2·Ghost cells), both through
+// Reconstruct, and the y face planes of a tile, through Edges on W in
+// place: 8 cell lines of 48 lanes per call, one per tile row of the mid-k
+// plane, counting each cell's two edges as one face. The blast data mix
 // quiescent plateaus, smooth flanks and the shock, so the limiters'
-// branches behave as in a step; the short segments expose the per-row
-// prologue the sawtooth hides.
+// branches behave as in a step.
 func BenchmarkReconRow(b *testing.B) {
 	saw := make([]float64, 1024)
 	for i := range saw {
 		saw[i] = float64(i % 17)
 	}
 	s := warmBlast3D(b)
+	g := s.G
 	for _, sch := range []recon.Scheme{
 		recon.PCM{}, recon.PLM{Lim: recon.Minmod}, recon.PLM{Lim: recon.MonotonizedCentral},
 		recon.PLM{Lim: recon.VanLeer}, recon.PPM{}, recon.WENO5{}, recon.WENOZ{},
 	} {
-		g := sch.Ghost()
+		gh := sch.Ghost()
 		for _, set := range []struct {
 			name string
 			rows [][]float64
 		}{
 			{"sawtooth", [][]float64{saw}},
-			{"blast3d-x", blastRows(s.G, 48+2*g, state.X)},
-			{"blast3d-seg", blastRows(s.G, 8+2*g, state.Y)},
+			{"blast3d-x", blastRows(g, 48+2*gh)},
 		} {
 			faces := 0
 			for _, u := range set.rows {
-				faces += len(u) - 2*g + 1
+				faces += len(u) - 2*gh + 1
 			}
 			uL := make([]float64, len(set.rows[0])+1)
 			uR := make([]float64, len(uL))
@@ -281,6 +282,20 @@ func BenchmarkReconRow(b *testing.B) {
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*faces), "ns/face")
 			})
 		}
+		const lines = 8
+		lo, hi := make([]float64, lines*g.Nx), make([]float64, lines*g.Nx)
+		k := g.Ng + g.Nz/2
+		faces := state.NComp * g.Ny * g.Nx
+		b.Run(sch.Name()+"/blast3d-plane", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				for _, w := range g.W.Comp {
+					for j0 := g.JBeg(); j0 < g.JEnd(); j0 += lines {
+						sch.Edges(w, g.Idx(g.IBeg(), j0, k), g.TotalX, lines, lo, hi)
+					}
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*faces), "ns/face")
+		})
 	}
 }
 
@@ -300,33 +315,21 @@ func warmBlast3D(b *testing.B) *core.Solver {
 	return s
 }
 
-// blastRows gathers rows of n cells of every primitive component of g.W
-// along d, centred on the interior: x rows at every interior j of the
-// mid-k plane, and, along y, one segment per 8-cell tile at every
-// interior i of that plane. A row's (n−48)/2 or (n−8)/2 ghost cells on
-// each side are the cells around it, as in the sweep.
-func blastRows(g *grid.Grid, n int, d state.Direction) [][]float64 {
+// blastRows gathers x rows of n cells of every primitive component of
+// g.W, centred on the interior, at every interior j of the mid-k plane.
+// A row's (n−48)/2 ghost cells on each side are the cells around it, as
+// in the sweep.
+func blastRows(g *grid.Grid, n int) [][]float64 {
 	k := g.Ng + g.Nz/2
 	var rows [][]float64
 	for c := 0; c < state.NComp; c++ {
 		w := g.W.Comp[c]
-		for a := g.Ng; a < g.Ng+g.Nx; a++ {
-			switch d {
-			case state.X:
-				u := make([]float64, n)
-				for i := range u {
-					u[i] = w[g.Idx(g.Ng+g.Nx/2-n/2+i, a, k)]
-				}
-				rows = append(rows, u)
-			default:
-				for j0 := g.Ng; j0 < g.Ng+g.Ny; j0 += 8 {
-					u := make([]float64, n)
-					for j := range u {
-						u[j] = w[g.Idx(a, j0-(n-8)/2+j, k)]
-					}
-					rows = append(rows, u)
-				}
+		for j := g.Ng; j < g.Ng+g.Ny; j++ {
+			u := make([]float64, n)
+			for i := range u {
+				u[i] = w[g.Idx(g.Ng+g.Nx/2-n/2+i, j, k)]
 			}
+			rows = append(rows, u)
 		}
 	}
 	return rows

@@ -305,10 +305,11 @@ func Run(p *testprob.Problem, n int, cfg core.Config, opts Options) (*Result, er
 		return nil, fmt.Errorf("cluster: need >= 1 rank, got %d", opts.Ranks)
 	}
 	if cfg.FailSafe {
-		// The repair re-recovers and calls HaloExchange only on ranks that
-		// flagged a cell, so their peers never post the matching halos and
-		// the run deadlocks. damr.Run is the distributed fail-safe driver.
-		return nil, fmt.Errorf("cluster: FailSafe is not supported (the repair's halo exchange runs only on ranks that flagged a cell; use damr.Run)")
+		// The repair needs the neighbours' troubled-cell masks in the
+		// ghost band and a halo exchange of the repaired primitives, and
+		// only the tree drivers' stage hooks provide them. damr.Run is the
+		// distributed fail-safe driver.
+		return nil, fmt.Errorf("cluster: FailSafe is not supported (the repair needs neighbour masks and a post-repair halo exchange; use damr.Run)")
 	}
 	if opts.Px == 0 && opts.Py == 0 {
 		opts.Px, opts.Py = opts.Ranks, 1

@@ -205,31 +205,16 @@ func (s *Solver) fsRepair(stage int, dt, a, b float64) error {
 	defer s.putScratch(scO)
 	defer s.putScratch(scL)
 
-	// Every interior row of every active direction, x rows first: the same
-	// overwrite-then-accumulate order per cell as the sweep.
-	for di, d := range g.ActiveDims() {
-		overwrite := di == 0
-		switch d {
-		case state.X:
-			for k := g.KBeg(); k < g.KEnd(); k++ {
-				for j := g.JBeg(); j < g.JEnd(); j++ {
-					s.fsRepairRow(d, g.Idx(0, j, k), 1, g.TotalX, g.IBeg(), g.IEnd(), g.Dx,
-						overwrite, dt, b, scO, scL)
+	// The tile engine's blocks, tile by tile in its X→Y→Z order: each
+	// cell's corrections arrive in the order its sweep contributions did.
+	for _, tl := range s.tiles {
+		for di, d := range g.ActiveDims() {
+			for i := 0; ; i++ {
+				blk, ok := s.tileBlock(tl, d, i)
+				if !ok {
+					break
 				}
-			}
-		case state.Y:
-			for k := g.KBeg(); k < g.KEnd(); k++ {
-				for i := g.IBeg(); i < g.IEnd(); i++ {
-					s.fsRepairRow(d, g.Idx(i, 0, k), g.TotalX, g.TotalY, g.JBeg(), g.JEnd(), g.Dy,
-						overwrite, dt, b, scO, scL)
-				}
-			}
-		default:
-			for j := g.JBeg(); j < g.JEnd(); j++ {
-				for i := g.IBeg(); i < g.IEnd(); i++ {
-					s.fsRepairRow(d, g.Idx(i, j, 0), g.TotalX*g.TotalY, g.TotalZ, g.KBeg(), g.KEnd(), g.Dz,
-						overwrite, dt, b, scO, scL)
-				}
+				s.fsRepairBlock(&blk, di == 0, dt, b, scO, scL)
 			}
 		}
 	}
@@ -278,100 +263,77 @@ func (s *Solver) fsRepair(stage int, dt, a, b float64) error {
 	}
 
 	g.ApplyBCs(g.W)
-	if s.Cfg.HaloExchange != nil {
-		s.Cfg.HaloExchange(g.W)
-	}
 	// The repair rewrote W at touched cells, so any in-pass CFL reduction
 	// folded by the detection recovery is stale.
 	s.cflValid = false
 	return nil
 }
 
-// fsRepairRow patches one strip: when any cell of the strip (including
-// the two face-adjacent ghosts) is flagged, it recomputes the strip's
-// original fluxes from the pre-stage primitives with the configured
-// kernel — bitwise the fluxes the sweep used — and the first-order
-// PCM+HLL fluxes, replaces the flux of every dirty face (a face with a
-// flagged cell on either side), applies the difference to unflagged
-// interior neighbours, and accumulates the first-order divergence of
-// flagged cells into s.rhs (overwriting on the first active direction,
-// exactly like the sweep).
-func (s *Solver) fsRepairRow(d state.Direction, base, stride, n, cBeg, cEnd int, dx float64,
-	overwrite bool, dt, b float64, scO, scL *rowScratch) {
-
+// fsRepairBlock patches one face block: when any of its cells (the owned
+// ones and their neighbours along the sweep) is flagged, it recomputes
+// the block's original fluxes from the pre-stage primitives with the
+// configured method — through the face pipeline the sweep ran, so bitwise
+// the fluxes the stage used — and the first-order PCM+HLL fluxes. Each
+// unflagged owned cell then takes the difference (low − high) of every
+// dirty face (a face with a flagged cell on either side), lower face
+// first, and each flagged owned cell's first-order divergence goes into
+// s.rhs (overwriting on the first active direction, exactly like the
+// sweep).
+func (s *Solver) fsRepairBlock(blk *faceBlock, overwrite bool, dt, b float64, scO, scL *rowScratch) {
 	mask := s.fsMask
+	n := blk.lines * blk.lanes
 	dirty := false
-	for i := cBeg - 1; i <= cEnd; i++ {
-		if mask[base+i*stride] != 0 {
-			dirty = true
-			break
-		}
+	for q := range blk.lines {
+		lo, hi, off := blk.run(q, 0, n)
+		dirty = dirty || maskAny(mask[off+lo:off+hi])
 	}
 	if !dirty {
 		return
 	}
-
-	// Original high-order fluxes, recomputed from the pre-stage snapshot
-	// through fillFlux, which runs the edge kernel, admit, EvalRow and
-	// FluxRow the tile sweeps run (identical inputs, identical arithmetic
-	// — bitwise the values of the rows and face planes the stage ran).
-	uO := gatherRow(s.fsW, base, stride, n, scO)
-	s.m.fillFlux(d, uO, n, cBeg, cEnd, scO)
-
+	s.m.fluxes(s.fsW, blk, scO)
 	// First-order fallback fluxes from the same pre-stage primitives —
 	// bitwise the flux a global PCM+HLL step (the resilience layer's retry
 	// scheme) would have used.
-	uL := gatherRow(s.fsW, base, stride, n, scL)
-	s.low.fillFlux(d, uL, n, cBeg, cEnd, scL)
+	s.low.fluxes(s.fsW, blk, scL)
 
-	g := s.G
-	touched := s.fsTouched
-	coef := b * dt / dx
-	for f := cBeg; f <= cEnd; f++ {
-		li := base + (f-1)*stride
-		ri := base + f*stride
-		lm, rm := mask[li] != 0, mask[ri] != 0
-		if !lm && !rm {
-			continue
-		}
-		// The left cell loses the face's flux, the right cell gains it;
-		// applying the same difference with opposite signs keeps the pair
-		// conservative to round-off. Flagged cells are skipped — they are
-		// rebuilt wholesale from the first-order divergence below.
-		for c := 0; c < state.NComp; c++ {
-			delta := scL.fx[c][f] - scO.fx[c][f]
-			if !lm && f-1 >= cBeg {
-				g.U.Comp[c][li] -= coef * delta
+	u, rhs, touched := s.G.U, s.rhs, s.fsTouched
+	coef := b * dt / blk.dx
+	invDx := 1 / blk.dx
+	next := blk.next
+	for q := range blk.lines {
+		lo, hi, off := blk.run(q, next, n-next)
+		for f := lo; f < hi; f++ {
+			idx := off + f
+			if mask[idx] != 0 {
+				// Flagged: rebuilt wholesale from the first-order divergence,
+				// with accumulate's overwrite/accumulate split so the
+				// directions compose exactly like a sweep.
+				for c := range rhs.Comp {
+					div := 0 - (scL.fx[c][f+next]-scL.fx[c][f])*invDx
+					if overwrite {
+						rhs.Comp[c][idx] = div
+					} else {
+						rhs.Comp[c][idx] += div
+					}
+				}
+				continue
 			}
-			if !rm && f < cEnd {
-				g.U.Comp[c][ri] += coef * delta
+			// A face's lower cell loses its flux and its upper cell gains
+			// it; applying the same difference with opposite signs on the
+			// two sides keeps the pair conservative to round-off.
+			lm, um := mask[idx-blk.stride] != 0, mask[idx+blk.stride] != 0
+			if !lm && !um {
+				continue
 			}
-		}
-		if !lm && f-1 >= cBeg {
-			touched[li] = 1
-		}
-		if !rm && f < cEnd {
-			touched[ri] = 1
-		}
-	}
-
-	// First-order divergence of flagged cells into s.rhs, mirroring
-	// accumulate's overwrite/accumulate split so multi-dimensional
-	// contributions compose exactly like a sweep.
-	invDx := 1 / dx
-	rhs := s.rhs
-	for i := cBeg; i < cEnd; i++ {
-		idx := base + i*stride
-		if mask[idx] == 0 {
-			continue
-		}
-		for c := 0; c < state.NComp; c++ {
-			div := 0 - (scL.fx[c][i+1]-scL.fx[c][i])*invDx
-			if overwrite {
-				rhs.Comp[c][idx] = div
-			} else {
-				rhs.Comp[c][idx] += div
+			for c := range u.Comp {
+				if lm {
+					u.Comp[c][idx] += coef * (scL.fx[c][f] - scO.fx[c][f])
+				}
+				if um {
+					u.Comp[c][idx] -= coef * (scL.fx[c][f+next] - scO.fx[c][f+next])
+				}
 			}
+			touched[idx] = 1
 		}
 	}
 }

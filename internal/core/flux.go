@@ -1,20 +1,21 @@
 package core
 
-// The face-flux kernel. One kernel serves every reconstruction × Riemann
-// solver × equation of state — the tile engine's x rows and y/z face
-// planes, the fail-safe's high-order recompute and its first-order repair
-// all run it — in place of the per-device kernels the paper generates
-// from one numerical source. It works on runs of contiguous faces, as
-// uniform loops over slabs: the scheme's edge kernel (recon.Scheme.Edges,
-// through Reconstruct on a row) writes the face states, an admissibility
+// The face pipeline. One pipeline serves every reconstruction × Riemann
+// solver × equation of state and every flux the solver takes — the tile
+// engine's x rows and y/z face planes, and the fail-safe's high-order
+// recompute and first-order repair flux — in place of the per-device
+// kernels the paper generates from one numerical source. It runs on a
+// face block (faceBlock): lines of contiguous x cells read in place from
+// a primitive field, as uniform loops over slabs. The scheme's edge
+// kernel (recon.Scheme.Edges) writes the face states, an admissibility
 // pass writes the first-order fallback in place, riemann.EvalRow
 // evaluates each side into struct-of-arrays face slabs, and Kind.FluxRow
-// runs the LLF, HLL or HLLC combiner over the run. What is specialised is
-// resolved once per run, not per face: the combiner, the sweep direction,
-// and whether the gas is the Γ-law one, whose enthalpy and sound speed
-// are inlined. What stays behind an interface is the reconstruction (one
-// call per line per component) and, for every other gas, two EOS calls
-// per face state in a pre-pass.
+// runs the LLF, HLL or HLLC combiner over the faces. What is specialised
+// is resolved once per block, not per face: the combiner, the sweep
+// direction, and whether the gas is the Γ-law one, whose enthalpy and
+// sound speed are inlined. What stays behind an interface is the
+// reconstruction (one call per block per component) and, for every other
+// gas, two EOS calls per face state in a pre-pass.
 
 import (
 	"rhsc/internal/eos"
@@ -44,24 +45,66 @@ func (s *Solver) resolveMethod() {
 	s.low = m
 }
 
-// fillFlux reconstructs the gathered row (or tile segment) u of n cells
-// and writes the Riemann fluxes of faces [cBeg, cEnd] into sc.fx (cell i
-// owns faces i and i+1). Every caller goes through this one kernel, so a
-// flux recomputed anywhere is bitwise the sweep's. Past the
-// reconstruction it runs three passes over the row: admissibility, one
-// evaluation per side into SoA face slabs, and one Riemann combine.
-func (m *method) fillFlux(d state.Direction, u [state.NComp][]float64, n, cBeg, cEnd int,
-	sc *rowScratch) {
+// faceBlock is one run of the face pipeline: lines cell lines of lanes
+// contiguous x cells, line q starting at index base + q·stride of the
+// primitive field, swept along d with cell width dx. Neighbours along the
+// sweep are stride apart in the field and next apart in the slots: an x
+// row is one line swept along its lanes (stride = next = 1), a y or z
+// face plane is swept across its lines (next = lanes). Cell slot s is
+// line s/lanes, lane s%lanes. The first and last cell along the sweep
+// are neighbours of the block's owned cells: face slot s in
+// [next, lines·lanes) is the face between cell slots s−next and s, and
+// cell slot s in [next, lines·lanes−next) is owned, with lower face s and
+// upper face s+next.
+type faceBlock struct {
+	d                                state.Direction
+	base, stride, lines, lanes, next int
+	dx                               float64
+}
 
-	for c := 0; c < state.NComp; c++ {
-		m.recon.Reconstruct(u[c], sc.fl[c][:n+1], sc.fr[c][:n+1])
+// run returns the slots [lo, hi) of [from, to) on cell line q, and off,
+// which maps slot s there to field index off+s. The cells of a run are
+// contiguous in the field, and the cell one step lower along the sweep
+// is stride lower. The run is empty when lo ≥ hi.
+func (b *faceBlock) run(q, from, to int) (lo, hi, off int) {
+	return max(q*b.lanes, from), min((q+1)*b.lanes, to), b.base + q*(b.stride-b.lanes)
+}
+
+// fluxes writes the face fluxes of block blk, from primitive field w,
+// into face slots [next, lines·lanes) of sc.fx. Every flux the solver
+// takes comes from here, so a flux recomputed anywhere is bitwise the
+// sweep's.
+func (m *method) fluxes(w *state.Fields, blk *faceBlock, sc *rowScratch) {
+	n := blk.lines * blk.lanes
+	// Cell slot s writes its left edge to fr[s], the right state of its
+	// lower face, and its right edge to fl[s+next], the left state of its
+	// upper face.
+	for c, u := range w.Comp {
+		m.recon.Edges(u, blk.base, blk.stride, blk.lines, sc.fr[c][:n], sc.fl[c][blk.next:blk.next+n])
 	}
-	lo, hi := cBeg, cEnd+1
-	admit(&sc.fl, lo, hi, &u, lo-1)
-	admit(&sc.fr, lo, hi, &u, lo)
-	riemann.EvalRow(&sc.l, &sc.fl, m.eos, d, lo, hi)
-	riemann.EvalRow(&sc.r, &sc.fr, m.eos, d, lo, hi)
-	m.kind.FluxRow(&sc.l, &sc.r, &sc.fx, d, lo, hi)
+	for q := range blk.lines {
+		if lo, hi, off := blk.run(q, blk.next, n); lo < hi {
+			admit(&sc.fl, lo, hi, &w.Comp, off+lo-blk.stride)
+			admit(&sc.fr, lo, hi, &w.Comp, off+lo)
+		}
+	}
+	// The evaluated face slabs hold an x row's faces, so a plane's faces
+	// go through EvalRow and FluxRow in runs of as many whole face lines
+	// as fit.
+	per := len(sc.l.D)
+	if blk.lanes <= per {
+		per -= per % blk.lanes
+	}
+	for f0 := blk.next; f0 < n; f0 += per {
+		k := min(per, n-f0)
+		var ql, qr, fx [state.NComp][]float64
+		for c := range ql {
+			ql[c], qr[c], fx[c] = sc.fl[c][f0:], sc.fr[c][f0:], sc.fx[c][f0:]
+		}
+		riemann.EvalRow(&sc.l, &ql, m.eos, blk.d, 0, k)
+		riemann.EvalRow(&sc.r, &qr, m.eos, blk.d, 0, k)
+		m.kind.FluxRow(&sc.l, &sc.r, &fx, blk.d, 0, k)
+	}
 }
 
 // admit falls back to first-order states where high-order reconstruction

@@ -69,9 +69,11 @@ type seed struct {
 }
 
 // seededRecon reconstructs with Scheme and then overwrites the seeded face
-// states, so the admissibility fallback fires at known faces. fillFlux
-// reconstructs the components in order, so call k is component k mod
-// NComp.
+// states, so the admissibility fallback fires at known faces: face f of
+// a row through Reconstruct, and face f of every lane through Edges, where
+// the cell at field index idx is cell idx/stride of lane idx%stride (a row
+// has stride 1 and one lane). Both reconstruct the components in order,
+// so call k is component k mod NComp.
 type seededRecon struct {
 	recon.Scheme
 	calls int
@@ -94,21 +96,34 @@ func (s *seededRecon) Reconstruct(u, uL, uR []float64) {
 	}
 }
 
+// Edges writes a seed on the right state of face f into cell f's left
+// edge, and one on the left state into cell f−1's right edge.
+func (s *seededRecon) Edges(u []float64, base, stride, lines int, lo, hi []float64) {
+	s.Scheme.Edges(u, base, stride, lines, lo, hi)
+	c := s.calls % state.NComp
+	s.calls++
+	n := len(lo) / lines
+	for q := 0; q < lines; q++ {
+		for i := 0; i < n; i++ {
+			cell := (base + q*stride + i) / stride
+			for _, sd := range s.seeds {
+				switch {
+				case sd.comp != c:
+				case sd.right && cell == sd.face:
+					lo[q*n+i] = sd.v
+				case !sd.right && cell == sd.face-1:
+					hi[q*n+i] = sd.v
+				}
+			}
+		}
+	}
+}
+
 // newMethod resolves a method the way Solver.resolveMethod does.
 func newMethod(rc recon.Scheme, k riemann.Kind, e eos.EOS) method {
 	m := method{recon: rc, kind: k, eos: e}
 	m.gas, m.ideal = e.(eos.IdealGas)
 	return m
-}
-
-// newRowScratch returns row scratch for rows of up to n cells.
-func newRowScratch(t testing.TB, n int) *rowScratch {
-	t.Helper()
-	s, err := New(testprob.Sod.NewGrid(n, 3), DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return s.newScratch()
 }
 
 // randomRow fills n cells with admissible primitives: smooth data with a
@@ -134,13 +149,14 @@ func randomRow(rng *rand.Rand, n int) (u [state.NComp][]float64) {
 	return u
 }
 
-// The row passes against the per-face loop they replaced, with
-// inadmissible reconstructed states seeded into the row — p < 0, p = −0,
-// v² ≥ 1 (exactly 1, rounding to 1, infinite), NaN ρ and p, ρ ≤ 0 —
-// including the first and last face, on both sides: every scheme,
+// The face pipeline against the per-face loop it replaced, on a one-line
+// x row and on a plane of six lanes whose faces take several EvalRow
+// runs, with inadmissible edges seeded into the reconstruction — p < 0,
+// p = −0, v² ≥ 1 (exactly 1, rounding to 1, infinite), NaN ρ and p,
+// ρ ≤ 0 — including the first and last face, on both sides: every scheme,
 // solver, closure and direction, bitwise.
 func TestFillFluxMatchesFaceLoop(t *testing.T) {
-	const n, ghost = 41, 3
+	const n, ghost, lanes = 41, 3, 6
 	cBeg, cEnd := ghost, n-ghost
 	seeds := []seed{
 		{cBeg, state.IP, false, -1},
@@ -156,24 +172,42 @@ func TestFillFluxMatchesFaceLoop(t *testing.T) {
 		{cEnd, state.IP, true, -2},
 		{cEnd, state.IVy, false, -1.5},
 	}
-	scNew, scRef := newRowScratch(t, n), newRowScratch(t, n)
+	// The cells cBeg−1 … cEnd of each lane, whose faces are cBeg … cEnd.
+	// Cell r of lane i is field index r·stride + i.
+	row := faceBlock{base: cBeg - 1, stride: 1, lines: 1, lanes: cEnd - cBeg + 2, next: 1}
+	plane := faceBlock{base: (cBeg - 1) * lanes, stride: lanes, lines: cEnd - cBeg + 2, lanes: lanes, next: lanes}
+	scNew, scRef := newRowScratch((plane.lines+1)*lanes, n+1), newRowScratch(n+1, n+1)
 	rng := rand.New(rand.NewSource(5))
 	closures := []eos.EOS{eos.NewIdealGas(5.0 / 3.0), eos.TaubMathews{}, eos.NewHybrid(0.1, 2, 5.0/3.0)}
 	for _, rc := range allRecon() {
 		for _, rs := range allRiemann() {
 			for _, e := range closures {
 				for _, d := range []state.Direction{state.X, state.Y, state.Z} {
-					u := randomRow(rng, n)
-					m := newMethod(&seededRecon{Scheme: rc, seeds: seeds}, rs.Kind(), e)
-					m.fillFlux(d, u, n, cBeg, cEnd, scNew)
-					ref := newMethod(&seededRecon{Scheme: rc, seeds: seeds}, rs.Kind(), e)
-					ref.fillFluxRef(d, u, n, cBeg, cEnd, scRef)
-					for c := 0; c < state.NComp; c++ {
-						for f := cBeg; f <= cEnd; f++ {
-							got, want := scNew.fx[c][f], scRef.fx[c][f]
-							if math.Float64bits(got) != math.Float64bits(want) {
-								t.Fatalf("%s/%s/%s dir %v: flux[%d] at face %d = %v, face loop %v",
-									rc.Name(), rs.Name(), e.Name(), d, c, f, got, want)
+					for _, blk := range []faceBlock{row, plane} {
+						blk.d = d
+						w := state.NewFields(n * blk.stride)
+						cols := make([][state.NComp][]float64, blk.stride)
+						for i := range cols {
+							cols[i] = randomRow(rng, n)
+							for c := range w.Comp {
+								for r, v := range cols[i][c] {
+									w.Comp[c][r*blk.stride+i] = v
+								}
+							}
+						}
+						m := newMethod(&seededRecon{Scheme: rc, seeds: seeds}, rs.Kind(), e)
+						m.fluxes(w, &blk, scNew)
+						for i, u := range cols {
+							ref := newMethod(&seededRecon{Scheme: rc, seeds: seeds}, rs.Kind(), e)
+							ref.fillFluxRef(d, u, n, cBeg, cEnd, scRef)
+							for c := 0; c < state.NComp; c++ {
+								for f := cBeg; f <= cEnd; f++ {
+									got, want := scNew.fx[c][(f-cBeg+1)*blk.next+i], scRef.fx[c][f]
+									if math.Float64bits(got) != math.Float64bits(want) {
+										t.Fatalf("%s/%s/%s dir %v, %d lanes: flux[%d] at face %d of lane %d = %v, face loop %v",
+											rc.Name(), rs.Name(), e.Name(), d, blk.stride, c, f, i, got, want)
+									}
+								}
 							}
 						}
 					}
@@ -216,29 +250,30 @@ func TestRowCFLMatchesMaxAbsSpeed(t *testing.T) {
 	}
 }
 
-// BenchmarkFluxRow measures fillFlux — PLM-MC reconstruction, the
-// admissibility pass, both face evaluations and the Riemann combine — per
-// face, on a quiescent row (uniform gas at rest) and a shocked one
-// (randomRow: smooth data with a blast jump every eighth cell, where the
-// fallback and the supersonic and star branches fire). Rows are those of
-// the 48³ PLM step: 48 cells and two ghosts a side.
+// BenchmarkFluxRow measures the face pipeline on an x row — PLM-MC
+// edges, the admissibility pass, both face evaluations and the Riemann
+// combine — per face, on a quiescent row (uniform gas at rest) and a
+// shocked one (randomRow: smooth data with a blast jump every eighth
+// cell, where the fallback and the supersonic and star branches fire).
+// Rows are those of the 48³ PLM step: 48 cells and two ghosts a side.
 func BenchmarkFluxRow(b *testing.B) {
 	const n = 52
-	sc := newRowScratch(b, n)
+	sc := newRowScratch(n+1, n)
+	blk := faceBlock{d: state.X, base: 1, stride: 1, lines: 1, lanes: n - 2, next: 1}
 	for _, rs := range allRiemann() {
 		for _, kind := range []string{"quiescent", "shocked"} {
-			u := randomRow(rand.New(rand.NewSource(1)), n)
+			w := &state.Fields{N: n, Comp: randomRow(rand.New(rand.NewSource(1)), n)}
 			if kind == "quiescent" {
 				for c, x := range [state.NComp]float64{1, 0, 0, 0, 0.1} {
-					for i := range u[c] {
-						u[c][i] = x
+					for i := range w.Comp[c] {
+						w.Comp[c][i] = x
 					}
 				}
 			}
 			m := newMethod(recon.PLM{Lim: recon.MonotonizedCentral}, rs.Kind(), eos.NewIdealGas(5.0/3.0))
 			b.Run(rs.Name()+"/"+kind, func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					m.fillFlux(state.X, u, n, 2, n-2, sc)
+					m.fluxes(w, &blk, sc)
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/(n-3), "ns/face")
 			})

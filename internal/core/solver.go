@@ -94,7 +94,8 @@ type Config struct {
 	// recovery (once per RK stage) with the freshly recovered primitive
 	// field, so a distributed driver can fill ghost faces marked
 	// grid.External with neighbouring ranks' data. Package cluster uses
-	// this hook.
+	// this hook, and rejects FailSafe, so the hook never runs alongside
+	// the fail-safe repair.
 	HaloExchange func(w *state.Fields)
 	// StrictChecks validates every RK stage: a full-interior NaN/Inf and
 	// D/tau positivity scan of the conserved field, plus the stage's
@@ -161,16 +162,15 @@ type Solver struct {
 	C2P *c2p.Solver
 	St  Stats
 
-	t          float64
-	rhs        *state.Fields
-	u0         *state.Fields    // RK stage-zero storage
-	self       []*Solver        // the one-solver set Step hands to StepSolvers
-	hooks      StepHooks        // demote and recoverStage, bound once
-	scratch    chan *rowScratch // free list of row scratch buffers
-	newScratch func() *rowScratch
-	mon        *Monitor
-	m, low     method       // Cfg's method and its PCM+HLL fallback (see resolveMethod)
-	trc        *tracerState // passive scalar; nil when disabled
+	t       float64
+	rhs     *state.Fields
+	u0      *state.Fields    // RK stage-zero storage
+	self    []*Solver        // the one-solver set Step hands to StepSolvers
+	hooks   StepHooks        // demote and recoverStage, bound once
+	scratch chan *rowScratch // free list of face-block scratch buffers
+	mon     *Monitor
+	m, low  method       // Cfg's method and its PCM+HLL fallback (see resolveMethod)
+	trc     *tracerState // passive scalar; nil when disabled
 
 	// Pre-bound chunk bodies for parallelFor. A closure literal passed to
 	// the pool escapes and would be heap-allocated at every call site;
@@ -217,15 +217,30 @@ type Solver struct {
 	tileChunk    func(lo, hi int)
 }
 
-// rowScratch holds one row's or one face plane's working set (tiles.go
-// lays a plane out in its face slots).
+// rowScratch holds one face block's working set (flux.go): face slots
+// for an x row or a face plane, and evaluated face slabs for an x row's
+// faces.
 type rowScratch struct {
-	u  [state.NComp][]float64 // a y/z row gathered for the fail-safe
 	fl [state.NComp][]float64 // reconstructed left face states
 	fr [state.NComp][]float64 // reconstructed right face states
 	fx [state.NComp][]float64 // face fluxes
 	l  riemann.Faces          // evaluated left face states
 	r  riemann.Faces          // evaluated right face states
+}
+
+// newRowScratch allocates scratch of slots face slots and faces
+// evaluated faces.
+func newRowScratch(slots, faces int) *rowScratch {
+	rs := &rowScratch{}
+	for c := range rs.fl {
+		rs.fl[c] = make([]float64, slots)
+		rs.fr[c] = make([]float64, slots)
+		rs.fx[c] = make([]float64, slots)
+	}
+	slabs := make([]float64, 2*riemann.NSlab*faces)
+	rs.l = riemann.NewFaces(slabs[:riemann.NSlab*faces], faces)
+	rs.r = riemann.NewFaces(slabs[riemann.NSlab*faces:], faces)
+	return rs
 }
 
 // New constructs a solver for grid g. The grid's ghost width must cover
@@ -248,13 +263,6 @@ func New(g *grid.Grid, cfg Config) (*Solver, error) {
 		return nil, fmt.Errorf("core: negative tile size %dx%d", cfg.TileJ, cfg.TileK)
 	}
 	cs := c2p.NewSolver(cfg.EOS)
-	maxRow := g.TotalX
-	if g.TotalY > maxRow {
-		maxRow = g.TotalY
-	}
-	if g.TotalZ > maxRow {
-		maxRow = g.TotalZ
-	}
 	s := &Solver{
 		G:   g,
 		Cfg: cfg,
@@ -262,7 +270,7 @@ func New(g *grid.Grid, cfg Config) (*Solver, error) {
 		rhs: state.NewFields(g.NCells()),
 		u0:  state.NewFields(g.NCells()),
 	}
-	// Row scratch free list. Unlike sync.Pool the channel is immune to GC
+	// Scratch free list. Unlike sync.Pool the channel is immune to GC
 	// eviction, so once the list is warm the steady-state step allocates
 	// nothing. The capacity covers the maximum number of concurrently
 	// running tile chunks (pool slots plus the caller, plus headroom for
@@ -277,20 +285,6 @@ func New(g *grid.Grid, cfg Config) (*Solver, error) {
 		capHint = n
 	}
 	s.scratch = make(chan *rowScratch, capHint)
-	s.newScratch = func() *rowScratch {
-		slots := max(maxRow+1, s.planeSlots())
-		rs := &rowScratch{}
-		for c := 0; c < state.NComp; c++ {
-			rs.u[c] = make([]float64, maxRow)
-			rs.fl[c] = make([]float64, slots)
-			rs.fr[c] = make([]float64, slots)
-			rs.fx[c] = make([]float64, slots)
-		}
-		faces := make([]float64, 2*riemann.NSlab*(maxRow+1))
-		rs.l = riemann.NewFaces(faces[:riemann.NSlab*(maxRow+1)], maxRow+1)
-		rs.r = riemann.NewFaces(faces[riemann.NSlab*(maxRow+1):], maxRow+1)
-		return rs
-	}
 	s.cflRows = make([]float64, (g.JEnd()-g.JBeg())*(g.KEnd()-g.KBeg()))
 	s.recoverChunk = func(lo, hi int) {
 		gr := s.G
@@ -343,6 +337,13 @@ func New(g *grid.Grid, cfg Config) (*Solver, error) {
 	s.initTiles()
 	s.resolveMethod()
 	return s, nil
+}
+
+// newScratch allocates the scratch of one face block: the slots of an x
+// row (Nx+2 cells, whose right edges start one slot on) or of a tile's
+// face plane, and the evaluated faces of an x row.
+func (s *Solver) newScratch() *rowScratch {
+	return newRowScratch(max(s.G.Nx+3, s.planeSlots()), s.G.Nx+1)
 }
 
 func (s *Solver) getScratch() *rowScratch {
@@ -526,67 +527,6 @@ func (s *Solver) rowCFL(row int) float64 {
 		}
 	}
 	return rowMax
-}
-
-// gatherRow views one strip of the primitive field as per-component
-// contiguous rows: x strips alias W directly (stride 1, read-only), y/z
-// strips (the fail-safe's) are copied into the scratch rows.
-func gatherRow(w *state.Fields, base, stride, n int, sc *rowScratch) (u [state.NComp][]float64) {
-	for c := 0; c < state.NComp; c++ {
-		src := w.Comp[c]
-		if stride == 1 {
-			u[c] = src[base : base+n]
-			continue
-		}
-		dst := sc.u[c][:n]
-		for j := range dst {
-			dst[j] = src[base+j*stride]
-		}
-		u[c] = dst
-	}
-	return u
-}
-
-// accumulate folds the face flux differences −(F₊ − F₋)/dx into lines ×
-// lanes cells: cell (q, i) is rhs entry base + q·stride + i, its lower
-// face is fx entry f0 + q·next + i and its upper face the entry next
-// further on. Overwrite mode writes 0 − ΔF/dx — bitwise what
-// accumulation into a zeroed rhs produces (including the sign of zero) —
-// so ComputeRHS can skip the rhs.Zero() pass.
-func accumulate(fx *[state.NComp][]float64, rhs *state.Fields, base, stride, f0, next, lines, lanes int,
-	dx float64, overwrite bool) {
-
-	invDx := 1 / dx
-	for c := 0; c < state.NComp; c++ {
-		out := rhs.Comp[c]
-		for q := 0; q < lines; q++ {
-			o := out[base+q*stride:][:lanes]
-			fm := fx[c][f0+q*next:][:lanes]
-			fp := fx[c][f0+(q+1)*next:][:lanes]
-			if overwrite {
-				for i := range o {
-					o[i] = 0 - (fp[i]-fm[i])*invDx
-				}
-			} else {
-				for i := range o {
-					o[i] -= (fp[i] - fm[i]) * invDx
-				}
-			}
-		}
-	}
-}
-
-// sweepRow runs the x row of W that starts at flat index base:
-// reconstruct, solve the face Riemann problems, and accumulate the flux
-// differences of its interior cells.
-func (s *Solver) sweepRow(base int, sc *rowScratch, rhs *state.Fields, overwrite bool) {
-	g := s.G
-	u := gatherRow(g.W, base, 1, g.TotalX, sc)
-	s.m.fillFlux(state.X, u, g.TotalX, g.IBeg(), g.IEnd(), sc)
-	accumulate(&sc.fx, rhs, base+g.IBeg(), 0, g.IBeg(), 1, 1, g.Nx, g.Dx, overwrite)
-	if s.trc != nil {
-		s.tracerSweep(base+g.IBeg(), 1, g.IBeg(), 1, g.Nx, 1, g.Dx, sc)
-	}
 }
 
 // ComputeRHS evaluates the full right-hand side into rhs. Primitives and

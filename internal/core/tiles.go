@@ -6,21 +6,22 @@ package core
 // sweeps while the tile's primitives and rhs rows are still cache
 // resident — W is streamed once per RK stage, not once per direction.
 //
-// Every direction sweeps along x. The x sweep runs full pencil rows. The
-// y and z sweeps run face planes: for each of the tile's k planes (y) or
-// j planes (z), the cell lines j0−1 … j1 (or k0−1 … k1) are read in place
-// from W as runs of Nx contiguous cells, with no transpose. The scheme's
-// edge kernel (recon.Scheme.Edges) turns each cell line and its stencil
-// lines, ±Ghost() lines away, into the right states of the faces below
-// it and the left states of the faces above; the admissibility pass, the
-// two riemann.EvalRow calls and Kind.FluxRow then run once over the
-// plane's face lines laid end to end, and the flux differences accumulate
-// contiguously. A face is computed from exactly the cells a full-row
-// sweep would read, with the same operations, so plane fluxes are
-// bitwise identical to full-row fluxes. Faces on tile boundaries are
+// Every direction runs the one face pipeline (flux.go) on face blocks
+// read in place from W, with no gather and no transpose. The x sweep runs
+// each pencil row as one line of Nx+2 cells: the owned cells and a
+// neighbour on each side. The y and z sweeps run face planes: for each of
+// the tile's k planes (y) or j planes (z), the cell lines j0−1 … j1 (or
+// k0−1 … k1), in x chunks of up to planeLanes cells. The edge kernel
+// (recon.Scheme.Edges) turns each cell line and its stencil lines,
+// ±Ghost() lines away, into the right states of the faces below it and
+// the left states of the faces above, and the rest of the pipeline runs
+// over the plane's face lines laid end to end; the flux differences
+// accumulate contiguously. A face's flux is the same operations on the
+// same cells however its block is laid out. Faces on tile boundaries are
 // computed by both adjacent tiles (identical inputs, identical values);
 // each tile accumulates only its own cells, so tiles are disjoint in rhs
-// and safe to run concurrently.
+// and safe to run concurrently. The fail-safe repair (failsafe.go) walks
+// the same blocks.
 //
 // Bitwise reproducibility: every interior cell receives its directional
 // contributions in the fixed order X (overwrite), then Y, then Z, and
@@ -30,10 +31,7 @@ package core
 // replaced, whose results testdata/strip_golden.json freezes (see
 // TestTiledBitwiseInvariance and docs/PERFORMANCE.md).
 
-import (
-	"rhsc/internal/riemann"
-	"rhsc/internal/state"
-)
+import "rhsc/internal/state"
 
 // Default pencil-tile extents: 8×8 keeps a 3-D tile's working set —
 // (tileJ+2Ng)(tileK+2Ng) full x rows of five components — within a few
@@ -45,7 +43,7 @@ const (
 )
 
 // planeLanes caps the x extent of one face plane. The plane's face
-// lines lie end to end in the row scratch, so its slots grow with the
+// lines lie end to end in the block scratch, so its slots grow with the
 // tile extent times this width; wider grids run their planes in x chunks.
 const planeLanes = 64
 
@@ -108,10 +106,10 @@ func (s *Solver) sweepTiles(lo, hi int, rhs *state.Fields) {
 	}
 }
 
-// planeSlots is the face slots one plane sweep needs: the most cell
+// planeSlots is the face slots one plane block needs: the most cell
 // lines a tile plane owns (the tile extent, or the grid's where the tile
 // is larger) plus the one on each side, each of up to planeLanes lanes,
-// and one more line of slots (see sweepPlane); zero for a grid with only x.
+// and one more line of slots (see faceBlock); zero for a grid with only x.
 func (s *Solver) planeSlots() int {
 	g := s.G
 	if g.Ny == 1 && g.Nz == 1 {
@@ -120,75 +118,75 @@ func (s *Solver) planeSlots() int {
 	return (max(min(s.tileJ, g.Ny), min(s.tileK, g.Nz)) + 3) * min(g.Nx, planeLanes)
 }
 
+// tileBlock returns block i of tile tl's direction-d sweep, and false
+// past the last: the tile's x rows (k outer, j inner), each one line of
+// Nx+2 lanes, or its k (y) or j (z) face planes, each in x chunks of up
+// to planeLanes lanes.
+func (s *Solver) tileBlock(tl tileSpan, d state.Direction, i int) (faceBlock, bool) {
+	g := s.G
+	if d == state.X {
+		nj := tl.j1 - tl.j0
+		j, k := tl.j0+i%nj, tl.k0+i/nj
+		return faceBlock{d: d, base: g.Idx(g.IBeg()-1, j, k), stride: 1, lines: 1, lanes: g.Nx + 2,
+			next: 1, dx: g.Dx}, k < tl.k1
+	}
+	chunks := (g.Nx + planeLanes - 1) / planeLanes
+	p, i0 := i/chunks, i%chunks*planeLanes
+	nl := min(planeLanes, g.Nx-i0)
+	if d == state.Y {
+		k := tl.k0 + p
+		return faceBlock{d: d, base: g.Idx(g.IBeg()+i0, tl.j0-1, k), stride: g.TotalX,
+			lines: tl.j1 - tl.j0 + 2, lanes: nl, next: nl, dx: g.Dy}, k < tl.k1
+	}
+	j := tl.j0 + p
+	return faceBlock{d: d, base: g.Idx(g.IBeg()+i0, j, tl.k0-1), stride: g.TotalX * g.TotalY,
+		lines: tl.k1 - tl.k0 + 2, lanes: nl, next: nl, dx: g.Dz}, j < tl.j1
+}
+
 // sweepTile accumulates the full flux divergence of one pencil tile. The
 // direction order is fixed — first active dimension overwrites, the rest
 // accumulate — so every cell sees the same sum whichever tile owns it.
 func (s *Solver) sweepTile(tl tileSpan, sc *rowScratch, rhs *state.Fields) {
-	g := s.G
-	overwrite := true
-	for _, d := range g.ActiveDims() {
-		switch d {
-		case state.X:
-			for k := tl.k0; k < tl.k1; k++ {
-				for j := tl.j0; j < tl.j1; j++ {
-					s.sweepRow(g.Idx(0, j, k), sc, rhs, overwrite)
-				}
+	for di, d := range s.G.ActiveDims() {
+		for i := 0; ; i++ {
+			blk, ok := s.tileBlock(tl, d, i)
+			if !ok {
+				break
 			}
-		case state.Y:
-			for k := tl.k0; k < tl.k1; k++ {
-				s.sweepPlane(d, g.Idx(g.IBeg(), tl.j0, k), g.TotalX, tl.j1-tl.j0, g.Dy,
-					sc, rhs, overwrite)
-			}
-		default:
-			for j := tl.j0; j < tl.j1; j++ {
-				s.sweepPlane(d, g.Idx(g.IBeg(), j, tl.k0), g.TotalX*g.TotalY, tl.k1-tl.k0, g.Dz,
-					sc, rhs, overwrite)
+			s.m.fluxes(s.G.W, &blk, sc)
+			accumulate(&sc.fx, rhs, &blk, di == 0)
+			if s.trc != nil {
+				s.tracerSweep(&blk, sc)
 			}
 		}
-		overwrite = false
 	}
 }
 
-// sweepPlane runs the direction-d faces of nc owned cell lines of one
-// tile plane: base is the W index of the first owned line's first
-// interior cell and stride the W distance between adjacent lines. In
-// chunks of up to planeLanes x lanes, cell line q = 0 … nc+1 (the owned
-// lines and one neighbour on each side) writes its left edges to face
-// line q of sc.fr and its right edges to face line q+1 of sc.fl, so face
-// line q holds the face between cell lines q−1 and q, and face lines
-// 1 … nc+1 are the owned cells' faces.
-func (s *Solver) sweepPlane(d state.Direction, base, stride, nc int, dx float64,
-	sc *rowScratch, rhs *state.Fields, overwrite bool) {
-
-	m := &s.m
-	w := &s.G.W.Comp
-	for i0 := 0; i0 < s.G.Nx; i0 += planeLanes {
-		nl := min(planeLanes, s.G.Nx-i0)
-		b := base + i0
-		for c := range w {
-			m.recon.Edges(w[c], b-stride, stride, nc+2, sc.fr[c][:(nc+2)*nl], sc.fl[c][nl:(nc+3)*nl])
+// accumulate folds the face flux differences −(F₊ − F₋)/dx into the owned
+// cells of block blk. Overwrite mode writes 0 − ΔF/dx — bitwise what
+// accumulation into a zeroed rhs produces (including the sign of zero) —
+// so ComputeRHS can skip the rhs.Zero() pass.
+func accumulate(fx *[state.NComp][]float64, rhs *state.Fields, blk *faceBlock, overwrite bool) {
+	invDx := 1 / blk.dx
+	end := blk.lines*blk.lanes - blk.next
+	for q := range blk.lines {
+		lo, hi, off := blk.run(q, blk.next, end)
+		if lo >= hi {
+			continue
 		}
-		for q := 1; q <= nc+1; q++ {
-			admit(&sc.fl, q*nl, (q+1)*nl, w, b+(q-2)*stride)
-			admit(&sc.fr, q*nl, (q+1)*nl, w, b+(q-1)*stride)
-		}
-		// The evaluated face slabs hold a row's faces, so the plane's face
-		// lines go through EvalRow and FluxRow in runs of as many lines as
-		// fit: the whole plane where it fits, else a line at a time.
-		run, hi := len(sc.l.D)/nl*nl, (nc+2)*nl
-		for f0 := nl; f0 < hi; f0 += run {
-			n := min(run, hi-f0)
-			var ql, qr, fx [state.NComp][]float64
-			for c := range ql {
-				ql[c], qr[c], fx[c] = sc.fl[c][f0:], sc.fr[c][f0:], sc.fx[c][f0:]
+		for c := range fx {
+			o := rhs.Comp[c][off+lo:][:hi-lo]
+			fm := fx[c][lo:][:len(o)]
+			fp := fx[c][lo+blk.next:][:len(o)]
+			if overwrite {
+				for i := range o {
+					o[i] = 0 - (fp[i]-fm[i])*invDx
+				}
+			} else {
+				for i := range o {
+					o[i] -= (fp[i] - fm[i]) * invDx
+				}
 			}
-			riemann.EvalRow(&sc.l, &ql, m.eos, d, 0, n)
-			riemann.EvalRow(&sc.r, &qr, m.eos, d, 0, n)
-			m.kind.FluxRow(&sc.l, &sc.r, &fx, d, 0, n)
-		}
-		accumulate(&sc.fx, rhs, b, stride, nl, nl, nc, nl, dx, overwrite)
-		if s.trc != nil {
-			s.tracerSweep(b, stride, nl, nl, nc, nl, dx, sc)
 		}
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"rhsc/internal/grid"
 	"rhsc/internal/par"
 	"rhsc/internal/recon"
+	"rhsc/internal/riemann"
 	"rhsc/internal/state"
 )
 
@@ -350,8 +351,8 @@ type mark struct {
 
 // markedRecon reconstructs with Scheme and then overwrites the edges of
 // marked cells, so the admissibility fallback fires at the same faces
-// whichever way the cells are laid out: on rows through Reconstruct and
-// on face planes through Edges.
+// whichever way the cells are laid out: on the oracle's rows and columns
+// through Reconstruct and on the face pipeline's blocks through Edges.
 type markedRecon struct {
 	recon.Scheme
 	marks []mark
@@ -391,39 +392,94 @@ func (m markedRecon) Edges(u []float64, base, stride, lines int, lo, hi []float6
 	}
 }
 
-// rowRHS is the RHS through the per-row path the fail-safe recomputes
-// with: every x row, then every y column, then every z column gathered
-// whole (gatherRow), fluxed by fillFlux and accumulated.
+// gatherRow and fillFlux are the whole-row path the x rows and the
+// fail-safe ran before every flux went through the face pipeline, kept
+// as the column oracle. gatherRow views one strip of the primitive field
+// as per-component contiguous rows: x strips alias W directly (stride 1,
+// read-only), y/z strips are copied into buf.
+func gatherRow(w *state.Fields, base, stride, n int, buf *[state.NComp][]float64) (u [state.NComp][]float64) {
+	for c := 0; c < state.NComp; c++ {
+		src := w.Comp[c]
+		if stride == 1 {
+			u[c] = src[base : base+n]
+			continue
+		}
+		dst := buf[c][:n]
+		for j := range dst {
+			dst[j] = src[base+j*stride]
+		}
+		u[c] = dst
+	}
+	return u
+}
+
+// fillFlux reconstructs the gathered row (or tile segment) u of n cells
+// and writes the Riemann fluxes of faces [cBeg, cEnd] into sc.fx (cell i
+// owns faces i and i+1). Past the reconstruction it runs three passes
+// over the row: admissibility, one evaluation per side into SoA face
+// slabs, and one Riemann combine.
+func (m *method) fillFlux(d state.Direction, u [state.NComp][]float64, n, cBeg, cEnd int,
+	sc *rowScratch) {
+
+	for c := 0; c < state.NComp; c++ {
+		m.recon.Reconstruct(u[c], sc.fl[c][:n+1], sc.fr[c][:n+1])
+	}
+	lo, hi := cBeg, cEnd+1
+	admit(&sc.fl, lo, hi, &u, lo-1)
+	admit(&sc.fr, lo, hi, &u, lo)
+	riemann.EvalRow(&sc.l, &sc.fl, m.eos, d, lo, hi)
+	riemann.EvalRow(&sc.r, &sc.fr, m.eos, d, lo, hi)
+	m.kind.FluxRow(&sc.l, &sc.r, &sc.fx, d, lo, hi)
+}
+
+// rowRHS is the RHS through the whole-row path: every x row, then every
+// y column, then every z column gathered whole (gatherRow), fluxed by
+// fillFlux and accumulated.
 func (s *Solver) rowRHS(rhs *state.Fields) {
 	g := s.G
-	sc := s.newScratch()
-	for k := g.KBeg(); k < g.KEnd(); k++ {
-		for j := g.JBeg(); j < g.JEnd(); j++ {
-			s.sweepRow(g.Idx(0, j, k), sc, rhs, true)
+	n := max(g.TotalX, g.TotalY, g.TotalZ)
+	sc := newRowScratch(n+1, n+1)
+	var buf [state.NComp][]float64
+	for c := range buf {
+		buf[c] = make([]float64, n)
+	}
+	line := func(d state.Direction, base, stride, n, cBeg, cEnd int, dx float64) {
+		u := gatherRow(g.W, base, stride, n, &buf)
+		s.m.fillFlux(d, u, n, cBeg, cEnd, sc)
+		invDx := 1 / dx
+		for c := range sc.fx {
+			for i := cBeg; i < cEnd; i++ {
+				o := &rhs.Comp[c][base+i*stride]
+				if d == state.X {
+					*o = 0 - (sc.fx[c][i+1]-sc.fx[c][i])*invDx
+				} else {
+					*o -= (sc.fx[c][i+1] - sc.fx[c][i]) * invDx
+				}
+			}
 		}
 	}
-	col := func(d state.Direction, base, stride, n, cBeg, cEnd int, dx float64) {
-		u := gatherRow(g.W, base, stride, n, sc)
-		s.m.fillFlux(d, u, n, cBeg, cEnd, sc)
-		accumulate(&sc.fx, rhs, base+cBeg*stride, stride, cBeg, 1, cEnd-cBeg, 1, dx, false)
+	for k := g.KBeg(); k < g.KEnd(); k++ {
+		for j := g.JBeg(); j < g.JEnd(); j++ {
+			line(state.X, g.Idx(0, j, k), 1, g.TotalX, g.IBeg(), g.IEnd(), g.Dx)
+		}
 	}
 	for i := g.IBeg(); i < g.IEnd(); i++ {
 		for k := g.KBeg(); k < g.KEnd(); k++ {
-			col(state.Y, g.Idx(i, 0, k), g.TotalX, g.TotalY, g.JBeg(), g.JEnd(), g.Dy)
+			line(state.Y, g.Idx(i, 0, k), g.TotalX, g.TotalY, g.JBeg(), g.JEnd(), g.Dy)
 		}
 		for j := g.JBeg(); j < g.JEnd(); j++ {
-			col(state.Z, g.Idx(i, j, 0), g.TotalX*g.TotalY, g.TotalZ, g.KBeg(), g.KEnd(), g.Dz)
+			line(state.Z, g.Idx(i, j, 0), g.TotalX*g.TotalY, g.TotalZ, g.KBeg(), g.KEnd(), g.Dz)
 		}
 	}
 }
 
-// The face-plane sweeps against whole y and z columns through fillFlux,
-// bitwise, on a grid wide enough for two x chunks per plane (Nx = 70 >
-// planeLanes) with tiles that divide it, tiles that do not, and one tile
-// larger than the grid. About one cell in ten carries a mark whose edge
-// is inadmissible — NaN or −0 ρ, p < 0, v² ≥ 1, infinite v — so the
-// planes' admissibility fallback fires on every face line, both sides,
-// in both chunks; a fallback that read the wrong cell would change the
+// The tile engine's x rows and face planes against whole x rows and y and
+// z columns through fillFlux, bitwise, on a grid wide enough for two x
+// chunks per plane (Nx = 70 > planeLanes) with tiles that divide it,
+// tiles that do not, and one tile larger than the grid. About one cell in
+// ten carries a mark whose edge is inadmissible — NaN or −0 ρ, p < 0,
+// v² ≥ 1, infinite v — so the admissibility fallback fires on every row
+// and face line, both sides, in both chunks; a fallback that read the wrong cell would change the
 // bits, and one that missed a face would leave a NaN or infinite RHS.
 func TestPlaneSweepsMatchRows(t *testing.T) {
 	const nx, ny, nz = 70, 10, 8
@@ -490,7 +546,7 @@ func TestPlaneSweepsMatchRows(t *testing.T) {
 					}
 				}
 				// A tile extent past the grid sizes the plane slots by the grid.
-				if want := max(g.TotalX, g.TotalY, g.TotalZ) + 1; len(s.newScratch().fl[0]) > max(want, (max(ny, nz)+3)*planeLanes) {
+				if len(s.newScratch().fl[0]) > max(nx+3, (max(ny, nz)+3)*planeLanes) {
 					t.Fatalf("%s: plane slots %d for a %dx%dx%d grid", name, len(s.newScratch().fl[0]), nx, ny, nz)
 				}
 			}

@@ -92,32 +92,31 @@ func (s *Solver) tracerRecover() {
 	grid.FillGhosts(s.G, s.trc.prim, grid.Scalar)
 }
 
-// tracerSweep accumulates the tracer flux differences of lines × lanes
-// cells laid out as accumulate's, with the lines along the sweep (cell
-// (q, i) and cell (q+1, i) are neighbours), reusing the mass fluxes fx[ID]
-// the sweep just computed.
-func (s *Solver) tracerSweep(base, stride, f0, next, lines, lanes int, dx float64, sc *rowScratch) {
+// tracerSweep accumulates the tracer flux differences of block blk's
+// owned cells, reusing the mass fluxes fx[ID] the sweep just computed.
+func (s *Solver) tracerSweep(blk *faceBlock, sc *rowScratch) {
 	x := s.trc.prim
 	fd := sc.fx[state.ID]
 	out := s.trc.rhs
-	invDx := 1 / dx
+	invDx := 1 / blk.dx
 	// Face tracer fluxes: donor-cell upwinding on the mass flux, into the
 	// fl[0] slots the sweep no longer needs.
 	tf := sc.fl[0]
-	for p := 0; p <= lines; p++ {
-		for i := 0; i < lanes; i++ {
-			f := f0 + p*next + i
-			up := base + (p-1)*stride + i
+	n := blk.lines * blk.lanes
+	for q := range blk.lines {
+		lo, hi, off := blk.run(q, blk.next, n)
+		for f := lo; f < hi; f++ {
+			up := off + f - blk.stride
 			if fd[f] < 0 {
-				up += stride
+				up += blk.stride
 			}
 			tf[f] = fd[f] * x[up]
 		}
 	}
-	for q := 0; q < lines; q++ {
-		for i := 0; i < lanes; i++ {
-			f := f0 + q*next + i
-			out[base+q*stride+i] -= (tf[f+next] - tf[f]) * invDx
+	for q := range blk.lines {
+		lo, hi, off := blk.run(q, blk.next, n-blk.next)
+		for f := lo; f < hi; f++ {
+			out[off+f] -= (tf[f+blk.next] - tf[f]) * invDx
 		}
 	}
 }
