@@ -313,13 +313,15 @@ func (s *Solver) sweepRow(d state.Direction, base, stride, n, cBeg, cEnd int, dx
 			Rho: sc.fr[state.IRho][f], Vx: sc.fr[state.IVx][f],
 			Vy: sc.fr[state.IVy][f], Vz: sc.fr[state.IVz][f], P: sc.fr[state.IP][f],
 		}
-		if wl.Rho <= 0 || wl.P <= 0 {
+		// Written so that a NaN state, which fails every comparison,
+		// falls back too.
+		if !(wl.Rho > 0 && wl.P > 0) {
 			wl = state.Prim{
 				Rho: sc.u[state.IRho][f-1], Vx: sc.u[state.IVx][f-1],
 				Vy: sc.u[state.IVy][f-1], Vz: sc.u[state.IVz][f-1], P: sc.u[state.IP][f-1],
 			}
 		}
-		if wr.Rho <= 0 || wr.P <= 0 {
+		if !(wr.Rho > 0 && wr.P > 0) {
 			wr = state.Prim{
 				Rho: sc.u[state.IRho][f], Vx: sc.u[state.IVx][f],
 				Vy: sc.u[state.IVy][f], Vz: sc.u[state.IVz][f], P: sc.u[state.IP][f],

@@ -7,6 +7,7 @@ import (
 	"rhsc/internal/core"
 	"rhsc/internal/eos"
 	"rhsc/internal/grid"
+	"rhsc/internal/recon"
 	"rhsc/internal/state"
 )
 
@@ -253,5 +254,37 @@ func TestStepRejectsBadDt(t *testing.T) {
 	s, _ := New(g, DefaultConfig())
 	if err := s.Step(0); err == nil {
 		t.Error("dt=0 accepted")
+	}
+}
+
+// A NaN cell reconstructs NaN face states in its neighbours (PPM's
+// slopes carry it two cells out), and the positivity fallback must
+// replace them with the cell averages, as core's admit does: the cells
+// two away keep a finite right-hand side. Every comparison with a NaN is
+// false, so a fallback written as ρ ≤ 0 || p ≤ 0 lets the NaN through
+// to the Riemann solver and on into those cells.
+func TestNaNFaceStatesFallBack(t *testing.T) {
+	for _, c := range []int{state.IRho, state.IP} {
+		g := grid.New(grid.Geometry{Nx: 32, Ny: 1, Nz: 1, Ng: 3, X0: 0, X1: 1})
+		g.SetAllBCs(grid.Outflow)
+		cfg := DefaultConfig()
+		cfg.Recon = recon.PPM{}
+		s, err := New(g, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.InitFromPrim(func(_, _, _ float64) state.Prim { return state.Prim{Rho: 1, Vx: 0.1, P: 1} })
+		j := g.IBeg() + 16
+		g.W.Comp[c][j] = math.NaN()
+		rhs := state.NewFields(g.NCells())
+		s.computeRHS(rhs)
+		for _, i := range []int{j - 2, j + 2} {
+			for k, comp := range rhs.Comp {
+				if v := comp[i]; math.IsNaN(v) || math.IsInf(v, 0) {
+					t.Errorf("NaN in component %d of cell %d: cell %d's right-hand side component %d = %v",
+						c, j, i, k, v)
+				}
+			}
+		}
 	}
 }

@@ -1,7 +1,6 @@
 package recon
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -162,149 +161,254 @@ func TestEdgesMatchRowReferences(t *testing.T) {
 	}
 }
 
-// mcCells are the values the vector parity rows draw cells from: signed
-// zeros, subnormals, infinities, NaN and extreme magnitudes.
-var mcCells = []float64{0, math.Copysign(0, -1), 5e-324, -5e-324, 1e-310, -1e-310, 0x1p-1022,
+// vecCells are the values the vector parity columns draw cells from:
+// signed zeros, subnormals, infinities, NaN and extreme magnitudes.
+var vecCells = []float64{0, math.Copysign(0, -1), 5e-324, -5e-324, 1e-310, -1e-310, 0x1p-1022,
 	math.Inf(1), math.Inf(-1), math.NaN(), 1, -1, 1e308, -1e308, 1e-300}
 
-// mcLine draws n cells with their neighbours: per lane a regime chosen
-// at random — both differences positive, both negative, mixed, equal
-// neighbours, or IEEE edge values — so both sign branches and the zero
-// arm run in every lane position of a vector.
-func mcLine(rng *rand.Rand, n int) (um, u0, up []float64) {
-	um, u0, up = make([]float64, n), make([]float64, n), make([]float64, n)
-	for i := range u0 {
-		c := rng.NormFloat64() * math.Pow(10, float64(rng.Intn(21)-10))
-		a, b := math.Abs(rng.NormFloat64()), math.Abs(rng.NormFloat64())
-		switch rng.Intn(6) {
-		case 0: // rising
-			um[i], u0[i], up[i] = c-a, c, c+b
-		case 1: // falling
-			um[i], u0[i], up[i] = c+a, c, c-b
-		case 2: // extremum
-			um[i], u0[i], up[i] = c-a, c, c-b
-		case 3: // equal neighbours
-			um[i], u0[i], up[i] = c, c, c
-			if rng.Intn(2) == 0 {
-				up[i] = c + b
+// vecColumn draws one lane's cells along the sweep, a regime per lane:
+// steps of either sign at a scale from 1e-10 to 1e10, a ppmRow column
+// (noise, zeros, plateaus, ramps, flat runs, subnormal rows, IEEE
+// cells), subnormal steps, or cells from vecCells.
+func vecColumn(rng *rand.Rand, cells int) []float64 {
+	col := make([]float64, cells)
+	c := rng.NormFloat64() * math.Pow(10, float64(rng.Intn(21)-10))
+	scale := math.Abs(c) + 1e-300
+	switch rng.Intn(6) {
+	case 0, 1, 2:
+		for m := range col {
+			col[m] = c
+			step := scale * math.Abs(rng.NormFloat64())
+			if rng.Intn(3) == 0 {
+				step = -step
 			}
-		case 4: // subnormal steps
-			d := float64(1+rng.Intn(3)) * 5e-324
-			um[i], u0[i], up[i] = -d, 0, d*float64(1+rng.Intn(2))
-			if rng.Intn(2) == 0 {
-				um[i], up[i] = -um[i], -up[i]
-			}
-		default:
-			um[i], u0[i], up[i] = mcCells[rng.Intn(len(mcCells))], mcCells[rng.Intn(len(mcCells))],
-				mcCells[rng.Intn(len(mcCells))]
+			c += step
+		}
+	case 3:
+		return edgeRow(rng, cells)
+	case 4: // subnormal steps
+		for m := range col {
+			col[m] = float64(rng.Intn(7)-3) * 5e-324
+		}
+	default:
+		for m := range col {
+			col[m] = vecCells[rng.Intn(len(vecCells))]
 		}
 	}
-	return um, u0, up
+	return col
 }
 
-// The AVX2 body of the MC edge kernel against its Go body: lines of
-// every length 1–67 at every start mod 4, through PLM.Edges with the
-// vector body on and off. Bits must match exactly, NaN as a class where
-// the Go body yields NaN; slots outside the line keep their sentinel;
-// both sign branches must be taken in every lane position of a vector.
-func TestMCEdgesVectorMatchesGo(t *testing.T) {
+// vecKernel is an edge kernel with an AVX2 body: its scheme, the names of
+// the branches its Go loop takes, and arm, which reports the branches a
+// cell takes from the 2·Ghost()−1 cells of its stencil.
+type vecKernel struct {
+	s    Scheme
+	arms []string
+	arm  func(w []float64, hit func(arm int))
+}
+
+// vecKernels are the edge kernels with a vector body.
+var vecKernels = []vecKernel{
+	{PLM{Lim: MonotonizedCentral}, []string{"dm, dp > 0", "dm, dp < 0", "zero"},
+		func(w []float64, hit func(int)) {
+			switch dm, dp := w[1]-w[0], w[2]-w[1]; {
+			case dm > 0 && dp > 0:
+				hit(0)
+			case dm < 0 && dp < 0:
+				hit(1)
+			default:
+				hit(2)
+			}
+		}},
+	{PPM{}, []string{"slope dm·dp ≤ 0", "slope d > 0", "slope d < 0", "slope 0·m",
+		"edges extremum", "edges q > t", "edges q < −t", "edges smooth"},
+		func(w []float64, hit func(int)) {
+			slope := func(j int) float64 {
+				dm, dp, dc := w[j]-w[j-1], w[j+1]-w[j], w[j+1]-w[j-1]
+				switch d := 0.5 * dc; {
+				case dm*dp <= 0:
+					hit(0)
+				case d > 0:
+					hit(1)
+				case d < 0:
+					hit(2)
+				default:
+					hit(3)
+				}
+				return ppmSlope(dm, dp, dc)
+			}
+			sm, s0, sp := slope(1), slope(2), slope(3)
+			aL := 0.5*(w[1]+w[2]) - (s0-sm)/6
+			aR := 0.5*(w[2]+w[3]) - (sp-s0)/6
+			u0, da := w[2], aR-aL
+			q, t := da*(u0-0.5*(aL+aR)), da*da/6
+			switch {
+			case (aR-u0)*(u0-aL) <= 0:
+				hit(4)
+			case q > t:
+				hit(5)
+			case q < -t:
+				hit(6)
+			default:
+				hit(7)
+			}
+		}},
+}
+
+// The AVX2 edge bodies against the Go loops, one table-driven sweep for
+// every kernel that has one: planes of 1–67 and 129–131 lanes (past two
+// ppmBlocks) and 1–3 lines, starting at every offset mod 4, through
+// Scheme.Edges with the vector bodies on and off, on columns that mix
+// ordinary regimes with IEEE cells (±0, subnormals, ±Inf, NaN). Bits
+// must match exactly, NaN as a class where the Go loop yields NaN; slots
+// outside the lines keep their sentinel; every branch of the kernel must
+// be taken in every lane position of a vector.
+func TestVectorEdgesMatchGo(t *testing.T) {
 	if !simd.AVX2 {
-		t.Skip("no AVX2: the Go loop runs every cell")
+		t.Skip("no AVX2: the Go loops run every cell")
 	}
 	defer func(old bool) { simd.AVX2 = old }(simd.AVX2)
-	rng := rand.New(rand.NewSource(41))
-	p := PLM{Lim: MonotonizedCentral}
-	var pos, neg [4]int
+	var lanes []int
 	for n := 1; n <= 67; n++ {
-		for start := 0; start < 4; start++ {
-			for range 20 {
-				um, u0, up := mcLine(rng, n)
-				// One array holds the three lines, stride n+start+1 apart,
-				// so the cells begin at every offset mod 4.
-				stride := n + start + 1
-				u := sentinels(start + 3*stride)
-				copy(u[start:], um)
-				copy(u[start+stride:], u0)
-				copy(u[start+2*stride:], up)
-				// edges[path][side]: path 0 the vector body, 1 the Go loop.
-				var edges [2][2][]float64
-				for k, vec := range []bool{true, false} {
-					simd.AVX2 = vec
-					lo, hi := sentinels(start+n+4), sentinels(start+n+4)
-					p.Edges(u, start+stride, stride, 1, lo[start:start+n], hi[start:])
-					edges[k] = [2][]float64{lo, hi}
-				}
-				for side, name := range []string{"lo", "hi"} {
-					vec, ref := edges[0][side], edges[1][side]
-					for i := range vec {
-						inLine := i >= start && i < start+n
-						if !inLine && math.Float64bits(vec[i]) != math.Float64bits(sentinel) {
-							t.Fatalf("n=%d start=%d: %s slot %d outside the line written", n, start, name, i)
+		lanes = append(lanes, n)
+	}
+	lanes = append(lanes, 129, 130, 131)
+	rng := rand.New(rand.NewSource(41))
+	for _, k := range vecKernels {
+		t.Run(k.s.Name(), func(t *testing.T) {
+			hits := make([][4]int, len(k.arms))
+			for _, n := range lanes {
+				for start := range 4 {
+					for lines := 1; lines <= 3; lines++ {
+						for range 4 {
+							checkVectorEdges(t, rng, k, n, start, lines, hits)
 						}
-						if math.Float64bits(vec[i]) != math.Float64bits(ref[i]) &&
-							!(math.IsNaN(ref[i]) && math.IsNaN(vec[i])) {
-							t.Fatalf("n=%d start=%d %s[%d]: avx2 %v, go %v (cells %v %v %v)",
-								n, start, name, i-start, vec[i], ref[i], um, u0, up)
-						}
-					}
-				}
-				if n < 4 {
-					continue
-				}
-				for i := range u0 {
-					dm, dp := u0[i]-um[i], up[i]-u0[i]
-					if dm > 0 && dp > 0 {
-						pos[i%4]++
-					}
-					if dm < 0 && dp < 0 {
-						neg[i%4]++
 					}
 				}
 			}
+			for arm, byLane := range hits {
+				for l, c := range byLane {
+					if c == 0 {
+						t.Errorf("lane %d never took %q: %v", l, k.arms[arm], byLane)
+					}
+				}
+			}
+		})
+	}
+}
+
+// checkVectorEdges runs k on one plane of lines lines of n lanes, lines
+// stride = n+start+1 apart and lane 0 at offset start, so the lanes
+// begin at every offset mod 4, and holds the vector body to the Go loop.
+// hits counts k's branches by lane position over the whole vectors.
+func checkVectorEdges(t *testing.T, rng *rand.Rand, k vecKernel, n, start, lines int, hits [][4]int) {
+	t.Helper()
+	g := k.s.Ghost()
+	cells, stride := lines+2*g-2, n+start+1
+	u := sentinels(start + cells*stride)
+	cols := make([][]float64, n)
+	for i := range cols {
+		cols[i] = vecColumn(rng, cells)
+		for m, v := range cols[i] {
+			u[start+m*stride+i] = v
 		}
 	}
-	for l := range pos {
-		if pos[l] == 0 || neg[l] == 0 {
-			t.Fatalf("lane %d: positive branch %d times, negative %d", l, pos[l], neg[l])
+	// edges[path][side]: path 0 the vector body, 1 the Go loop.
+	var edges [2][2][]float64
+	for p, vec := range []bool{true, false} {
+		simd.AVX2 = vec
+		lo, hi := sentinels(start+lines*n+4), sentinels(start+lines*n+4)
+		k.s.Edges(u, start+(g-1)*stride, stride, lines, lo[start:start+lines*n], hi[start:])
+		edges[p] = [2][]float64{lo, hi}
+	}
+	simd.AVX2 = true
+	for side, name := range []string{"lo", "hi"} {
+		vec, ref := edges[0][side], edges[1][side]
+		for i := range vec {
+			if i < start || i >= start+lines*n {
+				if math.Float64bits(vec[i]) != math.Float64bits(sentinel) ||
+					math.Float64bits(ref[i]) != math.Float64bits(sentinel) {
+					t.Fatalf("n=%d start=%d lines=%d: %s slot %d outside the lines written", n, start, lines, name, i)
+				}
+				continue
+			}
+			if !sameFace(vec[i], ref[i]) {
+				q, l := (i-start)/n, (i-start)%n
+				t.Fatalf("n=%d start=%d lines=%d %s line %d lane %d: avx2 %v (%#x), go %v (%#x); cells %v",
+					n, start, lines, name, q, l, vec[i], math.Float64bits(vec[i]), ref[i],
+					math.Float64bits(ref[i]), cols[l])
+			}
+		}
+	}
+	for i := range n &^ 3 {
+		for q := range lines {
+			k.arm(cols[i][q:q+2*g-1], func(arm int) { hits[arm][i%4]++ })
 		}
 	}
 }
 
-// BenchmarkMCEdges times the MC edge kernel per cell on a 48-lane plane
-// line of blast-like data — plateaus, a smooth flank and a jump, no
-// subnormals — through the AVX2 body and the Go loop.
-func BenchmarkMCEdges(b *testing.B) {
-	const n = 48
-	u := make([]float64, 3*n)
-	for m := range 3 {
+// blastCells returns lines lines of n lanes, stride apart, of blast-like
+// data: plateaus, a smooth flank and a jump that moves across the lanes
+// from line to line, no subnormals.
+func blastCells(lines, n, stride int) []float64 {
+	u := make([]float64, (lines-1)*stride+n)
+	for m := range lines {
 		for i := range n {
-			x := float64(i+m) / n
+			x := float64(i+m) / float64(n)
 			switch {
 			case x < 0.3:
-				u[m*n+i] = 1
+				u[m*stride+i] = 1
 			case x < 0.6:
-				u[m*n+i] = 1 + 9*math.Sin(3*x)
+				u[m*stride+i] = 1 + 9*math.Sin(3*x)
 			default:
-				u[m*n+i] = 0.125
+				u[m*stride+i] = 0.125
 			}
 		}
 	}
-	lo, hi := make([]float64, n), make([]float64, n)
-	p := PLM{Lim: MonotonizedCentral}
-	for _, path := range []struct {
-		name string
-		avx2 bool
-	}{{"avx2", true}, {"go", false}} {
-		b.Run(fmt.Sprintf("%s/n=%d", path.name, n), func(b *testing.B) {
-			if path.avx2 && !simd.AVX2 {
-				b.Skip("no AVX2")
-			}
-			defer func(old bool) { simd.AVX2 = old }(simd.AVX2)
-			simd.AVX2 = path.avx2
-			for range b.N {
-				p.Edges(u, n, n, 1, lo, hi)
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/cell")
-		})
+	return u
+}
+
+// edgeShape is a call of an edge kernel the benchmarks time: lines lines
+// of n lanes, stride apart.
+type edgeShape struct {
+	name             string
+	lines, n, stride int
+}
+
+// benchEdges times s.Edges per cell on blast-like data of each shape,
+// through the AVX2 body and the Go loop.
+func benchEdges(b *testing.B, s Scheme, shapes []edgeShape) {
+	g := s.Ghost()
+	for _, sh := range shapes {
+		u := blastCells(sh.lines+2*g-2, sh.n, sh.stride)
+		lo, hi := make([]float64, sh.lines*sh.n), make([]float64, sh.lines*sh.n)
+		for _, path := range []struct {
+			name string
+			avx2 bool
+		}{{"avx2", true}, {"go", false}} {
+			b.Run(path.name+"/"+sh.name, func(b *testing.B) {
+				if path.avx2 && !simd.AVX2 {
+					b.Skip("no AVX2")
+				}
+				defer func(old bool) { simd.AVX2 = old }(simd.AVX2)
+				simd.AVX2 = path.avx2
+				for range b.N {
+					s.Edges(u, (g-1)*sh.stride, sh.stride, sh.lines, lo, hi)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(lo)), "ns/cell")
+			})
+		}
 	}
+}
+
+// BenchmarkMCEdges times the MC edge kernel on one 48-lane plane line.
+func BenchmarkMCEdges(b *testing.B) {
+	benchEdges(b, PLM{Lim: MonotonizedCentral}, []edgeShape{{"n=48", 1, 48, 48}})
+}
+
+// BenchmarkPPMEdges times the PPM edge kernel on an x row of 50 lanes
+// (Nx + 2 at 48³; its stencil lines are the row shifted by one cell) and
+// on a plane of 8 lines × 48 lanes, the shape the y and z sweeps run.
+func BenchmarkPPMEdges(b *testing.B) {
+	benchEdges(b, PPM{}, []edgeShape{{"row/n=50", 1, 50, 1}, {"plane/8x48", 8, 48, 48}})
 }

@@ -16,7 +16,10 @@
 // Reconstruct is a row adapter over it (the stencil lines are shifted
 // windows of the row), and the solver's y and z sweeps call it on face
 // planes read in place, so a face state is the same arithmetic on the
-// same operands whichever way the cells were laid out.
+// same operands whichever way the cells were laid out. Where the CPU has
+// AVX2 (simd.AVX2), the PLM-MC and PPM kernels run 4-lane assembly
+// bodies (edges_amd64.s) on lines of four or more lanes, bitwise their
+// Go loops, which stay as the portable path and the oracle.
 //
 // The solver reconstructs primitive variables componentwise, the standard
 // choice for SRHD production codes (characteristic reconstruction costs a
@@ -275,9 +278,20 @@ func (p PPM) Reconstruct(u, uL, uR []float64) { rowEdges(u, uL, uR, 3, p.Edges) 
 // formed once per cell, while a row (one line) forms its neighbours'
 // slopes and lower interface values as well. A cell makes no call.
 // Bitwise the slopes → interface values → per-face-side parabola passes
-// (TestPPMMatchesReference).
+// (TestPPMMatchesReference). Where the CPU has AVX2, lines of four or
+// more lanes run the vector body (ppmEdgesVec), bitwise the Go loops.
 func (PPM) Edges(u []float64, base, stride, lines int, lo, hi []float64) {
 	n := len(lo) / lines
+	if simd.AVX2 && n >= 4 {
+		ppmEdgesVec(u, base, stride, lines, n, lo, hi)
+		return
+	}
+	ppmLines(u, base, stride, lines, n, lo, hi)
+}
+
+// ppmLines is the Go body of the PPM edge kernel on lines of n lanes:
+// the portable path and the vector body's oracle.
+func ppmLines(u []float64, base, stride, lines, n int, lo, hi []float64) {
 	var sl, fc [ppmBlock]float64
 	for i0 := 0; i0 < n; i0 += ppmBlock {
 		w := min(ppmBlock, n-i0)

@@ -169,8 +169,8 @@ const (
 // FluxRow writes the numerical fluxes of faces [lo, hi) along direction d
 // into fx (indexed by state.ID … state.ITau) from the evaluated rows l
 // and r. The combiner is resolved once per row. Where the CPU has AVX2,
-// an HLLC row of four or more faces runs through the vector kernel,
-// which agrees with hllcRow bit for bit.
+// an HLL or HLLC row of four or more faces runs through the vector
+// kernel, which agrees with hllRow or hllcRow bit for bit.
 func (k Kind) FluxRow(l, r *Faces, fx *[state.NComp][]float64, d state.Direction, lo, hi int) {
 	if hi <= lo {
 		return
@@ -179,6 +179,9 @@ func (k Kind) FluxRow(l, r *Faces, fx *[state.NComp][]float64, d state.Direction
 	case KindLLF:
 		llfRow(l, r, fx, lo, hi)
 	case KindHLL:
+		if simd.AVX2 {
+			lo = hllRowVec(l, r, fx, lo, hi)
+		}
 		hllRow(l, r, fx, lo, hi)
 	default:
 		if simd.AVX2 {
@@ -271,6 +274,9 @@ func (HLL) Flux(e eos.EOS, pl, pr state.Prim, d state.Direction) state.Cons {
 
 func hllRow(l, r *Faces, fx *[state.NComp][]float64, lo, hi int) {
 	n := hi - lo
+	if n <= 0 {
+		return
+	}
 	lD, lSx, lSy, lSz, lTau := l.D[lo:hi], l.Sx[lo:hi], l.Sy[lo:hi], l.Sz[lo:hi], l.Tau[lo:hi]
 	lFD, lFSx, lFSy, lFSz, lFTau := l.FD[lo:hi], l.FSx[lo:hi], l.FSy[lo:hi], l.FSz[lo:hi], l.FTau[lo:hi]
 	rD, rSx, rSy, rSz, rTau := r.D[lo:hi], r.Sx[lo:hi], r.Sy[lo:hi], r.Sz[lo:hi], r.Tau[lo:hi]

@@ -2,11 +2,11 @@ package riemann
 
 import "rhsc/internal/state"
 
-// The 4-lane AVX2 forms of evalRow and hllcRow (rowvec_amd64.s). Each lane
-// performs the Go loop's IEEE operations in the Go loop's order, with no
-// fused multiply-add, and selects between the branches with compare masks
-// and blends, so every lane is bitwise the scalar SSE2 code the compiler
-// emits for the Go loop.
+// The 4-lane AVX2 forms of evalRow, hllRow and hllcRow (rowvec_amd64.s).
+// Each lane performs the Go loop's IEEE operations in the Go loop's
+// order, with no fused multiply-add, and selects between the branches
+// with compare masks and blends, so every lane is bitwise the scalar SSE2
+// code the compiler emits for the Go loop.
 
 // evalRowAVX2 is evalRow on faces [lo, lo+n), n ≥ 4, four at a time. When
 // 4 does not divide n, the last four faces of the row are evaluated
@@ -20,6 +20,12 @@ func evalRowAVX2(f *Faces, q *[state.NComp][]float64, lo, n int, gamma, gog floa
 //
 //go:noescape
 func hllcRowAVX2(l, r *Faces, fx *[state.NComp][]float64, lo, n int, d state.Direction)
+
+// hllRowAVX2 is hllRow on faces [lo, lo+n), n ≥ 4, four at a time; when
+// 4 does not divide n, the last four faces are combined again.
+//
+//go:noescape
+func hllRowAVX2(l, r *Faces, fx *[state.NComp][]float64, lo, n int)
 
 // evalRowVec runs evalRowAVX2 on faces [lo, hi) of rows of at least four
 // faces, and returns where the Go loop takes over: hi for the Γ-law gas,
@@ -48,6 +54,19 @@ func hllcRowVec(l, r *Faces, fx *[state.NComp][]float64, d state.Direction, lo, 
 	r.check(hi)
 	_, _, _, _, _ = fx[state.ID][hi-1], fx[state.ISx][hi-1], fx[state.ISy][hi-1], fx[state.ISz][hi-1], fx[state.ITau][hi-1]
 	hllcRowAVX2(l, r, fx, lo, hi-lo, d)
+	return hi
+}
+
+// hllRowVec runs hllRowAVX2 on faces [lo, hi) of rows of at least four
+// faces, and returns where the Go loop takes over.
+func hllRowVec(l, r *Faces, fx *[state.NComp][]float64, lo, hi int) int {
+	if hi-lo < 4 || lo < 0 {
+		return lo
+	}
+	l.check(hi)
+	r.check(hi)
+	_, _, _, _, _ = fx[state.ID][hi-1], fx[state.ISx][hi-1], fx[state.ISy][hi-1], fx[state.ISz][hi-1], fx[state.ITau][hi-1]
+	hllRowAVX2(l, r, fx, lo, hi-lo)
 	return hi
 }
 

@@ -44,6 +44,15 @@ GLOBL sign<>(SB), RODATA|NOPTR, $8
 #define fLm(b) 288(b)
 #define fLp(b) 312(b)
 
+// The unrotated momentum and momentum-flux slabs, for the componentwise
+// combine.
+#define fSx(b) 24(b)
+#define fSy(b) 48(b)
+#define fSz(b) 72(b)
+#define fFSx(b) 144(b)
+#define fFSy(b) 168(b)
+#define fFSz(b) 192(b)
+
 // Slab headers of a [state.NComp][]float64 row at register b: component
 // 0 (ρ or D), the vector (x, y, z at 24, 48, 72) and its rotation to
 // (normal, transverse, transverse), and component 4 (p or τ).
@@ -428,5 +437,64 @@ hllcLoop:
 	NEXT(hllcLoop, hllcDone)
 
 hllcDone:
+	VZEROUPPER
+	RET
+
+// HLLOUT combines one conserved component: the slabs whose headers are
+// at u (state) and fl (flux) in l (SI) and r (DI), into the output slab
+// whose header is at o. The fan is (S_R·F_L − S_L·F_R + (S_L·S_R)(U_R −
+// U_L))·inv; the right flux replaces it where Y10 (S_R ≤ 0) is set and
+// the left flux where Y11 (S_L ≥ 0) is, the left taking precedence as in
+// the Go switch.
+#define HLLOUT(u, fl, o) \
+	LD(fl(SI), Y0); \
+	LD(fl(DI), Y1); \
+	VMULPD    Y0, Y14, Y2; \
+	VMULPD    Y1, Y15, Y3; \
+	VSUBPD    Y3, Y2, Y2; \
+	LD(u(DI), Y3); \
+	OPM(VSUBPD, u(SI), Y3, Y3); \
+	VMULPD    Y3, Y12, Y3; \
+	VADDPD    Y3, Y2, Y2; \
+	VMULPD    Y13, Y2, Y2; \
+	VBLENDVPD Y10, Y1, Y2, Y2; \
+	VBLENDVPD Y11, Y0, Y2, Y2; \
+	ST(Y2, o(DX))
+
+// func hllRowAVX2(l, r *Faces, fx *[state.NComp][]float64, lo, n int)
+//
+// SI holds l, DI r and DX fx. The HLL combine is componentwise, so no
+// slab is rotated: output component k is the state slab at 24k and the
+// flux slab at 120 + 24k.
+TEXT ·hllRowAVX2(SB), NOSPLIT, $0-40
+	MOVQ l+0(FP), SI
+	MOVQ r+8(FP), DI
+	MOVQ fx+16(FP), DX
+	SPAN(lo+24(FP), n+32(FP))
+	VXORPD Y9, Y9, Y9
+
+hllLoop:
+	// S_L = min(λ−(L), λ−(R)) in Y15, S_R = max(λ+(L), λ+(R)) in Y14
+	LD(fLm(SI), Y0)
+	LD(fLm(DI), Y1)
+	GOMIN(Y0, Y1, Y15, Y2, Y3)
+	LD(fLp(SI), Y0)
+	LD(fLp(DI), Y1)
+	GOMAX(Y0, Y1, Y14, Y2, Y3)
+	VBROADCASTSD one<>(SB), Y13
+	VSUBPD Y15, Y14, Y0
+	VDIVPD Y0, Y13, Y13  // inv = 1/(S_R − S_L)
+	VMULPD Y14, Y15, Y12 // S_L·S_R
+	VCMPPD $0x12, Y9, Y14, Y10 // S_R ≤ 0
+	VCMPPD $0x1D, Y9, Y15, Y11 // S_L ≥ 0
+	HLLOUT(fD, fFD, c0)
+	HLLOUT(fSx, fFSx, cX)
+	HLLOUT(fSy, fFSy, cY)
+	HLLOUT(fSz, fFSz, cZ)
+	HLLOUT(fTau, fFTau, c4)
+
+	NEXT(hllLoop, hllDone)
+
+hllDone:
 	VZEROUPPER
 	RET

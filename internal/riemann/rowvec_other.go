@@ -13,3 +13,7 @@ func evalRowVec(_ *Faces, _ *[state.NComp][]float64, _ float64, _ state.Directio
 func hllcRowVec(_, _ *Faces, _ *[state.NComp][]float64, _ state.Direction, lo, _ int) int {
 	return lo
 }
+
+func hllRowVec(_, _ *Faces, _ *[state.NComp][]float64, lo, _ int) int {
+	return lo
+}

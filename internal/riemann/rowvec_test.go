@@ -101,14 +101,40 @@ func sameOrNaN(got, want float64) bool {
 	return math.Float64bits(got) == math.Float64bits(want)
 }
 
+// hllBranches counts the arms of the HLL combine a face takes: upwind on
+// the left (S_L ≥ 0), upwind on the right (S_R ≤ 0) and the fan, and
+// how often an upwind face has S_L = S_R, where the vector body's
+// 1/(S_R − S_L) divides by zero and the blend must drop it.
+type hllBranches struct {
+	upwindL, upwindR, fan, zeroWidth int
+}
+
+// count records the arm of the face between l and r.
+func (br *hllBranches) count(l, r *faceRef) {
+	sl, sr := min(l.Lm, r.Lm), max(l.Lp, r.Lp)
+	switch {
+	case sl >= 0:
+		br.upwindL++
+	case sr <= 0:
+		br.upwindR++
+	default:
+		br.fan++
+	}
+	if sl == sr {
+		br.zeroWidth++
+	}
+}
+
 // The AVX2 row kernels against the Go row loops and both against the
-// per-face reference (faceRef, hllcFace): rows of every length 1–67 at
-// every offset lo mod 4, so every vector head and every tail length
-// runs; all three directions and closures; mixed, supersonic, blast,
-// random, IEEE-edge and light-speed rows. Bits must match exactly, NaN
-// as a class where the Go loop yields NaN, and faces outside [lo, hi)
-// must keep their sentinel. Every HLLC branch must be taken in every
-// lane position of a vector.
+// per-face reference (faceRef, hllFace, hllcFace): rows of every length
+// 1–67 at every offset lo mod 4, so every vector head and every tail
+// length runs; all three directions and closures; mixed, supersonic,
+// blast, random, IEEE-edge and light-speed rows, each combined with HLL
+// and with HLLC. Bits must match exactly, NaN as a class where the Go
+// loop yields NaN, and faces outside [lo, hi) must keep their sentinel.
+// Every HLL and HLLC branch must be taken in every lane position of a
+// vector, and every lane position must drop the 1/(S_R − S_L) of an
+// upwind face with S_L = S_R.
 func TestVectorRowsMatchGoLoops(t *testing.T) {
 	if !simd.AVX2 {
 		t.Skip("no AVX2: the Go row loops run every face")
@@ -117,6 +143,7 @@ func TestVectorRowsMatchGoLoops(t *testing.T) {
 	rng := rand.New(rand.NewSource(38))
 	closures := []eos.EOS{gamma53, eos.TaubMathews{}, eos.NewHybrid(0.1, 2, 5.0/3.0)}
 	var lanes [4]hllcBranches
+	var hllLanes [4]hllBranches
 	for n := 1; n <= 67; n++ {
 		for lo := 0; lo < 4; lo++ {
 			size := lo + n + 3
@@ -136,7 +163,7 @@ func TestVectorRowsMatchGoLoops(t *testing.T) {
 				}
 				for _, e := range closures {
 					for _, d := range []state.Direction{state.X, state.Y, state.Z} {
-						checkVectorRow(t, e, d, &ql, &qr, pairs, lo, lo+n, kind, &lanes)
+						checkVectorRow(t, e, d, &ql, &qr, pairs, lo, lo+n, kind, &lanes, &hllLanes)
 						if t.Failed() {
 							return
 						}
@@ -151,42 +178,49 @@ func TestVectorRowsMatchGoLoops(t *testing.T) {
 			t.Errorf("lane %d missed an HLLC branch: %+v", j, br)
 		}
 	}
+	for j, br := range hllLanes {
+		if br.upwindL == 0 || br.upwindR == 0 || br.fan == 0 || br.zeroWidth == 0 {
+			t.Errorf("lane %d missed an HLL branch: %+v", j, br)
+		}
+	}
 }
 
 // checkVectorRow evaluates faces [lo, hi) of one row and combines them
-// with HLLC on both paths, and holds each to the other and to the
-// per-face reference. lanes counts the reference's HLLC branches by lane
-// position for the faces the vector kernel ran.
+// with HLLC and with HLL on both paths, and holds each to the other and
+// to the per-face reference. lanes and hllLanes count the reference's
+// HLLC and HLL branches by lane position for the faces the vector
+// kernels ran.
 func checkVectorRow(t *testing.T, e eos.EOS, d state.Direction, ql, qr *[state.NComp][]float64,
-	pairs []facePair, lo, hi int, kind string, lanes *[4]hllcBranches) {
+	pairs []facePair, lo, hi int, kind string, lanes *[4]hllcBranches, hllLanes *[4]hllBranches) {
 	t.Helper()
 	size := len(pairs)
 	type out struct {
-		l, r Faces
-		fx   [state.NComp][]float64
+		l, r   Faces
+		fx, hx [state.NComp][]float64
 	}
 	run := func(vec bool) (o out) {
 		defer setAVX2(setAVX2(vec))
 		o.l, o.r = NewFaces(sentinelRow(NSlab*size), size), NewFaces(sentinelRow(NSlab*size), size)
 		for c := range o.fx {
-			o.fx[c] = sentinelRow(size)
+			o.fx[c], o.hx[c] = sentinelRow(size), sentinelRow(size)
 		}
 		EvalRow(&o.l, ql, e, d, lo, hi)
 		EvalRow(&o.r, qr, e, d, lo, hi)
 		KindHLLC.FluxRow(&o.l, &o.r, &o.fx, d, lo, hi)
+		KindHLL.FluxRow(&o.l, &o.r, &o.hx, d, lo, hi)
 		return o
 	}
 	vec, scalar := run(true), run(false)
 	head := lo + (hi-lo)&^3
 	for f := 0; f < size; f++ {
 		var wantL, wantR [NSlab]float64
-		var wantF [state.NComp]float64
+		var wantF, wantH [state.NComp]float64
 		var ref [2]faceRef
 		for k := range wantL {
 			wantL[k], wantR[k] = rowSentinel, rowSentinel
 		}
 		for c := range wantF {
-			wantF[c] = rowSentinel
+			wantF[c], wantH[c] = rowSentinel, rowSentinel
 		}
 		if f >= lo && f < hi {
 			for s, p := range [2]state.Prim{pairs[f].L, pairs[f].R} {
@@ -194,13 +228,23 @@ func checkVectorRow(t *testing.T, e eos.EOS, d state.Direction, ql, qr *[state.N
 			}
 			wantL, wantR = ref[0].slabs(), ref[1].slabs()
 			wantF[0], wantF[1], wantF[2], wantF[3], wantF[4] = hllcFace(&ref[0], &ref[1], d)
+			wantH[0], wantH[1], wantH[2], wantH[3], wantH[4] = hllFace(&ref[0], &ref[1])
 			if f < head && kind != "edge" {
 				refHLLC(e, pairs[f].L, pairs[f].R, d, &lanes[(f-lo)%4])
+			}
+			if f < head {
+				hllLanes[(f-lo)%4].count(&ref[0], &ref[1])
 			}
 		}
 		gotF := func(o *out) (g [state.NComp]float64) {
 			for c := range g {
 				g[c] = o.fx[c][f]
+			}
+			return g
+		}
+		gotH := func(o *out) (g [state.NComp]float64) {
+			for c := range g {
+				g[c] = o.hx[c][f]
 			}
 			return g
 		}
@@ -217,6 +261,9 @@ func checkVectorRow(t *testing.T, e eos.EOS, d state.Direction, ql, qr *[state.N
 			{"left faces vs reference", slice(vec.l.at(f)), wantL[:]},
 			{"right faces vs reference", slice(vec.r.at(f)), wantR[:]},
 			{"flux vs reference", slice(gotF(&vec)), wantF[:]},
+			{"HLL flux", slice(gotH(&vec)), slice(gotH(&scalar))},
+			{"Go HLL flux vs reference", slice(gotH(&scalar)), wantH[:]},
+			{"HLL flux vs reference", slice(gotH(&vec)), wantH[:]},
 		} {
 			for k := range c.want {
 				if !sameOrNaN(c.got[k], c.want[k]) {
@@ -296,7 +343,14 @@ func BenchmarkEvalRow(b *testing.B) {
 
 // BenchmarkHLLCRow times the HLLC combine per face on the evaluated blast
 // rows of BenchmarkEvalRow, through the AVX2 kernel and the Go loop.
-func BenchmarkHLLCRow(b *testing.B) {
+func BenchmarkHLLCRow(b *testing.B) { benchCombine(b, KindHLLC) }
+
+// BenchmarkHLLRow times the HLL combine per face on the same rows.
+func BenchmarkHLLRow(b *testing.B) { benchCombine(b, KindHLL) }
+
+// benchCombine times k.FluxRow per face on the evaluated blast rows of
+// BenchmarkEvalRow, through the AVX2 kernel and the Go loop.
+func benchCombine(b *testing.B, k Kind) {
 	for _, n := range []int{49, 17} {
 		ql, qr := blastRow(n)
 		l, r := NewFaces(make([]float64, NSlab*n), n), NewFaces(make([]float64, NSlab*n), n)
@@ -313,7 +367,7 @@ func BenchmarkHLLCRow(b *testing.B) {
 				}
 				defer setAVX2(setAVX2(path.avx2))
 				for i := 0; i < b.N; i++ {
-					KindHLLC.FluxRow(&l, &r, &fx, state.X, 0, n)
+					k.FluxRow(&l, &r, &fx, state.X, 0, n)
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/face")
 			})
