@@ -172,8 +172,9 @@ func parseDevices(spec string) ([]rhsc.DeviceSpec, error) {
 		case tok == "staged":
 			out = append(out, rhsc.StagedGPU())
 		case strings.HasPrefix(tok, "cpu"):
+			// Atoi alone would take a sign: "cpu+3" is not a device.
 			cores, err := strconv.Atoi(tok[3:])
-			if err != nil || cores < 1 {
+			if err != nil || cores < 1 || strings.HasPrefix(tok, "cpu+") {
 				return nil, fmt.Errorf("bad device %q (want cpu<N>)", tok)
 			}
 			out = append(out, rhsc.HostCPU(cores))

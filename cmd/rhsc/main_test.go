@@ -78,3 +78,17 @@ func TestCLISmoke(t *testing.T) {
 		t.Fatalf("profile CSV has %d lines:\n%s", lines, b)
 	}
 }
+
+// TestParseDevices holds -devices to the spellings the usage names: gpu,
+// staged and cpu<N> with N ≥ 1 written without a sign.
+func TestParseDevices(t *testing.T) {
+	for _, bad := range []string{"cpu+3", "cpu", "cpu0", "tpu"} {
+		if specs, err := parseDevices(bad); err == nil {
+			t.Errorf("parseDevices(%q) = %v, want an error", bad, specs)
+		}
+	}
+	specs, err := parseDevices("cpu2,gpu")
+	if err != nil || len(specs) != 2 {
+		t.Fatalf("parseDevices(%q) = %v, %v; want two devices", "cpu2,gpu", specs, err)
+	}
+}

@@ -5,7 +5,7 @@ package cluster
 // (seed, src, dst, tag, seq, attempt), so a chaos schedule is exactly
 // reproducible from its seed alone — no wall-clock state, no RNG
 // stream shared across pairs. Faults per frame are bounded: once
-// MaxFaultsPerMessage attempts of one frame have been perturbed, every
+// maxFaultsPerMessage attempts of one frame have been perturbed, every
 // further attempt passes clean, so retransmission always terminates
 // and any seeded schedule without a Silence fault is maskable.
 
@@ -25,18 +25,14 @@ type ChaosSpec struct {
 	Drop float64
 	// Duplicate delivers the frame twice back to back.
 	Duplicate float64
-	// Delay holds the frame in limbo until DelaySlots further frames
+	// Delay holds the frame in limbo until delaySlots further frames
 	// have crossed the same (src, dst) pair, then delivers it — a
 	// bounded reordering.
-	Delay      float64
-	DelaySlots int // default 3
+	Delay float64
 	// Corrupt flips one payload bit in a copy of the frame (the
 	// sender's buffer is never touched); the receiver's CRC32C check
 	// rejects it and retransmission repairs it.
 	Corrupt float64
-	// MaxFaultsPerMessage bounds perturbed attempts per frame; further
-	// attempts pass clean. Default 4.
-	MaxFaultsPerMessage int
 	// Silence, when non-nil, permanently vanishes every frame (and
 	// acknowledgement) rank Silence.Rank sends once it has posted
 	// Silence.AfterSends frames — an unmaskable partition: the rank is
@@ -52,14 +48,14 @@ type SilenceFault struct {
 	AfterSends int
 }
 
-func (s *ChaosSpec) normalize() {
-	if s.DelaySlots <= 0 {
-		s.DelaySlots = 3
-	}
-	if s.MaxFaultsPerMessage <= 0 {
-		s.MaxFaultsPerMessage = 4
-	}
-}
+const (
+	// delaySlots is how many further frames on the same pair a delayed
+	// frame waits out in limbo.
+	delaySlots = 3
+	// maxFaultsPerMessage bounds perturbed attempts per frame; further
+	// attempts pass clean.
+	maxFaultsPerMessage = 4
+)
 
 // limboFrame is a delayed frame waiting out its slot count.
 type limboFrame struct {
@@ -84,9 +80,7 @@ type chaosNet struct {
 }
 
 func newChaosNet(n int, spec *ChaosSpec, counters *metrics.TransportCounters) *chaosNet {
-	s := *spec
-	s.normalize()
-	c := &chaosNet{spec: s, counters: counters, sends: make([]int, n)}
+	c := &chaosNet{spec: *spec, counters: counters, sends: make([]int, n)}
 	c.pairs = make([][]*pairChaos, n)
 	for i := range c.pairs {
 		c.pairs[i] = make([]*pairChaos, n)
@@ -146,7 +140,7 @@ func (c *chaosNet) deliver(src, dst, attempt int, m message, push func(message) 
 	}
 	pair := c.pairs[src][dst]
 	act := actClean
-	if pair.faults[m.seq] < spec.MaxFaultsPerMessage {
+	if pair.faults[m.seq] < maxFaultsPerMessage {
 		u := uniform(c.draw(src, dst, m.tag, m.seq, attempt, 0x9e3779b97f4a7c15))
 		switch {
 		case u < spec.Drop:
@@ -175,7 +169,7 @@ func (c *chaosNet) deliver(src, dst, attempt int, m message, push func(message) 
 		out = append(out, m, m)
 	case actDelay:
 		c.counters.ChaosDelayed.Add(1)
-		pair.limbo = append(pair.limbo, limboFrame{m: m, remaining: spec.DelaySlots})
+		pair.limbo = append(pair.limbo, limboFrame{m: m, remaining: delaySlots})
 	case actCorrupt:
 		c.counters.ChaosCorrupted.Add(1)
 		corrupted := m

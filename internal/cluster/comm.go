@@ -63,6 +63,7 @@ type World struct {
 	// Lossy-transport state (see transport.go); all nil/zero for a
 	// default world.
 	tc        *TransportConfig
+	net       *metrics.TransportCounters // every transport event
 	chaos     *chaosNet
 	rel       *reliableState
 	alarms    alarm
@@ -96,8 +97,8 @@ func newWorld(n int, tc *TransportConfig) *World {
 		panic("cluster: world needs at least one rank")
 	}
 	depth := mailboxDepth
-	if tc != nil {
-		depth = tc.Depth
+	if tc != nil && tc.Reliable {
+		depth = reliableDepth
 	}
 	w := &World{
 		size:   n,
@@ -107,6 +108,9 @@ func newWorld(n int, tc *TransportConfig) *World {
 		killed: make([]sync.Once, n),
 		tc:     tc,
 	}
+	if tc != nil {
+		w.net = &metrics.TransportCounters{}
+	}
 	for s := 0; s < n; s++ {
 		w.boxes[s] = make([]chan message, n)
 		w.down[s] = make(chan struct{})
@@ -115,14 +119,6 @@ func newWorld(n int, tc *TransportConfig) *World {
 		}
 	}
 	return w
-}
-
-// counters returns the transport counters, or nil for a default world.
-func (w *World) counters() *metrics.TransportCounters {
-	if w.tc == nil {
-		return nil
-	}
-	return w.tc.Counters
 }
 
 // Size returns the number of ranks.
@@ -262,7 +258,7 @@ func (c *Comm) recvMsg(src int, deadline time.Time, intr bool) (message, error) 
 	w := c.w
 	box := w.boxes[src][c.rank]
 	rel := w.rel != nil
-	nc := w.counters()
+	nc := w.net
 	for {
 		if intr {
 			if _, gen := w.alarms.state(); gen != c.alarmSeen {

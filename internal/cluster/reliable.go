@@ -6,7 +6,7 @@ package cluster
 // reorders, rejecting corrupted frames) and post cumulative
 // acknowledgements; a per-rank retransmitter goroutine re-sends
 // unacknowledged frames with exponential backoff until they are acked
-// or abandoned after MaxAttempts. The protocol is below the virtual
+// or abandoned after maxAttempts. The protocol is below the virtual
 // clock: stamps ride the frames untouched, so a masked chaos schedule
 // reproduces even the modelled timings bitwise.
 
@@ -95,7 +95,7 @@ func (rs *reliableState) post(src, dst int, m message) {
 		due: time.Now().Add(rs.w.tc.RTO),
 	})
 	st.mu.Unlock()
-	c := rs.w.tc.Counters
+	c := rs.w.net
 	c.Sent.Add(1)
 	c.SentBytes.Add(int64(8 * len(m.data)))
 	rs.w.deliverFrame(src, dst, 0, m)
@@ -152,12 +152,11 @@ func (rs *reliableState) ack(r int, a ackMsg) {
 }
 
 // scan retransmits every overdue frame of rank r, doubling its backoff
-// (capped at 64x RTO), and abandons frames past MaxAttempts.
+// (capped at 64x RTO), and abandons frames past maxAttempts.
 func (rs *reliableState) scan(r int) {
 	now := time.Now()
 	rto := rs.w.tc.RTO
-	maxAtt := rs.w.tc.MaxAttempts
-	counters := rs.w.tc.Counters
+	counters := rs.w.net
 
 	type resend struct {
 		dst     int
@@ -176,7 +175,7 @@ func (rs *reliableState) scan(r int) {
 				continue
 			}
 			p.attempts++
-			if p.attempts >= maxAtt {
+			if p.attempts >= maxAttempts {
 				counters.Abandoned.Add(1)
 				continue // dropped: the peer is presumed dead
 			}
@@ -208,7 +207,7 @@ func (w *World) deliverFrame(src, dst, attempt int, m message) {
 		case w.boxes[src][dst] <- f:
 			return true
 		default:
-			w.tc.Counters.MailboxOverflow.Add(1)
+			w.net.MailboxOverflow.Add(1)
 			return false
 		}
 	}
@@ -231,7 +230,7 @@ func (c *Comm) postAck(src int) {
 	}
 	select {
 	case w.rel.acks[src] <- ackMsg{from: c.rank, cum: cum}:
-		w.tc.Counters.Acks.Add(1)
+		w.net.Acks.Add(1)
 	default:
 	}
 }

@@ -61,13 +61,10 @@ type Options struct {
 	Px, Py int
 	Mode   Mode
 	Net    NetModel
-	// ZoneRate is the modelled per-rank compute throughput
-	// (zone-stage-updates per virtual second). <= 0 selects 16e6 (a
-	// 4-core 2015 node).
-	ZoneRate float64
-	// RankRates, when non-empty, gives every rank its own throughput
-	// (len must equal Ranks): a heterogeneous cluster of plain and
-	// accelerated nodes. Requires a 1-D decomposition (Py == 1).
+	// RankRates, when non-empty, gives every rank its own throughput in
+	// place of ZoneRate (len must equal Ranks): a heterogeneous cluster
+	// of plain and accelerated nodes. Requires a 1-D decomposition
+	// (Py == 1).
 	RankRates []float64
 	// WeightedDecomp splits the domain proportionally to RankRates
 	// instead of evenly, so faster nodes get more zones. Only meaningful
@@ -103,6 +100,10 @@ const (
 	tagHaloToDown  = 102 // data travelling to the lower (−y) neighbour
 	tagHaloToUp    = 103
 )
+
+// ZoneRate is the modelled per-rank compute throughput of a homogeneous
+// cluster, in zone-stage-updates per virtual second: a 4-core 2015 node.
+const ZoneRate = 16e6
 
 // rankState carries one rank's solver plus its virtual clock.
 type rankState struct {
@@ -321,9 +322,6 @@ func Run(p *testprob.Problem, n int, cfg core.Config, opts Options) (*Result, er
 	if opts.Py > 1 && p.Dim < 2 {
 		return nil, fmt.Errorf("cluster: Py=%d needs a 2-D problem", opts.Py)
 	}
-	if opts.ZoneRate <= 0 {
-		opts.ZoneRate = 16e6
-	}
 	if len(opts.RankRates) > 0 {
 		if len(opts.RankRates) != opts.Ranks {
 			return nil, fmt.Errorf("cluster: %d rank rates for %d ranks", len(opts.RankRates), opts.Ranks)
@@ -429,7 +427,7 @@ func runRank(comm *Comm, p *testprob.Problem, nGlob int, starts []int, nyGlob, n
 		comm: comm, g: g, opts: opts,
 		left: -1, right: -1, down: -1, up: -1,
 		firstSync: true,
-		rate:      opts.ZoneRate,
+		rate:      ZoneRate,
 	}
 	if len(opts.RankRates) > 0 {
 		rs.rate = opts.RankRates[rank]

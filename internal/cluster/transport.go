@@ -68,20 +68,21 @@ type TransportConfig struct {
 	// RTO is the initial retransmit timeout; it doubles per attempt up
 	// to 64x. Default 1ms.
 	RTO time.Duration
-	// MaxAttempts bounds deliveries per frame before the retransmitter
-	// abandons it (the peer is presumed dead). Default 40 — far above
-	// ChaosSpec.MaxFaultsPerMessage, so a frame to a live peer is always
-	// delivered first.
-	MaxAttempts int
-	// Depth overrides the per-pair mailbox depth. Default 64 in reliable
-	// mode (duplicates and retransmits need headroom), mailboxDepth
-	// otherwise. Reliable-mode deliveries drop on a full mailbox and are
-	// repaired by retransmission, so depth is a performance knob only.
-	Depth int
-	// Counters receives every transport event; nil allocates a private
-	// set (readable via World.NetCounters).
-	Counters *metrics.TransportCounters
 }
+
+const (
+	// maxAttempts bounds deliveries per frame before the retransmitter
+	// abandons it (the peer is presumed dead): far above
+	// maxFaultsPerMessage, so a frame to a live peer is always delivered
+	// first.
+	maxAttempts = 40
+	// reliableDepth is the per-pair mailbox depth in reliable mode
+	// (duplicates and retransmits need headroom; a transport world
+	// without it keeps mailboxDepth). Reliable-mode deliveries drop on a
+	// full mailbox and are repaired by retransmission, so depth is a
+	// performance knob only.
+	reliableDepth = 64
+)
 
 // normalize fills defaults, returning a copy.
 func (tc TransportConfig) normalize() TransportConfig {
@@ -90,19 +91,6 @@ func (tc TransportConfig) normalize() TransportConfig {
 	}
 	if tc.RTO <= 0 {
 		tc.RTO = time.Millisecond
-	}
-	if tc.MaxAttempts <= 0 {
-		tc.MaxAttempts = 40
-	}
-	if tc.Depth <= 0 {
-		if tc.Reliable {
-			tc.Depth = 64
-		} else {
-			tc.Depth = mailboxDepth
-		}
-	}
-	if tc.Counters == nil {
-		tc.Counters = &metrics.TransportCounters{}
 	}
 	return tc
 }
@@ -115,7 +103,7 @@ func NewWorldTransport(n int, tc TransportConfig) *World {
 	norm := tc.normalize()
 	w := newWorld(n, &norm)
 	if w.tc.Chaos != nil {
-		w.chaos = newChaosNet(n, w.tc.Chaos, w.tc.Counters)
+		w.chaos = newChaosNet(n, w.tc.Chaos, w.net)
 	}
 	if w.tc.Reliable {
 		w.rel = newReliableState(w)
@@ -135,12 +123,7 @@ func (w *World) Close() {
 
 // NetCounters returns the world's transport counters (never nil for a
 // transport world; nil for a default world).
-func (w *World) NetCounters() *metrics.TransportCounters {
-	if w.tc == nil {
-		return nil
-	}
-	return w.tc.Counters
-}
+func (w *World) NetCounters() *metrics.TransportCounters { return w.net }
 
 // RecvDeadline returns the configured base receive deadline (0 for a
 // default world).

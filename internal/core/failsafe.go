@@ -209,13 +209,7 @@ func (s *Solver) fsRepair(stage int, dt, a, b float64) error {
 	// cell's corrections arrive in the order its sweep contributions did.
 	for _, tl := range s.tiles {
 		for di, d := range g.ActiveDims() {
-			for i := 0; ; i++ {
-				blk, ok := s.tileBlock(tl, d, i)
-				if !ok {
-					break
-				}
-				s.fsRepairBlock(&blk, di == 0, dt, b, scO, scL)
-			}
+			g.EachBlock(tl, d, func(blk grid.FaceBlock) { s.fsRepairBlock(&blk, di == 0, dt, b, scO, scL) })
 		}
 	}
 
@@ -279,12 +273,12 @@ func (s *Solver) fsRepair(stage int, dt, a, b float64) error {
 // first, and each flagged owned cell's first-order divergence goes into
 // s.rhs (overwriting on the first active direction, exactly like the
 // sweep).
-func (s *Solver) fsRepairBlock(blk *faceBlock, overwrite bool, dt, b float64, scO, scL *rowScratch) {
+func (s *Solver) fsRepairBlock(blk *grid.FaceBlock, overwrite bool, dt, b float64, scO, scL *rowScratch) {
 	mask := s.fsMask
-	n := blk.lines * blk.lanes
+	n := blk.Lines * blk.Lanes
 	dirty := false
-	for q := range blk.lines {
-		lo, hi, off := blk.run(q, 0, n)
+	for q := range blk.Lines {
+		lo, hi, off := blk.Run(q, 0, n)
 		dirty = dirty || maskAny(mask[off+lo:off+hi])
 	}
 	if !dirty {
@@ -297,11 +291,11 @@ func (s *Solver) fsRepairBlock(blk *faceBlock, overwrite bool, dt, b float64, sc
 	s.low.fluxes(s.fsW, blk, scL)
 
 	u, rhs, touched := s.G.U, s.rhs, s.fsTouched
-	coef := b * dt / blk.dx
-	invDx := 1 / blk.dx
-	next := blk.next
-	for q := range blk.lines {
-		lo, hi, off := blk.run(q, next, n-next)
+	coef := b * dt / blk.Dx
+	invDx := 1 / blk.Dx
+	next := blk.Next
+	for q := range blk.Lines {
+		lo, hi, off := blk.Run(q, next, n-next)
 		for f := lo; f < hi; f++ {
 			idx := off + f
 			if mask[idx] != 0 {
@@ -321,7 +315,7 @@ func (s *Solver) fsRepairBlock(blk *faceBlock, overwrite bool, dt, b float64, sc
 			// A face's lower cell loses its flux and its upper cell gains
 			// it; applying the same difference with opposite signs on the
 			// two sides keeps the pair conservative to round-off.
-			lm, um := mask[idx-blk.stride] != 0, mask[idx+blk.stride] != 0
+			lm, um := mask[idx-blk.Stride] != 0, mask[idx+blk.Stride] != 0
 			if !lm && !um {
 				continue
 			}

@@ -5,8 +5,8 @@ package core
 // engine's x rows and y/z face planes, and the fail-safe's high-order
 // recompute and first-order repair flux — in place of the per-device
 // kernels the paper generates from one numerical source. It runs on a
-// face block (faceBlock): lines of contiguous x cells read in place from
-// a primitive field, as uniform loops over slabs. The scheme's edge
+// face block (grid.FaceBlock): lines of contiguous x cells read in place
+// from a primitive field, as uniform loops over slabs. The scheme's edge
 // kernel (recon.Scheme.Edges) writes the face states, an admissibility
 // pass writes the first-order fallback in place, riemann.EvalRow
 // evaluates each side into struct-of-arrays face slabs, and Kind.FluxRow
@@ -19,6 +19,7 @@ package core
 
 import (
 	"rhsc/internal/eos"
+	"rhsc/internal/grid"
 	"rhsc/internal/recon"
 	"rhsc/internal/riemann"
 	"rhsc/internal/state"
@@ -45,46 +46,21 @@ func (s *Solver) resolveMethod() {
 	s.low = m
 }
 
-// faceBlock is one run of the face pipeline: lines cell lines of lanes
-// contiguous x cells, line q starting at index base + q·stride of the
-// primitive field, swept along d with cell width dx. Neighbours along the
-// sweep are stride apart in the field and next apart in the slots: an x
-// row is one line swept along its lanes (stride = next = 1), a y or z
-// face plane is swept across its lines (next = lanes). Cell slot s is
-// line s/lanes, lane s%lanes. The first and last cell along the sweep
-// are neighbours of the block's owned cells: face slot s in
-// [next, lines·lanes) is the face between cell slots s−next and s, and
-// cell slot s in [next, lines·lanes−next) is owned, with lower face s and
-// upper face s+next.
-type faceBlock struct {
-	d                                state.Direction
-	base, stride, lines, lanes, next int
-	dx                               float64
-}
-
-// run returns the slots [lo, hi) of [from, to) on cell line q, and off,
-// which maps slot s there to field index off+s. The cells of a run are
-// contiguous in the field, and the cell one step lower along the sweep
-// is stride lower. The run is empty when lo ≥ hi.
-func (b *faceBlock) run(q, from, to int) (lo, hi, off int) {
-	return max(q*b.lanes, from), min((q+1)*b.lanes, to), b.base + q*(b.stride-b.lanes)
-}
-
 // fluxes writes the face fluxes of block blk, from primitive field w,
-// into face slots [next, lines·lanes) of sc.fx. Every flux the solver
+// into face slots [Next, Lines·Lanes) of sc.fx. Every flux the solver
 // takes comes from here, so a flux recomputed anywhere is bitwise the
 // sweep's.
-func (m *method) fluxes(w *state.Fields, blk *faceBlock, sc *rowScratch) {
-	n := blk.lines * blk.lanes
+func (m *method) fluxes(w *state.Fields, blk *grid.FaceBlock, sc *rowScratch) {
+	n := blk.Lines * blk.Lanes
 	// Cell slot s writes its left edge to fr[s], the right state of its
-	// lower face, and its right edge to fl[s+next], the left state of its
+	// lower face, and its right edge to fl[s+Next], the left state of its
 	// upper face.
 	for c, u := range w.Comp {
-		m.recon.Edges(u, blk.base, blk.stride, blk.lines, sc.fr[c][:n], sc.fl[c][blk.next:blk.next+n])
+		m.recon.Edges(u, blk.Base, blk.Stride, blk.Lines, sc.fr[c][:n], sc.fl[c][blk.Next:blk.Next+n])
 	}
-	for q := range blk.lines {
-		if lo, hi, off := blk.run(q, blk.next, n); lo < hi {
-			admit(&sc.fl, lo, hi, &w.Comp, off+lo-blk.stride)
+	for q := range blk.Lines {
+		if lo, hi, off := blk.Run(q, blk.Next, n); lo < hi {
+			admit(&sc.fl, lo, hi, &w.Comp, off+lo-blk.Stride)
 			admit(&sc.fr, lo, hi, &w.Comp, off+lo)
 		}
 	}
@@ -92,18 +68,18 @@ func (m *method) fluxes(w *state.Fields, blk *faceBlock, sc *rowScratch) {
 	// go through EvalRow and FluxRow in runs of as many whole face lines
 	// as fit.
 	per := len(sc.l.D)
-	if blk.lanes <= per {
-		per -= per % blk.lanes
+	if blk.Lanes <= per {
+		per -= per % blk.Lanes
 	}
-	for f0 := blk.next; f0 < n; f0 += per {
+	for f0 := blk.Next; f0 < n; f0 += per {
 		k := min(per, n-f0)
 		var ql, qr, fx [state.NComp][]float64
 		for c := range ql {
 			ql[c], qr[c], fx[c] = sc.fl[c][f0:], sc.fr[c][f0:], sc.fx[c][f0:]
 		}
-		riemann.EvalRow(&sc.l, &ql, m.eos, blk.d, 0, k)
-		riemann.EvalRow(&sc.r, &qr, m.eos, blk.d, 0, k)
-		m.kind.FluxRow(&sc.l, &sc.r, &fx, blk.d, 0, k)
+		riemann.EvalRow(&sc.l, &ql, m.eos, blk.D, 0, k)
+		riemann.EvalRow(&sc.r, &qr, m.eos, blk.D, 0, k)
+		m.kind.FluxRow(&sc.l, &sc.r, &fx, blk.D, 0, k)
 	}
 }
 

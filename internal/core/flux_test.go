@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"rhsc/internal/eos"
+	"rhsc/internal/grid"
 	"rhsc/internal/recon"
 	"rhsc/internal/riemann"
 	"rhsc/internal/state"
@@ -174,24 +175,24 @@ func TestFillFluxMatchesFaceLoop(t *testing.T) {
 	}
 	// The cells cBeg−1 … cEnd of each lane, whose faces are cBeg … cEnd.
 	// Cell r of lane i is field index r·stride + i.
-	row := faceBlock{base: cBeg - 1, stride: 1, lines: 1, lanes: cEnd - cBeg + 2, next: 1}
-	plane := faceBlock{base: (cBeg - 1) * lanes, stride: lanes, lines: cEnd - cBeg + 2, lanes: lanes, next: lanes}
-	scNew, scRef := newRowScratch((plane.lines+1)*lanes, n+1), newRowScratch(n+1, n+1)
+	row := grid.FaceBlock{Base: cBeg - 1, Stride: 1, Lines: 1, Lanes: cEnd - cBeg + 2, Next: 1}
+	plane := grid.FaceBlock{Base: (cBeg - 1) * lanes, Stride: lanes, Lines: cEnd - cBeg + 2, Lanes: lanes, Next: lanes}
+	scNew, scRef := newRowScratch((plane.Lines+1)*lanes, n+1), newRowScratch(n+1, n+1)
 	rng := rand.New(rand.NewSource(5))
 	closures := []eos.EOS{eos.NewIdealGas(5.0 / 3.0), eos.TaubMathews{}, eos.NewHybrid(0.1, 2, 5.0/3.0)}
 	for _, rc := range allRecon() {
 		for _, rs := range allRiemann() {
 			for _, e := range closures {
 				for _, d := range []state.Direction{state.X, state.Y, state.Z} {
-					for _, blk := range []faceBlock{row, plane} {
-						blk.d = d
-						w := state.NewFields(n * blk.stride)
-						cols := make([][state.NComp][]float64, blk.stride)
+					for _, blk := range []grid.FaceBlock{row, plane} {
+						blk.D = d
+						w := state.NewFields(n * blk.Stride)
+						cols := make([][state.NComp][]float64, blk.Stride)
 						for i := range cols {
 							cols[i] = randomRow(rng, n)
 							for c := range w.Comp {
 								for r, v := range cols[i][c] {
-									w.Comp[c][r*blk.stride+i] = v
+									w.Comp[c][r*blk.Stride+i] = v
 								}
 							}
 						}
@@ -202,10 +203,10 @@ func TestFillFluxMatchesFaceLoop(t *testing.T) {
 							ref.fillFluxRef(d, u, n, cBeg, cEnd, scRef)
 							for c := 0; c < state.NComp; c++ {
 								for f := cBeg; f <= cEnd; f++ {
-									got, want := scNew.fx[c][(f-cBeg+1)*blk.next+i], scRef.fx[c][f]
+									got, want := scNew.fx[c][(f-cBeg+1)*blk.Next+i], scRef.fx[c][f]
 									if math.Float64bits(got) != math.Float64bits(want) {
 										t.Fatalf("%s/%s/%s dir %v, %d lanes: flux[%d] at face %d of lane %d = %v, face loop %v",
-											rc.Name(), rs.Name(), e.Name(), d, blk.stride, c, f, i, got, want)
+											rc.Name(), rs.Name(), e.Name(), d, blk.Stride, c, f, i, got, want)
 									}
 								}
 							}
@@ -259,7 +260,7 @@ func TestRowCFLMatchesMaxAbsSpeed(t *testing.T) {
 func BenchmarkFluxRow(b *testing.B) {
 	const n = 52
 	sc := newRowScratch(n+1, n)
-	blk := faceBlock{d: state.X, base: 1, stride: 1, lines: 1, lanes: n - 2, next: 1}
+	blk := grid.FaceBlock{D: state.X, Base: 1, Stride: 1, Lines: 1, Lanes: n - 2, Next: 1}
 	for _, rs := range allRiemann() {
 		for _, kind := range []string{"quiescent", "shocked"} {
 			w := &state.Fields{N: n, Comp: randomRow(rand.New(rand.NewSource(1)), n)}

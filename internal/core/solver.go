@@ -212,7 +212,7 @@ type Solver struct {
 	// Cache-blocked tile engine state (see tiles.go): the precomputed
 	// pencil-tile schedule over the (j, k) plane, the resolved tile
 	// extents, and the pre-bound parallel chunk body.
-	tiles        []tileSpan
+	tiles        []grid.Tile
 	tileJ, tileK int
 	tileChunk    func(lo, hi int)
 }
@@ -343,7 +343,7 @@ func New(g *grid.Grid, cfg Config) (*Solver, error) {
 // row (Nx+2 cells, whose right edges start one slot on) or of a tile's
 // face plane, and the evaluated faces of an x row.
 func (s *Solver) newScratch() *rowScratch {
-	return newRowScratch(max(s.G.Nx+3, s.planeSlots()), s.G.Nx+1)
+	return newRowScratch(s.G.BlockSlots(s.tileJ, s.tileK), s.G.Nx+1)
 }
 
 func (s *Solver) getScratch() *rowScratch {

@@ -69,6 +69,9 @@ func runTiled(t *testing.T, mut func(*Config)) []float64 {
 // traversal.
 const stripGoldenFile = "testdata/strip_golden.json"
 
+// planeLanes is the x chunk width of the face planes the sweeps run.
+const planeLanes = grid.PlaneLanes
+
 // stripGolden is one frozen result of a deleted code path (a testdata
 // golden file entry).
 type stripGolden struct {
@@ -156,11 +159,11 @@ func TestTileDecompositionCovers(t *testing.T) {
 				}
 				owners := make(map[[2]int]int)
 				for _, tl := range s.tiles {
-					if tl.j1 <= tl.j0 || tl.k1 <= tl.k0 {
+					if tl.J1 <= tl.J0 || tl.K1 <= tl.K0 {
 						t.Fatalf("%s tj=%d tk=%d: empty tile %+v", sh.name, tj, tk, tl)
 					}
-					for k := tl.k0; k < tl.k1; k++ {
-						for j := tl.j0; j < tl.j1; j++ {
+					for k := tl.K0; k < tl.K1; k++ {
+						for j := tl.J0; j < tl.J1; j++ {
 							owners[[2]int{j, k}]++
 						}
 					}

@@ -94,29 +94,29 @@ func (s *Solver) tracerRecover() {
 
 // tracerSweep accumulates the tracer flux differences of block blk's
 // owned cells, reusing the mass fluxes fx[ID] the sweep just computed.
-func (s *Solver) tracerSweep(blk *faceBlock, sc *rowScratch) {
+func (s *Solver) tracerSweep(blk *grid.FaceBlock, sc *rowScratch) {
 	x := s.trc.prim
 	fd := sc.fx[state.ID]
 	out := s.trc.rhs
-	invDx := 1 / blk.dx
+	invDx := 1 / blk.Dx
 	// Face tracer fluxes: donor-cell upwinding on the mass flux, into the
 	// fl[0] slots the sweep no longer needs.
 	tf := sc.fl[0]
-	n := blk.lines * blk.lanes
-	for q := range blk.lines {
-		lo, hi, off := blk.run(q, blk.next, n)
+	n := blk.Lines * blk.Lanes
+	for q := range blk.Lines {
+		lo, hi, off := blk.Run(q, blk.Next, n)
 		for f := lo; f < hi; f++ {
-			up := off + f - blk.stride
+			up := off + f - blk.Stride
 			if fd[f] < 0 {
-				up += blk.stride
+				up += blk.Stride
 			}
 			tf[f] = fd[f] * x[up]
 		}
 	}
-	for q := range blk.lines {
-		lo, hi, off := blk.run(q, blk.next, n-blk.next)
+	for q := range blk.Lines {
+		lo, hi, off := blk.Run(q, blk.Next, n-blk.Next)
 		for f := lo; f < hi; f++ {
-			out[off+f] -= (tf[f+blk.next] - tf[f]) * invDx
+			out[off+f] -= (tf[f+blk.Next] - tf[f]) * invDx
 		}
 	}
 }

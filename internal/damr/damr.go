@@ -50,20 +50,12 @@ type Options struct {
 	Mode cluster.Mode
 	// Net is the virtual interconnect model.
 	Net cluster.NetModel
-	// ZoneRate is the modelled per-rank compute throughput
-	// (zone-stage-updates per virtual second); <= 0 selects 16e6.
-	ZoneRate float64
 	// RankRates, when non-empty (len == Ranks), gives every rank its own
-	// throughput — a heterogeneous cluster.
+	// throughput in place of cluster.ZoneRate — a heterogeneous cluster.
 	RankRates []float64
 	// WeightedPartition splits the Morton curve proportionally to
 	// RankRates instead of evenly, so accelerated ranks own more blocks.
 	WeightedPartition bool
-	// LevelCostFactor multiplies a block's partition cost per refinement
-	// level (cost = zones · factor^level). With the global-Δt lockstep
-	// stepper every zone costs the same per step, so <= 0 selects the
-	// honest default of 1; subcycling integrators would want ~2.
-	LevelCostFactor float64
 	// Steps, when > 0, runs exactly that many CFL steps; otherwise the
 	// run integrates to TEnd (or the problem's TEnd when TEnd == 0).
 	Steps int
@@ -263,9 +255,6 @@ func (o *Options) validate() error {
 	if o.Ranks < 1 {
 		return fmt.Errorf("damr: need >= 1 rank, got %d", o.Ranks)
 	}
-	if o.ZoneRate <= 0 {
-		o.ZoneRate = 16e6
-	}
 	if len(o.RankRates) > 0 && len(o.RankRates) != o.Ranks {
 		return fmt.Errorf("damr: %d rank rates for %d ranks", len(o.RankRates), o.Ranks)
 	}
@@ -276,9 +265,6 @@ func (o *Options) validate() error {
 	}
 	if o.WeightedPartition && len(o.RankRates) == 0 {
 		return fmt.Errorf("damr: WeightedPartition requires RankRates")
-	}
-	if o.LevelCostFactor <= 0 {
-		o.LevelCostFactor = 1
 	}
 	if o.Fault != nil {
 		if o.CheckpointEvery <= 0 {

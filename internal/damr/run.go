@@ -79,11 +79,12 @@ func buildEpoch(t *amr.Tree, opts *Options, maxLevel, rank int, active []int) *e
 		ep.index[r] = i
 	}
 
-	// Partition the Morton curve by cost.
+	// Partition the Morton curve by cost: a leaf's zones, since under the
+	// global-Δt lockstep stepper every zone costs the same per step.
 	order := mortonOrder(ep.refs, maxLevel, t.Dim())
 	costs := make([]float64, n)
 	for pos, i := range order {
-		costs[pos] = float64(t.LeafZones(i)) * math.Pow(opts.LevelCostFactor, float64(ep.refs[i].Level))
+		costs[pos] = float64(t.LeafZones(i))
 	}
 	var weights []float64
 	if opts.WeightedPartition {
@@ -829,7 +830,7 @@ func newRankRun(comm *cluster.Comm, p *testprob.Problem, nbx int, cfg amr.Config
 	}
 	r := &rankRun{
 		t: t, comm: comm, opts: opts, rank: rank,
-		rate:        opts.ZoneRate,
+		rate:        cluster.ZoneRate,
 		maxLevelCfg: cfg.MaxLevel,
 		p:           p, nbx: nbx, cfg: cfg,
 		active:  active,

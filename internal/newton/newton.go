@@ -1,9 +1,10 @@
 // Package newton implements a classical (non-relativistic) compressible
 // Euler solver as the baseline the relativistic solver is compared
-// against. It shares the reconstruction schemes, grids and boundary
-// conditions with the SRHD core, but uses the Newtonian conserved
-// variables (ρ, ρv, E), a closed-form primitive recovery, and the
-// classical HLLC Riemann solver (Toro).
+// against. It shares the reconstruction schemes, grids, boundary
+// conditions and face-block walk (grid.Grid.EachBlock) with the SRHD
+// core, but uses the Newtonian conserved variables (ρ, ρv, E), a
+// closed-form primitive recovery, and the classical HLLC Riemann solver
+// (Toro).
 //
 // Where the two solvers must agree — flows with v ≪ c and p ≪ ρc² — the
 // tests verify they do; where relativity matters (relativistic internal
@@ -20,7 +21,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 
 	"rhsc/internal/grid"
 	"rhsc/internal/recon"
@@ -32,19 +32,21 @@ type Config struct {
 	Gamma float64      // adiabatic index
 	Recon recon.Scheme // face reconstruction
 	CFL   float64
-	// Floors applied during recovery.
-	RhoFloor, PFloor float64
 }
+
+// Floors applied during recovery.
+const (
+	rhoFloor = 1e-13
+	pFloor   = 1e-15
+)
 
 // DefaultConfig mirrors the relativistic DefaultConfig: PLM-MC, CFL 0.4,
 // Γ = 5/3.
 func DefaultConfig() Config {
 	return Config{
-		Gamma:    5.0 / 3.0,
-		Recon:    recon.PLM{Lim: recon.MonotonizedCentral},
-		CFL:      0.4,
-		RhoFloor: 1e-13,
-		PFloor:   1e-15,
+		Gamma: 5.0 / 3.0,
+		Recon: recon.PLM{Lim: recon.MonotonizedCentral},
+		CFL:   0.4,
 	}
 }
 
@@ -53,10 +55,11 @@ type Solver struct {
 	G   *grid.Grid
 	Cfg Config
 
-	t       float64
-	rhs     *state.Fields
-	u0      *state.Fields
-	scratch sync.Pool
+	t   float64
+	rhs *state.Fields
+	u0  *state.Fields
+	// The face slots of one face block: left and right states, fluxes.
+	fl, fr, fx *state.Fields
 }
 
 // New constructs the baseline solver.
@@ -70,35 +73,14 @@ func New(g *grid.Grid, cfg Config) (*Solver, error) {
 	if g.Ng < cfg.Recon.Ghost() {
 		return nil, fmt.Errorf("newton: ghost width %d below %d", g.Ng, cfg.Recon.Ghost())
 	}
-	maxRow := g.TotalX
-	if g.TotalY > maxRow {
-		maxRow = g.TotalY
-	}
-	if g.TotalZ > maxRow {
-		maxRow = g.TotalZ
-	}
-	s := &Solver{G: g, Cfg: cfg,
+	n := g.BlockSlots(g.Ny, g.Nz)
+	return &Solver{G: g, Cfg: cfg,
 		rhs: state.NewFields(g.NCells()),
 		u0:  state.NewFields(g.NCells()),
-	}
-	s.scratch.New = func() any {
-		rs := &rowScratch{}
-		for c := 0; c < state.NComp; c++ {
-			rs.u[c] = make([]float64, maxRow)
-			rs.fl[c] = make([]float64, maxRow+1)
-			rs.fr[c] = make([]float64, maxRow+1)
-			rs.fx[c] = make([]float64, maxRow+1)
-		}
-		return rs
-	}
-	return s, nil
-}
-
-type rowScratch struct {
-	u  [state.NComp][]float64
-	fl [state.NComp][]float64
-	fr [state.NComp][]float64
-	fx [state.NComp][]float64
+		fl:  state.NewFields(n),
+		fr:  state.NewFields(n),
+		fx:  state.NewFields(n),
+	}, nil
 }
 
 // primToCons converts (ρ, v, p) to (ρ, ρv, E).
@@ -116,15 +98,15 @@ func (s *Solver) primToCons(w state.Prim) state.Cons {
 // consToPrim inverts in closed form, applying floors.
 func (s *Solver) consToPrim(c state.Cons) state.Prim {
 	rho := c.D
-	if rho < s.Cfg.RhoFloor {
-		rho = s.Cfg.RhoFloor
+	if rho < rhoFloor {
+		rho = rhoFloor
 	}
 	inv := 1 / rho
 	vx, vy, vz := c.Sx*inv, c.Sy*inv, c.Sz*inv
 	kin := 0.5 * rho * (vx*vx + vy*vy + vz*vz)
 	p := (s.Cfg.Gamma - 1) * (c.Tau - kin)
-	if p < s.Cfg.PFloor {
-		p = s.Cfg.PFloor
+	if p < pFloor {
+		p = pFloor
 	}
 	return state.Prim{Rho: rho, Vx: vx, Vy: vy, Vz: vz, P: p}
 }
@@ -256,92 +238,43 @@ func (s *Solver) hllc(wl, wr state.Prim, d state.Direction) state.Cons {
 	return pick(wr, ur, sr, vr)
 }
 
-// computeRHS accumulates −∂F/∂x over all active dimensions.
+// computeRHS writes −∂F/∂x, summed over the active dimensions in the
+// fixed order X, Y, Z, into the interior of rhs. The grid is one tile:
+// its x rows, then its y and z face planes in x chunks, read in place
+// from W as core's sweeps read them.
 func (s *Solver) computeRHS(rhs *state.Fields) {
-	rhs.Zero()
 	g := s.G
-	for _, d := range g.ActiveDims() {
-		switch d {
-		case state.X:
-			for k := g.KBeg(); k < g.KEnd(); k++ {
-				for j := g.JBeg(); j < g.JEnd(); j++ {
-					s.sweepRow(d, g.Idx(0, j, k), 1, g.TotalX, g.IBeg(), g.IEnd(), g.Dx, rhs)
-				}
-			}
-		case state.Y:
-			for k := g.KBeg(); k < g.KEnd(); k++ {
-				for i := g.IBeg(); i < g.IEnd(); i++ {
-					s.sweepRow(d, g.Idx(i, 0, k), g.TotalX, g.TotalY, g.JBeg(), g.JEnd(), g.Dy, rhs)
-				}
-			}
-		default:
-			for j := g.JBeg(); j < g.JEnd(); j++ {
-				for i := g.IBeg(); i < g.IEnd(); i++ {
-					s.sweepRow(d, g.Idx(i, j, 0), g.TotalX*g.TotalY, g.TotalZ, g.KBeg(), g.KEnd(), g.Dz, rhs)
-				}
-			}
-		}
+	all := grid.Tile{J0: g.JBeg(), J1: g.JEnd(), K0: g.KBeg(), K1: g.KEnd()}
+	for di, d := range g.ActiveDims() {
+		g.EachBlock(all, d, func(blk grid.FaceBlock) {
+			s.fluxes(&blk)
+			blk.Accumulate(&s.fx.Comp, rhs, di == 0)
+		})
 	}
 }
 
-func (s *Solver) sweepRow(d state.Direction, base, stride, n, cBeg, cEnd int, dx float64, rhs *state.Fields) {
-	sc := s.scratch.Get().(*rowScratch)
-	defer s.scratch.Put(sc)
+// fluxes writes the classical HLLC fluxes of block blk into face slots
+// [Next, Lines·Lanes) of s.fx. A face state that is not positive falls
+// back to the primitives of the cell on its side.
+func (s *Solver) fluxes(blk *grid.FaceBlock) {
 	w := s.G.W
-	for c := 0; c < state.NComp; c++ {
-		dst := sc.u[c][:n]
-		src := w.Comp[c]
-		if stride == 1 {
-			copy(dst, src[base:base+n])
-		} else {
-			idx := base
-			for i := 0; i < n; i++ {
-				dst[i] = src[idx]
-				idx += stride
-			}
-		}
+	n := blk.Lines * blk.Lanes
+	for c, u := range w.Comp {
+		s.Cfg.Recon.Edges(u, blk.Base, blk.Stride, blk.Lines, s.fr.Comp[c][:n], s.fl.Comp[c][blk.Next:blk.Next+n])
 	}
-	for c := 0; c < state.NComp; c++ {
-		s.Cfg.Recon.Reconstruct(sc.u[c][:n], sc.fl[c][:n+1], sc.fr[c][:n+1])
-	}
-	for f := cBeg; f <= cEnd; f++ {
-		wl := state.Prim{
-			Rho: sc.fl[state.IRho][f], Vx: sc.fl[state.IVx][f],
-			Vy: sc.fl[state.IVy][f], Vz: sc.fl[state.IVz][f], P: sc.fl[state.IP][f],
-		}
-		wr := state.Prim{
-			Rho: sc.fr[state.IRho][f], Vx: sc.fr[state.IVx][f],
-			Vy: sc.fr[state.IVy][f], Vz: sc.fr[state.IVz][f], P: sc.fr[state.IP][f],
-		}
-		// Written so that a NaN state, which fails every comparison,
-		// falls back too.
-		if !(wl.Rho > 0 && wl.P > 0) {
-			wl = state.Prim{
-				Rho: sc.u[state.IRho][f-1], Vx: sc.u[state.IVx][f-1],
-				Vy: sc.u[state.IVy][f-1], Vz: sc.u[state.IVz][f-1], P: sc.u[state.IP][f-1],
+	for q := range blk.Lines {
+		lo, hi, off := blk.Run(q, blk.Next, n)
+		for f := lo; f < hi; f++ {
+			wl, wr := s.fl.GetPrim(f), s.fr.GetPrim(f)
+			// Written so that a NaN state, which fails every comparison,
+			// falls back too.
+			if !(wl.Rho > 0 && wl.P > 0) {
+				wl = w.GetPrim(off + f - blk.Stride)
 			}
-		}
-		if !(wr.Rho > 0 && wr.P > 0) {
-			wr = state.Prim{
-				Rho: sc.u[state.IRho][f], Vx: sc.u[state.IVx][f],
-				Vy: sc.u[state.IVy][f], Vz: sc.u[state.IVz][f], P: sc.u[state.IP][f],
+			if !(wr.Rho > 0 && wr.P > 0) {
+				wr = w.GetPrim(off + f)
 			}
-		}
-		fx := s.hllc(wl, wr, d)
-		sc.fx[state.ID][f] = fx.D
-		sc.fx[state.ISx][f] = fx.Sx
-		sc.fx[state.ISy][f] = fx.Sy
-		sc.fx[state.ISz][f] = fx.Sz
-		sc.fx[state.ITau][f] = fx.Tau
-	}
-	invDx := 1 / dx
-	for c := 0; c < state.NComp; c++ {
-		fxc := sc.fx[c]
-		out := rhs.Comp[c]
-		idx := base + cBeg*stride
-		for i := cBeg; i < cEnd; i++ {
-			out[idx] -= (fxc[i+1] - fxc[i]) * invDx
-			idx += stride
+			s.fx.SetCons(f, s.hllc(wl, wr, blk.D))
 		}
 	}
 }

@@ -205,13 +205,6 @@ func (f *Fields) CopyFrom(g *Fields) {
 	copy(f.back, g.back)
 }
 
-// Zero clears all components.
-func (f *Fields) Zero() {
-	for i := range f.back {
-		f.back[i] = 0
-	}
-}
-
 // GetCons loads cell i as a Cons value.
 func (f *Fields) GetCons(i int) Cons {
 	return Cons{

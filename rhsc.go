@@ -212,25 +212,18 @@ func (s *Sim) Time() float64 { return s.Solver.Time() }
 
 // At returns the primitive state at the cell nearest to (x, y).
 func (s *Sim) At(x, y float64) Prim {
-	g := s.Grid
-	i := g.IBeg() + int((x-g.X0)/g.Dx)
-	if i < g.IBeg() {
-		i = g.IBeg()
-	}
-	if i >= g.IEnd() {
-		i = g.IEnd() - 1
-	}
+	return s.Grid.W.GetPrim(nearestCell(s.Grid, x, y))
+}
+
+// nearestCell returns the index of the interior cell nearest (x, y) on
+// the first k plane; points outside the domain clamp to its edge cells.
+func nearestCell(g *grid.Grid, x, y float64) int {
+	i := min(max(g.IBeg()+int((x-g.X0)/g.Dx), g.IBeg()), g.IEnd()-1)
 	j := g.JBeg()
 	if g.Ny > 1 {
-		j = g.JBeg() + int((y-g.Y0)/g.Dy)
-		if j < g.JBeg() {
-			j = g.JBeg()
-		}
-		if j >= g.JEnd() {
-			j = g.JEnd() - 1
-		}
+		j = min(max(g.JBeg()+int((y-g.Y0)/g.Dy), g.JBeg()), g.JEnd()-1)
 	}
-	return g.W.GetPrim(g.Idx(i, j, g.KBeg()))
+	return g.Idx(i, j, g.KBeg())
 }
 
 // WriteProfile writes the 1-D primitive profile as CSV.
@@ -294,25 +287,7 @@ func (s *Sim) EnableTracer(fn func(x, y, z float64) float64) error {
 // TracerAt returns the tracer concentration at the cell nearest (x, y);
 // zero when no tracer is enabled.
 func (s *Sim) TracerAt(x, y float64) float64 {
-	g := s.Grid
-	i := g.IBeg() + int((x-g.X0)/g.Dx)
-	if i < g.IBeg() {
-		i = g.IBeg()
-	}
-	if i >= g.IEnd() {
-		i = g.IEnd() - 1
-	}
-	j := g.JBeg()
-	if g.Ny > 1 {
-		j = g.JBeg() + int((y-g.Y0)/g.Dy)
-		if j < g.JBeg() {
-			j = g.JBeg()
-		}
-		if j >= g.JEnd() {
-			j = g.JEnd() - 1
-		}
-	}
-	return s.Solver.Tracer(g.Idx(i, j, g.KBeg()))
+	return s.Solver.Tracer(nearestCell(s.Grid, x, y))
 }
 
 // WriteVTK writes the current primitive fields as a legacy VTK dataset
@@ -915,25 +890,7 @@ func (s *NewtonSim) RunTo(t float64) error {
 
 // At returns the primitive state at the cell nearest (x, y).
 func (s *NewtonSim) At(x, y float64) Prim {
-	g := s.Grid
-	i := g.IBeg() + int((x-g.X0)/g.Dx)
-	if i < g.IBeg() {
-		i = g.IBeg()
-	}
-	if i >= g.IEnd() {
-		i = g.IEnd() - 1
-	}
-	j := g.JBeg()
-	if g.Ny > 1 {
-		j = g.JBeg() + int((y-g.Y0)/g.Dy)
-		if j < g.JBeg() {
-			j = g.JBeg()
-		}
-		if j >= g.JEnd() {
-			j = g.JEnd() - 1
-		}
-	}
-	return g.W.GetPrim(g.Idx(i, j, g.KBeg()))
+	return s.Grid.W.GetPrim(nearestCell(s.Grid, x, y))
 }
 
 // --- Timing helper -------------------------------------------------------
